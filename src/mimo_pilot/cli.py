@@ -22,9 +22,8 @@ from .harness import (bench_allocators, default_config, plan_for,
                       run_experiment, seed_schedule)
 from .ppa import eppa_profile, make_objective, objective_value, ppa_allocate
 from .refsolver import ConstrainedProblem, solve
-from .scenario import (ConfigurationError, FixtureFormatError, SystemConfig,
-                       build_layout, drop_users, large_scale,
-                       load_beta_fixture)
+from .scenario import (ConfigurationError, SystemConfig, build_layout,
+                       drop_users, large_scale, load_beta_fixture)
 
 SEED_ENV = "MIMO_PILOT_SEED"
 
@@ -281,9 +280,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigurationError, FixtureFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,10 +5,16 @@ stream factory keyed by (root seed, trial index, purpose tag).  Workers
 therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
+
+Every Monte-Carlo sweep runs through one kernel, :func:`_mc_trials`: one
+channel draw and one pilot-noise draw per trial serve every allocation,
+method, budget and antenna prefix of the drop, so all curves see common
+randomness.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -17,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, ppa
-from .airlink import empirical_sinr_terms, pilot_phase, sample_channels
-from .estimators import LS, MMSE, METHODS, estimate_ls, estimate_mmse
+from .airlink import (complex_normal, empirical_sinr_terms, pilot_book,
+                      sample_channels)
+from .estimators import LS, MMSE, METHODS, ChannelEstimate, mmse_gain
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, drop_users,
                        large_scale)
 
@@ -251,34 +258,60 @@ def _limit_average(method: str, rho_mat, beta_slice) -> float:
     return float(np.mean(vals))
 
 
-def _mc_rcee_drop(cfg: SystemConfig, plan: ExperimentPlan, drop: int,
-                  rho_mats: dict, combos, m_grid) -> dict:
-    """Average relative error per combo and antenna count for one drop.
+def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
+               rho_stack, methods, m_values):
+    """Monte-Carlo kernel: one drop's trials for C allocations at once.
 
-    One fading draw per trial at the largest antenna count serves every
-    grid point (estimates restricted to the first m antennas coincide
-    with length-m estimates) and, through stream replay of the pilot
-    noise, every allocation, so all curves see common randomness.
+    ``rho_stack[c]`` (L, K) is estimated with ``methods[c]``.  Each trial
+    draws one channel at the largest of ``m_values`` and one pilot-noise
+    block; both serve every allocation and antenna prefix (length-m
+    estimates are the first m rows of the full ones), so every curve sees
+    common randomness.  Yields ``(channel, h_hat, lam)`` in trial order:
+    the (C, K, M) estimates, overwritten by the next trial, and the
+    (C, len(m_values)) user-averaged relative errors.  The arithmetic is
+    that of pilot_phase -> estimate_ls / estimate_mmse ->
+    metrics.rcee_prefix_samples, so every value matches it bit for bit.
     """
+    L, K = beta_slice.shape
+    rho_stack = np.asarray(rho_stack, dtype=float)
+    if rho_stack.ndim != 3 or rho_stack.shape[1:] != (L, K):
+        raise ValueError(f"rho_stack must have shape (C, {L}, {K})")
+    if np.any(rho_stack < 0):
+        raise ValueError("pilot powers must be non-negative")
+    if np.any(rho_stack[:, 0] <= 0):
+        raise ValueError("target-cell pilot powers must be positive")
+    # The book is rows of the identity, so correlating the received block
+    # with sequence k selects its column k:
+    #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
+    pilot_book(K, cfg.tau)
+    sqrt_rho = np.sqrt(rho_stack)
+    sqrt_target = sqrt_rho[:, 0, :, None]
+    mmse = [c for c, method in enumerate(methods) if method == MMSE]
+    gains = np.array([[mmse_gain(rho_stack[c, :, k], beta_slice[:, k])
+                       for k in range(K)] for c in mmse]).reshape(len(mmse), K, 1)
+    idx = np.asarray(m_values) - 1
+    m_top = max(m_values)
+    h_hat = np.empty((len(rho_stack), K, m_top), dtype=complex)
+    e2 = np.empty(h_hat.shape)
     tag = f"gamma={cfg.Gamma}"
-    beta_slice = rho_mats["__beta__"]
-    m_top = max(m_grid)
-    acc = {combo: np.zeros(len(m_grid)) for combo in combos}
-    for s in range(plan.n_small):
-        t_id = drop * plan.n_small + s
+    for s in range(n_trials):
+        t_id = drop * n_trials + s
         ch = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
-        estimates = {}
-        for combo in combos:
-            alloc_key = combo[0], combo[1]
-            obs = pilot_phase(ch, rho_mats[alloc_key], cfg.tau,
-                              seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-            method = combo[1]
-            est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta_slice)
-            estimates[combo] = est
-        for combo, est in estimates.items():
-            lam = metrics.rcee_prefix_samples(ch.h[0], est.h_hat, m_grid)
-            acc[combo] += lam.mean(axis=1)
-    return {combo: acc[combo] / plan.n_small for combo in combos}
+        noise = complex_normal((m_top, cfg.tau),
+                               seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
+        np.einsum("clk,lkm->ckm", sqrt_rho, ch.h, out=h_hat)
+        h_hat += noise[:, :K].T
+        h_hat /= sqrt_target
+        h_hat[mmse] *= gains
+        h0 = ch.h[0]
+        np.abs(h_hat - h0, out=e2)
+        np.square(e2, out=e2)
+        np.cumsum(e2, axis=-1, out=e2)
+        sig_c = np.cumsum(np.abs(h0) ** 2, axis=-1)
+        # indexing leaves the user axis innermost in memory, so this mean
+        # sums users along a contiguous axis, as the reference path does
+        lam = (e2[..., idx] / sig_c[..., idx]).mean(axis=1)
+        yield ch, h_hat, lam
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +332,11 @@ def _fig3_drop(args) -> dict:
             _closed_average(method, rho_mat, beta_slice, M) for M in plan.m_grid]
         out["limit"][(scheme, method)] = _limit_average(method, rho_mat, beta_slice)
     if plan.n_small > 0:
-        rho_mats["__beta__"] = beta_slice
-        out["mc"] = _mc_rcee_drop(cfg, plan, drop, rho_mats, combos, plan.m_grid)
+        kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice,
+                            [rho_mats[c] for c in combos], [m for _, m in combos],
+                            plan.m_grid)
+        mc = sum(lam for _, _, lam in kernel) / plan.n_small
+        out["mc"] = dict(zip(combos, mc))
     return out
 
 
@@ -319,18 +355,17 @@ def _fig4b_drop(args) -> dict:
     real = _realization(cfg, drop)
     beta_slice = real.target_slice
     out = {"closed": {}, "asym": {}, "mc": {}}
-    mc_rho_mats = {"__beta__": beta_slice}
-    combos = None
-    for i, p_db in enumerate(plan.p_grid_db):
+    mc_rhos = []
+    for p_db in plan.p_grid_db:
         cfg_p = cfg.replace(P_total=10.0 ** (p_db / 10.0))
         profile = ppa.eppa_profile(beta_slice, cfg_p.P_total, cfg_p.K)
         allocs = _allocations(cfg_p, profile, plan.schemes, plan.methods)
         combos = sorted(allocs)
-        for key, rho in allocs.items():
-            rho_mat = _rho_matrix(cfg_p, rho)
+        rho_mats = {key: _rho_matrix(cfg_p, rho) for key, rho in allocs.items()}
+        for key, rho_mat in rho_mats.items():
             out["closed"].setdefault(key, []).append(
                 _closed_average(key[1], rho_mat, beta_slice, cfg.M))
-            mc_rho_mats[(i,) + key] = rho_mat
+        mc_rhos += [rho_mats[c] for c in combos]
     delta = np.full((cfg.L, cfg.K), 1.0 / cfg.K)
     for method in plan.methods:
         groups = ppa.asymptotic_groups(method, delta, beta_slice, cfg)
@@ -342,28 +377,12 @@ def _fig4b_drop(args) -> dict:
             else:
                 out["asym"][(scheme, method)] = ppa.asymptotic_average(method, groups)
     if plan.n_small > 0:
-        out["mc"] = _mc_rcee_p_sweep(cfg, plan, drop, mc_rho_mats, combos)
+        kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice, mc_rhos,
+                            [m for _, m in combos] * len(plan.p_grid_db), (cfg.M,))
+        mc = sum(lam for _, _, lam in kernel) / plan.n_small
+        mc = mc.reshape(len(plan.p_grid_db), len(combos))
+        out["mc"] = {combo: mc[:, j] for j, combo in enumerate(combos)}
     return out
-
-
-def _mc_rcee_p_sweep(cfg: SystemConfig, plan: ExperimentPlan, drop: int,
-                     rho_mats: dict, combos) -> dict:
-    tag = f"gamma={cfg.Gamma}"
-    beta_slice = rho_mats["__beta__"]
-    n_p = len(plan.p_grid_db)
-    acc = {combo: np.zeros(n_p) for combo in combos}
-    for s in range(plan.n_small):
-        t_id = drop * plan.n_small + s
-        ch = sample_channels(beta_slice, cfg.M, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
-        for i in range(n_p):
-            for combo in combos:
-                obs = pilot_phase(ch, rho_mats[(i,) + combo], cfg.tau,
-                                  seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-                method = combo[1]
-                est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta_slice)
-                lam = metrics.rcee_prefix_samples(ch.h[0], est.h_hat, [cfg.M])
-                acc[combo][i] += float(lam.mean())
-    return {combo: acc[combo] / plan.n_small for combo in combos}
 
 
 def _rates_for(cfg: SystemConfig, rho_mat, beta_slice, M: int | None):
@@ -410,29 +429,24 @@ def _validate_drop(args) -> dict:
     allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
     combos = sorted(allocs)
     rho_mats = {key: _rho_matrix(cfg, rho) for key, rho in allocs.items()}
-    tag = f"gamma={cfg.Gamma}"
 
-    lam_trials = {combo: np.empty(plan.n_small) for combo in combos}
+    lam_trials = np.empty((len(combos), plan.n_small))
     channels = []
-    estimates = {combo: [] for combo in combos}
-    for s in range(plan.n_small):
-        t_id = drop * plan.n_small + s
-        ch = sample_channels(beta_slice, cfg.M, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
+    estimates = []
+    kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice,
+                        [rho_mats[c] for c in combos], [m for _, m in combos],
+                        (cfg.M,))
+    for s, (ch, h_hat, lam) in enumerate(kernel):
         channels.append(ch)
-        for combo in combos:
-            obs = pilot_phase(ch, rho_mats[combo], cfg.tau,
-                              seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-            method = combo[1]
-            est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta_slice)
-            estimates[combo].append(est)
-            lam = metrics.rcee_prefix_samples(ch.h[0], est.h_hat, [cfg.M])
-            lam_trials[combo][s] = float(lam.mean())
+        estimates.append(h_hat.copy())
+        lam_trials[:, s] = lam[:, 0]
 
     out = {"rcee": {}, "sinr": {}}
-    for combo in combos:
+    for c, combo in enumerate(combos):
         scheme, method = combo
         rho_mat = rho_mats[combo]
-        trials = lam_trials[combo]
+        trials = lam_trials[c]
+        ests = [ChannelEstimate(h_hat=est[c], method=method) for est in estimates]
         out["rcee"][combo] = (
             float(trials.mean()),
             float(trials.std(ddof=1) / np.sqrt(plan.n_small)),
@@ -443,7 +457,7 @@ def _validate_drop(args) -> dict:
         closed = []
         lim = []
         for k in range(cfg.K):
-            moments = empirical_sinr_terms(channels, estimates[combo], cfg.rho_u, k)
+            moments = empirical_sinr_terms(channels, ests, cfg.rho_u, k)
             emp.append(moments.sinr)
             closed.append(metrics.sinr_closed(cfg.M, rho_mat[:, k], beta_slice,
                                               cfg.rho_u, k))
@@ -469,13 +483,19 @@ def _run_drop(args):
     return _DROP_BODIES[plan.experiment]((plan, cfg_g, drop))
 
 
+def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
+    """Pool size: never more workers than tasks or CPUs."""
+    return min(jobs, n_tasks, n_cpus)
+
+
 def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
     tasks = [(plan, cfg, gamma, drop)
              for gamma in plan.gammas for drop in range(plan.n_large)]
-    if plan.jobs == 1:
+    workers = _worker_count(plan.jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_run_drop(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_drop, tasks, chunksize=1))
     per_gamma: dict[int, list] = {g: [] for g in plan.gammas}
     for task, res in zip(tasks, results):

@@ -4,8 +4,11 @@ import pytest
 from mimo_pilot import (EmpiricalCdf, ExperimentPlan, MetricReport,
                         bench_allocators, default_config, empirical_cdf,
                         ks_distance, plan_for, run_experiment, seed_schedule)
-from mimo_pilot.estimators import LS, MMSE
-from mimo_pilot.harness import _mean_stderr
+from mimo_pilot.airlink import pilot_phase, sample_channels
+from mimo_pilot.estimators import LS, MMSE, estimate_ls, estimate_mmse
+from mimo_pilot.harness import _mc_trials, _mean_stderr, _worker_count
+from mimo_pilot.metrics import rcee_prefix_samples
+from mimo_pilot.scenario import SystemConfig
 
 
 class TestSeedSchedule:
@@ -256,6 +259,70 @@ def test_jobs_do_not_change_results(tiny_cfg):
     a = run_experiment(serial, tiny_cfg)
     b = run_experiment(parallel, tiny_cfg)
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("experiment, kwargs", [
+    ("fig3", dict(gammas=(1,), n_large=2, n_small=3)),
+    ("fig4b", dict(n_large=2, n_small=2)),
+])
+def test_jobs_do_not_change_monte_carlo(tiny_cfg, experiment, kwargs):
+    serial = run_experiment(plan_for(experiment, **kwargs), tiny_cfg)
+    parallel = run_experiment(plan_for(experiment, jobs=2, **kwargs), tiny_cfg)
+    assert serial.rows == parallel.rows
+
+
+def test_worker_count_is_bounded():
+    assert _worker_count(1, 10, 8) == 1
+    assert _worker_count(4, 10, 8) == 4
+    assert _worker_count(10**6, 6, 64) == 6
+    assert _worker_count(10**6, 600, 2) == 2
+
+
+class TestMonteCarloKernel:
+    """The batched kernel against pilot_phase -> estimate -> prefix errors."""
+
+    @pytest.fixture
+    def drop(self):
+        # K >= 8, where numpy sums the users pairwise rather than in sequence
+        cfg = SystemConfig(K=10, M=16, tau=12, P_total=1.0e4, mu=1.5, seed=11)
+        rng = np.random.default_rng(5)
+        beta = 10.0 ** rng.uniform(-3.0, 0.0, (cfg.L, cfg.K))
+        rho_stack = rng.uniform(0.5, 300.0, (5, cfg.L, cfg.K))
+        rho_stack[1, 2] = 0.0  # a silent interfering cell
+        return cfg, beta, rho_stack, (LS, MMSE, LS, MMSE, MMSE)
+
+    @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), (16,), (3,)])
+    def test_matches_reference_path_bitwise(self, drop, m_values):
+        cfg, beta, rho_stack, methods = drop
+        d, n = 3, 4
+        tag = f"gamma={cfg.Gamma}"
+        seen = 0
+        for s, (ch, h_hat, lam) in enumerate(
+                _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
+            t_id = d * n + s
+            ref_ch = sample_channels(beta, max(m_values),
+                                     seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
+            assert np.array_equal(ch.h, ref_ch.h)
+            assert lam.shape == (len(methods), len(m_values))
+            for c, method in enumerate(methods):
+                obs = pilot_phase(ref_ch, rho_stack[c], cfg.tau,
+                                  seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
+                est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta)
+                ref = rcee_prefix_samples(ref_ch.h[0], est.h_hat, m_values)
+                assert np.array_equal(h_hat[c], est.h_hat)
+                assert np.array_equal(lam[c], ref.mean(axis=1))
+            seen += 1
+        assert seen == n
+
+    def test_rejects_bad_powers(self, drop):
+        cfg, beta, rho_stack, methods = drop
+        negative = rho_stack.copy()
+        negative[2, 3, 1] = -1.0
+        silent_target = rho_stack.copy()
+        silent_target[0, 0, 2] = 0.0
+        for bad in (negative, silent_target):
+            with pytest.raises(ValueError):
+                next(_mc_trials(cfg, 0, 2, beta, bad, methods, (cfg.M,)))
 
 
 def test_run_experiment_rejects_single_user():
