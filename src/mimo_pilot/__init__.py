@@ -18,11 +18,11 @@ from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
                       ExperimentPlan, MetricReport, bench_allocators,
                       default_config, empirical_cdf, ks_distance, plan_for,
                       run_experiment, seed_schedule)
-from .metrics import (RateReport, RateSummary, RceeReport, achievable_rate,
-                      exp_rcee_bound_mmse, exp_rcee_closed,
-                      exp_rcee_eppa_floor, exp_rcee_eppa_limit,
-                      exp_rcee_limit, rate_summary, rcee_prefix_samples,
-                      rcee_sample, sinr_closed, sinr_limit, upsilon)
+from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
+                      exp_rcee_closed, exp_rcee_eppa_floor,
+                      exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
+                      rcee_prefix_samples, rcee_sample, sinr_closed,
+                      sinr_limit, upsilon)
 from .ppa import (ALPHA, AsymptoticGroups, InterferenceProfile,
                   PilotAllocation, asymptotic_average, asymptotic_groups,
                   eppa_profile, exp_rcee_asymptotic, make_objective,
@@ -42,8 +42,8 @@ __all__ = [
     "ChannelRealization", "ConfigurationError", "ConstrainedProblem",
     "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
     "InterferenceProfile", "LargeScaleRealization", "MetricReport",
-    "PilotAllocation", "PilotObservation", "RateReport", "RateSummary",
-    "RceeReport", "SinrMoments", "SolveResult", "SystemConfig",
+    "PilotAllocation", "PilotObservation", "RateSummary", "SinrMoments",
+    "SolveResult", "SystemConfig",
     "achievable_rate", "asymptotic_average", "asymptotic_groups",
     "attenuation", "bench_allocators", "build_layout", "check_method",
     "complex_normal",

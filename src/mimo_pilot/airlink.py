@@ -18,9 +18,18 @@ def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian draws.
 
     Each component is built from two real normals scaled by 1/sqrt(2), so
-    E|x|^2 = 1 exactly.
+    E|x|^2 = 1 exactly.  ``shape`` may be an int.  One draw of shape
+    (2, *shape) fills the real parts, then the imaginary parts.
     """
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    if isinstance(shape, (int, np.integer)):
+        shape = (shape,)
+    parts = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    # multiplying by 1/sqrt(2) is what dividing a complex by sqrt(2) does
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(parts[0], scale, out=out.real)
+    np.multiply(parts[1], scale, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,12 @@ class ChannelRealization:
     @property
     def num_antennas(self) -> int:
         return self.h.shape[2]
+
+
+def _stacked(items, attr: str) -> np.ndarray:
+    if isinstance(items, np.ndarray):
+        return items
+    return np.stack([getattr(item, attr) for item in items])
 
 
 def _target_gains(beta) -> np.ndarray:
@@ -130,30 +145,31 @@ def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMomen
     """Estimate the receiver moments from paired channel/estimate ensembles.
 
     ``channels`` and ``estimates`` are equal-length sequences drawn under a
-    single configuration, with the same estimator applied throughout.  At
-    least two samples are required for the averages to be meaningful.
+    single configuration, with the same estimator applied throughout:
+    :class:`ChannelRealization` / ``ChannelEstimate`` objects, or the
+    stacked (n, L, K, M) channels and (n, K, M) estimates.  At least two
+    samples are required for the averages to be meaningful.
     """
-    n = len(channels)
-    if n != len(estimates):
+    h = _stacked(channels, "h")
+    h_hat = _stacked(estimates, "h_hat")
+    n = h.shape[0]
+    if n != h_hat.shape[0]:
         raise ValueError("channel and estimate ensembles must pair up")
     if n < 2:
         raise ValueError("need at least 2 realizations to form moments")
     if rho_u <= 0:
         raise ValueError("rho_u must be positive")
-    L, K, M = channels[0].h.shape
-    inner_own = 0.0 + 0.0j
-    cross = np.zeros((L, K))
-    energy = 0.0
-    for ch, est in zip(channels, estimates):
-        hhat = est.h_hat[k]
-        inner = np.einsum("m,lkm->lk", np.conj(hhat), ch.h)
-        inner_own += inner[0, k]
-        cross += np.abs(inner) ** 2
-        energy += float(np.vdot(hhat, hhat).real)
+    hhat = h_hat[:, k]
+    inner = np.einsum("nm,nlkm->nlk", np.conj(hhat), h)
+    # every sum over trials runs in trial order (cumsum), as a running total
+    # over the ensemble would
+    inner_own = np.cumsum(inner[:, 0, k])[-1]
+    cross = np.cumsum(np.abs(inner) ** 2, axis=0)[-1]
+    energy = np.cumsum(np.matmul(np.conj(hhat)[:, None, :], hhat[:, :, None]).real)[-1]
     return SinrMoments(
         signal_gain=float(np.abs(inner_own / n) ** 2),
         cross_energy=cross / n,
-        filter_energy=energy / n,
+        filter_energy=float(energy) / n,
         rho_u=float(rho_u),
         user=k,
         num_samples=n,

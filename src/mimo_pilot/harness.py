@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics, ppa
 from .airlink import (complex_normal, empirical_sinr_terms, pilot_book,
                       sample_channels)
-from .estimators import LS, MMSE, METHODS, ChannelEstimate, mmse_gain
+from .estimators import LS, MMSE, METHODS, mmse_gain
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, drop_users,
                        large_scale)
 
@@ -246,16 +246,13 @@ def _rho_matrix(cfg: SystemConfig, rho_target: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _closed_average(method: str, rho_mat, beta_slice, M: int) -> float:
-    vals = [metrics.exp_rcee_closed(method, M, rho_mat[:, k], beta_slice[:, k])
-            for k in range(beta_slice.shape[1])]
-    return float(np.mean(vals))
+def _closed_average(method: str, rho_mat, beta_slice, M):
+    """User-averaged expected error at M antennas, one value per M in an array."""
+    return metrics.exp_rcee_closed(method, M, rho_mat, beta_slice).mean(axis=-1)
 
 
 def _limit_average(method: str, rho_mat, beta_slice) -> float:
-    vals = [metrics.exp_rcee_limit(method, rho_mat[:, k], beta_slice[:, k])
-            for k in range(beta_slice.shape[1])]
-    return float(np.mean(vals))
+    return float(metrics.exp_rcee_limit(method, rho_mat, beta_slice).mean())
 
 
 def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
@@ -328,8 +325,8 @@ def _fig3_drop(args) -> dict:
     rho_mats = {key: _rho_matrix(cfg, rho) for key, rho in allocs.items()}
     out = {"closed": {}, "limit": {}, "mc": {}}
     for (scheme, method), rho_mat in rho_mats.items():
-        out["closed"][(scheme, method)] = [
-            _closed_average(method, rho_mat, beta_slice, M) for M in plan.m_grid]
+        out["closed"][(scheme, method)] = _closed_average(method, rho_mat, beta_slice,
+                                                          plan.m_grid)
         out["limit"][(scheme, method)] = _limit_average(method, rho_mat, beta_slice)
     if plan.n_small > 0:
         kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice,
@@ -371,9 +368,8 @@ def _fig4b_drop(args) -> dict:
         groups = ppa.asymptotic_groups(method, delta, beta_slice, cfg)
         for scheme in plan.schemes:
             if scheme == "eppa":
-                vals = [metrics.exp_rcee_eppa_floor(method, beta_slice[:, k])
-                        for k in range(cfg.K)]
-                out["asym"][(scheme, method)] = float(np.mean(vals))
+                out["asym"][(scheme, method)] = float(
+                    metrics.exp_rcee_eppa_floor(method, beta_slice).mean())
             else:
                 out["asym"][(scheme, method)] = ppa.asymptotic_average(method, groups)
     if plan.n_small > 0:
@@ -385,16 +381,14 @@ def _fig4b_drop(args) -> dict:
     return out
 
 
-def _rates_for(cfg: SystemConfig, rho_mat, beta_slice, M: int | None):
-    """Per-user rates at M antennas, or in the large-antenna limit."""
-    rates = []
-    for k in range(cfg.K):
-        if M is None:
-            sinr = metrics.sinr_limit(rho_mat[:, k], beta_slice[:, k])
-        else:
-            sinr = metrics.sinr_closed(M, rho_mat[:, k], beta_slice, cfg.rho_u, k)
-        rates.append(metrics.achievable_rate(cfg, sinr))
-    return metrics.rate_summary(rates)
+def _rates_for(cfg: SystemConfig, rho_mat, beta_slice, M):
+    """Cell rate summary at M antennas (an array of M gives arrays), or in
+    the large-antenna limit for ``M=None``."""
+    if M is None:
+        sinr = metrics.sinr_limit(rho_mat, beta_slice)
+    else:
+        sinr = metrics.sinr_closed(M, rho_mat, beta_slice, cfg.rho_u)
+    return metrics.rate_summary(metrics.achievable_rate(cfg, sinr))
 
 
 def _fig5a_drop(args) -> dict:
@@ -403,12 +397,8 @@ def _fig5a_drop(args) -> dict:
     beta_slice = real.target_slice
     profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
     allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    out = {}
-    for key, rho in allocs.items():
-        rho_mat = _rho_matrix(cfg, rho)
-        out[key] = [_rates_for(cfg, rho_mat, beta_slice, M).minimum
-                    for M in plan.m_grid]
-    return out
+    return {key: _rates_for(cfg, _rho_matrix(cfg, rho), beta_slice, plan.m_grid).minimum
+            for key, rho in allocs.items()}
 
 
 def _fig5b_drop(args) -> dict:
@@ -430,15 +420,16 @@ def _validate_drop(args) -> dict:
     combos = sorted(allocs)
     rho_mats = {key: _rho_matrix(cfg, rho) for key, rho in allocs.items()}
 
-    lam_trials = np.empty((len(combos), plan.n_small))
-    channels = []
-    estimates = []
-    kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice,
+    n = plan.n_small
+    lam_trials = np.empty((len(combos), n))
+    channels = np.empty((n, *beta_slice.shape, cfg.M), dtype=complex)
+    estimates = np.empty((n, len(combos), cfg.K, cfg.M), dtype=complex)
+    kernel = _mc_trials(cfg, drop, n, beta_slice,
                         [rho_mats[c] for c in combos], [m for _, m in combos],
                         (cfg.M,))
     for s, (ch, h_hat, lam) in enumerate(kernel):
-        channels.append(ch)
-        estimates.append(h_hat.copy())
+        channels[s] = ch.h
+        estimates[s] = h_hat
         lam_trials[:, s] = lam[:, 0]
 
     out = {"rcee": {}, "sinr": {}}
@@ -446,24 +437,18 @@ def _validate_drop(args) -> dict:
         scheme, method = combo
         rho_mat = rho_mats[combo]
         trials = lam_trials[c]
-        ests = [ChannelEstimate(h_hat=est[c], method=method) for est in estimates]
         out["rcee"][combo] = (
             float(trials.mean()),
-            float(trials.std(ddof=1) / np.sqrt(plan.n_small)),
-            _closed_average(method, rho_mat, beta_slice, cfg.M),
+            float(trials.std(ddof=1) / np.sqrt(n)),
+            float(_closed_average(method, rho_mat, beta_slice, cfg.M)),
             _limit_average(method, rho_mat, beta_slice),
         )
-        emp = []
-        closed = []
-        lim = []
-        for k in range(cfg.K):
-            moments = empirical_sinr_terms(channels, ests, cfg.rho_u, k)
-            emp.append(moments.sinr)
-            closed.append(metrics.sinr_closed(cfg.M, rho_mat[:, k], beta_slice,
-                                              cfg.rho_u, k))
-            lim.append(metrics.sinr_limit(rho_mat[:, k], beta_slice[:, k]))
+        emp = [empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u, k).sinr
+               for k in range(cfg.K)]
+        closed = metrics.sinr_closed(cfg.M, rho_mat, beta_slice, cfg.rho_u)
+        lim = metrics.sinr_limit(rho_mat, beta_slice)
         out["sinr"][combo] = (float(np.mean(emp)), None,
-                              float(np.mean(closed)), float(np.mean(lim)))
+                              float(closed.mean()), float(lim.mean()))
     return out
 
 

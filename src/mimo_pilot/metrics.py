@@ -1,13 +1,19 @@
 """Estimation-error, SINR and rate figures of merit.
 
-Closed forms throughout refer to the correlated-pilot uplink: for user k
-the relevant inputs are the per-cell pilot powers rho[l] and large-scale
-gains beta[l] of that user's index, with the target cell at position 0.
-The recurring quantity
+Closed forms throughout refer to the correlated-pilot uplink: user k
+depends on the per-cell pilot powers rho[l, k] and large-scale gains
+beta[l, k] of its index, with the target cell at row l = 0.  The
+recurring quantity
 
-    upsilon = sum_{l != 0} rho[l] * beta[l] + 1
+    upsilon_k = sum_{l != 0} rho[l, k] * beta[l, k] + 1
 
 is the contamination-plus-noise level seen by the correlator.
+
+Shapes: every closed form takes (L, K) power and gain slices, cell axis
+first, and returns one value per user, shape (K,).  Those with an antenna
+count M also accept a 1-D array of counts and then return (len(M), K).
+A single (L,) column is one user and gives a float (or (len(M),) for an
+array of counts).  Inputs are checked once per call, never per user.
 """
 
 from __future__ import annotations
@@ -17,25 +23,87 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LS, MMSE, check_method
+from .estimators import LS, check_method
 
 
-def _cols(rho_col, beta_col):
-    rho = np.asarray(rho_col, dtype=float)
-    beta = np.asarray(beta_col, dtype=float)
-    if rho.shape != beta.shape or rho.ndim != 1:
-        raise ValueError("rho_col and beta_col must be 1-D arrays of equal length")
+def _slices(rho, beta):
+    """Checked (L, K) views of the powers and gains, plus a column flag."""
+    rho = np.asarray(rho, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if rho.shape != beta.shape or rho.ndim not in (1, 2) or rho.size == 0:
+        raise ValueError("rho and beta must be equal-shape (L, K) slices or (L,) columns")
     if np.any(rho < 0) or np.any(beta <= 0):
         raise ValueError("powers must be non-negative and gains positive")
-    if rho[0] <= 0:
+    if np.any(rho[0] <= 0):
         raise ValueError("target-cell power must be positive")
-    return rho, beta
+    column = rho.ndim == 1
+    if column:
+        rho, beta = rho[:, None], beta[:, None]
+    return rho, beta, column
 
 
-def upsilon(rho_col, beta_col) -> float:
+def _gains(beta):
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim not in (1, 2) or beta.size == 0 or np.any(beta <= 0):
+        raise ValueError("beta must be an (L, K) slice or (L,) column of positive gains")
+    column = beta.ndim == 1
+    return (beta[:, None] if column else beta), column
+
+
+def _antennas(M, least: int):
+    m = np.asarray(M)
+    if m.ndim > 1 or m.dtype.kind not in "iu" or np.any(m < least):
+        raise ValueError(f"M must be an integer >= {least} or a 1-D array of them")
+    return m[:, None] if m.ndim else m
+
+
+def _shaped(values, column: bool):
+    """Drop the user axis of a column input; a lone value becomes a float."""
+    if column:
+        values = values[..., 0]
+    return float(values) if values.ndim == 0 else values
+
+
+def _cell_dot(a, b):
+    """sum_l a[l, k] * b[l, k] for every user k.
+
+    A vector dot of each strided column, which is what ``np.dot`` does on
+    ``a[:, k]``, so every user's sum is formed in the same order as a
+    one-column call would form it.
+    """
+    return np.matmul(a.T[:, None, :], b.T[:, :, None])[:, 0, 0]
+
+
+def _upsilon(rho, beta):
+    return _cell_dot(rho[1:], beta[1:]) + 1.0
+
+
+def _total(rho, beta):
+    """sum_l rho_l beta_l + 1, the full received pilot level."""
+    return _cell_dot(rho, beta) + 1.0
+
+
+def _error_terms(method: str, M, ups, own, total):
+    """Expected relative errors from upsilon, rho_0 beta_0 and the full level.
+
+    The kernel behind :func:`exp_rcee_closed` and the allocator objective;
+    it checks nothing.  ``total ** 2`` goes through ``pow`` (float_power),
+    as a Python float power does, not through a plain square.
+    """
+    if method == LS:
+        return M * ups / ((M - 1) * own)
+    return ups * (ups + M * own / (M - 1)) / np.float_power(total, 2)
+
+
+def _bound_terms(M, ups, total):
+    """M * upsilon / ((M-1) * total), the MMSE bound; checks nothing."""
+    return M * ups / ((M - 1) * total)
+
+
+def upsilon(rho, beta):
     """Contamination-plus-noise level sum_{l != 0} rho_l beta_l + 1."""
-    rho, beta = _cols(rho_col, beta_col)
-    return float(np.dot(rho[1:], beta[1:]) + 1.0)
+    rho, beta, column = _slices(rho, beta)
+    return _shaped(_upsilon(rho, beta), column)
 
 
 def rcee_sample(h, h_hat) -> float:
@@ -72,7 +140,7 @@ def rcee_prefix_samples(h, h_hat, m_values) -> np.ndarray:
     return np.moveaxis(err_c[..., idx] / sig_c[..., idx], -1, 0)
 
 
-def exp_rcee_closed(method: str, M: int, rho_col, beta_col) -> float:
+def exp_rcee_closed(method: str, M, rho, beta):
     """Expected relative estimation error at M antennas.
 
     Infinite for M = 1 (the inverse channel energy has no mean there).
@@ -83,33 +151,25 @@ def exp_rcee_closed(method: str, M: int, rho_col, beta_col) -> float:
               / (sum_l rho_l beta_l + 1)^2
     """
     check_method(method)
-    if not (isinstance(M, (int, np.integer)) and M >= 1):
-        raise ValueError("M must be a positive integer")
-    rho, beta = _cols(rho_col, beta_col)
-    if M == 1:
-        return math.inf
-    ups = upsilon(rho, beta)
-    own = rho[0] * beta[0]
-    if method == LS:
-        return M * ups / ((M - 1) * own)
-    total = float(np.dot(rho, beta) + 1.0)
-    return ups * (ups + M * own / (M - 1)) / total ** 2
+    m = _antennas(M, 1)
+    rho, beta, column = _slices(rho, beta)
+    with np.errstate(divide="ignore"):  # M = 1 divides by zero: infinite error
+        out = _error_terms(method, m, _upsilon(rho, beta), rho[0] * beta[0],
+                           _total(rho, beta))
+    return _shaped(out, column)
 
 
-def exp_rcee_bound_mmse(M: int, rho_col, beta_col) -> float:
+def exp_rcee_bound_mmse(M, rho, beta):
     """Upper bound M*upsilon / ((M-1)(sum_l rho_l beta_l + 1)) on the MMSE error.
 
     Strictly above the exact expectation for every M >= 2.
     """
-    if not (isinstance(M, (int, np.integer)) and M >= 2):
-        raise ValueError("the bound needs M >= 2")
-    rho, beta = _cols(rho_col, beta_col)
-    ups = upsilon(rho, beta)
-    total = float(np.dot(rho, beta) + 1.0)
-    return M * ups / ((M - 1) * total)
+    m = _antennas(M, 2)
+    rho, beta, column = _slices(rho, beta)
+    return _shaped(_bound_terms(m, _upsilon(rho, beta), _total(rho, beta)), column)
 
 
-def exp_rcee_limit(method: str, rho_col, beta_col) -> float:
+def exp_rcee_limit(method: str, rho, beta):
     """Large-antenna limit of the expected relative estimation error.
 
     LS tends to upsilon / (rho_0 beta_0); MMSE to upsilon / (upsilon +
@@ -117,135 +177,104 @@ def exp_rcee_limit(method: str, rho_col, beta_col) -> float:
     same sequence, which is the pilot-contamination floor in M.
     """
     check_method(method)
-    rho, beta = _cols(rho_col, beta_col)
-    ups = upsilon(rho, beta)
+    rho, beta, column = _slices(rho, beta)
+    ups = _upsilon(rho, beta)
     own = rho[0] * beta[0]
-    if method == LS:
-        return ups / own
-    return ups / (ups + own)
+    return _shaped(ups / own if method == LS else ups / (ups + own), column)
 
 
-def exp_rcee_eppa_limit(method: str, beta_col, K: int, P: float) -> float:
+def exp_rcee_eppa_limit(method: str, beta, K: int, P: float):
     """Large-antenna error limit under equal pilot powers rho = P/K.
 
     The power cancels almost everywhere, leaving the interference gains
     plus the noise share K/P.
     """
     check_method(method)
-    beta = np.asarray(beta_col, dtype=float)
-    if beta.ndim != 1 or np.any(beta <= 0):
-        raise ValueError("beta_col must be 1-D with positive gains")
+    beta, column = _gains(beta)
     if K < 1 or P <= 0:
         raise ValueError("K must be >= 1 and P positive")
-    interference = float(beta[1:].sum()) + K / P
+    interference = beta[1:].sum(axis=0) + K / P
     if method == LS:
-        return interference / beta[0]
-    return interference / (float(beta.sum()) + K / P)
+        return _shaped(interference / beta[0], column)
+    return _shaped(interference / (beta.sum(axis=0) + K / P), column)
 
 
-def exp_rcee_eppa_floor(method: str, beta_col) -> float:
+def exp_rcee_eppa_floor(method: str, beta):
     """Joint limit of :func:`exp_rcee_eppa_limit` as the budget grows.
 
     Only the gain ratios survive: LS gives sum_{l != 0} beta_l / beta_0,
     MMSE gives sum_{l != 0} beta_l / sum_l beta_l.
     """
     check_method(method)
-    beta = np.asarray(beta_col, dtype=float)
-    if beta.ndim != 1 or np.any(beta <= 0):
-        raise ValueError("beta_col must be 1-D with positive gains")
-    interference = float(beta[1:].sum())
+    beta, column = _gains(beta)
+    interference = beta[1:].sum(axis=0)
     if method == LS:
-        return interference / beta[0]
-    return interference / float(beta.sum())
+        return _shaped(interference / beta[0], column)
+    return _shaped(interference / beta.sum(axis=0), column)
 
 
-def sinr_closed(M: int, rho_col, beta_slice, rho_u: float, k: int) -> float:
-    """Matched-filter uplink SINR of target-cell user k at M antennas.
+def sinr_closed(M, rho, beta, rho_u: float):
+    """Matched-filter uplink SINR of every target-cell user at M antennas.
 
-    ``rho_col`` holds the per-cell pilot powers of user index k and
-    ``beta_slice`` the full (L, K) gains toward the target BS.  The value
-    is the same whichever of the two estimators produced the filter,
-    because they are collinear.
+    ``rho`` and ``beta`` are the (L, K) pilot powers and gains toward the
+    target BS; every user's interference includes all L*K gains.  The
+    value is the same whichever of the two estimators produced the
+    filter, because they are collinear.
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    m = _antennas(M, 1)
     if rho_u <= 0:
         raise ValueError("rho_u must be positive")
-    beta_slice = np.asarray(beta_slice, dtype=float)
-    if beta_slice.ndim != 2:
-        raise ValueError("beta_slice must be (L, K)")
-    rho, beta_k = _cols(rho_col, beta_slice[:, k])
-    own = rho[0] * beta_k[0]
-    numer = M * own * beta_k[0]
-    coherent = M * float(np.dot(rho[1:], beta_k[1:] ** 2))
-    level = float(np.dot(rho, beta_k) + 1.0)
-    numer_total = level * (1.0 / rho_u + float(beta_slice.sum()))
-    return numer / (coherent + numer_total)
+    rho, beta, column = _slices(rho, beta)
+    own = rho[0] * beta[0]
+    numer = m * own * beta[0]
+    coherent = m * _cell_dot(rho[1:], beta[1:] ** 2)
+    numer_total = _total(rho, beta) * (1.0 / rho_u + float(beta.sum()))
+    return _shaped(numer / (coherent + numer_total), column)
 
 
-def sinr_limit(rho_col, beta_col) -> float:
+def sinr_limit(rho, beta):
     """Large-antenna SINR limit rho_0 beta_0^2 / sum_{l != 0} rho_l beta_l^2.
 
     Infinite when no other cell reuses the sequence: without pilot
     contamination the matched filter's SINR grows without bound in M.
     """
-    rho, beta = _cols(rho_col, beta_col)
-    denom = float(np.dot(rho[1:], beta[1:] ** 2))
-    if denom == 0.0:
-        return math.inf
-    return rho[0] * beta[0] ** 2 / denom
+    rho, beta, column = _slices(rho, beta)
+    denom = _cell_dot(rho[1:], beta[1:] ** 2)
+    with np.errstate(divide="ignore"):
+        out = rho[0] * np.float_power(beta[0], 2) / denom
+    return _shaped(out, column)
 
 
-def achievable_rate(cfg, sinr: float) -> float:
-    """Net uplink rate (B/Gamma) * slot_fraction * (Tu/To) * log2(1+SINR)."""
-    if sinr < 0:
+def achievable_rate(cfg, sinr):
+    """Net uplink rate (B/Gamma) * slot_fraction * (Tu/To) * log2(1+SINR).
+
+    Elementwise over an array of SINRs.  ``math.log2`` is applied per
+    value: ``np.log2`` can round differently in the last bit.
+    """
+    s = np.asarray(sinr, dtype=float)
+    if np.any(s < 0):
         raise ValueError("SINR must be non-negative")
-    return cfg.rate_prefactor * math.log2(1.0 + sinr)
+    logs = np.array([math.log2(v) for v in (1.0 + s).ravel().tolist()])
+    return _shaped(cfg.rate_prefactor * logs.reshape(s.shape), False)
 
 
 @dataclass(frozen=True)
 class RateSummary:
-    """Cell-level rate figures: worst user and per-user average."""
+    """Cell-level rate figures: worst user and per-user average.
 
-    minimum: float
-    average: float
+    Floats for one set of users, arrays for a stack of them.
+    """
+
+    minimum: float | np.ndarray
+    average: float | np.ndarray
 
 
 def rate_summary(rates) -> RateSummary:
-    """Collapse per-user rates into the cell minimum and average."""
-    r = np.asarray(rates, dtype=float)
+    """Collapse per-user rates (last axis) into the cell minimum and average."""
+    r = np.atleast_1d(np.asarray(rates, dtype=float))
     if r.size == 0:
         raise ValueError("rate summary of an empty collection is undefined")
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
-    return RateSummary(minimum=float(r.min()), average=float(r.mean()))
-
-
-@dataclass(frozen=True)
-class RceeReport:
-    """Per-user Monte-Carlo error estimates next to their closed forms."""
-
-    method: str
-    num_antennas: int
-    mc_mean: np.ndarray        # (K,)
-    mc_stderr: np.ndarray      # (K,)
-    closed_form: np.ndarray    # (K,)
-    limit: np.ndarray          # (K,)
-
-    @property
-    def average_mc(self) -> float:
-        return float(self.mc_mean.mean())
-
-    @property
-    def average_closed_form(self) -> float:
-        return float(self.closed_form.mean())
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-user rates plus the cell summary they collapse to."""
-
-    method: str
-    scheme: str
-    rates: np.ndarray          # (K,)
-    summary: RateSummary
+    return RateSummary(minimum=_shaped(r.min(axis=-1), False),
+                       average=_shaped(r.mean(axis=-1), False))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import LS, MMSE, check_method
+from .metrics import _bound_terms, _error_terms
 
 # Fraction of the average per-user power reserved as the lower bound:
 # rho_min = P/(2K) makes rho_min * K / P one half by construction.
@@ -100,7 +101,15 @@ def _water_fill(method: str, w: np.ndarray, P: float) -> np.ndarray:
         return P * share
     # (P + sum w) * share - w, split so the weight part cancels cleanly
     # when the weights are all equal
-    return P * share + (w.sum() * share - w)
+    rho = P * share + (w.sum() * share - w)
+    if abs(rho.sum() - P) > 1e-12 * P:
+        # Weights far above the budget leave a rounding error of order
+        # eps * w in that cancellation, which can break the budget.  Taking
+        # the sqrt-weight differences first avoids it:
+        #   rho_k = sqrt(w_k) (P + sum_j sqrt(w_j) (sqrt(w_j) - sqrt(w_k))) / sum sqrt(w)
+        gaps = (sqrt_w[None, :] - sqrt_w[:, None]) @ sqrt_w
+        rho = sqrt_w * (P + gaps) / sqrt_w.sum()
+    return rho
 
 
 @dataclass(frozen=True)
@@ -229,16 +238,17 @@ def objective_value(method: str, rho, profile: InterferenceProfile, M: int,
         raise ValueError("rho must have one entry per user")
     if np.any(rho <= 0):
         raise ValueError("pilot powers must be positive")
+    return _mean_error(method, rho, profile, M, exact)
+
+
+def _mean_error(method: str, rho, profile: InterferenceProfile, M: int,
+                exact: bool) -> float:
+    # the metrics kernels with the full level written as upsilon + rho*beta
     ups = profile.upsilon
     own = rho * profile.beta_target
-    m_ratio = M / (M - 1)
-    if method == LS:
-        terms = m_ratio * ups / own
-    elif exact:
-        terms = ups * (ups + m_ratio * own) / (ups + own) ** 2
-    else:
-        terms = m_ratio * ups / (ups + own)
-    return float(terms.mean())
+    if method == MMSE and not exact:
+        return float(_bound_terms(M, ups, ups + own).mean())
+    return float(_error_terms(method, M, ups, own, ups + own).mean())
 
 
 def make_objective(method: str, profile: InterferenceProfile, M: int,
@@ -246,16 +256,19 @@ def make_objective(method: str, profile: InterferenceProfile, M: int,
     """Objective and gradient callables for a general-purpose solver.
 
     Returns ``(fun, grad)`` evaluating :func:`objective_value` and its
-    analytic derivative with respect to the power vector.
+    analytic derivative with respect to the power vector.  Neither checks
+    its argument: a solver calls them on every iteration.
     """
     check_method(method)
+    if M < 2:
+        raise ValueError("the objective needs M >= 2")
     ups = profile.upsilon
     beta = profile.beta_target
     K = profile.num_users
     m_ratio = M / (M - 1)
 
     def fun(rho: np.ndarray) -> float:
-        return objective_value(method, rho, profile, M, exact=exact)
+        return _mean_error(method, rho, profile, M, exact)
 
     if method == LS:
         def grad(rho: np.ndarray) -> np.ndarray:

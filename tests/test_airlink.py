@@ -17,6 +17,20 @@ def test_complex_normal_moments():
     assert z.imag.var() == pytest.approx(0.5, rel=0.03)
 
 
+@pytest.mark.parametrize("shape", [(7, 10, 512), (512, 10), (3, 1, 8), 5, (0,)])
+def test_complex_normal_bits_match_the_divided_form(shape):
+    # one (2, *shape) draw scaled by 1/sqrt(2) gives the bits of
+    # (a + 1j*b) / sqrt(2) with a and b drawn one after the other
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        old = (a + 1j * b) / np.sqrt(2.0)
+        new = complex_normal(shape, np.random.default_rng(seed))
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
 def test_pilot_book_orthonormal_rows():
     book = pilot_book(3, 5)
     assert book.shape == (3, 5)
@@ -111,6 +125,28 @@ class TestSinrMoments:
         energy = np.mean([np.sum(np.abs(e.h_hat[1]) ** 2) for e in estimates])
         assert m.filter_energy == pytest.approx(energy, rel=1e-12)
         assert m.num_samples == 5
+
+    def test_matches_a_running_sum_over_trials(self):
+        # the batched moments equal a trial-by-trial accumulation bit for bit,
+        # and stacked arrays give the same moments as sequences of objects
+        rng = np.random.default_rng(8)
+        n, L, K, M = 300, 7, 3, 8
+        h = complex_normal((n, L, K, M), rng)
+        h_hat = complex_normal((n, K, M), rng)
+        channels = [ChannelRealization(h=x) for x in h]
+        estimates = [ChannelEstimate(h_hat=x, method=LS) for x in h_hat]
+        for k in range(K):
+            own, cross, energy = 0.0 + 0.0j, np.zeros((L, K)), 0.0
+            for s in range(n):
+                inner = np.einsum("m,lkm->lk", np.conj(h_hat[s, k]), h[s])
+                own += inner[0, k]
+                cross += np.abs(inner) ** 2
+                energy += float(np.vdot(h_hat[s, k], h_hat[s, k]).real)
+            for m in (empirical_sinr_terms(channels, estimates, 2.0, k),
+                      empirical_sinr_terms(h, h_hat, 2.0, k)):
+                assert m.signal_gain == float(np.abs(own / n) ** 2)
+                assert np.array_equal(m.cross_energy, cross / n)
+                assert m.filter_energy == energy / n
 
     def test_needs_two_samples(self):
         ch = [ChannelRealization(h=complex_normal((1, 2, 2), np.random.default_rng(0)))]

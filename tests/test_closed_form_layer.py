@@ -1,0 +1,210 @@
+"""The array closed-form layer against per-user scalar reference formulas.
+
+The ``_ref_*`` functions below evaluate one user column at a time, in the
+arithmetic order of the original scalar closed forms.  The array layer
+must reproduce them bit for bit on random (L, K) instances, for every
+antenna count at once, so the figure sweeps built on it keep their bytes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
+                        exp_rcee_closed, exp_rcee_eppa_floor,
+                        exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
+                        sinr_closed, sinr_limit, upsilon)
+from mimo_pilot.estimators import LS, MMSE
+
+M_GRID = np.array([1, 2, 3, 8, 17, 200, 512, 4096])
+
+
+def _ref_upsilon(rho, beta):
+    return float(np.dot(rho[1:], beta[1:]) + 1.0)
+
+
+def _ref_closed(method, M, rho, beta):
+    if M == 1:
+        return math.inf
+    ups = _ref_upsilon(rho, beta)
+    own = rho[0] * beta[0]
+    if method == LS:
+        return M * ups / ((M - 1) * own)
+    total = float(np.dot(rho, beta) + 1.0)
+    return ups * (ups + M * own / (M - 1)) / total ** 2
+
+
+def _ref_bound(M, rho, beta):
+    ups = _ref_upsilon(rho, beta)
+    total = float(np.dot(rho, beta) + 1.0)
+    return M * ups / ((M - 1) * total)
+
+
+def _ref_limit(method, rho, beta):
+    ups = _ref_upsilon(rho, beta)
+    own = rho[0] * beta[0]
+    if method == LS:
+        return ups / own
+    return ups / (ups + own)
+
+
+def _ref_eppa_limit(method, beta, K, P):
+    interference = float(beta[1:].sum()) + K / P
+    if method == LS:
+        return interference / beta[0]
+    return interference / (float(beta.sum()) + K / P)
+
+
+def _ref_eppa_floor(method, beta):
+    interference = float(beta[1:].sum())
+    if method == LS:
+        return interference / beta[0]
+    return interference / float(beta.sum())
+
+
+def _ref_sinr(M, rho, beta_slice, rho_u, k):
+    beta_k = beta_slice[:, k]
+    own = rho[0] * beta_k[0]
+    numer = M * own * beta_k[0]
+    coherent = M * float(np.dot(rho[1:], beta_k[1:] ** 2))
+    level = float(np.dot(rho, beta_k) + 1.0)
+    numer_total = level * (1.0 / rho_u + float(beta_slice.sum()))
+    return numer / (coherent + numer_total)
+
+
+def _ref_sinr_limit(rho, beta):
+    denom = float(np.dot(rho[1:], beta[1:] ** 2))
+    if denom == 0.0:
+        return math.inf
+    return rho[0] * beta[0] ** 2 / denom
+
+
+def _ref_rate(cfg, sinr):
+    return cfg.rate_prefactor * math.log2(1.0 + sinr)
+
+
+def _instance(rng, L, K, fortran=False):
+    """Powers spanning six decades and gains spanning twelve."""
+    rho = rng.uniform(0.0, 1.0e4, (L, K)) * 10.0 ** rng.uniform(-3, 3, (L, K))
+    rho[0] = rng.uniform(1.0, 1.0e4, K)
+    beta = 10.0 ** rng.uniform(-12, 0, (L, K))
+    if fortran:
+        rho, beta = np.asfortranarray(rho), np.asfortranarray(beta)
+    return rho, beta
+
+
+def _per_user(fn, K):
+    return np.array([fn(k) for k in range(K)])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("L,K,fortran", [(7, 10, False), (7, 10, True),
+                                          (7, 3, False), (2, 4, False),
+                                          (1, 5, False)])
+def test_array_layer_matches_scalar_reference(L, K, fortran):
+    rng = np.random.default_rng(100 + 10 * L + K + fortran)
+    cfg = SystemConfig(K=10, M=200, P_total=1.0e4, mu=3.0)
+    for _ in range(200):
+        rho, beta = _instance(rng, L, K, fortran)
+        _same_bits(upsilon(rho, beta),
+                   _per_user(lambda k: _ref_upsilon(rho[:, k], beta[:, k]), K))
+        for method in (LS, MMSE):
+            grid = exp_rcee_closed(method, M_GRID, rho, beta)
+            _same_bits(grid, [_per_user(lambda k: _ref_closed(
+                method, int(M), rho[:, k], beta[:, k]), K) for M in M_GRID])
+            _same_bits(exp_rcee_closed(method, 200, rho, beta), grid[M_GRID == 200][0])
+            _same_bits(exp_rcee_limit(method, rho, beta), _per_user(
+                lambda k: _ref_limit(method, rho[:, k], beta[:, k]), K))
+            _same_bits(exp_rcee_eppa_floor(method, beta), _per_user(
+                lambda k: _ref_eppa_floor(method, beta[:, k]), K))
+            _same_bits(exp_rcee_eppa_limit(method, beta, K, 1.0e4), _per_user(
+                lambda k: _ref_eppa_limit(method, beta[:, k], K, 1.0e4), K))
+        _same_bits(exp_rcee_bound_mmse(M_GRID[1:], rho, beta),
+                   [_per_user(lambda k: _ref_bound(int(M), rho[:, k], beta[:, k]), K)
+                    for M in M_GRID[1:]])
+        sinr = sinr_closed(M_GRID, rho, beta, 100.0)
+        _same_bits(sinr, [_per_user(lambda k: _ref_sinr(int(M), rho[:, k], beta,
+                                                         100.0, k), K)
+                          for M in M_GRID])
+        limit = sinr_limit(rho, beta)
+        _same_bits(limit, _per_user(lambda k: _ref_sinr_limit(rho[:, k], beta[:, k]), K))
+        rates = achievable_rate(cfg, sinr)
+        _same_bits(rates, [[_ref_rate(cfg, float(s)) for s in row] for row in sinr])
+        summary = rate_summary(rates)
+        _same_bits(summary.minimum, [min(row) for row in rates])
+        _same_bits(summary.average, [float(np.mean(list(row))) for row in rates])
+        _same_bits(rate_summary(achievable_rate(cfg, limit)).average,
+                   float(np.mean([_ref_rate(cfg, float(s)) for s in limit])))
+
+
+class TestShapes:
+    def test_column_gives_float(self, table_beta):
+        rho = np.full(7, 1000.0)
+        for value in (upsilon(rho, table_beta[:, 0]),
+                      exp_rcee_closed(LS, 8, rho, table_beta[:, 0]),
+                      exp_rcee_limit(MMSE, rho, table_beta[:, 0]),
+                      exp_rcee_eppa_floor(MMSE, table_beta[:, 0]),
+                      sinr_limit(rho, table_beta[:, 0])):
+            assert isinstance(value, float)
+
+    def test_antenna_grid_shapes(self, table_beta):
+        rho = np.full((7, 3), 1000.0)
+        assert exp_rcee_closed(MMSE, [8, 16, 32], rho, table_beta).shape == (3, 3)
+        assert exp_rcee_closed(MMSE, 8, rho, table_beta).shape == (3,)
+        assert exp_rcee_closed(LS, [8, 16], rho[:, 0], table_beta[:, 0]).shape == (2,)
+        assert sinr_closed((2, 4, 8, 16), rho, table_beta, 100.0).shape == (4, 3)
+        assert exp_rcee_bound_mmse([2, 3], rho, table_beta).shape == (2, 3)
+
+    def test_grid_rows_equal_single_antenna_calls(self, table_beta):
+        rho = np.full((7, 3), 1000.0)
+        grid = exp_rcee_closed(MMSE, [8, 512], rho, table_beta)
+        assert np.array_equal(grid[1], exp_rcee_closed(MMSE, 512, rho, table_beta))
+
+    def test_rate_summary_of_a_stack(self):
+        s = rate_summary([[3.0, 1.0, 2.0], [4.0, 6.0, 5.0]])
+        assert np.array_equal(s.minimum, [1.0, 4.0])
+        assert np.array_equal(s.average, [2.0, 5.0])
+
+
+class TestValidation:
+    def test_shape_mismatch(self, table_beta):
+        with pytest.raises(ValueError):
+            upsilon(np.ones((7, 2)), table_beta)
+        with pytest.raises(ValueError):
+            exp_rcee_limit(LS, np.ones((2, 7, 3)), np.ones((2, 7, 3)))
+
+    def test_power_and_gain_signs(self, table_beta):
+        rho = np.full((7, 3), 1000.0)
+        rho[3, 1] = -1.0
+        with pytest.raises(ValueError):
+            exp_rcee_closed(LS, 8, rho, table_beta)
+        rho = np.full((7, 3), 1000.0)
+        rho[0, 2] = 0.0
+        with pytest.raises(ValueError):
+            sinr_limit(rho, table_beta)
+        with pytest.raises(ValueError):
+            exp_rcee_eppa_floor(LS, -table_beta)
+
+    def test_antenna_counts(self, table_beta):
+        rho = np.full((7, 3), 1000.0)
+        for bad in (0, [8, 0], 8.0, [[8]]):
+            with pytest.raises(ValueError):
+                exp_rcee_closed(LS, bad, rho, table_beta)
+        with pytest.raises(ValueError):
+            exp_rcee_bound_mmse(1, rho, table_beta)
+        with pytest.raises(ValueError):
+            sinr_closed(8, rho, table_beta, 0.0)
+
+    def test_negative_rates(self):
+        cfg = SystemConfig(K=2, M=2, P_total=10.0)
+        with pytest.raises(ValueError):
+            achievable_rate(cfg, np.array([1.0, -0.5]))
+        with pytest.raises(ValueError):
+            rate_summary([[1.0, -1.0]])
+

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mimo_pilot import (RateSummary, RceeReport, SystemConfig, achievable_rate,
+from mimo_pilot import (RateSummary, SystemConfig, achievable_rate,
                         exp_rcee_bound_mmse, exp_rcee_closed,
                         exp_rcee_eppa_floor, exp_rcee_eppa_limit,
                         exp_rcee_limit, rate_summary, rcee_prefix_samples,
@@ -149,18 +149,18 @@ class TestExpRceeLimits:
 class TestSinr:
     def test_single_user_hand_value(self):
         beta = np.array([[1.0]])
-        assert sinr_closed(4, np.array([1.0]), beta, 1.0, 0) == pytest.approx(
+        assert sinr_closed(4, np.array([[1.0]]), beta, 1.0)[0] == pytest.approx(
             1.0, rel=1e-14)
 
     def test_increasing_in_antennas(self, table_beta):
-        rho = np.full(7, 1000.0)
-        vals = [sinr_closed(M, rho, table_beta, 100.0, 1) for M in (2, 8, 64, 1024)]
+        rho = np.full((7, 3), 1000.0)
+        vals = [sinr_closed(M, rho, table_beta, 100.0)[1] for M in (2, 8, 64, 1024)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_converges_to_limit(self, table_beta):
-        rho = np.full(7, 1000.0)
-        lim = sinr_limit(rho, table_beta[:, 1])
-        assert sinr_closed(10**9, rho, table_beta, 100.0, 1) == pytest.approx(
+        rho = np.full((7, 3), 1000.0)
+        lim = sinr_limit(rho[:, 1], table_beta[:, 1])
+        assert sinr_closed(10**9, rho, table_beta, 100.0)[1] == pytest.approx(
             lim, rel=1e-5)
 
     def test_limit_is_power_ratio(self, table_beta):
@@ -194,10 +194,3 @@ class TestRates:
         with pytest.raises(ValueError):
             rate_summary([])
 
-
-def test_rcee_report_averages():
-    rep = RceeReport(method=LS, num_antennas=8,
-                     mc_mean=np.array([1.0, 3.0]), mc_stderr=np.array([0.1, 0.1]),
-                     closed_form=np.array([1.1, 2.9]), limit=np.array([1.0, 2.5]))
-    assert rep.average_mc == pytest.approx(2.0)
-    assert rep.average_closed_form == pytest.approx(2.0)

@@ -7,7 +7,8 @@ from mimo_pilot import (ALPHA, AsymptoticGroups, InterferenceProfile,
                         make_objective, objective_value, ppa_allocate,
                         unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
-from mimo_pilot.metrics import exp_rcee_closed, exp_rcee_limit
+from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
+                                exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
 
 
@@ -275,6 +276,11 @@ class TestObjectiveValue:
                                           prof.upsilon[k] - 1.0]))
                 for k in range(3)])
             assert direct == pytest.approx(emb, rel=1e-13)
+        # the same columns as one (2, K) slice price the MMSE bound
+        rho_2 = np.vstack([rho, np.ones(3)])
+        beta_2 = np.vstack([prof.beta_target, prof.upsilon - 1.0])
+        assert objective_value(MMSE, rho, prof, 8, exact=False) == pytest.approx(
+            exp_rcee_bound_mmse(8, rho_2, beta_2).mean(), rel=1e-13)
 
     def test_mmse_surrogate_upper_bounds_exact(self):
         rng = np.random.default_rng(7)
