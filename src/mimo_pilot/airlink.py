@@ -67,7 +67,11 @@ def sample_channels(beta, M: int, rng: np.random.Generator) -> ChannelRealizatio
     if M < 1:
         raise ValueError("M must be at least 1")
     L, K = gains.shape
-    h = np.sqrt(gains)[:, :, None] * complex_normal((L, K, M), rng)
+    h = complex_normal((L, K, M), rng)
+    # (g + 0i)(x + iy) rounds to gx + i gy, so the real gain scales the
+    # float view (re, im interleaved) in place
+    h_f = h.view(float)
+    h_f *= np.sqrt(gains)[:, :, None]
     return ChannelRealization(h=h)
 
 

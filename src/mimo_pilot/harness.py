@@ -14,8 +14,10 @@ randomness.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -225,19 +227,29 @@ def _allocations(cfg: SystemConfig, profile: ppa.InterferenceProfile,
             elif scheme == "ppa":
                 out[(scheme, method)] = ppa.ppa_allocate(method, profile, cfg).rho
             else:
-                out[(scheme, method)] = _reference_allocation(method, profile, cfg)
+                out[(scheme, method)] = reference_solve(method, profile, cfg).x
     return out
 
 
-def _reference_allocation(method: str, profile: ppa.InterferenceProfile,
-                          cfg: SystemConfig) -> np.ndarray:
+def reference_solve(method: str, profile: ppa.InterferenceProfile,
+                    cfg: SystemConfig):
+    """The iterative reference solver on the allocator's objective.
+
+    Returns the solver's result.  An unconverged solve emits a
+    ``RuntimeWarning``, so its point is never used without saying so.
+    """
     from .refsolver import ConstrainedProblem, solve
 
     fun, grad = ppa.make_objective(method, profile, cfg.M, exact=(method == LS))
     problem = ConstrainedProblem(objective=fun, gradient=grad, total=cfg.P_total,
                                  lower=cfg.rho_min, upper=cfg.rho_max,
                                  dimension=cfg.K)
-    return solve(problem).x
+    result = solve(problem)
+    if not result.converged:
+        warnings.warn(f"reference solve did not converge: method={method} "
+                      f"P_total={cfg.P_total!r} iterations={result.iterations} "
+                      f"pg_norm={result.pg_norm:.3e}", RuntimeWarning, stacklevel=2)
+    return result
 
 
 def _rho_matrix(cfg: SystemConfig, rho_target: np.ndarray) -> np.ndarray:
@@ -260,14 +272,21 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     """Monte-Carlo kernel: one drop's trials for C allocations at once.
 
     ``rho_stack[c]`` (L, K) is estimated with ``methods[c]``.  Each trial
-    draws one channel at the largest of ``m_values`` and one pilot-noise
-    block; both serve every allocation and antenna prefix (length-m
-    estimates are the first m rows of the full ones), so every curve sees
-    common randomness.  Yields ``(channel, h_hat, lam)`` in trial order:
-    the (C, K, M) estimates, overwritten by the next trial, and the
-    (C, len(m_values)) user-averaged relative errors.  The arithmetic is
-    that of pilot_phase -> estimate_ls / estimate_mmse ->
+    draws one channel at the largest of the increasing ``m_values`` and
+    one pilot-noise block; both serve every allocation and antenna prefix
+    (length-m estimates are the first m rows of the full ones), so every
+    curve sees common randomness.  Yields ``(channel, h_hat, lam)`` in
+    trial order: the (C, K, M) estimates, overwritten by the next trial,
+    and the (C, len(m_values)) user-averaged relative errors.  The
+    arithmetic is that of pilot_phase -> estimate_ls / estimate_mmse ->
     metrics.rcee_prefix_samples, so every value matches it bit for bit.
+
+    The pilot weights, the 1/sqrt(rho_0k) normalisation and the MMSE
+    shrinkage are real, and a real factor scales re and im alike, so each
+    multiplies the float view (re, im interleaved) of the complex arrays:
+    the roundings of the complex product at half its arithmetic.  The
+    errors keep ``np.abs`` of the complex difference, because it rounds
+    differently from hypot or re^2 + im^2 of the two planes.
     """
     L, K = beta_slice.shape
     rho_stack = np.asarray(rho_stack, dtype=float)
@@ -277,37 +296,58 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
         raise ValueError("pilot powers must be non-negative")
     if np.any(rho_stack[:, 0] <= 0):
         raise ValueError("target-cell pilot powers must be positive")
+    m_values = [int(m) for m in m_values]
+    if m_values[0] < 1 or m_values != sorted(set(m_values)):
+        raise ValueError("m_values must be increasing antenna counts")
     # The book is rows of the identity, so correlating the received block
     # with sequence k selects its column k:
     #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
     pilot_book(K, cfg.tau)
+    C = len(rho_stack)
     sqrt_rho = np.sqrt(rho_stack)
-    sqrt_target = sqrt_rho[:, 0, :, None]
-    mmse = [c for c, method in enumerate(methods) if method == MMSE]
-    gains = np.array([[mmse_gain(rho_stack[c, :, k], beta_slice[:, k])
-                       for k in range(K)] for c in mmse]).reshape(len(mmse), K, 1)
+    # Estimates are laid out (K, C, M): einsum writes that order about
+    # twice as fast as (C, K, M).  Factors follow as (K, C, 1).  Dividing
+    # a complex by a real c multiplies both parts by 1/c, and multiplying
+    # an LS row by 1.0 leaves it as it is.
+    inv_target = (1.0 / sqrt_rho[:, 0]).T[:, :, None]
+    shrink = np.ones((K, C, 1))
+    for c, method in enumerate(methods):
+        if method == MMSE:
+            shrink[:, c, 0] = [mmse_gain(rho_stack[c, :, k], beta_slice[:, k])
+                               for k in range(K)]
+    m_top = m_values[-1]
+    est = np.empty((K, C, m_top), dtype=complex)
+    est_f = est.view(float)
+    h_hat = est.transpose(1, 0, 2)
+    # Squared errors are laid out (M, C, K), so summing the antenna axis
+    # adds whole rows in antenna order: the sequence of a cumsum, but
+    # vectorised over allocations and users.
+    e2 = np.empty((m_top, C, K))
+    err = np.empty((len(m_values), C, K))
     idx = np.asarray(m_values) - 1
-    m_top = max(m_values)
-    h_hat = np.empty((len(rho_stack), K, m_top), dtype=complex)
-    e2 = np.empty(h_hat.shape)
     tag = f"gamma={cfg.Gamma}"
     for s in range(n_trials):
         t_id = drop * n_trials + s
         ch = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
         noise = complex_normal((m_top, cfg.tau),
                                seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-        np.einsum("clk,lkm->ckm", sqrt_rho, ch.h, out=h_hat)
-        h_hat += noise[:, :K].T
-        h_hat /= sqrt_target
-        h_hat[mmse] *= gains
+        np.einsum("clk,lkm->kcm", sqrt_rho, ch.h.view(float), out=est_f)
+        est += noise[:, None, :K].T
+        est_f *= inv_target
+        est_f *= shrink
         h0 = ch.h[0]
-        np.abs(h_hat - h0, out=e2)
+        np.abs(h_hat - h0, out=e2.transpose(1, 2, 0))
         np.square(e2, out=e2)
-        np.cumsum(e2, axis=-1, out=e2)
-        sig_c = np.cumsum(np.abs(h0) ** 2, axis=-1)
-        # indexing leaves the user axis innermost in memory, so this mean
-        # sums users along a contiguous axis, as the reference path does
-        lam = (e2[..., idx] / sig_c[..., idx]).mean(axis=1)
+        # each prefix sum continues from the one before, as cumsum would
+        start = 0
+        for i, m in enumerate(m_values):
+            np.add.reduce(e2[start:m], axis=0, out=err[i])
+            e2[m - 1] = err[i]
+            start = m - 1
+        sig_c = np.cumsum(np.abs(h0) ** 2, axis=-1)[:, idx].T
+        # users are the contiguous axis, so this mean sums them as the
+        # reference path does
+        lam = (err / sig_c[:, None]).mean(axis=-1).T
         yield ch, h_hat, lam
 
 
@@ -480,8 +520,11 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
     if workers == 1:
         results = [_run_drop(t) for t in tasks]
     else:
+        # about four chunks per worker: few enough that sending a chunk
+        # costs little next to its drops, enough to even out their lengths
+        chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_drop, tasks, chunksize=1))
+            results = list(pool.map(_run_drop, tasks, chunksize=chunksize))
     per_gamma: dict[int, list] = {g: [] for g in plan.gammas}
     for task, res in zip(tasks, results):
         per_gamma[task[2]].append(res)

@@ -42,3 +42,15 @@ def table_fixture_path(tmp_path, table_realization):
     path = tmp_path / "table.csv"
     save_beta_fixture(table_realization, path)
     return path
+
+
+@pytest.fixture
+def unconverged_solver(monkeypatch):
+    """Every reference solve keeps its point but reports no convergence."""
+    import dataclasses
+
+    from mimo_pilot import refsolver
+
+    solve = refsolver.solve
+    monkeypatch.setattr(refsolver, "solve", lambda problem: dataclasses.replace(
+        solve(problem), converged=False, iterations=100000, pg_norm=2.5e-3))

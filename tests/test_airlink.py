@@ -31,6 +31,19 @@ def test_complex_normal_bits_match_the_divided_form(shape):
         assert new.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("L, K, M", [(7, 10, 200), (7, 10, 512), (3, 4, 8), (1, 1, 1)])
+def test_sample_channels_bits_match_complex_product(L, K, M):
+    # scaling the draw's float view by sqrt(g) gives the bits of the
+    # complex product (g + 0i)(x + iy), for gains over fourteen decades
+    for seed in range(5):
+        gains = 10.0 ** np.random.default_rng(100 + seed).uniform(-12.0, 2.0, (L, K))
+        old = np.sqrt(gains)[:, :, None] * complex_normal(
+            (L, K, M), np.random.default_rng(seed))
+        new = sample_channels(gains, M, np.random.default_rng(seed)).h
+        assert new.shape == old.shape
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
 def test_pilot_book_orthonormal_rows():
     book = pilot_book(3, 5)
     assert book.shape == (3, 5)

@@ -85,6 +85,14 @@ class TestAllocate:
                      "--scheme", "ref", "--check", "--method", "mmse"]) == 0
         assert "PASS" in capsys.readouterr().err
 
+    def test_check_fails_against_unconverged_reference(
+            self, table_fixture_path, capsys, unconverged_solver):
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            assert main(["allocate", "--beta", str(table_fixture_path),
+                         "--check"]) == 1
+        err = capsys.readouterr().err
+        assert "converged=False iterations=100000 pg_norm=2.500e-03 FAIL" in err
+
     def test_symmetric_fixture_gets_flat_split(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("user_1,user_2\n" + "0.1,0.1\n" * 3)

@@ -254,11 +254,13 @@ class TestRunExperimentValidate:
 
 
 def test_jobs_do_not_change_results(tiny_cfg):
-    serial = plan_for("fig5b", gammas=(1,), n_large=4)
-    parallel = plan_for("fig5b", gammas=(1,), n_large=4, jobs=2)
-    a = run_experiment(serial, tiny_cfg)
-    b = run_experiment(parallel, tiny_cfg)
-    assert a.rows == b.rows
+    # fig4a's 15 tasks go to 2 workers in chunks of 2, the last one short
+    for experiment, gammas, n_large in (("fig5b", (1,), 4), ("fig4a", (1, 3, 7), 5)):
+        serial = plan_for(experiment, gammas=gammas, n_large=n_large)
+        parallel = plan_for(experiment, gammas=gammas, n_large=n_large, jobs=2)
+        a = run_experiment(serial, tiny_cfg)
+        b = run_experiment(parallel, tiny_cfg)
+        assert a.rows == b.rows
 
 
 @pytest.mark.parametrize("experiment, kwargs", [
@@ -287,11 +289,13 @@ class TestMonteCarloKernel:
         cfg = SystemConfig(K=10, M=16, tau=12, P_total=1.0e4, mu=1.5, seed=11)
         rng = np.random.default_rng(5)
         beta = 10.0 ** rng.uniform(-3.0, 0.0, (cfg.L, cfg.K))
-        rho_stack = rng.uniform(0.5, 300.0, (5, cfg.L, cfg.K))
+        rho_stack = rng.uniform(0.5, 300.0, (8, cfg.L, cfg.K))
         rho_stack[1, 2] = 0.0  # a silent interfering cell
-        return cfg, beta, rho_stack, (LS, MMSE, LS, MMSE, MMSE)
+        rho_stack[5] = rho_stack[4]  # one power matrix under LS and MMSE, as EPPA
+        return cfg, beta, rho_stack, (LS, MMSE, LS, MMSE, LS, MMSE, MMSE, LS)
 
-    @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), (16,), (3,)])
+    @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), (16,), (3,),
+                                          (4, 9, 12)])
     def test_matches_reference_path_bitwise(self, drop, m_values):
         cfg, beta, rho_stack, methods = drop
         d, n = 3, 4
@@ -323,6 +327,25 @@ class TestMonteCarloKernel:
         for bad in (negative, silent_target):
             with pytest.raises(ValueError):
                 next(_mc_trials(cfg, 0, 2, beta, bad, methods, (cfg.M,)))
+
+    @pytest.mark.parametrize("m_values", [(8, 4), (4, 4), (0, 4)])
+    def test_rejects_unordered_antenna_counts(self, drop, m_values):
+        cfg, beta, rho_stack, methods = drop
+        with pytest.raises(ValueError, match="increasing"):
+            next(_mc_trials(cfg, 0, 2, beta, rho_stack, methods, m_values))
+
+
+def test_unconverged_reference_warns_and_keeps_bytes(tiny_cfg, request):
+    plan = plan_for("fig4a", gammas=(1,), n_large=2, schemes=("eppa", "ppa", "ref"))
+    quiet = run_experiment(plan, tiny_cfg)
+    request.getfixturevalue("unconverged_solver")
+    with pytest.warns(RuntimeWarning) as caught:
+        flagged = run_experiment(plan, tiny_cfg)
+    assert flagged.rows == quiet.rows
+    text = str(caught[0].message)
+    for part in ("method=ls", f"P_total={tiny_cfg.P_total!r}", "iterations=100000",
+                 "pg_norm=2.500e-03"):
+        assert part in text
 
 
 def test_run_experiment_rejects_single_user():
