@@ -5,8 +5,9 @@ estimation error subject to a total budget P and per-user box bounds
 [P/(2K), mu*P/K].  With other cells' powers fixed, each user contributes
 through the pair (upsilon_k, beta_k): contamination-plus-noise level and
 own-channel gain.  The KKT solution without the box is a square-root
-water-filling over w_k = upsilon_k / beta_k; box violations are resolved
-by pinning the worst violator to its bound and re-solving on the rest.
+water-filling over w_k = upsilon_k / beta_k; with the box, the one water
+level that exhausts the budget after clipping puts each user at a bound
+or free, and the free users water-fill the rest of the budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .estimators import LS, MMSE, check_method
 from .metrics import _bound_terms, _error_terms
+from .refsolver import _clip_level
 
 # Fraction of the average per-user power reserved as the lower bound:
 # rho_min = P/(2K) makes rho_min * K / P one half by construction.
@@ -117,8 +119,8 @@ class PilotAllocation:
     """Result of the box-constrained allocation.
 
     ``free``, ``at_min`` and ``at_max`` partition the user indices: free
-    users carry the re-solved water-filling powers, the others sit exactly
-    on a box bound.
+    users carry the water-filling powers of the residual budget, the
+    others sit exactly on a box bound.
     """
 
     rho: np.ndarray
@@ -126,7 +128,6 @@ class PilotAllocation:
     at_min: frozenset[int]
     at_max: frozenset[int]
     method: str
-    objective: float
     P_total: float
     rho_min: float
     rho_max: float
@@ -134,31 +135,26 @@ class PilotAllocation:
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
-        K = rho.shape[0]
-        groups = (self.free, self.at_min, self.at_max)
-        if sum(len(g) for g in groups) != K or set().union(*groups) != set(range(K)):
+        if sorted([*self.free, *self.at_min, *self.at_max]) != list(range(rho.size)):
             raise ValueError("free/at_min/at_max must partition the user indices")
-        if abs(rho.sum() - self.P_total) > 1e-9 * self.P_total:
+        r = rho.tolist()  # at K <= 12, numpy calls would outweigh the checks
+        if abs(sum(r) - self.P_total) > 1e-9 * self.P_total:
             raise ValueError("allocation does not exhaust the budget")
+        if ({r[k] for k in self.at_min} - {self.rho_min}
+                or {r[k] for k in self.at_max} - {self.rho_max}):
+            raise ValueError("a user marked at_min or at_max is off its bound")
         tol = 1e-12 * self.P_total
-        for k in self.at_min:
-            if rho[k] != self.rho_min:
-                raise ValueError(f"user {k} marked at_min but rho != rho_min")
-        for k in self.at_max:
-            if rho[k] != self.rho_max:
-                raise ValueError(f"user {k} marked at_max but rho != rho_max")
-        for k in self.free:
-            if not (self.rho_min - tol <= rho[k] <= self.rho_max + tol):
-                raise ValueError(f"free user {k} outside the power box")
+        if not all(self.rho_min - tol <= r[k] <= self.rho_max + tol for k in self.free):
+            raise ValueError("a free user lies outside the power box")
 
 
 def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocation:
     """Allocate the cell's pilot budget under the per-user power box.
 
-    Starts from :func:`unconstrained_optimum`; while some user violates
-    the box, the violator farthest from its bound is pinned there (lower
-    bound wins ties), the spent power is removed from the budget and the
-    remaining users are re-solved.  At most K passes are needed.
+    At the optimum rho_k = clip(sqrt(w_k) * t, lo, hi) under LS and
+    clip(sqrt(w_k) * (t - sqrt(w_k)), lo, hi) under the MMSE bound, for one
+    water level t.  The level that exhausts the budget groups the users
+    (at_min, at_max, free); the free users water-fill the residual budget.
     """
     check_method(method)
     K = profile.num_users
@@ -171,51 +167,24 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         raise ValueError("power box cannot meet the budget")
 
     w = profile.weight
-    rho = np.empty(K)
-    free = list(range(K))
-    at_min: list[int] = []
-    at_max: list[int] = []
-    budget = cfg.P_total
-    rho[free] = _water_fill(method, w[free], budget)
-    for _ in range(K):
-        sub = rho[free]
-        low = [k for k, v in zip(free, sub) if v < lo]
-        high = [k for k, v in zip(free, sub) if v > hi]
-        if not low and not high:
-            break
-        k_star = max(low, key=lambda k: abs(rho[k] - lo), default=None)
-        t_star = max(high, key=lambda k: abs(rho[k] - hi), default=None)
-        # Pinning must leave the rest of the budget inside the remaining
-        # box; on extreme weight skews the preferred direction can break
-        # that, in which case the other violator is pinned instead.  The
-        # slack absorbs rounding when the budget sits exactly on a corner
-        # of the box (e.g. every remaining user forced to a bound).
-        n_rest = len(free) - 1
-        slack = 1e-9 * cfg.P_total
-        min_ok = (low and n_rest * lo <= budget - lo + slack
-                  and budget - lo <= n_rest * hi + slack)
-        max_ok = (high and n_rest * lo <= budget - hi + slack
-                  and budget - hi <= n_rest * hi + slack)
-        prefer_min = not high or (low and abs(rho[k_star] - lo) >= abs(rho[t_star] - hi))
-        if min_ok and (prefer_min or not max_ok):
-            rho[k_star] = lo
-            budget -= lo
-            free.remove(k_star)
-            at_min.append(k_star)
-        else:
-            rho[t_star] = hi
-            budget -= hi
-            free.remove(t_star)
-            at_max.append(t_star)
-        if free:
-            rho[free] = _water_fill(method, w[free], budget)
+    s = np.sqrt(w).tolist()
+    side = _clip_level(s, [0.0] * K if method == LS else s, cfg.P_total, lo, hi)
+    free = [k for k in range(K) if side[k] == 0]
+    at_min = [k for k in range(K) if side[k] < 0]
+    at_max = [k for k in range(K) if side[k] > 0]
+    rho = [hi if g > 0 else lo for g in side]
+    if free:
+        budget = cfg.P_total
+        for g in side:  # bound by bound, not n * bound: the CSV bits hang on it
+            budget -= lo if g < 0 else hi if g > 0 else 0.0
+        for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
+            rho[k] = x
     return PilotAllocation(
-        rho=rho,
+        rho=np.array(rho),
         free=frozenset(free),
         at_min=frozenset(at_min),
         at_max=frozenset(at_max),
         method=method,
-        objective=objective_value(method, rho, profile, cfg.M),
         P_total=cfg.P_total,
         rho_min=lo,
         rho_max=hi,

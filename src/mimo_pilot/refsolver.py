@@ -3,23 +3,67 @@
 Used as an independent check of the closed-form allocator: it knows
 nothing about the objective's structure beyond a gradient, and handles
 the feasible set {sum x = total, lo <= x <= hi} by Euclidean projection.
+The projection and the allocator share one search, :func:`_clip_level`,
+for the level at which a sum of clipped linear terms meets a budget.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
+def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
+    """Box side of each entry at the level t where the budget is met.
+
+    t solves sum_k clip(s_k * (t - c_k), lo, hi) = total (all s_k > 0); the
+    result holds -1 for an entry at ``lo``, +1 at ``hi`` and 0 free.  The
+    sum is piecewise linear in t, with knots c_k + lo/s_k and c_k + hi/s_k;
+    a binary search over the sorted knots, summing the clipped terms at
+    each probe, finds the segment holding t, and the knots passed before
+    it give the sides.  A knot keeps lo/s_k only to the precision of c_k,
+    so if an entry at the level has s_k * |c_k| far above ``total`` the
+    search is redone with the c_k measured from that entry's c.  Lists,
+    not arrays: at K <= 12 numpy's per-call overhead would dominate.
+    """
+    n = len(s)
+    for recentred in (False, True):
+        knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in zip(s, c)]
+        order = sorted(range(2 * n), key=knots.__getitem__)
+
+        def budget(j):
+            t, spent = knots[j], 0.0
+            for sk, ck in zip(s, c):
+                x = sk * (t - ck)
+                spent += lo if x < lo else hi if x > hi else x
+            return spent
+
+        end = bisect.bisect_left(order, total, key=budget)
+        side = [-1] * n
+        for j in order[:end]:  # an entry's lo-knot sorts before its hi-knot
+            side[j % n] += 1
+        if recentred or not any(c):
+            return side
+        near = [k for k in range(n) if side[k] == 0]
+        near += [order[i] % n for i in (end - 1, end) if 0 <= i < 2 * n]
+        scale, k = max((s[k] * abs(c[k]), k) for k in near)
+        # below 2**10 * total the knots lose at most ~1e-13 of the budget
+        if scale <= 1024.0 * abs(total):
+            return side
+        ref = c[k]
+        c = [ck - ref for ck in c]
+
+
 def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray:
     """Euclidean projection onto {x : sum x = total, lo <= x_i <= hi}.
 
     The projection is x_i = clip(v_i - theta, lo, hi) for the theta making
-    the budget tight; sum clip(v - theta) is non-increasing in theta, so
-    theta is bracketed and bisected, then recovered exactly from the free
-    set (the clipped pattern makes the budget equation linear in theta).
+    the budget tight.  :func:`_clip_level` finds which entries the exact
+    theta clips, which makes the budget equation linear in theta, and
+    theta is then recovered from the free entries.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -30,26 +74,12 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
     slack = 1e-12 * max(1.0, abs(total))
     if not (n * lo - slack <= total <= n * hi + slack):
         raise ValueError("box and budget are incompatible")
-
-    def budget(theta: float) -> float:
-        return float(np.clip(v - theta, lo, hi).sum()) - total
-
-    a, b = float(v.min() - hi), float(v.max() - lo)
-    if budget(a) < 0 or budget(b) > 0:  # only possible at the degenerate edges
-        theta = a if abs(budget(a)) <= abs(budget(b)) else b
-    else:
-        while b - a > 1e-13 * max(1.0, abs(a), abs(b)):
-            mid = 0.5 * (a + b)
-            if budget(mid) > 0:
-                a = mid
-            else:
-                b = mid
-        theta = 0.5 * (a + b)
-        x = v - theta
-        free = (x > lo) & (x < hi)
-        if np.any(free):
-            pinned = np.where(x >= hi, hi, 0.0) + np.where(x <= lo, lo, 0.0)
-            theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
+    side = np.array(_clip_level([1.0] * n, (-v).tolist(), total, lo, hi))
+    free = side == 0
+    if not np.any(free):
+        return np.where(side > 0, hi, lo)
+    pinned = np.where(side > 0, hi, 0.0) + np.where(side < 0, lo, 0.0)
+    theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
     return np.clip(v - theta, lo, hi)
 
 

@@ -143,17 +143,18 @@ def test_acceptance_05_allocator_agrees_with_reference_solver(table_beta):
         flat = np.full(cfg.K, cfg.P_total / cfg.K)
         for method in (LS, MMSE):
             alloc = ppa_allocate(method, prof, cfg)
+            value = objective_value(method, alloc.rho, prof, cfg.M)
             fun, grad = make_objective(method, prof, cfg.M,
                                        exact=(method == LS))
             result = solve(ConstrainedProblem(
                 objective=fun, gradient=grad, total=cfg.P_total,
                 lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
             reference = objective_value(method, result.x, prof, cfg.M)
-            gap = (alloc.objective - reference) / abs(reference)
+            gap = (value - reference) / abs(reference)
             assert gap <= 1e-4
             worst = max(worst, gap)
             flat_value = objective_value(method, flat, prof, cfg.M)
-            assert alloc.objective <= flat_value * (1.0 + 1e-12)
+            assert value <= flat_value * (1.0 + 1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(5, f"100 instances (K=3 and K=10), worst rel gap "
@@ -285,6 +286,7 @@ def test_acceptance_09_deterministic_reruns(tmp_path):
 
 def test_acceptance_10_allocator_speedup():
     rows = bench_allocators(k_values=tuple(range(2, 11)), seed=0)
-    slowest = min(row[3] for row in rows)
+    K, ppa_s, ref_s, slowest = min(rows, key=lambda row: row[3])
     assert slowest >= 10.0
-    _report(10, f"speedup >= {slowest:.0f}x across K=2..10")
+    _report(10, f"speedup >= {slowest:.1f}x across K=2..10, smallest at K={K}: "
+                f"ppa {ppa_s * 1e6:.1f} us, ref {ref_s * 1e6:.1f} us")

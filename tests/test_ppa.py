@@ -7,6 +7,7 @@ from mimo_pilot import (ALPHA, AsymptoticGroups, InterferenceProfile,
                         make_objective, objective_value, ppa_allocate,
                         unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.harness import _realization, default_config, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
                                 exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
@@ -131,7 +132,8 @@ class TestPpaAllocate:
             [1210.4531275497995, 500.0, 1289.5468724502002], rel=1e-12)
         assert alloc.at_min == {1}
         assert alloc.rho[1] == 500.0
-        assert alloc.objective == pytest.approx(0.5906909526805899, rel=1e-12)
+        assert objective_value(LS, alloc.rho, table_profile(table_beta), cfg.M) \
+            == pytest.approx(0.5906909526805899, rel=1e-12)
 
     def test_worked_example_mmse(self, table_beta):
         cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
@@ -140,7 +142,8 @@ class TestPpaAllocate:
             [1179.1124603437916, 619.227973274815, 1201.659566381393],
             rel=1e-12)
         assert alloc.free == {0, 1, 2}
-        assert alloc.objective == pytest.approx(0.35302129337570926, rel=1e-12)
+        assert objective_value(MMSE, alloc.rho, table_profile(table_beta), cfg.M) \
+            == pytest.approx(0.35302129337570926, rel=1e-12)
 
     def test_worked_example_near_refsolver(self, table_beta):
         cfg = SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
@@ -150,7 +153,8 @@ class TestPpaAllocate:
         result = solve(ConstrainedProblem(
             objective=fun, gradient=grad, total=cfg.P_total,
             lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
-        assert alloc.objective <= result.objective * (1.0 + 1e-6)
+        assert objective_value(LS, alloc.rho, prof, cfg.M) \
+            <= result.objective * (1.0 + 1e-6)
 
     def test_heavy_tail_pins_exactly(self):
         # weights spread over 24 decades: three users forced to the top
@@ -165,6 +169,17 @@ class TestPpaAllocate:
         assert alloc.at_max == {0, 1}
         assert alloc.at_min == {3, 4, 5, 6}
         assert alloc.free == {2}
+
+    def test_desk_drop_reaches_the_reference_optimum(self):
+        # fig4a's drop 2 at gamma=1 and 40 dB: pinning the worst violator
+        # one pass at a time stopped at 3.3595, above the optimum
+        cfg = default_config(seed=0).replace(Gamma=1)
+        prof = eppa_profile(_realization(cfg, 2).target_slice, cfg.P_total, cfg.K)
+        ref = reference_solve(LS, prof, cfg)
+        assert ref.converged
+        value = objective_value(LS, ppa_allocate(LS, prof, cfg).rho, prof, cfg.M)
+        assert value == pytest.approx(ref.objective, rel=1e-9)
+        assert value == pytest.approx(3.1212, rel=1e-4)
 
     @pytest.mark.parametrize("method", [LS, MMSE])
     def test_random_instance_properties(self, method):
@@ -182,7 +197,7 @@ class TestPpaAllocate:
             assert set().union(*groups) == set(range(10))
             assert sum(len(g) for g in groups) == 10
             # never worse than the flat split
-            assert alloc.objective <= objective_value(
+            assert objective_value(method, alloc.rho, prof, cfg.M) <= objective_value(
                 method, flat, prof, cfg.M) * (1.0 + 1e-12)
             # re-solved free users share one water level
             free = sorted(alloc.free)
@@ -207,7 +222,8 @@ class TestPpaAllocate:
                     objective=fun, gradient=grad, total=P,
                     lower=cfg.rho_min, upper=cfg.rho_max, dimension=K))
                 exact_at_ref = objective_value(method, result.x, prof, cfg.M)
-                assert alloc.objective <= exact_at_ref * (1.0 + 1e-4)
+                value = objective_value(method, alloc.rho, prof, cfg.M)
+                assert value <= exact_at_ref * (1.0 + 1e-4)
 
     def test_user_count_mismatch(self, table_beta):
         cfg = SystemConfig(K=4, M=8, P_total=4.0e3, mu=1.5)
@@ -230,7 +246,7 @@ class TestPilotAllocationValidation:
     def kwargs(self):
         return dict(rho=np.array([2.0, 6.0]), free=frozenset({1}),
                     at_min=frozenset({0}), at_max=frozenset(),
-                    method=LS, objective=1.0, P_total=8.0,
+                    method=LS, P_total=8.0,
                     rho_min=2.0, rho_max=6.0)
 
     def test_valid_instance(self):

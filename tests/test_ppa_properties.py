@@ -5,14 +5,19 @@ than twenty decades, users may share identical weights, and the box
 multiplier mu may put the budget exactly on a vertex of the power box.
 Every allocation must exhaust the budget, respect the box, put pinned
 users exactly on their bound and give all free users one water level.
+At that level a pinned user's unclipped power must lie beyond its bound
+(the KKT sign condition); with the one-level check this proves the
+allocation optimal, since both objectives are convex in the powers.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_pilot import InterferenceProfile, SystemConfig, ppa_allocate
+from mimo_pilot import (InterferenceProfile, SystemConfig, objective_value,
+                        ppa_allocate)
 from mimo_pilot.estimators import LS, MMSE, METHODS
+from mimo_pilot.harness import reference_solve
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -24,15 +29,16 @@ def _vertex_mus(K):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_db=80.0, min_gain_exp=-12.0):
     K = draw(st.integers(2, 12))
-    P = 10.0 ** (draw(st.floats(20.0, 80.0)) / 10.0)
+    P = 10.0 ** (draw(st.floats(20.0, max_db)) / 10.0)
     mu = draw(st.floats(1.5, (K + 1) / 2) | st.sampled_from(_vertex_mus(K)))
     # a few distinct (interference, gain) pairs shared out over the users,
     # so ties between users are common
     n_distinct = draw(st.integers(1, K))
-    exponents = st.lists(st.tuples(st.floats(-8.0, 2.0), st.floats(-12.0, 0.0)),
-                         min_size=n_distinct, max_size=n_distinct)
+    exponents = st.lists(
+        st.tuples(st.floats(-8.0, 2.0), st.floats(min_gain_exp, 0.0)),
+        min_size=n_distinct, max_size=n_distinct)
     pairs = np.array(draw(exponents))
     owner = draw(st.lists(st.integers(0, n_distinct - 1), min_size=K, max_size=K))
     interference, gain = pairs[owner].T
@@ -48,6 +54,54 @@ def _water_levels(method, alloc, profile):
     if method == LS:
         return rho / np.sqrt(w)
     return (rho + w) / np.sqrt(w)
+
+
+def _unclipped(method, profile, j, f, rho_f):
+    """User j's unclipped power at the water level where user f takes rho_f.
+
+    Written with sqrt-weight differences, so that weights far above the
+    budget do not cancel the powers away.
+    """
+    s = np.sqrt(profile.weight)
+    if method == LS:
+        return s[j] / s[f] * rho_f
+    return s[j] * (s[f] - s[j]) + s[j] / s[f] * rho_f
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(METHODS))
+def test_pinned_users_lie_beyond_their_bound(instance, method):
+    cfg, profile = instance
+    alloc = ppa_allocate(method, profile, cfg)
+    lo, hi, tol = cfg.rho_min, cfg.rho_max, 1e-9 * cfg.P_total
+    if alloc.free:
+        f = min(alloc.free)
+        for j in alloc.at_min:
+            assert _unclipped(method, profile, j, f, alloc.rho[f]) <= lo + tol
+        for j in alloc.at_max:
+            assert _unclipped(method, profile, j, f, alloc.rho[f]) >= hi - tol
+    else:
+        # no free user fixes the level: it must fit between the level at
+        # which every at_max user reaches hi and the one at which an
+        # at_min user would leave lo
+        for i in alloc.at_max:
+            for j in alloc.at_min:
+                assert _unclipped(method, profile, j, i, hi) <= lo + tol
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_db=50.0, min_gain_exp=-3.0), st.sampled_from(METHODS))
+def test_objective_at_most_the_reference(instance, method):
+    # The box stops at 50 dB and gains of 1e-3: beyond them the reference
+    # solver's absolute stopping rule (pg_norm < 1e-10) is out of reach of
+    # the gradient's rounding, and its solves do not converge.
+    cfg, profile = instance
+    alloc = ppa_allocate(method, profile, cfg)
+    ref = reference_solve(method, profile, cfg)
+    assert ref.converged
+    # both minimize the MMSE bound, and LS's bound is its exact value
+    value = objective_value(method, alloc.rho, profile, cfg.M, exact=False)
+    assert value <= ref.objective * (1.0 + 1e-9)
 
 
 @PROPERTY_SETTINGS
@@ -68,12 +122,16 @@ def test_allocation_invariants(instance, method):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 12), st.floats(20.0, 80.0), st.sampled_from(METHODS))
-def test_equal_weights_split_the_budget_evenly(K, p_db, method):
+@given(st.integers(2, 12), st.floats(20.0, 80.0), st.floats(-20.0, 0.0),
+       st.sampled_from(METHODS))
+def test_equal_weights_split_the_budget_evenly(K, p_db, gain_exp, method):
+    # gains down to 1e-20 make weights so far above the budget that an
+    # MMSE water level written as an absolute number cannot resolve the
+    # box: sqrt(w) + lo/sqrt(w) rounds to sqrt(w)
     P = 10.0 ** (p_db / 10.0)
     cfg = SystemConfig(K=K, M=200, P_total=P, mu=1.5)
     profile = InterferenceProfile(upsilon=np.full(K, 1.0 + P / K),
-                                  beta_target=np.full(K, 0.1))
+                                  beta_target=np.full(K, 10.0 ** gain_exp))
     alloc = ppa_allocate(method, profile, cfg)
     assert alloc.free == frozenset(range(K))
     assert np.allclose(alloc.rho, P / K, rtol=1e-12, atol=0.0)

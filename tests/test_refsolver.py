@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import SystemConfig, eppa_profile, make_objective, ppa_allocate
+from mimo_pilot import (SystemConfig, default_config, eppa_profile,
+                        make_objective, objective_value, plan_for,
+                        ppa_allocate, refsolver, run_experiment)
 from mimo_pilot.estimators import LS
 from mimo_pilot.refsolver import (ConstrainedProblem, SolveResult,
                                   project_bounded_simplex, solve)
@@ -35,6 +37,60 @@ def breakpoint_projection(v, total, lo, hi):
             theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
             return np.clip(v - theta, lo, hi)
     raise AssertionError("no bracketing segment found")
+
+
+def bisection_projection(v, total, lo, hi):
+    """Projection by bisection on theta: the bit-level reference.
+
+    sum clip(v - theta) is non-increasing in theta, so theta is bracketed
+    and bisected, then recovered from the free set with the same line
+    :func:`project_bounded_simplex` uses, so the two agree bit for bit
+    wherever they find the same free set.
+    """
+    v = np.asarray(v, dtype=float)
+
+    def budget(theta):
+        return float(np.clip(v - theta, lo, hi).sum()) - total
+
+    a, b = float(v.min() - hi), float(v.max() - lo)
+    if budget(a) < 0 or budget(b) > 0:  # only possible at the degenerate edges
+        theta = a if abs(budget(a)) <= abs(budget(b)) else b
+    else:
+        while b - a > 1e-13 * max(1.0, abs(a), abs(b)):
+            mid = 0.5 * (a + b)
+            if budget(mid) > 0:
+                a = mid
+            else:
+                b = mid
+        theta = 0.5 * (a + b)
+        x = v - theta
+        free = (x > lo) & (x < hi)
+        if np.any(free):
+            pinned = np.where(x >= hi, hi, 0.0) + np.where(x <= lo, lo, 0.0)
+            theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
+    return np.clip(v - theta, lo, hi)
+
+
+def projection_instances(rng, kind, count):
+    """Random, tie-heavy or vertex-budget (v, total, lo, hi) instances."""
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        if kind == "random":
+            lo = rng.uniform(0.1, 2.0)
+            hi = lo + rng.uniform(0.1, 5.0)
+            total = rng.uniform(n * lo, n * hi)
+            v = rng.normal(scale=10.0, size=n)
+        else:
+            # small integers: entries share values and land on the bounds
+            lo = float(rng.integers(0, 4))
+            hi = lo + float(rng.integers(0, 5))
+            v = rng.integers(-6, 10, size=n).astype(float)
+            if kind == "ties":
+                total = float(rng.integers(int(n * lo), int(n * hi) + 1))
+            else:
+                j = int(rng.integers(0, n + 1))
+                total = j * lo + (n - j) * hi
+        yield v, total, lo, hi
 
 
 class TestProjection:
@@ -75,6 +131,22 @@ class TestProjection:
             np.testing.assert_allclose(got, want, atol=1e-8 * max(1.0, total))
             assert got.sum() == pytest.approx(total, abs=1e-8 * max(1.0, total))
             assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "vertex"])
+    def test_matches_the_bisection(self, kind):
+        rng = np.random.default_rng(11)
+        for v, total, lo, hi in projection_instances(rng, kind, 2000):
+            got = project_bounded_simplex(v, total, lo, hi)
+            want = bisection_projection(v, total, lo, hi)
+            assert np.all(np.abs(got - want) <= 1e-15 * total)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_sweep_keeps_the_bisection_bits(self, seed, monkeypatch):
+        plan = plan_for("fig4a", schemes=("eppa", "ppa", "ref"), n_large=10)
+        cfg = default_config("fig4a", seed=seed)
+        exact = run_experiment(plan, cfg).select(scheme="ref")
+        monkeypatch.setattr(refsolver, "project_bounded_simplex", bisection_projection)
+        assert run_experiment(plan, cfg).select(scheme="ref") == exact
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -132,7 +204,8 @@ class TestSolve:
             lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
         alloc = ppa_allocate(LS, prof, cfg)
         assert result.converged
-        assert result.objective == pytest.approx(alloc.objective, rel=1e-9)
+        assert result.objective == pytest.approx(
+            objective_value(LS, alloc.rho, prof, cfg.M), rel=1e-9)
         np.testing.assert_allclose(result.x, alloc.rho, rtol=1e-5)
 
     def test_output_feasible(self):
