@@ -31,7 +31,7 @@ from .refsolver import ConstrainedProblem, SolveResult, project_bounded_simplex,
 from .scenario import (CellLayout, ConfigurationError, FixtureFormatError,
                        LargeScaleRealization, SystemConfig, attenuation,
                        build_layout, db_to_linear, drop_users, in_hexagon,
-                       large_scale, linear_to_db, load_beta_fixture,
+                       large_scale, load_beta_fixture,
                        sample_hexagon, sample_shadowing, save_beta_fixture)
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __all__ = [
     "empirical_sinr_terms", "eppa_profile", "estimate_ls", "estimate_mmse",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",
-    "in_hexagon", "ks_distance", "large_scale", "linear_to_db",
+    "in_hexagon", "ks_distance", "large_scale",
     "load_beta_fixture", "make_objective", "mmse_gain", "mmse_gain_matrix",
     "objective_value", "pilot_book", "pilot_phase", "plan_for",
     "ppa_allocate", "project_bounded_simplex", "rate_summary",

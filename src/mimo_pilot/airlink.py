@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import LargeScaleRealization
-
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian draws.
@@ -49,19 +47,12 @@ def _stacked(items, attr: str) -> np.ndarray:
     return np.stack([getattr(item, attr) for item in items])
 
 
-def _target_gains(beta) -> np.ndarray:
-    if isinstance(beta, LargeScaleRealization):
-        return beta.target_slice
-    return np.asarray(beta, dtype=float)
-
-
 def sample_channels(beta, M: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw h[l, k] ~ CN(0, beta[l, k] * I_M) for every user.
 
-    ``beta`` is a :class:`LargeScaleRealization` or a raw (L, K) array of
-    gains toward the target base station.
+    ``beta`` is the (L, K) array of gains toward the target base station.
     """
-    gains = _target_gains(beta)
+    gains = np.asarray(beta, dtype=float)
     if gains.ndim != 2:
         raise ValueError("expected an (L, K) gain slice")
     if M < 1:

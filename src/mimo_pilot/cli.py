@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import LS, METHODS
-from .harness import (bench_allocators, default_config, plan_for,
-                      reference_solve, run_experiment, seed_schedule)
+from .harness import (_realization, bench_allocators, default_config, plan_for,
+                      reference_solve, run_experiment)
 from .ppa import eppa_profile, objective_value, ppa_allocate
-from .scenario import (ConfigurationError, SystemConfig, build_layout,
-                       drop_users, large_scale, load_beta_fixture)
+from .scenario import ConfigurationError, SystemConfig, load_beta_fixture
 
 SEED_ENV = "MIMO_PILOT_SEED"
 
@@ -143,7 +142,7 @@ def _cmd_allocate(args) -> int:
     seed = _resolve_seed(args)
     if args.beta:
         real = load_beta_fixture(args.beta)
-        beta_slice = real.target_slice
+        beta_slice = real.beta
         L, K = beta_slice.shape
         if args.config:
             cfg = SystemConfig.from_file(args.config)
@@ -157,12 +156,7 @@ def _cmd_allocate(args) -> int:
             cfg = cfg.replace(seed=seed)
     else:
         cfg = _load_config(args, "fig3")
-        tag = f"gamma={cfg.Gamma}"
-        layout = build_layout(cfg)
-        pos = drop_users(cfg, layout, seed_schedule(cfg.seed, 0, f"positions/{tag}"))
-        real = large_scale(cfg, layout, pos,
-                           seed_schedule(cfg.seed, 0, f"shadowing/{tag}"))
-        beta_slice = real.target_slice
+        beta_slice = _realization(cfg, 0).beta  # drop 0 of the sweeps
 
     profile = eppa_profile(beta_slice, cfg.P_total, cfg.K)
     ref = (reference_solve(args.method, profile, cfg)
@@ -210,7 +204,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_fixture_check(args) -> int:
     real = load_beta_fixture(args.beta)
-    L, K = real.target_slice.shape
+    L, K = real.beta.shape
     print(f"ok: cells={L} users={K}")
     return 0
 

@@ -6,6 +6,11 @@ therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
 
+Every drop runs one preamble, :func:`_run_drop`: gains, then the
+allocations and pilot powers of each budget.  A table gives each
+experiment its per-drop value function and one of three reductions over
+drops (a grid, a distribution, or the validate rows).
+
 Every Monte-Carlo sweep runs through one kernel, :func:`_mc_trials`: one
 channel draw and one pilot-noise draw per trial serve every allocation,
 method, budget and antenna prefix of the drop, so all curves see common
@@ -108,7 +113,6 @@ class ExperimentPlan:
     n_large: int = 20
     n_small: int = 50
     schemes: tuple[str, ...] = ("ppa", "eppa")
-    methods: tuple[str, ...] = (LS, MMSE)
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -124,8 +128,6 @@ class ExperimentPlan:
             raise ValueError("n_large must be >= 1 and n_small >= 0")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ValueError(f"schemes must be drawn from {SCHEMES}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ValueError(f"methods must be drawn from {METHODS}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.experiment in ("fig3", "fig5a") and not self.m_grid:
@@ -193,19 +195,12 @@ class MetricReport:
 
     def select(self, **filters) -> list[tuple]:
         idx = {c: i for i, c in enumerate(self.columns)}
-        out = []
-        for row in self.rows:
-            if all(row[idx[c]] == v for c, v in filters.items()):
-                out.append(row)
-        return out
-
-    def column(self, name: str, rows=None) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in (self.rows if rows is None else rows)]
+        return [row for row in self.rows
+                if all(row[idx[c]] == v for c, v in filters.items())]
 
 
 # ---------------------------------------------------------------------------
-# per-drop computations
+# per-drop work: each worker handles one (gamma, drop) pair
 
 
 def _realization(cfg: SystemConfig, drop: int):
@@ -213,22 +208,6 @@ def _realization(cfg: SystemConfig, drop: int):
     layout = build_layout(cfg)
     pos = drop_users(cfg, layout, seed_schedule(cfg.seed, drop, f"positions/{tag}"))
     return large_scale(cfg, layout, pos, seed_schedule(cfg.seed, drop, f"shadowing/{tag}"))
-
-
-def _allocations(cfg: SystemConfig, profile: ppa.InterferenceProfile,
-                 schemes, methods) -> dict:
-    """Target-cell power vectors for every (scheme, method) pair."""
-    flat = np.full(cfg.K, cfg.P_total / cfg.K)
-    out = {}
-    for method in methods:
-        for scheme in schemes:
-            if scheme == "eppa":
-                out[(scheme, method)] = flat
-            elif scheme == "ppa":
-                out[(scheme, method)] = ppa.ppa_allocate(method, profile, cfg).rho
-            else:
-                out[(scheme, method)] = reference_solve(method, profile, cfg).x
-    return out
 
 
 def reference_solve(method: str, profile: ppa.InterferenceProfile,
@@ -250,12 +229,6 @@ def reference_solve(method: str, profile: ppa.InterferenceProfile,
                       f"P_total={cfg.P_total!r} iterations={result.iterations} "
                       f"pg_norm={result.pg_norm:.3e}", RuntimeWarning, stacklevel=2)
     return result
-
-
-def _rho_matrix(cfg: SystemConfig, rho_target: np.ndarray) -> np.ndarray:
-    rho = np.full((cfg.L, cfg.K), cfg.P_total / cfg.K)
-    rho[0] = rho_target
-    return rho
 
 
 def _closed_average(method: str, rho_mat, beta_slice, M):
@@ -351,161 +324,116 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
         yield ch, h_hat, lam
 
 
-# ---------------------------------------------------------------------------
-# experiment bodies (each worker handles one (gamma, drop) pair)
+def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
+              m_values) -> dict | None:
+    """Monte-Carlo mean error of every allocation, or None without trials.
+
+    All budgets' allocations share one kernel run, stacked budget-major;
+    each (scheme, method) gets its means over budgets x ``m_values``.
+    """
+    if plan.n_small == 0:
+        return None
+    combos = list(budgets[0])
+    kernel = _mc_trials(cfg, drop, plan.n_small, beta,
+                        [rhos[c] for rhos in budgets for c in combos],
+                        [m for _, m in combos] * len(budgets), m_values)
+    mc = sum(lam for _, _, lam in kernel) / plan.n_small
+    mc = mc.reshape(len(budgets), len(combos), len(m_values))
+    return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
 
 
-def _fig3_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
-    allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    combos = sorted(allocs)
-    rho_mats = {key: _rho_matrix(cfg, rho) for key, rho in allocs.items()}
-    out = {"closed": {}, "limit": {}, "mc": {}}
-    for (scheme, method), rho_mat in rho_mats.items():
-        out["closed"][(scheme, method)] = _closed_average(method, rho_mat, beta_slice,
-                                                          plan.m_grid)
-        out["limit"][(scheme, method)] = _limit_average(method, rho_mat, beta_slice)
-    if plan.n_small > 0:
-        kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice,
-                            [rho_mats[c] for c in combos], [m for _, m in combos],
-                            plan.m_grid)
-        mc = sum(lam for _, _, lam in kernel) / plan.n_small
-        out["mc"] = dict(zip(combos, mc))
-    return out
+def _fig3_values(plan, cfg, drop, beta, budgets) -> dict:
+    rhos = budgets[0]
+    return {"closed": {key: _closed_average(key[1], rho, beta, plan.m_grid)
+                       for key, rho in rhos.items()},
+            "limit": {key: _limit_average(key[1], rho, beta)
+                      for key, rho in rhos.items()},
+            "mc": _mc_means(plan, cfg, drop, beta, budgets, plan.m_grid)}
 
 
-def _fig4a_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
-    allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    return {key: _limit_average(key[1], _rho_matrix(cfg, rho), beta_slice)
-            for key, rho in allocs.items()}
-
-
-def _fig4b_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    out = {"closed": {}, "asym": {}, "mc": {}}
-    mc_rhos = []
-    for p_db in plan.p_grid_db:
-        cfg_p = cfg.replace(P_total=10.0 ** (p_db / 10.0))
-        profile = ppa.eppa_profile(beta_slice, cfg_p.P_total, cfg_p.K)
-        allocs = _allocations(cfg_p, profile, plan.schemes, plan.methods)
-        combos = sorted(allocs)
-        rho_mats = {key: _rho_matrix(cfg_p, rho) for key, rho in allocs.items()}
-        for key, rho_mat in rho_mats.items():
-            out["closed"].setdefault(key, []).append(
-                _closed_average(key[1], rho_mat, beta_slice, cfg.M))
-        mc_rhos += [rho_mats[c] for c in combos]
+def _fig4b_values(plan, cfg, drop, beta, budgets) -> dict:
+    # the infinite-budget floor: flat split, or the allocator's limit groups
     delta = np.full((cfg.L, cfg.K), 1.0 / cfg.K)
-    for method in plan.methods:
-        groups = ppa.asymptotic_groups(method, delta, beta_slice, cfg)
-        for scheme in plan.schemes:
-            if scheme == "eppa":
-                out["asym"][(scheme, method)] = float(
-                    metrics.exp_rcee_eppa_floor(method, beta_slice).mean())
-            else:
-                out["asym"][(scheme, method)] = ppa.asymptotic_average(method, groups)
-    if plan.n_small > 0:
-        kernel = _mc_trials(cfg, drop, plan.n_small, beta_slice, mc_rhos,
-                            [m for _, m in combos] * len(plan.p_grid_db), (cfg.M,))
-        mc = sum(lam for _, _, lam in kernel) / plan.n_small
-        mc = mc.reshape(len(plan.p_grid_db), len(combos))
-        out["mc"] = {combo: mc[:, j] for j, combo in enumerate(combos)}
-    return out
+    groups = {m: ppa.asymptotic_groups(m, delta, beta, cfg) for m in METHODS}
+    limit = {(s, m): float(metrics.exp_rcee_eppa_floor(m, beta).mean()) if s == "eppa"
+             else ppa.asymptotic_average(m, groups[m]) for s, m in budgets[0]}
+    return {"closed": {key: [_closed_average(key[1], rhos[key], beta, cfg.M)
+                             for rhos in budgets] for key in budgets[0]},
+            "limit": limit, "mc": _mc_means(plan, cfg, drop, beta, budgets, (cfg.M,))}
 
 
-def _rates_for(cfg: SystemConfig, rho_mat, beta_slice, M):
-    """Cell rate summary at M antennas (an array of M gives arrays), or in
-    the large-antenna limit for ``M=None``."""
-    if M is None:
-        sinr = metrics.sinr_limit(rho_mat, beta_slice)
-    else:
-        sinr = metrics.sinr_closed(M, rho_mat, beta_slice, cfg.rho_u)
-    return metrics.rate_summary(metrics.achievable_rate(cfg, sinr))
+def _fig4a_values(plan, cfg, drop, beta, budgets) -> dict:
+    return {key: _limit_average(key[1], rho, beta) for key, rho in budgets[0].items()}
 
 
-def _fig5a_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
-    allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    return {key: _rates_for(cfg, _rho_matrix(cfg, rho), beta_slice, plan.m_grid).minimum
-            for key, rho in allocs.items()}
+def _fig5a_values(plan, cfg, drop, beta, budgets) -> dict:
+    """The worst user's rate at each antenna count of the grid."""
+    sinr = {key: metrics.sinr_closed(plan.m_grid, rho, beta, cfg.rho_u)
+            for key, rho in budgets[0].items()}
+    return {"closed": {key: metrics.rate_summary(metrics.achievable_rate(cfg, s)).minimum
+                       for key, s in sinr.items()}, "limit": None, "mc": None}
 
 
-def _fig5b_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
-    allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    return {key: _rates_for(cfg, _rho_matrix(cfg, rho), beta_slice, None).average
-            for key, rho in allocs.items()}
+def _fig5b_values(plan, cfg, drop, beta, budgets) -> dict:
+    """The users' average rate in the large-antenna limit."""
+    return {key: metrics.rate_summary(metrics.achievable_rate(
+                cfg, metrics.sinr_limit(rho, beta))).average
+            for key, rho in budgets[0].items()}
 
 
-def _validate_drop(args) -> dict:
-    plan, cfg, drop = args
-    real = _realization(cfg, drop)
-    beta_slice = real.target_slice
-    profile = ppa.eppa_profile(beta_slice, cfg.P_total, cfg.K)
-    allocs = _allocations(cfg, profile, plan.schemes, plan.methods)
-    combos = sorted(allocs)
-    rho_mats = {key: _rho_matrix(cfg, rho) for key, rho in allocs.items()}
-
-    n = plan.n_small
-    lam_trials = np.empty((len(combos), n))
-    channels = np.empty((n, *beta_slice.shape, cfg.M), dtype=complex)
-    estimates = np.empty((n, len(combos), cfg.K, cfg.M), dtype=complex)
-    kernel = _mc_trials(cfg, drop, n, beta_slice,
-                        [rho_mats[c] for c in combos], [m for _, m in combos],
-                        (cfg.M,))
-    for s, (ch, h_hat, lam) in enumerate(kernel):
-        channels[s] = ch.h
-        estimates[s] = h_hat
-        lam_trials[:, s] = lam[:, 0]
-
-    out = {"rcee": {}, "sinr": {}}
-    for c, combo in enumerate(combos):
-        scheme, method = combo
-        rho_mat = rho_mats[combo]
-        trials = lam_trials[c]
-        out["rcee"][combo] = (
-            float(trials.mean()),
-            float(trials.std(ddof=1) / np.sqrt(n)),
-            float(_closed_average(method, rho_mat, beta_slice, cfg.M)),
-            _limit_average(method, rho_mat, beta_slice),
-        )
+def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
+    """(mc_mean, mc_stderr, closed form, limit) of the error and the SINR."""
+    rho_mats = budgets[0]
+    n, C = plan.n_small, len(rho_mats)
+    lam = np.empty((C, n))
+    channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
+    estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
+    kernel = _mc_trials(cfg, drop, n, beta, list(rho_mats.values()),
+                        [m for _, m in rho_mats], (cfg.M,))
+    for s, (ch, h_hat, lam_s) in enumerate(kernel):
+        channels[s], estimates[s], lam[:, s] = ch.h, h_hat, lam_s[:, 0]
+    out = {"exp_rcee": {}, "sinr": {}}
+    for c, (combo, rho) in enumerate(rho_mats.items()):
+        method = combo[1]
+        out["exp_rcee"][combo] = (float(lam[c].mean()),
+                                  float(lam[c].std(ddof=1) / np.sqrt(n)),
+                                  float(_closed_average(method, rho, beta, cfg.M)),
+                                  _limit_average(method, rho, beta))
         emp = [empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u, k).sinr
                for k in range(cfg.K)]
-        closed = metrics.sinr_closed(cfg.M, rho_mat, beta_slice, cfg.rho_u)
-        lim = metrics.sinr_limit(rho_mat, beta_slice)
         out["sinr"][combo] = (float(np.mean(emp)), None,
-                              float(closed.mean()), float(lim.mean()))
+                              float(metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean()),
+                              float(metrics.sinr_limit(rho, beta).mean()))
     return out
-
-
-_DROP_BODIES = {
-    "fig3": _fig3_drop,
-    "fig4a": _fig4a_drop,
-    "fig4b": _fig4b_drop,
-    "fig5a": _fig5a_drop,
-    "fig5b": _fig5b_drop,
-    "validate": _validate_drop,
-}
 
 
 def _run_drop(args):
+    """The preamble of every drop, then its experiment's value function.
+
+    It draws the gains, then for each budget builds the interference
+    profile, every allocation and its (L, K) pilot powers: the flat P/K in
+    every other cell, the allocation in row 0.  fig4b sweeps one budget per
+    ``p_grid_db`` entry; every other experiment uses ``cfg.P_total``.  Each
+    budget's powers are keyed by (scheme, method) in sorted order, which is
+    the kernel's order.
+    """
     plan, cfg, gamma, drop = args
-    cfg_g = cfg.replace(Gamma=gamma)
-    return _DROP_BODIES[plan.experiment]((plan, cfg_g, drop))
+    cfg = cfg.replace(Gamma=gamma)
+    beta = _realization(cfg, drop).beta
+    budgets = []
+    for cfg_p in ([cfg.replace(P_total=10.0 ** (p_db / 10.0)) for p_db in plan.p_grid_db]
+                  if plan.experiment == "fig4b" else [cfg]):
+        profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
+        rhos = {}
+        for scheme, method in sorted((s, m) for s in plan.schemes for m in METHODS):
+            rho = np.full((cfg.L, cfg.K), cfg_p.P_total / cfg.K)
+            if scheme == "ppa":
+                rho[0] = ppa.ppa_allocate(method, profile, cfg_p).rho
+            elif scheme == "ref":
+                rho[0] = reference_solve(method, profile, cfg_p).x
+            rhos[(scheme, method)] = rho
+        budgets.append(rhos)
+    return _PER_EXPERIMENT[plan.experiment][0](plan, cfg, drop, beta, budgets)
 
 
 def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
@@ -548,80 +476,65 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
     if cfg.K < 2:
         raise ValueError("experiments need at least two users per cell")
     per_gamma = _map_tasks(plan, cfg)
-    rows: list[tuple] = []
-    combos = sorted((s, m) for s in plan.schemes for m in plan.methods)
+    combos = sorted((s, m) for s in plan.schemes for m in METHODS)
+    _, reduce, metric = _PER_EXPERIMENT[plan.experiment]
+    return reduce(plan, cfg, per_gamma, combos, metric)
 
-    if plan.experiment == "fig3":
-        for gamma in plan.gammas:
-            drops = per_gamma[gamma]
-            for scheme, method in combos:
-                for i, M in enumerate(plan.m_grid):
-                    closed = np.mean([d["closed"][(scheme, method)][i] for d in drops])
-                    limit = np.mean([d["limit"][(scheme, method)] for d in drops])
-                    if plan.n_small > 0:
-                        mc, se = _mean_stderr([d["mc"][(scheme, method)][i] for d in drops])
-                    else:
-                        mc, se = None, None
-                    rows.append(("fig3", "exp_rcee", gamma, method, scheme, M,
-                                 mc, se, float(closed), float(limit)))
-        return MetricReport("fig3", GRID_COLUMNS, tuple(rows))
 
-    if plan.experiment == "fig4a":
-        for gamma in plan.gammas:
-            drops = per_gamma[gamma]
-            for scheme, method in combos:
-                cdf = empirical_cdf([d[(scheme, method)] for d in drops])
-                for value, level in zip(*cdf.curve()):
-                    rows.append(("fig4a", "exp_rcee", gamma, method, scheme,
-                                 float(value), float(level)))
-        return MetricReport("fig4a", CDF_COLUMNS, tuple(rows))
-
-    if plan.experiment == "fig4b":
-        for gamma in plan.gammas:
-            drops = per_gamma[gamma]
-            for scheme, method in combos:
-                for i, p_db in enumerate(plan.p_grid_db):
-                    closed = np.mean([d["closed"][(scheme, method)][i] for d in drops])
-                    asym = np.mean([d["asym"][(scheme, method)] for d in drops])
-                    if plan.n_small > 0:
-                        mc, se = _mean_stderr([d["mc"][(scheme, method)][i] for d in drops])
-                    else:
-                        mc, se = None, None
-                    rows.append(("fig4b", "exp_rcee", gamma, method, scheme,
-                                 float(p_db), mc, se, float(closed), float(asym)))
-        return MetricReport("fig4b", GRID_COLUMNS, tuple(rows))
-
-    if plan.experiment == "fig5a":
-        for gamma in plan.gammas:
-            drops = per_gamma[gamma]
-            for scheme, method in combos:
-                for i, M in enumerate(plan.m_grid):
-                    closed = np.mean([d[(scheme, method)][i] for d in drops])
-                    rows.append(("fig5a", "rate_min", gamma, method, scheme, M,
-                                 None, None, float(closed), None))
-        return MetricReport("fig5a", GRID_COLUMNS, tuple(rows))
-
-    if plan.experiment == "fig5b":
-        for gamma in plan.gammas:
-            drops = per_gamma[gamma]
-            for scheme, method in combos:
-                cdf = empirical_cdf([d[(scheme, method)] for d in drops])
-                for value, level in zip(*cdf.curve()):
-                    rows.append(("fig5b", "rate_av", gamma, method, scheme,
-                                 float(value), float(level)))
-        return MetricReport("fig5b", CDF_COLUMNS, tuple(rows))
-
-    # validate: closed forms against Monte-Carlo at the configured M
+def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
+    """One row per (gamma, combo, x), averaged over drops in drop order.
+    A drop's "mc" or "limit" is None where its sweep has none."""
+    xs = ([float(p) for p in plan.p_grid_db] if plan.experiment == "fig4b"
+          else plan.m_grid)
+    rows = []
     for gamma in plan.gammas:
         drops = per_gamma[gamma]
-        for metric_name in ("rcee", "sinr"):
-            label = "exp_rcee" if metric_name == "rcee" else "sinr"
+        for combo in combos:
+            scheme, method = combo
+            limit = (None if drops[0]["limit"] is None
+                     else float(np.mean([d["limit"][combo] for d in drops])))
+            for i, x in enumerate(xs):
+                closed = np.mean([d["closed"][combo][i] for d in drops])
+                mc, se = ((None, None) if drops[0]["mc"] is None
+                          else _mean_stderr([d["mc"][combo][i] for d in drops]))
+                rows.append((plan.experiment, metric, gamma, method, scheme, x,
+                             mc, se, float(closed), limit))
+    return MetricReport(plan.experiment, GRID_COLUMNS, tuple(rows))
+
+
+def _cdf_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
+    """The empirical distribution over drops of each (gamma, combo) value."""
+    rows = []
+    for gamma in plan.gammas:
+        for scheme, method in combos:
+            cdf = empirical_cdf([d[(scheme, method)] for d in per_gamma[gamma]])
+            for value, level in zip(*cdf.curve()):
+                rows.append((plan.experiment, metric, gamma, method, scheme,
+                             float(value), float(level)))
+    return MetricReport(plan.experiment, CDF_COLUMNS, tuple(rows))
+
+
+def _validate_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
+    """Closed forms against Monte-Carlo at the configured M, one row per drop."""
+    rows = []
+    for gamma in plan.gammas:
+        for label in ("exp_rcee", "sinr"):
             for scheme, method in combos:
-                for d in drops:
-                    mc, se, closed, limit = d[metric_name][(scheme, method)]
+                for d in per_gamma[gamma]:
                     rows.append(("validate", label, gamma, method, scheme, cfg.M,
-                                 mc, se, closed, limit))
+                                 *d[label][(scheme, method)]))
     return MetricReport("validate", GRID_COLUMNS, tuple(rows))
+
+
+# experiment -> (values of one drop, reduction over drops, metric label)
+_PER_EXPERIMENT = {
+    "fig3": (_fig3_values, _grid_report, "exp_rcee"),
+    "fig4a": (_fig4a_values, _cdf_report, "exp_rcee"),
+    "fig4b": (_fig4b_values, _grid_report, "exp_rcee"),
+    "fig5a": (_fig5a_values, _grid_report, "rate_min"),
+    "fig5b": (_fig5b_values, _cdf_report, "rate_av"),
+    "validate": (_validate_values, _validate_report, None),
+}
 
 
 # ---------------------------------------------------------------------------

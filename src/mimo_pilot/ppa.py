@@ -29,15 +29,12 @@ ALPHA = 0.5
 class InterferenceProfile:
     """Per-user quantities the allocator needs, for one large-scale drop.
 
-    ``upsilon[k]`` is the contamination-plus-noise level of user k,
-    ``beta_target[k]`` the user's own gain at the serving BS, and
-    ``rho_other`` the fixed other-cell pilot powers that produced upsilon
-    (row 0 unused).
+    ``upsilon[k]`` is the contamination-plus-noise level of user k and
+    ``beta_target[k]`` the user's own gain at the serving BS.
     """
 
     upsilon: np.ndarray       # (K,)
     beta_target: np.ndarray   # (K,)
-    rho_other: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ups = np.asarray(self.upsilon, dtype=float)
@@ -69,7 +66,7 @@ class InterferenceProfile:
         if beta_slice.shape != rho_other.shape or beta_slice.ndim != 2:
             raise ValueError("beta_slice and rho_other must share an (L, K) shape")
         ups = np.einsum("lk,lk->k", rho_other[1:], beta_slice[1:]) + 1.0
-        return cls(upsilon=ups, beta_target=beta_slice[0].copy(), rho_other=rho_other)
+        return cls(upsilon=ups, beta_target=beta_slice[0].copy())
 
 
 def eppa_profile(beta_slice, P: float, K: int) -> InterferenceProfile:
@@ -271,7 +268,6 @@ class AsymptoticGroups:
     """
 
     method: str
-    delta: np.ndarray          # (L, K) other-cell power fractions, row 0 unused
     free: frozenset[int]
     at_min: frozenset[int]
     at_max: frozenset[int]
@@ -316,7 +312,6 @@ def asymptotic_groups(method: str, delta, beta_slice, cfg,
     varpi = float(ratio[list(alloc.free)].sum()) if alloc.free else 0.0
     return AsymptoticGroups(
         method=method,
-        delta=delta,
         free=alloc.free,
         at_min=alloc.at_min,
         at_max=alloc.at_max,

@@ -36,13 +36,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear quantity to dB."""
-    if value <= 0:
-        raise ValueError("dB conversion requires a positive value")
-    return 10.0 * math.log10(value)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the multi-cell uplink.
@@ -197,11 +190,6 @@ class SystemConfig:
             raise ConfigurationError(f"{path}: missing required keys {sorted(missing)}")
         return cls(**values)  # type: ignore[arg-type]
 
-    def to_file(self, path: str | Path) -> None:
-        """Write every field as a ``key = value`` line."""
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class CellLayout:
@@ -301,76 +289,57 @@ def sample_shadowing(sigma_sh: float, size, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class LargeScaleRealization:
-    """Large-scale gains beta[j, l, k]: user k of cell l seen by BS j.
+    """Large-scale gains beta[l, k]: user k of cell l seen by the target BS.
 
-    Only the target-cell slice beta[0] is consulted by the estimation and
-    allocation code; the full tensor is kept so a realization is
-    self-contained.  ``positions`` is None for table-born realizations.
+    ``positions`` is None for table-born realizations.
     """
 
-    beta: np.ndarray  # (L, L, K)
+    beta: np.ndarray  # (L, K)
     positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         b = np.asarray(self.beta, dtype=float)
-        if b.ndim != 3 or b.shape[0] != b.shape[1]:
-            raise ValueError("beta must have shape (L, L, K)")
+        if b.ndim != 2:
+            raise ValueError("beta must have shape (L, K)")
         if not np.all(np.isfinite(b)) or np.any(b <= 0):
             raise ValueError("large-scale gains must be positive and finite")
         object.__setattr__(self, "beta", b)
 
-    @property
-    def num_cells(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.beta.shape[2]
-
-    @property
-    def target_slice(self) -> np.ndarray:
-        """Gains (L, K) toward the target base station."""
-        return self.beta[0]
-
 
 def large_scale(cfg: SystemConfig, layout: CellLayout, positions: np.ndarray,
                 rng: np.random.Generator) -> LargeScaleRealization:
-    """Compute the large-scale gain tensor for one user drop.
+    """Compute the large-scale gains toward the target BS for one user drop.
 
-    beta[j, l, k] = z / (1 + (d/r_min)^gamma_pl) with d the distance from
-    user (l, k) to BS j and z an i.i.d. log-normal shadowing gain.  With
-    sigma_sh = 0 the gains are a deterministic function of geometry.
+    beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d the distance from
+    user (l, k) to the target BS at the origin and z an i.i.d. log-normal
+    shadowing gain.  With sigma_sh = 0 the gains are a deterministic
+    function of geometry.
     """
     positions = np.asarray(positions, dtype=float)
     L = layout.num_cells
     if positions.shape != (L, cfg.K, 2):
         raise ValueError(f"positions must have shape ({L}, {cfg.K}, 2)")
-    # distances: BS j at centers[j], user (l, k) at positions[l, k]
-    diff = positions[None, :, :, :] - layout.centers[:, None, None, :]
+    diff = positions - layout.centers[0]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    z = sample_shadowing(cfg.sigma_sh, (L, L, cfg.K), rng)
+    z = sample_shadowing(cfg.sigma_sh, (L, cfg.K), rng)
     beta = z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
     return LargeScaleRealization(beta=beta, positions=positions)
 
 
-def save_beta_fixture(real: LargeScaleRealization, path: str | Path, cell: int = 0) -> None:
-    """Write one target-cell slice of the gain tensor as CSV.
+def save_beta_fixture(real: LargeScaleRealization, path: str | Path) -> None:
+    """Write the gains toward the target BS as CSV.
 
     Header row is ``user_1,...,user_K``; each of the L data rows gives the
-    gains from that cell's users toward base station ``cell``.
+    gains from that cell's users.
     """
-    b = real.beta[cell]
+    b = real.beta
     header = ",".join(f"user_{k + 1}" for k in range(b.shape[1]))
     rows = [",".join(repr(float(v)) for v in row) for row in b]
     Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
 def load_beta_fixture(path: str | Path) -> LargeScaleRealization:
-    """Load a target-cell gain slice saved by :func:`save_beta_fixture`.
-
-    The slice is replicated across the target-cell axis so the result is a
-    well-formed (L, L, K) realization; code only ever reads slice 0.
-    """
+    """Load the (L, K) gains saved by :func:`save_beta_fixture`."""
     text = Path(path).read_text()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -395,6 +364,4 @@ def load_beta_fixture(path: str | Path) -> LargeScaleRealization:
     if not 1 <= slab.shape[0] <= MAX_CELLS:
         raise FixtureFormatError(
             f"{path}: needs 1 to {MAX_CELLS} cell rows, got {slab.shape[0]}")
-    L = slab.shape[0]
-    beta = np.broadcast_to(slab, (L, L, K)).copy()
-    return LargeScaleRealization(beta=beta, positions=None)
+    return LargeScaleRealization(beta=slab)

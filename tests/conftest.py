@@ -31,8 +31,7 @@ def table_cfg():
 
 @pytest.fixture
 def table_realization(table_beta):
-    beta = np.broadcast_to(table_beta[None], (7, 7, 3)).copy()
-    return LargeScaleRealization(beta=beta)
+    return LargeScaleRealization(beta=table_beta)
 
 
 @pytest.fixture

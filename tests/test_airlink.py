@@ -65,11 +65,6 @@ class TestSampleChannels:
         assert a.num_antennas == 16
         assert np.array_equal(a.h, b.h)
 
-    def test_accepts_realization_object(self, table_realization, table_beta):
-        a = sample_channels(table_realization, 4, np.random.default_rng(9))
-        b = sample_channels(table_beta, 4, np.random.default_rng(9))
-        assert np.array_equal(a.h, b.h)
-
     def test_per_entry_variance_tracks_gain(self):
         beta = np.array([[4.0, 0.25], [1.0, 9.0]])
         ch = sample_channels(beta, 40000, np.random.default_rng(1))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mimo_pilot import (EmpiricalCdf, ExperimentPlan, MetricReport,
-                        bench_allocators, default_config, empirical_cdf,
-                        ks_distance, plan_for, run_experiment, seed_schedule)
+from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
+                        MetricReport, bench_allocators, default_config,
+                        empirical_cdf, ks_distance, plan_for, run_experiment,
+                        seed_schedule)
 from mimo_pilot.airlink import pilot_phase, sample_channels
 from mimo_pilot.estimators import LS, MMSE, estimate_ls, estimate_mmse
 from mimo_pilot.harness import _mc_trials, _mean_stderr, _worker_count
@@ -87,7 +90,6 @@ class TestExperimentPlan:
     def test_minimal_plan(self):
         plan = ExperimentPlan(experiment="fig4a", gammas=(1, 7))
         assert plan.schemes == ("ppa", "eppa")
-        assert plan.methods == (LS, MMSE)
 
     @pytest.mark.parametrize("kwargs", [
         dict(experiment="fig9", gammas=(1,)),
@@ -100,7 +102,7 @@ class TestExperimentPlan:
         dict(experiment="fig4a", gammas=(1,), n_large=0),
         dict(experiment="fig4a", gammas=(1,), n_small=-1),
         dict(experiment="fig4a", gammas=(1,), schemes=("mrc",)),
-        dict(experiment="fig4a", gammas=(1,), methods=("zf",)),
+        dict(experiment="fig5a", gammas=(1,)),
         dict(experiment="fig4a", gammas=(1,), jobs=0),
     ])
     def test_rejects_invalid(self, kwargs):
@@ -156,11 +158,6 @@ class TestMetricReport:
         assert report.select(gamma=3, scheme="ppa") == [(3, "ppa", 8, 0.6)]
         assert report.select(scheme="ref") == []
 
-    def test_column(self):
-        report = self.report()
-        assert report.column("y") == [0.5, 0.7, 0.6]
-        assert report.column("y", report.select(gamma=1)) == [0.5, 0.7]
-
 
 def test_mean_stderr():
     mean, se = _mean_stderr([5.0])
@@ -189,7 +186,7 @@ class TestRunExperimentFig3:
                                      "closed_form", "asymptote")
         # 1 gamma x 2 schemes x 2 methods x 2 antenna counts
         assert len(tiny_fig3.rows) == 8
-        assert set(tiny_fig3.column("x")) == {8, 32}
+        assert {row[5] for row in tiny_fig3.rows} == {8, 32}
 
     def test_allocator_never_loses_to_flat_split(self, tiny_fig3):
         for method in (LS, MMSE):
@@ -234,6 +231,19 @@ class TestRunExperimentFig4a:
                 assert levels == pytest.approx(np.arange(1, 7) / 6.0)
 
 
+def test_fig5a_rows_hold_the_worst_rate_only(tiny_cfg):
+    # fig5a is closed-form even when trials are asked for: no Monte-Carlo
+    # columns and no asymptote
+    plan = plan_for("fig5a", gammas=(1,), n_large=2, n_small=3)
+    report = run_experiment(dataclasses.replace(plan, m_grid=(8, 32)), tiny_cfg)
+    assert report.columns == GRID_COLUMNS
+    assert len(report.rows) == 2 * 2 * 2
+    for row in report.rows:
+        assert row[1] == "rate_min"
+        assert (row[6], row[7], row[9]) == (None, None, None)
+        assert row[8] > 0.0
+
+
 class TestRunExperimentValidate:
     def test_single_drop_report(self, tiny_cfg):
         plan = plan_for("validate", n_small=300)
@@ -254,13 +264,35 @@ class TestRunExperimentValidate:
 
 
 def test_jobs_do_not_change_results(tiny_cfg):
-    # fig4a's 15 tasks go to 2 workers in chunks of 2, the last one short
-    for experiment, gammas, n_large in (("fig5b", (1,), 4), ("fig4a", (1, 3, 7), 5)):
-        serial = plan_for(experiment, gammas=gammas, n_large=n_large)
-        parallel = plan_for(experiment, gammas=gammas, n_large=n_large, jobs=2)
+    # fig4a's 15 tasks go to 2 workers in chunks of 2, the last one short;
+    # validate runs one drop per gamma, so three gammas make a pool of 2
+    for experiment, kwargs in (("fig5b", dict(gammas=(1,), n_large=4)),
+                               ("fig4a", dict(gammas=(1, 3, 7), n_large=5)),
+                               ("fig5a", dict(gammas=(1, 3), n_large=3)),
+                               ("validate", dict(gammas=(1, 3, 7), n_small=20))):
+        serial = plan_for(experiment, **kwargs)
+        parallel = plan_for(experiment, jobs=2, **kwargs)
         a = run_experiment(serial, tiny_cfg)
         b = run_experiment(parallel, tiny_cfg)
         assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("p_grid_db", [(40.0,), (30.0, 40.0, 50.0)])
+def test_fig3_and_fig4b_share_the_drop_preamble(p_grid_db):
+    # fig3 at the configured antenna count and fig4b's rows at the
+    # configured 40 dB budget must draw, allocate and estimate alike, also
+    # when that budget is stacked between others in the kernel
+    cfg = default_config("fig3", seed=0)
+    assert cfg.P_total == 10.0 ** (40.0 / 10.0)
+    fig3 = plan_for("fig3", gammas=(1, 3), n_large=2, n_small=5)
+    fig3 = dataclasses.replace(fig3, m_grid=(cfg.M,))
+    fig4b = plan_for("fig4b", gammas=(1, 3), n_large=2, n_small=5)
+    fig4b = dataclasses.replace(fig4b, p_grid_db=p_grid_db)
+    a = run_experiment(fig3, cfg).rows
+    b = run_experiment(fig4b, cfg).select(x=40.0)
+    assert len(a) == len(b) == 2 * 2 * 2
+    # every column but the experiment, the sweep variable and the asymptote
+    assert [r[1:5] + r[6:9] for r in a] == [r[1:5] + r[6:9] for r in b]
 
 
 @pytest.mark.parametrize("experiment, kwargs", [

@@ -36,8 +36,10 @@ class TestInterferenceProfile:
         prof = table_profile(table_beta)
         assert prof.upsilon == pytest.approx([23.8, 138.5, 58.2], rel=1e-12)
         # row 0 is the cell being allocated; its powers play no role
-        assert prof.rho_other[0] == pytest.approx(0.0)
-        assert prof.rho_other[1:] == pytest.approx(1000.0)
+        rho_other = np.full((7, 3), 1000.0)
+        rho_other[0] = [5.0, 0.0, 7e9]
+        direct = InterferenceProfile.from_scenario(table_beta, rho_other)
+        assert np.array_equal(direct.upsilon, prof.upsilon)
 
     def test_weight(self):
         prof = InterferenceProfile(upsilon=np.array([6.0, 8.0]),
@@ -174,7 +176,7 @@ class TestPpaAllocate:
         # fig4a's drop 2 at gamma=1 and 40 dB: pinning the worst violator
         # one pass at a time stopped at 3.3595, above the optimum
         cfg = default_config(seed=0).replace(Gamma=1)
-        prof = eppa_profile(_realization(cfg, 2).target_slice, cfg.P_total, cfg.K)
+        prof = eppa_profile(_realization(cfg, 2).beta, cfg.P_total, cfg.K)
         ref = reference_solve(LS, prof, cfg)
         assert ref.converged
         value = objective_value(LS, ppa_allocate(LS, prof, cfg).rho, prof, cfg.M)
@@ -395,8 +397,7 @@ class TestExpRceeAsymptotic:
                        at_max=frozenset())
         members[pinned] = frozenset({0})
         return AsymptoticGroups(
-            method=method, delta=np.array([[0.0], [0.5]]),
-            alpha=0.5, mu=mu, beta_target=np.array([1.0]),
+            method=method, alpha=0.5, mu=mu, beta_target=np.array([1.0]),
             interference=np.array([0.05]),
             psi=np.array([np.sqrt(0.05)]), phi=np.array([0.05]),
             varphi=1.0, varpi=0.0, **members)

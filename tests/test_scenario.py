@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,12 @@ import pytest
 
 from mimo_pilot import (CellLayout, ConfigurationError, FixtureFormatError,
                         SystemConfig, attenuation, build_layout, db_to_linear,
-                        drop_users, in_hexagon, large_scale, linear_to_db,
-                        load_beta_fixture, sample_hexagon, sample_shadowing,
-                        save_beta_fixture)
+                        drop_users, in_hexagon, large_scale, load_beta_fixture,
+                        sample_hexagon, sample_shadowing, save_beta_fixture)
 
 
 def test_db_round_trip():
     assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)
-    assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-12)
     assert db_to_linear(0.0) == 1.0
 
 
@@ -79,7 +78,8 @@ class TestSystemConfig:
         cfg = SystemConfig(K=4, M=32, P_total=2.0e3, mu=2.0, Gamma=3,
                            rho_u=50.0, seed=11)
         path = tmp_path / "sim.cfg"
-        cfg.to_file(path)
+        path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                                for f in dataclasses.fields(cfg)))
         assert SystemConfig.from_file(path) == cfg
 
     def test_from_file_parses_comments_and_blanks(self, tmp_path):
@@ -205,31 +205,46 @@ class TestShadowing:
         assert db.std() == pytest.approx(8.0, rel=0.02)
 
 
+def _full_tensor_slice(cfg, layout, positions, rng):
+    """Gains toward the target BS as slice 0 of a full (BS, cell, user) draw."""
+    L = layout.num_cells
+    diff = positions[None, :, :, :] - layout.centers[:, None, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    z = sample_shadowing(cfg.sigma_sh, (L, L, cfg.K), rng)
+    return (z * attenuation(dist, cfg.r_min, cfg.gamma_pl))[0]
+
+
 class TestLargeScale:
     def test_matches_manual_formula_without_shadowing(self):
         cfg = SystemConfig(K=2, M=2, P_total=10.0, L=3, sigma_sh=0.0)
         layout = build_layout(cfg)
         pos = drop_users(cfg, layout, np.random.default_rng(3))
         real = large_scale(cfg, layout, pos, np.random.default_rng(4))
-        assert real.beta.shape == (3, 3, 2)
-        for j in range(3):
-            for l in range(3):
-                for k in range(2):
-                    d = np.hypot(*(pos[l, k] - layout.centers[j]))
-                    assert real.beta[j, l, k] == pytest.approx(
-                        attenuation(d, cfg.r_min, cfg.gamma_pl), rel=1e-12)
+        assert real.beta.shape == (3, 2)
+        for l in range(3):
+            for k in range(2):
+                d = np.hypot(*(pos[l, k] - layout.centers[0]))
+                assert real.beta[l, k] == pytest.approx(
+                    attenuation(d, cfg.r_min, cfg.gamma_pl), rel=1e-12)
 
-    def test_target_slice_view(self):
-        cfg = SystemConfig(K=2, M=2, P_total=10.0, L=2)
-        layout = build_layout(cfg)
-        pos = drop_users(cfg, layout, np.random.default_rng(1))
-        real = large_scale(cfg, layout, pos, np.random.default_rng(2))
-        assert np.array_equal(real.target_slice, real.beta[0])
+    def test_gains_equal_slice_zero_of_the_full_tensor(self):
+        for gamma in (1, 3, 7):
+            cfg = SystemConfig(K=10, M=2, P_total=10.0, Gamma=gamma)
+            layout = build_layout(cfg)
+            for seed in range(5):
+                pos = drop_users(cfg, layout, np.random.default_rng(seed))
+                real = large_scale(cfg, layout, pos, np.random.default_rng(100 + seed))
+                full = _full_tensor_slice(cfg, layout, pos,
+                                          np.random.default_rng(100 + seed))
+                assert np.array_equal(real.beta, full)
 
     def test_rejects_nonpositive_beta(self):
+        from mimo_pilot import LargeScaleRealization
+
         with pytest.raises(ValueError):
-            from mimo_pilot import LargeScaleRealization
-            LargeScaleRealization(beta=np.zeros((2, 2, 2)))
+            LargeScaleRealization(beta=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"\(L, K\)"):
+            LargeScaleRealization(beta=np.ones((2, 2, 2)))
 
 
 class TestBetaFixture:
@@ -237,7 +252,7 @@ class TestBetaFixture:
         path = tmp_path / "beta.csv"
         save_beta_fixture(table_realization, path)
         loaded = load_beta_fixture(path)
-        assert np.array_equal(loaded.target_slice, table_realization.target_slice)
+        assert np.array_equal(loaded.beta, table_realization.beta)
 
     def test_header_names_users(self, table_fixture_path):
         header = table_fixture_path.read_text().splitlines()[0]
