@@ -14,7 +14,11 @@ drops (a grid, a distribution, or the validate rows).
 Every Monte-Carlo sweep runs through one kernel, :func:`_mc_trials`: one
 channel draw and one pilot-noise draw per trial serve every allocation,
 method, budget and antenna prefix of the drop, so all curves see common
-randomness.
+randomness.  fig3 and fig4b feed it two rows of gains per user, the
+target channel and the sum of the other cells' channels
+(:func:`_collapse_cells`), because every other cell sends the flat P/K
+and the estimates depend on those cells through that sum alone;
+validate feeds it every cell, because its SINR needs each channel.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ class ExperimentPlan:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if not self.gammas or any(g not in REUSE_FACTORS for g in self.gammas):
             raise ValueError(f"gammas must be drawn from {REUSE_FACTORS}")
+        if len(set(self.gammas)) != len(self.gammas):
+            raise ValueError("gammas must not repeat a reuse factor")
         if any(m < 2 for m in self.m_grid):
             raise ValueError("antenna counts must be at least 2")
         if list(self.m_grid) != sorted(set(self.m_grid)):
@@ -244,15 +250,18 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
                rho_stack, methods, m_values):
     """Monte-Carlo kernel: one drop's trials for C allocations at once.
 
-    ``rho_stack[c]`` (L, K) is estimated with ``methods[c]``.  Each trial
-    draws one channel at the largest of the increasing ``m_values`` and
-    one pilot-noise block; both serve every allocation and antenna prefix
-    (length-m estimates are the first m rows of the full ones), so every
-    curve sees common randomness.  Yields ``(channel, h_hat, lam)`` in
-    trial order: the (C, K, M) estimates, overwritten by the next trial,
-    and the (C, len(m_values)) user-averaged relative errors.  The
-    arithmetic is that of pilot_phase -> estimate_ls / estimate_mmse ->
-    metrics.rcee_prefix_samples, so every value matches it bit for bit.
+    ``rho_stack[c]`` (L, K) is estimated with ``methods[c]``.  The L rows
+    of ``beta_slice`` are the channels the pilots superimpose: every cell,
+    or the two rows of :func:`_collapse_cells`; row 0 is the target cell.
+    Each trial draws one channel at the largest of the increasing
+    ``m_values`` and one pilot-noise block; both serve every allocation
+    and antenna prefix (length-m estimates are the first m rows of the
+    full ones), so every curve sees common randomness.  Yields
+    ``(channel, h_hat, lam)`` in trial order: the (C, K, M) estimates,
+    overwritten by the next trial, and the (C, len(m_values))
+    user-averaged relative errors.  The arithmetic is that of pilot_phase
+    -> estimate_ls / estimate_mmse -> metrics.rcee_prefix_samples, so
+    every value matches it bit for bit.
 
     The pilot weights, the 1/sqrt(rho_0k) normalisation and the MMSE
     shrinkage are real, and a real factor scales re and im alike, so each
@@ -324,18 +333,42 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
         yield ch, h_hat, lam
 
 
+def _collapse_cells(beta, rho_stack):
+    """Two-row gains and powers with the estimates' law of all L cells.
+
+    Under the identity pilot book user k's estimate sees the other cells
+    only through sum_l sqrt(rho_lk) h_lk.  When every allocation gives
+    each other cell the same power rho_other_k, that sum is
+    sqrt(rho_other_k) S_k with S_k = sum_{l>=1} h_lk ~ CN(0, sum_{l>=1}
+    beta_lk I).  Returns the (2, K) gains (beta_0, sum_{l>=1} beta_l) and
+    the (C, 2, K) powers (rho_0, rho_other); raises ``ValueError`` unless
+    rows l >= 1 of every (L, K) allocation in ``rho_stack`` are equal.
+    """
+    rho_stack = np.asarray(rho_stack, dtype=float)
+    other = rho_stack[:, 1:]
+    if np.any(other != other[:, :1]):
+        raise ValueError("collapsing the cells needs one power per user "
+                         "in every other cell")
+    if len(beta) <= 2:  # at most one other cell: nothing to sum
+        return beta, rho_stack
+    return np.stack([beta[0], beta[1:].sum(axis=0)]), rho_stack[:, :2]
+
+
 def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
               m_values) -> dict | None:
     """Monte-Carlo mean error of every allocation, or None without trials.
 
     All budgets' allocations share one kernel run, stacked budget-major;
-    each (scheme, method) gets its means over budgets x ``m_values``.
+    each (scheme, method) gets its means over budgets x ``m_values``.  The
+    kernel draws the collapsed cells of :func:`_collapse_cells`: two
+    channel rows per user in place of L, with the same law of every
+    estimate and error.
     """
     if plan.n_small == 0:
         return None
     combos = list(budgets[0])
-    kernel = _mc_trials(cfg, drop, plan.n_small, beta,
-                        [rhos[c] for rhos in budgets for c in combos],
+    gains, powers = _collapse_cells(beta, [rhos[c] for rhos in budgets for c in combos])
+    kernel = _mc_trials(cfg, drop, plan.n_small, gains, powers,
                         [m for _, m in combos] * len(budgets), m_values)
     mc = sum(lam for _, _, lam in kernel) / plan.n_small
     mc = mc.reshape(len(budgets), len(combos), len(m_values))

@@ -289,13 +289,9 @@ def sample_shadowing(sigma_sh: float, size, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class LargeScaleRealization:
-    """Large-scale gains beta[l, k]: user k of cell l seen by the target BS.
-
-    ``positions`` is None for table-born realizations.
-    """
+    """Large-scale gains beta[l, k]: user k of cell l seen by the target BS."""
 
     beta: np.ndarray  # (L, K)
-    positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         b = np.asarray(self.beta, dtype=float)
@@ -323,7 +319,7 @@ def large_scale(cfg: SystemConfig, layout: CellLayout, positions: np.ndarray,
     dist = np.hypot(diff[..., 0], diff[..., 1])
     z = sample_shadowing(cfg.sigma_sh, (L, cfg.K), rng)
     beta = z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
-    return LargeScaleRealization(beta=beta, positions=positions)
+    return LargeScaleRealization(beta=beta)
 
 
 def save_beta_fixture(real: LargeScaleRealization, path: str | Path) -> None:

@@ -267,6 +267,50 @@ def test_acceptance_08_figure_sweeps_desk_scale():
                f"{ks[7]:.2f}, fig5b gap {rel:.2%}, {elapsed:.0f}s")
 
 
+@pytest.fixture(scope="module")
+def desk_mc_sweeps():
+    """The desk fig3 and fig4b reports at seed 0, swept once for the module."""
+    cfg = default_config("fig3", seed=0)
+    return {fig: run_experiment(plan_for(fig), cfg) for fig in ("fig3", "fig4b")}
+
+
+def test_abstract_claims_on_desk_fig4b(desk_mc_sweeps):
+    # At 80 dB the LS/MMSE gap of the allocator shrinks as the reuse factor
+    # grows (LS approaches MMSE at large FRF and budget), and the MMSE gain
+    # of PPA over the flat split grows with it (it matters at large FRF).
+    fig4b = desk_mc_sweeps["fig4b"]
+    gammas = (1, 3, 7)
+    for column in ("closed_form", "mc_mean"):
+        i = fig4b.columns.index(column)
+
+        def at_80db(gamma, method, scheme):
+            return fig4b.select(gamma=gamma, method=method, scheme=scheme,
+                                x=80.0)[0][i]
+
+        ls_over_mmse = [at_80db(g, LS, "ppa") / at_80db(g, MMSE, "ppa")
+                        for g in gammas]
+        eppa_over_ppa = [at_80db(g, MMSE, "eppa") / at_80db(g, MMSE, "ppa")
+                         for g in gammas]
+        assert ls_over_mmse[0] > ls_over_mmse[1] > ls_over_mmse[2], column
+        assert eppa_over_ppa[0] < eppa_over_ppa[1] < eppa_over_ppa[2], column
+
+
+# |mc_mean - closed_form| / mc_stderr reached at most 0.186 over every
+# desk fig3 and fig4b row at seeds 0-9 (mc_stderr is the spread over
+# drops, so it also holds the drops' spread of the closed form); the bound
+# is twice that, rounded up.
+MC_STDERR_BOUND = 0.4
+
+
+def test_monte_carlo_means_sit_on_the_closed_forms(desk_mc_sweeps):
+    for report in desk_mc_sweeps.values():
+        idx = {c: i for i, c in enumerate(report.columns)}
+        for row in report.rows:
+            mc, se, closed = (row[idx["mc_mean"]], row[idx["mc_stderr"]],
+                              row[idx["closed_form"]])
+            assert abs(mc - closed) <= MC_STDERR_BOUND * se, row
+
+
 def test_acceptance_09_deterministic_reruns(tmp_path):
     args = ["figure", "fig4b", "--gamma", "3", "--drops", "3", "--trials", "5",
             "--seed", "11"]

@@ -47,6 +47,12 @@ class TestUsageErrors:
         assert main(["figure", "fig4a", "--gamma", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_gamma(self, capsys):
+        assert main(["figure", "fig4a", "--gamma", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "repeat" in captured.err
+
 
 class TestFixtureCheck:
     def test_ok_line(self, table_fixture_path, capsys):

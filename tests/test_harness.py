@@ -7,9 +7,11 @@ from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         MetricReport, bench_allocators, default_config,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
+from mimo_pilot import ppa
 from mimo_pilot.airlink import pilot_phase, sample_channels
-from mimo_pilot.estimators import LS, MMSE, estimate_ls, estimate_mmse
-from mimo_pilot.harness import _mc_trials, _mean_stderr, _worker_count
+from mimo_pilot.estimators import LS, METHODS, MMSE, estimate_ls, estimate_mmse
+from mimo_pilot.harness import (_collapse_cells, _mc_trials, _mean_stderr,
+                                _realization, _worker_count)
 from mimo_pilot.metrics import rcee_prefix_samples
 from mimo_pilot.scenario import SystemConfig
 
@@ -95,6 +97,7 @@ class TestExperimentPlan:
         dict(experiment="fig9", gammas=(1,)),
         dict(experiment="fig4a", gammas=()),
         dict(experiment="fig4a", gammas=(2,)),
+        dict(experiment="fig4a", gammas=(1, 3, 1)),
         dict(experiment="fig3", gammas=(1,), m_grid=(8, 4)),
         dict(experiment="fig3", gammas=(1,), m_grid=(1, 8)),
         dict(experiment="fig3", gammas=(1,)),
@@ -134,6 +137,11 @@ class TestPlanFor:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             plan_for("fig1")
+
+    def test_repeated_reuse_factor(self):
+        # a repeated factor would run and emit every one of its rows twice
+        with pytest.raises(ValueError, match="repeat"):
+            plan_for("fig4a", gammas=(1, 1))
 
 
 def test_default_config_profiles():
@@ -365,6 +373,60 @@ class TestMonteCarloKernel:
         cfg, beta, rho_stack, methods = drop
         with pytest.raises(ValueError, match="increasing"):
             next(_mc_trials(cfg, 0, 2, beta, rho_stack, methods, m_values))
+
+
+class TestCollapsedCells:
+    """fig3/fig4b draw (h_0k, sum_{l>=1} h_lk) in place of every cell."""
+
+    def test_two_rows_of_gains_and_powers(self, table_beta):
+        rho = np.full((2, *table_beta.shape), 1000.0)
+        rho[0, 0] = [500.0, 1500.0, 1000.0]
+        rho[1, 1:] = 700.0
+        gains, powers = _collapse_cells(table_beta, rho)
+        assert np.array_equal(gains, [table_beta[0], table_beta[1:].sum(axis=0)])
+        assert np.array_equal(powers, rho[:, :2])
+
+    def test_rejects_other_cells_one_ulp_apart(self, table_beta):
+        rho = np.full((3, *table_beta.shape), 1000.0)
+        rho[1, 4, 2] = np.nextafter(1000.0, np.inf)
+        with pytest.raises(ValueError, match="other cell"):
+            _collapse_cells(table_beta, rho)
+
+    # Fixed before any run: 2,000 trials a side, the full draw under root
+    # seed 1 and the collapsed one under root seed 2 (one shared seed would
+    # give both sides the same target-cell normals), and a family-wise
+    # level of 1% over the 3 x 2 x 3 = 18 (gamma, method, M) comparisons.
+    N_TRIALS = 2000
+    SEEDS = {"full": 1, "collapsed": 2}
+    M_VALUES = (8, 64, 512)
+    KS_ALPHA = 0.01 / 18
+
+    @pytest.mark.parametrize("gamma", [1, 3, 7])
+    def test_collapsed_draw_keeps_the_law_of_the_full_draw(self, gamma):
+        # the kernel's per-trial user-averaged errors of one validate-config
+        # drop with its ppa powers: all L cells against the two-row draw
+        cfg = default_config("validate", seed=0).replace(Gamma=gamma)
+        beta = _realization(cfg, 0).beta
+        profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
+        rho_stack = np.full((len(METHODS), cfg.L, cfg.K), cfg.P_total / cfg.K)
+        for c, method in enumerate(METHODS):
+            rho_stack[c, 0] = ppa.ppa_allocate(method, profile, cfg).rho
+        n = self.N_TRIALS
+        sides = {"full": (beta, rho_stack),
+                 "collapsed": _collapse_cells(beta, rho_stack)}
+        lam = {side: np.array([lam for _, _, lam in _mc_trials(
+                   cfg.replace(seed=self.SEEDS[side]), 0, n, gains, powers,
+                   METHODS, self.M_VALUES)])
+               for side, (gains, powers) in sides.items()}
+        # asymptotic two-sample critical value c(alpha) sqrt(2 / n)
+        critical = np.sqrt(-np.log(self.KS_ALPHA / 2.0) / 2.0) * np.sqrt(2.0 / n)
+        for c, method in enumerate(METHODS):
+            for i, m in enumerate(self.M_VALUES):
+                a, b = lam["full"][:, c, i], lam["collapsed"][:, c, i]
+                ks = ks_distance(empirical_cdf(a), empirical_cdf(b))
+                assert ks < critical, (method, m, ks, critical)
+                se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
+                assert abs(a.mean() - b.mean()) <= 3.0 * se, (method, m)
 
 
 def test_unconverged_reference_warns_and_keeps_bytes(tiny_cfg, request):
