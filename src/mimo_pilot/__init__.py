@@ -23,10 +23,9 @@ from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
                       exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
                       rcee_prefix_samples, rcee_sample, sinr_closed,
                       sinr_limit, upsilon)
-from .ppa import (ALPHA, AsymptoticGroups, InterferenceProfile,
-                  PilotAllocation, asymptotic_average, asymptotic_groups,
-                  eppa_profile, exp_rcee_asymptotic, make_objective,
-                  objective_value, ppa_allocate, unconstrained_optimum)
+from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
+                  exp_rcee_asymptotic, make_objective, objective_value,
+                  ppa_allocate, unconstrained_optimum)
 from .refsolver import ConstrainedProblem, SolveResult, project_bounded_simplex, solve
 from .scenario import (CellLayout, ConfigurationError, FixtureFormatError,
                        LargeScaleRealization, SystemConfig, attenuation,
@@ -38,15 +37,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
-    "MMSE", "AsymptoticGroups", "CellLayout", "ChannelEstimate",
+    "MMSE", "CellLayout", "ChannelEstimate",
     "ChannelRealization", "ConfigurationError", "ConstrainedProblem",
     "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
     "InterferenceProfile", "LargeScaleRealization", "MetricReport",
     "PilotAllocation", "PilotObservation", "RateSummary", "SinrMoments",
     "SolveResult", "SystemConfig",
-    "achievable_rate", "asymptotic_average", "asymptotic_groups",
-    "attenuation", "bench_allocators", "build_layout", "check_method",
-    "complex_normal",
+    "achievable_rate", "attenuation", "bench_allocators", "build_layout",
+    "check_method", "complex_normal",
     "db_to_linear", "default_config", "drop_users", "empirical_cdf",
     "empirical_sinr_terms", "eppa_profile", "estimate_ls", "estimate_mmse",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",

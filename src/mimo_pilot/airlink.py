@@ -36,16 +36,6 @@ class ChannelRealization:
 
     h: np.ndarray  # (L, K, M) complex
 
-    @property
-    def num_antennas(self) -> int:
-        return self.h.shape[2]
-
-
-def _stacked(items, attr: str) -> np.ndarray:
-    if isinstance(items, np.ndarray):
-        return items
-    return np.stack([getattr(item, attr) for item in items])
-
 
 def sample_channels(beta, M: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw h[l, k] ~ CN(0, beta[l, k] * I_M) for every user.
@@ -85,10 +75,6 @@ class PilotObservation:
     rho: np.ndarray     # (L, K) pilot powers, target cell is row 0
     book: np.ndarray    # (K, tau) orthonormal sequences
 
-    @property
-    def num_antennas(self) -> int:
-        return self.y.shape[0]
-
 
 def pilot_phase(ch: ChannelRealization, rho, tau: int,
                 noise_rng: np.random.Generator | None) -> PilotObservation:
@@ -126,8 +112,6 @@ class SinrMoments:
     cross_energy: np.ndarray  # (L, K)
     filter_energy: float
     rho_u: float
-    user: int
-    num_samples: int
 
     @property
     def sinr(self) -> float:
@@ -139,14 +123,13 @@ class SinrMoments:
 def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMoments:
     """Estimate the receiver moments from paired channel/estimate ensembles.
 
-    ``channels`` and ``estimates`` are equal-length sequences drawn under a
-    single configuration, with the same estimator applied throughout:
-    :class:`ChannelRealization` / ``ChannelEstimate`` objects, or the
-    stacked (n, L, K, M) channels and (n, K, M) estimates.  At least two
-    samples are required for the averages to be meaningful.
+    ``channels`` (n, L, K, M) and ``estimates`` (n, K, M) are stacked
+    samples drawn under a single configuration, with the same estimator
+    applied throughout.  At least two samples are required for the
+    averages to be meaningful.
     """
-    h = _stacked(channels, "h")
-    h_hat = _stacked(estimates, "h_hat")
+    h = np.asarray(channels)
+    h_hat = np.asarray(estimates)
     n = h.shape[0]
     if n != h_hat.shape[0]:
         raise ValueError("channel and estimate ensembles must pair up")
@@ -166,6 +149,4 @@ def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMomen
         cross_energy=cross / n,
         filter_energy=float(energy) / n,
         rho_u=float(rho_u),
-        user=k,
-        num_samples=n,
     )

@@ -36,7 +36,7 @@ import numpy as np
 from . import metrics, ppa
 from .airlink import (complex_normal, empirical_sinr_terms, pilot_book,
                       sample_channels)
-from .estimators import LS, MMSE, METHODS, mmse_gain
+from .estimators import LS, MMSE, METHODS
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, drop_users,
                        large_scale)
 
@@ -292,11 +292,11 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     # a complex by a real c multiplies both parts by 1/c, and multiplying
     # an LS row by 1.0 leaves it as it is.
     inv_target = (1.0 / sqrt_rho[:, 0]).T[:, :, None]
+    # the MMSE shrinkage rho_0 beta_0 / (sum_l rho_l beta_l + 1) of mmse_gain
+    mmse = np.array([m == MMSE for m in methods])
     shrink = np.ones((K, C, 1))
-    for c, method in enumerate(methods):
-        if method == MMSE:
-            shrink[:, c, 0] = [mmse_gain(rho_stack[c, :, k], beta_slice[:, k])
-                               for k in range(K)]
+    shrink[:, mmse, 0] = (rho_stack[mmse, 0] * beta_slice[0]
+                          / metrics._total(rho_stack[mmse], beta_slice)).T
     m_top = m_values[-1]
     est = np.empty((K, C, m_top), dtype=complex)
     est_f = est.view(float)
@@ -385,11 +385,11 @@ def _fig3_values(plan, cfg, drop, beta, budgets) -> dict:
 
 
 def _fig4b_values(plan, cfg, drop, beta, budgets) -> dict:
-    # the infinite-budget floor: flat split, or the allocator's limit groups
-    delta = np.full((cfg.L, cfg.K), 1.0 / cfg.K)
-    groups = {m: ppa.asymptotic_groups(m, delta, beta, cfg) for m in METHODS}
+    # the infinite-budget floor: the flat split's, or the allocator's
+    # high-budget limit, which the ppa and ref rows share
+    ppa_limit = {m: float(ppa.exp_rcee_asymptotic(m, beta, cfg).mean()) for m in METHODS}
     limit = {(s, m): float(metrics.exp_rcee_eppa_floor(m, beta).mean()) if s == "eppa"
-             else ppa.asymptotic_average(m, groups[m]) for s, m in budgets[0]}
+             else ppa_limit[m] for s, m in budgets[0]}
     return {"closed": {key: [_closed_average(key[1], rhos[key], beta, cfg.M)
                              for rhos in budgets] for key in budgets[0]},
             "limit": limit, "mc": _mc_means(plan, cfg, drop, beta, budgets, (cfg.M,))}

@@ -65,13 +65,14 @@ def _shaped(values, column: bool):
 
 
 def _cell_dot(a, b):
-    """sum_l a[l, k] * b[l, k] for every user k.
+    """sum_l a[..., l, k] * b[..., l, k] for every user k.
 
     A vector dot of each strided column, which is what ``np.dot`` does on
     ``a[:, k]``, so every user's sum is formed in the same order as a
-    one-column call would form it.
+    one-column call would form it.  Leading axes broadcast.
     """
-    return np.matmul(a.T[:, None, :], b.T[:, :, None])[:, 0, 0]
+    a, b = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _upsilon(rho, beta):

@@ -8,6 +8,11 @@ own-channel gain.  The KKT solution without the box is a square-root
 water-filling over w_k = upsilon_k / beta_k; with the box, the one water
 level that exhausts the budget after clipping puts each user at a bound
 or free, and the free users water-fill the rest of the budget.
+
+As the budget grows with every other cell at the flat P/K, that
+partition settles, and :func:`exp_rcee_asymptotic` gives each user's
+limiting error in closed form: a pinned user from its bound's share of
+the budget, a free user from the water-filling ratios of the free group.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from .refsolver import _clip_level
 # Fraction of the average per-user power reserved as the lower bound:
 # rho_min = P/(2K) makes rho_min * K / P one half by construction.
 ALPHA = 0.5
+
+# Budget of the noise-free allocation that reads off the high-budget user
+# groups; without noise the groups are the same at every budget.
+_LIMIT_BUDGET = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -55,26 +64,25 @@ class InterferenceProfile:
         """Water-filling weights w_k = upsilon_k / beta_k."""
         return self.upsilon / self.beta_target
 
-    @classmethod
-    def from_scenario(cls, beta_slice, rho_other) -> "InterferenceProfile":
-        """Build the profile from target-BS gains and other-cell powers.
 
-        upsilon_k = sum_{l != 0} rho_other[l, k] * beta_slice[l, k] + 1.
-        """
-        beta_slice = np.asarray(beta_slice, dtype=float)
-        rho_other = np.asarray(rho_other, dtype=float)
-        if beta_slice.shape != rho_other.shape or beta_slice.ndim != 2:
-            raise ValueError("beta_slice and rho_other must share an (L, K) shape")
-        ups = np.einsum("lk,lk->k", rho_other[1:], beta_slice[1:]) + 1.0
-        return cls(upsilon=ups, beta_target=beta_slice[0].copy())
+def _flat_interference(beta, share):
+    """sum_{l != 0} share * beta[l, k], the other cells' level at a flat power.
+
+    Kept as the einsum of a full power array: the allocations' last bits
+    depend on its summation order.
+    """
+    others = beta[1:]
+    return np.einsum("lk,lk->k", np.full_like(others, share), others)
 
 
 def eppa_profile(beta_slice, P: float, K: int) -> InterferenceProfile:
-    """Profile with every other cell transmitting the flat power P/K."""
+    """Profile with every other cell transmitting the flat power P/K.
+
+    upsilon_k = sum_{l != 0} (P/K) * beta_slice[l, k] + 1.
+    """
     beta_slice = np.asarray(beta_slice, dtype=float)
-    rho_other = np.full_like(beta_slice, P / K)
-    rho_other[0] = 0.0
-    return InterferenceProfile.from_scenario(beta_slice, rho_other)
+    return InterferenceProfile(upsilon=_flat_interference(beta_slice, P / K) + 1.0,
+                               beta_target=beta_slice[0].copy())
 
 
 def unconstrained_optimum(method: str, profile: InterferenceProfile, P: float) -> np.ndarray:
@@ -124,7 +132,6 @@ class PilotAllocation:
     free: frozenset[int]
     at_min: frozenset[int]
     at_max: frozenset[int]
-    method: str
     P_total: float
     rho_min: float
     rho_max: float
@@ -181,7 +188,6 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         free=frozenset(free),
         at_min=frozenset(at_min),
         at_max=frozenset(at_max),
-        method=method,
         P_total=cfg.P_total,
         rho_min=lo,
         rho_max=hi,
@@ -250,109 +256,42 @@ def make_objective(method: str, profile: InterferenceProfile, M: int,
     return fun, grad
 
 
-@dataclass(frozen=True)
-class AsymptoticGroups:
-    """High-budget limit of the allocation's user partition.
+def exp_rcee_asymptotic(method: str, beta_slice, cfg) -> np.ndarray:
+    """Per-user limit of the expected relative estimation error as P grows.
 
-    With every power written as a fixed fraction delta of the budget, the
-    noise term drops out of the weights and the pinned/free partition
-    stops depending on P.  The stored per-user constants evaluate the
-    limiting expected relative estimation error:
+    Every other cell sends the flat P/K.  The noise term then drops out of
+    the weights, so the partition into pinned and free users stops
+    depending on P; it is read off one noise-free allocation at the budget
+    ``_LIMIT_BUDGET``.  A user pinned at a bound keeps that bound's share
+    of the budget, alpha/K or mu/K.  The free users water-fill what the
+    pinned ones leave, which with I_k = sum_{l != 0} beta_lk / K gives
 
-    ``interference[k]`` = sum_{l != 0} delta[l, k] * beta[l, k],
-    ``psi[k]``          = sqrt(beta_0k * interference[k]),
-    ``phi[k]``          = interference[k] * sum over free users of
-                          sqrt(interference / beta_0),
-    ``varphi``          = 1 - (alpha*|at_min| + mu*|at_max|)/K,
-    ``varpi``           = sum over free users of interference / beta_0.
-    """
+        LS:   I_k * sum_free sqrt(I / beta_0) / (varphi * sqrt(beta_0k I_k))
+        MMSE: the same with varphi + sum_free I / beta_0 in place of varphi
 
-    method: str
-    free: frozenset[int]
-    at_min: frozenset[int]
-    at_max: frozenset[int]
-    alpha: float
-    mu: float
-    beta_target: np.ndarray    # (K,)
-    interference: np.ndarray   # (K,)
-    psi: np.ndarray            # (K,)
-    phi: np.ndarray            # (K,)
-    varphi: float
-    varpi: float
-
-
-def asymptotic_groups(method: str, delta, beta_slice, cfg,
-                      reference_power: float = 1.0e6) -> AsymptoticGroups:
-    """Partition users as the pilot budget grows without bound.
-
-    ``delta[l, k]`` are the other-cell power fractions rho_lk/P.  The
-    noise-free allocation is solved at ``reference_power``; because the
-    weights scale linearly with the budget the resulting partition is
-    budget-invariant, which a change of ``reference_power`` leaves intact.
+    where varphi = 1 - (alpha * |at_min| + mu * |at_max|) / K.  Returns
+    shape (K,).
     """
     check_method(method)
-    delta = np.asarray(delta, dtype=float)
-    beta_slice = np.asarray(beta_slice, dtype=float)
-    if delta.shape != beta_slice.shape or delta.ndim != 2:
-        raise ValueError("delta and beta_slice must share an (L, K) shape")
-    if np.any(delta[1:] <= 0) or np.any(delta[1:] >= 1):
-        raise ValueError("power fractions must lie in (0, 1)")
-    K = delta.shape[1]
-    if cfg.K != K:
-        raise ValueError(f"configuration is for K={cfg.K} users, delta has {K}")
-    interference = np.einsum("lk,lk->k", delta[1:], beta_slice[1:])
-    # noise-free profile at the reference budget; the +1 noise term is gone
-    profile = InterferenceProfile(upsilon=interference * reference_power,
-                                  beta_target=beta_slice[0].copy())
-    ref_cfg = cfg.replace(P_total=reference_power)
-    alloc = ppa_allocate(method, profile, ref_cfg)
-    ratio = interference / beta_slice[0]
-    free_sqrt_sum = float(np.sqrt(ratio[list(alloc.free)]).sum()) if alloc.free else 0.0
+    beta = np.asarray(beta_slice, dtype=float)
+    K, beta0 = cfg.K, beta[0]
+    interference = _flat_interference(beta, 1.0 / K)
+    profile = InterferenceProfile(upsilon=interference * _LIMIT_BUDGET,
+                                  beta_target=beta0)
+    alloc = ppa_allocate(method, profile, cfg.replace(P_total=_LIMIT_BUDGET))
+    share = np.full(K, ALPHA / K)
+    share[list(alloc.at_max)] = cfg.mu / K
+    # the sums over free users run in list(alloc.free) order, the
+    # frozenset's iteration order; sorting them moves last bits
+    ratio = interference / beta0
+    free = list(alloc.free)
     varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
-    varpi = float(ratio[list(alloc.free)].sum()) if alloc.free else 0.0
-    return AsymptoticGroups(
-        method=method,
-        free=alloc.free,
-        at_min=alloc.at_min,
-        at_max=alloc.at_max,
-        alpha=ALPHA,
-        mu=cfg.mu,
-        beta_target=beta_slice[0].copy(),
-        interference=interference,
-        psi=np.sqrt(beta_slice[0] * interference),
-        phi=interference * free_sqrt_sum,
-        varphi=varphi,
-        varpi=varpi,
-    )
-
-
-def exp_rcee_asymptotic(method: str, groups: AsymptoticGroups, k: int) -> float:
-    """Limiting expected relative estimation error of user k.
-
-    Users pinned at a bound keep a fixed share of the budget, so their
-    limit only involves that share; free users keep the water-filling
-    ratios, which brings in the group constants.
-    """
-    check_method(method)
-    if method != groups.method:
-        raise ValueError("groups were derived for the other estimation method")
-    interference = groups.interference[k]
-    beta0 = groups.beta_target[k]
-    K = groups.interference.shape[0]
-    if k in groups.at_min:
-        fraction = groups.alpha / K  # rho_min = alpha * P / K
-    elif k in groups.at_max:
-        fraction = groups.mu / K
-    else:
-        if method == LS:
-            return groups.phi[k] / (groups.varphi * groups.psi[k])
-        return groups.phi[k] / ((groups.varphi + groups.varpi) * groups.psi[k])
+    phi = interference * float(np.sqrt(ratio[free]).sum())
+    psi = np.sqrt(beta0 * interference)
     if method == LS:
-        return interference / (fraction * beta0)
-    return interference / (interference + fraction * beta0)
-
-
-def asymptotic_average(method: str, groups: AsymptoticGroups) -> float:
-    """Cell-average of :func:`exp_rcee_asymptotic` over the K users."""
-    K = groups.interference.shape[0]
-    return float(np.mean([exp_rcee_asymptotic(method, groups, k) for k in range(K)]))
+        out = interference / (share * beta0)
+        out[free] = (phi / (varphi * psi))[free]
+    else:
+        out = interference / (interference + share * beta0)
+        out[free] = (phi / ((varphi + float(ratio[free].sum())) * psi))[free]
+    return out

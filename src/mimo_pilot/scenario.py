@@ -197,15 +197,10 @@ class CellLayout:
 
     centers: np.ndarray  # (L, 2)
     radius: float
-    reuse_factor: int
 
     @property
     def num_cells(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def spacing(self) -> float:
-        return self.radius * math.sqrt(3.0 * self.reuse_factor)
 
 
 def build_layout(cfg: SystemConfig) -> CellLayout:
@@ -219,7 +214,7 @@ def build_layout(cfg: SystemConfig) -> CellLayout:
     for i in range(1, cfg.L):
         angle = math.radians(60.0 * (i - 1))
         centers[i] = (d * math.cos(angle), d * math.sin(angle))
-    return CellLayout(centers=centers, radius=cfg.r, reuse_factor=cfg.Gamma)
+    return CellLayout(centers=centers, radius=cfg.r)
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from mimo_pilot import (InterferenceProfile, SystemConfig, bench_allocators,
                         make_objective, objective_value, pilot_phase, plan_for,
                         ppa_allocate, run_experiment, sample_channels,
                         seed_schedule, unconstrained_optimum)
-from mimo_pilot import asymptotic_groups, exp_rcee_asymptotic
+from mimo_pilot import exp_rcee_asymptotic
 from mimo_pilot.cli import main
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.metrics import (exp_rcee_closed, exp_rcee_eppa_floor,
@@ -189,14 +189,11 @@ def test_acceptance_06_water_filling_kkt_exactness():
 
 
 def test_acceptance_07_high_budget_limits(table_beta):
-    delta = np.full((7, 3), 1.0 / 3.0)
     cfg_ref = SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
     budgets = (1.0e4, 1.0e6, 1.0e8, 1.0e10)
     final = 0.0
     for method in (LS, MMSE):
-        groups = asymptotic_groups(method, delta, table_beta, cfg_ref)
-        predicted = np.array([exp_rcee_asymptotic(method, groups, k)
-                              for k in range(3)])
+        predicted = exp_rcee_asymptotic(method, table_beta, cfg_ref)
         previous = None
         for P in budgets:
             cfg = SystemConfig(K=3, M=200, P_total=P, mu=1.5)

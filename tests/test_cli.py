@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimo_pilot
 from mimo_pilot.cli import SEED_ENV, emit_csv, main
 
 TABLE_GOLDEN = """\
@@ -190,9 +193,12 @@ class TestFigure:
 
 
 def test_console_script_entry_point(table_fixture_path):
+    # the child imports the package from where this process found it
+    package_root = str(Path(mimo_pilot.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mimo_pilot.cli", "fixture-check",
          str(table_fixture_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout == "ok: cells=7 users=3\n"

@@ -15,7 +15,8 @@ from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
                         exp_rcee_closed, exp_rcee_eppa_floor,
                         exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
                         sinr_closed, sinr_limit, upsilon)
-from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.estimators import LS, MMSE, mmse_gain
+from mimo_pilot.metrics import _total
 
 M_GRID = np.array([1, 2, 3, 8, 17, 200, 512, 4096])
 
@@ -141,6 +142,20 @@ def test_array_layer_matches_scalar_reference(L, K, fortran):
         _same_bits(summary.average, [float(np.mean(list(row))) for row in rates])
         _same_bits(rate_summary(achievable_rate(cfg, limit)).average,
                    float(np.mean([_ref_rate(cfg, float(s)) for s in limit])))
+
+
+@pytest.mark.parametrize("L", [1, 2, 7])
+def test_stacked_mmse_shrinkage_matches_mmse_gain(L):
+    # the Monte-Carlo kernel's shrinkage over a stack of allocations, one
+    # mmse_gain call per (allocation, user) as the reference
+    rng = np.random.default_rng(40 + L)
+    for K in (2, 3, 8, 10):
+        pairs = [_instance(rng, L, K) for _ in range(29)]
+        rho_stack = np.stack([rho for rho, _ in pairs])
+        beta = pairs[0][1]
+        stacked = rho_stack[:, 0] * beta[0] / _total(rho_stack, beta)
+        _same_bits(stacked, [[mmse_gain(rho[:, k], beta[:, k]) for k in range(K)]
+                             for rho in rho_stack])
 
 
 class TestShapes:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import (ALPHA, AsymptoticGroups, InterferenceProfile,
-                        PilotAllocation, SystemConfig, asymptotic_average,
-                        asymptotic_groups, eppa_profile, exp_rcee_asymptotic,
+from mimo_pilot import (ALPHA, InterferenceProfile, PilotAllocation,
+                        SystemConfig, eppa_profile, exp_rcee_asymptotic,
                         make_objective, objective_value, ppa_allocate,
                         unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import _realization, default_config, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
-                                exp_rcee_limit)
+                                exp_rcee_eppa_floor, exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
 
 
@@ -26,20 +25,16 @@ def random_profile(rng, K, P):
 
 
 class TestInterferenceProfile:
-    def test_from_scenario_upsilon(self, table_beta):
-        rho_other = np.full((7, 3), 1000.0)
-        prof = InterferenceProfile.from_scenario(table_beta, rho_other)
-        assert prof.upsilon == pytest.approx([23.8, 138.5, 58.2], rel=1e-12)
-        assert prof.beta_target == pytest.approx(table_beta[0])
-
     def test_eppa_profile_matches_from_scenario(self, table_beta):
         prof = table_profile(table_beta)
         assert prof.upsilon == pytest.approx([23.8, 138.5, 58.2], rel=1e-12)
-        # row 0 is the cell being allocated; its powers play no role
+        assert prof.beta_target == pytest.approx(table_beta[0])
+        # the general other-cell sum over a full power array, whose row 0
+        # (the cell being allocated) plays no role
         rho_other = np.full((7, 3), 1000.0)
         rho_other[0] = [5.0, 0.0, 7e9]
-        direct = InterferenceProfile.from_scenario(table_beta, rho_other)
-        assert np.array_equal(direct.upsilon, prof.upsilon)
+        direct = np.einsum("lk,lk->k", rho_other[1:], table_beta[1:]) + 1.0
+        assert np.array_equal(direct, prof.upsilon)
 
     def test_weight(self):
         prof = InterferenceProfile(upsilon=np.array([6.0, 8.0]),
@@ -55,10 +50,6 @@ class TestInterferenceProfile:
         with pytest.raises(ValueError):
             InterferenceProfile(upsilon=np.ones(2),
                                 beta_target=np.array([0.0, 1.0]))
-
-    def test_from_scenario_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            InterferenceProfile.from_scenario(np.ones((2, 3)), np.ones((3, 2)))
 
 
 class TestWaterFill:
@@ -248,7 +239,7 @@ class TestPilotAllocationValidation:
     def kwargs(self):
         return dict(rho=np.array([2.0, 6.0]), free=frozenset({1}),
                     at_min=frozenset({0}), at_max=frozenset(),
-                    method=LS, P_total=8.0,
+                    P_total=8.0,
                     rho_min=2.0, rho_max=6.0)
 
     def test_valid_instance(self):
@@ -348,68 +339,94 @@ class TestMakeObjective:
         assert fun(rho) == objective_value(MMSE, rho, prof, 8)
 
 
+def _oracle_asymptote(method, beta, cfg):
+    """The per-user high-budget limit written one user at a time.
+
+    A copy of the scalar group formulas the vectorised limit replaced:
+    (K,) limits and their cell average, in the original arithmetic order.
+    """
+    K = cfg.K
+    delta = np.full((cfg.L, K), 1.0 / K)
+    interference = np.einsum("lk,lk->k", delta[1:], beta[1:])
+    profile = InterferenceProfile(upsilon=interference * 1.0e6,
+                                  beta_target=beta[0].copy())
+    alloc = ppa_allocate(method, profile, cfg.replace(P_total=1.0e6))
+    ratio = interference / beta[0]
+    free_sqrt_sum = float(np.sqrt(ratio[list(alloc.free)]).sum()) if alloc.free else 0.0
+    varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
+    varpi = float(ratio[list(alloc.free)].sum()) if alloc.free else 0.0
+    psi = np.sqrt(beta[0] * interference)
+    phi = interference * free_sqrt_sum
+    values = []
+    for k in range(K):
+        if k in alloc.free:
+            level = varphi if method == LS else varphi + varpi
+            values.append(phi[k] / (level * psi[k]))
+            continue
+        fraction = (ALPHA if k in alloc.at_min else cfg.mu) / K
+        if method == LS:
+            values.append(interference[k] / (fraction * beta[0][k]))
+        else:
+            values.append(interference[k] / (interference[k] + fraction * beta[0][k]))
+    return np.array(values), float(np.mean(values))
+
+
 class TestAsymptoticGroups:
+    """The high-budget user groups: pinned at a bound, or free."""
+
     def cfg(self, K=3, mu=1.5):
         return SystemConfig(K=K, M=200, P_total=1.0e3 * K, mu=mu)
 
     def test_symmetric_users_stay_free(self):
+        # free users water-fill to the flat split, so its floor is the limit;
+        # a pinned user would sit at twice or two thirds of it
         beta = np.array([[1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
-        delta = np.full((2, 3), 0.5)
-        g = asymptotic_groups(LS, delta, beta, self.cfg())
-        assert g.free == {0, 1, 2}
-        assert g.at_min == frozenset() and g.at_max == frozenset()
+        for method in (LS, MMSE):
+            assert exp_rcee_asymptotic(method, beta, self.cfg()) == pytest.approx(
+                exp_rcee_eppa_floor(method, beta), rel=1e-12)
 
     def test_heavy_user_joins_at_max(self):
+        # user 2 keeps mu/K of the budget against interference 1/3
         beta = np.array([[1.0, 1.0, 1.0], [0.01, 0.01, 1.0]])
-        delta = np.full((2, 3), 0.5)
-        g = asymptotic_groups(LS, delta, beta, self.cfg())
-        assert 2 in g.at_max
+        assert exp_rcee_asymptotic(LS, beta, self.cfg())[2] == pytest.approx(
+            (1.0 / 3.0) / 0.5, rel=1e-14)
+        assert exp_rcee_asymptotic(MMSE, beta, self.cfg())[2] == pytest.approx(
+            (1.0 / 3.0) / (1.0 / 3.0 + 0.5), rel=1e-14)
 
     def test_partition_is_budget_invariant(self, table_beta):
-        delta = np.full((7, 3), 1.0 / 3.0)
+        # without the noise term the weights scale with the budget, and so
+        # does the box: the allocator groups the users alike at any budget
+        interference = table_beta[1:].sum(axis=0) / 3.0
         for method in (LS, MMSE):
-            a = asymptotic_groups(method, delta, table_beta, self.cfg(),
-                                  reference_power=1.0e3)
-            b = asymptotic_groups(method, delta, table_beta, self.cfg(),
-                                  reference_power=1.0e6)
-            assert (a.free, a.at_min, a.at_max) == (b.free, b.at_min, b.at_max)
-
-    def test_rejects_bad_fractions(self, table_beta):
-        delta = np.full((7, 3), 1.0 / 3.0)
-        for bad in (0.0, 1.0):
-            wrong = delta.copy()
-            wrong[2, 1] = bad
-            with pytest.raises(ValueError, match="fractions"):
-                asymptotic_groups(LS, wrong, table_beta, self.cfg())
+            groups = []
+            for P in (1.0e3, 1.0e6):
+                prof = InterferenceProfile(upsilon=interference * P,
+                                           beta_target=table_beta[0])
+                alloc = ppa_allocate(method, prof, self.cfg().replace(P_total=P))
+                groups.append((alloc.free, alloc.at_min, alloc.at_max))
+            assert groups[0] == groups[1]
 
     def test_shape_and_user_count_checks(self, table_beta):
         with pytest.raises(ValueError):
-            asymptotic_groups(LS, np.full((6, 3), 0.3), table_beta, self.cfg())
+            exp_rcee_asymptotic(LS, table_beta[:, 0], self.cfg())
         with pytest.raises(ValueError, match="K=4"):
-            asymptotic_groups(LS, np.full((7, 3), 0.3), table_beta,
-                              self.cfg(K=4))
+            exp_rcee_asymptotic(LS, table_beta, self.cfg(K=4))
 
 
 class TestExpRceeAsymptotic:
-    def one_user_groups(self, method, pinned, mu=3.0):
-        # degenerate one-user partition: exercises a single branch formula
-        members = dict(free=frozenset(), at_min=frozenset(),
-                       at_max=frozenset())
-        members[pinned] = frozenset({0})
-        return AsymptoticGroups(
-            method=method, alpha=0.5, mu=mu, beta_target=np.array([1.0]),
-            interference=np.array([0.05]),
-            psi=np.array([np.sqrt(0.05)]), phi=np.array([0.05]),
-            varphi=1.0, varpi=0.0, **members)
+    def cfg(self):
+        return SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
 
     def test_min_branch_ls(self):
-        g = self.one_user_groups(LS, "at_min")
-        assert exp_rcee_asymptotic(LS, g, 0) == pytest.approx(0.1, rel=1e-14)
+        # user 0's interference/gain ratio is 20x below the others': at_min
+        beta = np.array([[1.0, 1.0, 1.0], [0.05, 1.0, 1.0]])
+        assert exp_rcee_asymptotic(LS, beta, self.cfg())[0] == pytest.approx(
+            0.1, rel=1e-14)
 
     def test_max_branch_mmse(self):
-        g = self.one_user_groups(MMSE, "at_max")
-        assert exp_rcee_asymptotic(MMSE, g, 0) == pytest.approx(
-            0.05 / 3.05, rel=1e-14)
+        beta = np.array([[1.0, 1.0, 1.0], [0.05, 0.05, 2.0]])
+        assert exp_rcee_asymptotic(MMSE, beta, self.cfg())[2] == pytest.approx(
+            4.0 / 7.0, rel=1e-14)
 
     def test_two_user_hand_instance(self):
         # exact tie between the bound violations; both the pinned-share and
@@ -417,51 +434,54 @@ class TestExpRceeAsymptotic:
         # hold whichever way the tie lands
         cfg = SystemConfig(K=2, M=200, P_total=1.0e3, mu=1.5)
         beta = np.array([[1.0, 1.0], [0.01, 3.0]])
-        delta = np.full((2, 2), 0.5)
-        g = asymptotic_groups(LS, delta, beta, cfg)
-        assert exp_rcee_asymptotic(LS, g, 0) == pytest.approx(0.02, rel=1e-9)
-        assert exp_rcee_asymptotic(LS, g, 1) == pytest.approx(2.0, rel=1e-9)
-        g = asymptotic_groups(MMSE, delta, beta, cfg)
-        assert exp_rcee_asymptotic(MMSE, g, 0) == pytest.approx(
-            1.0 / 51.0, rel=1e-9)
-        assert exp_rcee_asymptotic(MMSE, g, 1) == pytest.approx(
-            2.0 / 3.0, rel=1e-9)
+        assert exp_rcee_asymptotic(LS, beta, cfg) == pytest.approx(
+            [0.02, 2.0], rel=1e-9)
+        assert exp_rcee_asymptotic(MMSE, beta, cfg) == pytest.approx(
+            [1.0 / 51.0, 2.0 / 3.0], rel=1e-9)
 
-    def test_method_mismatch_rejected(self):
-        g = self.one_user_groups(LS, "at_min")
+    def test_method_mismatch_rejected(self, table_beta):
         with pytest.raises(ValueError, match="method"):
-            exp_rcee_asymptotic(MMSE, g, 0)
+            exp_rcee_asymptotic("zf", table_beta, self.cfg())
 
     def test_matches_large_budget_allocation(self, table_beta):
         # drive the budget 12 decades up and price the actual allocation
         P = 1.0e12
         cfg_big = SystemConfig(K=3, M=200, P_total=P, mu=1.5)
-        cfg_ref = SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
-        delta = np.full((7, 3), 1.0 / 3.0)
         for method in (LS, MMSE):
-            g = asymptotic_groups(method, delta, table_beta, cfg_ref)
+            limits = exp_rcee_asymptotic(method, table_beta, self.cfg())
             prof = eppa_profile(table_beta, P, 3)
             alloc = ppa_allocate(method, prof, cfg_big)
             for k in range(3):
                 col_rho = np.concatenate([[alloc.rho[k]], np.full(6, P / 3.0)])
                 limit = exp_rcee_limit(method, col_rho, table_beta[:, k])
-                assert exp_rcee_asymptotic(method, g, k) == pytest.approx(
-                    limit, rel=1e-6)
+                assert limits[k] == pytest.approx(limit, rel=1e-6)
 
     def test_frozen_table_values(self, table_beta):
-        cfg = SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
-        delta = np.full((7, 3), 1.0 / 3.0)
-        g = asymptotic_groups(LS, delta, table_beta, cfg)
-        assert g.at_min == {1} and g.free == {0, 2}
-        assert [exp_rcee_asymptotic(LS, g, k) for k in range(3)] == pytest.approx(
+        # LS pins user 1 at the lower bound and leaves 0 and 2 free; MMSE
+        # leaves every user free
+        limits = exp_rcee_asymptotic(LS, table_beta, self.cfg())
+        assert limits == pytest.approx(
             [0.6237188488947948, 0.21319482130397707, 0.6730318259940313],
             rel=1e-12)
-        assert asymptotic_average(LS, g) == pytest.approx(
-            0.503315165397601, rel=1e-12)
-        g = asymptotic_groups(MMSE, delta, table_beta, cfg)
-        assert g.free == {0, 1, 2}
-        assert asymptotic_average(MMSE, g) == pytest.approx(
+        assert limits.mean() == pytest.approx(0.503315165397601, rel=1e-12)
+        assert exp_rcee_asymptotic(MMSE, table_beta, self.cfg()).mean() == pytest.approx(
             0.3188373990879196, rel=1e-12)
+
+    def test_equals_the_per_user_formulas_bitwise(self):
+        # every desk fig4b drop: Gamma 1, 3, 7 at seeds 0-2, 20 drops each
+        checked = 0
+        for seed in (0, 1, 2):
+            for gamma in (1, 3, 7):
+                cfg = default_config("fig4b", seed=seed).replace(Gamma=gamma)
+                for drop in range(20):
+                    beta = _realization(cfg, drop).beta
+                    for method in (LS, MMSE):
+                        values, mean = _oracle_asymptote(method, beta, cfg)
+                        limits = exp_rcee_asymptotic(method, beta, cfg)
+                        assert np.array_equal(limits, values)
+                        assert float(limits.mean()) == mean
+                        checked += 1
+        assert checked == 360
 
 
 def test_alpha_matches_the_configured_lower_bound():

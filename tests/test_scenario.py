@@ -129,9 +129,11 @@ class TestLayout:
         assert build_layout(cfg).centers.shape == (3, 2)
 
     def test_spacing_property(self):
-        cfg = SystemConfig(K=2, M=2, P_total=10.0)
+        # every interferer sits one cell spacing from the target cell
+        cfg = SystemConfig(K=2, M=2, P_total=10.0, Gamma=7)
         layout = build_layout(cfg)
-        assert layout.spacing == pytest.approx(cfg.cell_spacing, rel=1e-14)
+        assert np.hypot(*layout.centers[1:].T) == pytest.approx(
+            np.full(6, cfg.cell_spacing), rel=1e-14)
 
 
 class TestHexagon:
@@ -291,5 +293,5 @@ class TestBetaFixture:
 
 
 def test_cell_layout_num_cells():
-    layout = CellLayout(centers=np.zeros((3, 2)), radius=500.0, reuse_factor=1)
+    layout = CellLayout(centers=np.zeros((3, 2)), radius=500.0)
     assert layout.num_cells == 3
