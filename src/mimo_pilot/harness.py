@@ -11,14 +11,17 @@ allocations and pilot powers of each budget.  A table gives each
 experiment its per-drop value function and one of three reductions over
 drops (a grid, a distribution, or the validate rows).
 
-Every Monte-Carlo sweep runs through one kernel, :func:`_mc_trials`: one
-channel draw and one pilot-noise draw per trial serve every allocation,
-method, budget and antenna prefix of the drop, so all curves see common
-randomness.  fig3 and fig4b feed it two rows of gains per user, the
-target channel and the sum of the other cells' channels
-(:func:`_collapse_cells`), because every other cell sends the flat P/K
-and the estimates depend on those cells through that sum alone;
-validate feeds it every cell, because its SINR needs each channel.
+Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
+cell the flat P/K, so a user's estimate sees those cells only through the
+sum of their channels (:func:`_collapse_cells`), and its error over the
+first m antennas is a quadratic form in the 3x3 Gram matrix of (target
+channel, that sum, pilot noise) over those antennas.
+:func:`_gram_trials` draws that Gram matrix segment by segment of the
+antenna grid, O(1) variates per user and segment at any antenna count.
+validate needs every channel for its SINR, so :func:`_mc_trials` draws
+each channel and noise block at every antenna; one draw per trial serves
+every allocation and antenna prefix of the drop, so all curves see common
+randomness.  It is also the tests' reference for the Gram draw.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ def seed_schedule(seed: int, trial: int, purpose: str) -> np.random.Generator:
     Identical arguments always give an identical stream; distinct trials
     or purposes give statistically independent streams.  The purpose tag
     is hashed with crc32, which is stable across runs and platforms.
+
+    Tags in use, each suffixed ``/gamma=<reuse factor>``: ``positions``
+    and ``shadowing`` per drop; ``gram`` per drop, the fig3/fig4b
+    Monte-Carlo trials; ``channel`` and ``pilot-noise`` per validate
+    trial, whose slot is ``drop * n_trials + trial``.
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError("seed must be a non-negative integer")
@@ -246,6 +254,36 @@ def _limit_average(method: str, rho_mat, beta_slice) -> float:
     return float(metrics.exp_rcee_limit(method, rho_mat, beta_slice).mean())
 
 
+def _kernel_inputs(cfg: SystemConfig, beta_slice, rho_stack, m_values):
+    """Checked (C, L, K) powers and antenna counts of a Monte-Carlo kernel."""
+    L, K = beta_slice.shape
+    rho_stack = np.asarray(rho_stack, dtype=float)
+    if rho_stack.ndim != 3 or rho_stack.shape[1:] != (L, K):
+        raise ValueError(f"rho_stack must have shape (C, {L}, {K})")
+    if np.any(rho_stack < 0):
+        raise ValueError("pilot powers must be non-negative")
+    if np.any(rho_stack[:, 0] <= 0):
+        raise ValueError("target-cell pilot powers must be positive")
+    m_values = [int(m) for m in m_values]
+    if m_values[0] < 1 or m_values != sorted(set(m_values)):
+        raise ValueError("m_values must be increasing antenna counts")
+    # The book is rows of the identity, so correlating the received block
+    # with sequence k selects its column k:
+    #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
+    pilot_book(K, cfg.tau)
+    return rho_stack, m_values
+
+
+def _shrinkage(beta_slice, rho_stack, methods):
+    """(C, K) factor of each estimate: 1 under LS, and under MMSE the
+    rho_0 beta_0 / (sum_l rho_l beta_l + 1) of mmse_gain."""
+    mmse = np.array([m == MMSE for m in methods])
+    shrink = np.ones((len(rho_stack), beta_slice.shape[1]))
+    shrink[mmse] = (rho_stack[mmse, 0] * beta_slice[0]
+                    / metrics._total(rho_stack[mmse], beta_slice))
+    return shrink
+
+
 def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
                rho_stack, methods, m_values):
     """Monte-Carlo kernel: one drop's trials for C allocations at once.
@@ -270,21 +308,8 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     errors keep ``np.abs`` of the complex difference, because it rounds
     differently from hypot or re^2 + im^2 of the two planes.
     """
-    L, K = beta_slice.shape
-    rho_stack = np.asarray(rho_stack, dtype=float)
-    if rho_stack.ndim != 3 or rho_stack.shape[1:] != (L, K):
-        raise ValueError(f"rho_stack must have shape (C, {L}, {K})")
-    if np.any(rho_stack < 0):
-        raise ValueError("pilot powers must be non-negative")
-    if np.any(rho_stack[:, 0] <= 0):
-        raise ValueError("target-cell pilot powers must be positive")
-    m_values = [int(m) for m in m_values]
-    if m_values[0] < 1 or m_values != sorted(set(m_values)):
-        raise ValueError("m_values must be increasing antenna counts")
-    # The book is rows of the identity, so correlating the received block
-    # with sequence k selects its column k:
-    #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
-    pilot_book(K, cfg.tau)
+    K = beta_slice.shape[1]
+    rho_stack, m_values = _kernel_inputs(cfg, beta_slice, rho_stack, m_values)
     C = len(rho_stack)
     sqrt_rho = np.sqrt(rho_stack)
     # Estimates are laid out (K, C, M): einsum writes that order about
@@ -292,11 +317,7 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     # a complex by a real c multiplies both parts by 1/c, and multiplying
     # an LS row by 1.0 leaves it as it is.
     inv_target = (1.0 / sqrt_rho[:, 0]).T[:, :, None]
-    # the MMSE shrinkage rho_0 beta_0 / (sum_l rho_l beta_l + 1) of mmse_gain
-    mmse = np.array([m == MMSE for m in methods])
-    shrink = np.ones((K, C, 1))
-    shrink[:, mmse, 0] = (rho_stack[mmse, 0] * beta_slice[0]
-                          / metrics._total(rho_stack[mmse], beta_slice)).T
+    shrink = _shrinkage(beta_slice, rho_stack, methods).T[:, :, None]
     m_top = m_values[-1]
     est = np.empty((K, C, m_top), dtype=complex)
     est_f = est.view(float)
@@ -341,37 +362,143 @@ def _collapse_cells(beta, rho_stack):
     each other cell the same power rho_other_k, that sum is
     sqrt(rho_other_k) S_k with S_k = sum_{l>=1} h_lk ~ CN(0, sum_{l>=1}
     beta_lk I).  Returns the (2, K) gains (beta_0, sum_{l>=1} beta_l) and
-    the (C, 2, K) powers (rho_0, rho_other); raises ``ValueError`` unless
-    rows l >= 1 of every (L, K) allocation in ``rho_stack`` are equal.
+    the (C, 2, K) powers (rho_0, rho_other), with a zero row of both for a
+    single cell; raises ``ValueError`` unless rows l >= 1 of every (L, K)
+    allocation in ``rho_stack`` are equal.
     """
     rho_stack = np.asarray(rho_stack, dtype=float)
     other = rho_stack[:, 1:]
     if np.any(other != other[:, :1]):
         raise ValueError("collapsing the cells needs one power per user "
                          "in every other cell")
-    if len(beta) <= 2:  # at most one other cell: nothing to sum
-        return beta, rho_stack
-    return np.stack([beta[0], beta[1:].sum(axis=0)]), rho_stack[:, :2]
+    rho_other = other[:, 0] if other.shape[1] else np.zeros_like(rho_stack[:, 0])
+    return (np.stack([beta[0], beta[1:].sum(axis=0)]),
+            np.stack([rho_stack[:, 0], rho_other], axis=1))
+
+
+# trials per block of the Gram draw, so its memory does not grow with the
+# trial count
+_GRAM_BLOCK = 1024
+
+
+def _gram_segments(rng: np.random.Generator, n: int, segments, gains):
+    """Real parts of the Gram matrices of (h_0k, S_k, n_k) over antenna segments.
+
+    ``segments`` are antenna counts dm and ``gains`` the (2, K) rows of
+    :func:`_collapse_cells`.  Returns (6, n, len(segments), K): the
+    entries 00, 11, 22, 01, 02, 12 of Re sum_m x_m x_m^H over dm antennas,
+    x_m ~ CN(0, D), D = diag(beta_0k, beta_Sk, 1), for n independent
+    trials.  That sum is a complex Wishart matrix D^1/2 W D^1/2 with dm
+    degrees of freedom.  For dm >= 3, W = T T^H by the Bartlett
+    decomposition: T lower triangular, T_ii^2 ~ Gamma(dm - i) and
+    T_ij ~ CN(0, 1) below the diagonal; shorter segments draw their dm
+    vectors.
+    """
+    segments = np.asarray(segments)
+    K = gains.shape[1]
+    g = np.empty((6, n, len(segments), K))
+    wide = segments >= 3
+    n_wide = int(wide.sum())
+    if n_wide:
+        shape = (segments[wide] - np.arange(3)[:, None])[:, None, :, None]
+        t2 = rng.standard_gamma(shape, size=(3, n, n_wide, K))
+        z10, z20, z21 = complex_normal((3, n, n_wide, K), rng)
+        t0, t1 = np.sqrt(t2[0]), np.sqrt(t2[1])
+        g[0][:, wide] = t2[0]
+        g[1][:, wide] = z10.real * z10.real + z10.imag * z10.imag + t2[1]
+        g[2][:, wide] = (z20.real * z20.real + z20.imag * z20.imag
+                         + z21.real * z21.real + z21.imag * z21.imag + t2[2])
+        g[3][:, wide] = t0 * z10.real
+        g[4][:, wide] = t0 * z20.real
+        g[5][:, wide] = z20.real * z10.real + z20.imag * z10.imag + t1 * z21.real
+    for s in np.flatnonzero(~wide):
+        x = complex_normal((3, n, segments[s], K), rng)
+        for e, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+            g[e][:, s] = (x[i].real * x[j].real + x[i].imag * x[j].imag).sum(axis=1)
+    root_0, root_s = np.sqrt(gains)
+    scale = np.stack([gains[0], gains[1], np.ones(K),
+                      root_0 * root_s, root_0, root_s])
+    return g * scale[:, None, None, :]
+
+
+def _error_weights(gains, rho_stack, methods):
+    """(6, C, 1, K) weights of the Gram entries in each squared error.
+
+    With the two rows of :func:`_collapse_cells`, user k's estimate is
+    shrink (h_0 + sqrt(rho_o / rho_0) S + n / sqrt(rho_0)), so its error
+    is a . (h_0, S, n) with a = (shrink - 1, shrink sqrt(rho_o / rho_0),
+    shrink / sqrt(rho_0)) and its squared norm over any antennas is
+    a^T Re(G) a.  The weights are a_i a_j for the entries 00, 11, 22 and
+    2 a_i a_j for 01, 02, 12.
+    """
+    shrink = _shrinkage(gains, rho_stack, methods)
+    rho_0, rho_o = rho_stack[:, 0], rho_stack[:, 1]
+    a0, a1, a2 = shrink - 1.0, shrink * np.sqrt(rho_o / rho_0), shrink / np.sqrt(rho_0)
+    return np.stack([a0 * a0, a1 * a1, a2 * a2,
+                     2.0 * a0 * a1, 2.0 * a0 * a2, 2.0 * a1 * a2])[:, :, None]
+
+
+def _prefix_rcee(gram, weights):
+    """User-averaged relative errors a^T Re(G) a / G_00 of prefix Grams.
+
+    ``gram`` (6, ..., S, K) holds the entries of :func:`_gram_segments`
+    summed over each antenna prefix, ``weights`` those of
+    :func:`_error_weights`; returns (..., C, S).  The six terms are added
+    elementwise in a fixed order, never through a matmul or an optimized
+    einsum over the allocations, so a value does not depend on how many
+    allocations are stacked beside it.
+    """
+    g = np.expand_dims(gram, -3)
+    w = weights
+    err = (w[0] * g[0] + w[1] * g[1] + w[2] * g[2]
+           + w[3] * g[3] + w[4] * g[4] + w[5] * g[5])
+    # users are the contiguous last axis, summed as the antenna kernel does
+    return (err / g[0]).mean(axis=-1)
+
+
+def _gram_trials(cfg: SystemConfig, drop: int, n_trials: int, gains, rho_stack,
+                 methods, m_values):
+    """Monte-Carlo kernel of fig3/fig4b over the collapsed cells.
+
+    ``gains`` (2, K) and ``rho_stack`` (C, 2, K) come from
+    :func:`_collapse_cells`; ``rho_stack[c]`` is estimated with
+    ``methods[c]``.  Each trial draws every user's Gram matrix over the
+    segments between the increasing ``m_values`` from one per-drop
+    stream, in blocks of ``_GRAM_BLOCK`` trials; their running sums are
+    the Gram matrices of the antenna prefixes, and one draw serves every
+    allocation.  Yields each block's (n_block, C, len(m_values))
+    user-averaged relative errors, whose law is that of
+    :func:`_mc_trials` on the same rows.
+    """
+    rho_stack, m_values = _kernel_inputs(cfg, gains, rho_stack, m_values)
+    weights = _error_weights(gains, rho_stack, methods)
+    segments = np.diff(m_values, prepend=0)
+    rng = seed_schedule(cfg.seed, drop, f"gram/gamma={cfg.Gamma}")
+    for start in range(0, n_trials, _GRAM_BLOCK):
+        n = min(_GRAM_BLOCK, n_trials - start)
+        gram = np.cumsum(_gram_segments(rng, n, segments, gains), axis=2)
+        yield _prefix_rcee(gram, weights)
 
 
 def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
               m_values) -> dict | None:
     """Monte-Carlo mean error of every allocation, or None without trials.
 
-    All budgets' allocations share one kernel run, stacked budget-major;
-    each (scheme, method) gets its means over budgets x ``m_values``.  The
-    kernel draws the collapsed cells of :func:`_collapse_cells`: two
-    channel rows per user in place of L, with the same law of every
-    estimate and error.
+    All budgets' allocations share one run of :func:`_gram_trials`, on the
+    collapsed cells of :func:`_collapse_cells` and stacked budget-major;
+    each (scheme, method) gets its means over budgets x ``m_values``.
+    Each block's trials are summed in trial order, then the blocks in
+    block order, so every mean is the same whatever is stacked beside it.
     """
     if plan.n_small == 0:
         return None
     combos = list(budgets[0])
     gains, powers = _collapse_cells(beta, [rhos[c] for rhos in budgets for c in combos])
-    kernel = _mc_trials(cfg, drop, plan.n_small, gains, powers,
-                        [m for _, m in combos] * len(budgets), m_values)
-    mc = sum(lam for _, _, lam in kernel) / plan.n_small
-    mc = mc.reshape(len(budgets), len(combos), len(m_values))
+    total = 0.0
+    for lam in _gram_trials(cfg, drop, plan.n_small, gains, powers,
+                            [m for _, m in combos] * len(budgets), m_values):
+        total = total + np.cumsum(lam, axis=0)[-1]
+    mc = (total / plan.n_small).reshape(len(budgets), len(combos), len(m_values))
     return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
 from mimo_pilot import ppa
-from mimo_pilot.airlink import pilot_phase, sample_channels
+from mimo_pilot.airlink import complex_normal, pilot_phase, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE, estimate_ls, estimate_mmse
-from mimo_pilot.harness import (_collapse_cells, _mc_trials, _mean_stderr,
-                                _realization, _worker_count)
+from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
+                                _collapse_cells, _error_weights, _gram_segments,
+                                _gram_trials, _mc_means, _mc_trials, _mean_stderr,
+                                _prefix_rcee, _realization, _worker_count)
 from mimo_pilot.metrics import rcee_prefix_samples
 from mimo_pilot.scenario import SystemConfig
 
@@ -358,6 +361,31 @@ class TestMonteCarloKernel:
             seen += 1
         assert seen == n
 
+    @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), _DESK_M_GRID])
+    def test_gram_form_reproduces_the_antenna_errors(self, drop, m_values):
+        # The Gram kernel's quadratic form, fed the Gram matrices of the
+        # very vectors this kernel draws: h_0, the other cells' pilot sum
+        # sum_{l>=1} sqrt(rho_lk) h_lk (a silent cell adds nothing) with
+        # rho_other = 1, and the noise.  No randomness of its own.
+        cfg, beta, rho_stack, methods = drop
+        d, n = 3, 4
+        tag = f"gamma={cfg.Gamma}"
+        idx = np.asarray(m_values) - 1
+        pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+        for s, (ch, _, lam) in enumerate(
+                _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
+            noise = complex_normal((max(m_values), cfg.tau),
+                                   seed_schedule(cfg.seed, d * n + s, f"pilot-noise/{tag}"))
+            for c, method in enumerate(methods):
+                x = (ch.h[0], np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), ch.h[1:]),
+                     noise[:, :cfg.K].T)
+                gram = np.stack([np.cumsum((x[i] * np.conj(x[j])).real, axis=-1)[:, idx].T
+                                 for i, j in pairs])
+                gains = np.stack([beta[0], (rho_stack[c, 1:] * beta[1:]).sum(axis=0)])
+                powers = np.stack([rho_stack[c, 0], np.ones(cfg.K)])[None]
+                got = _prefix_rcee(gram, _error_weights(gains, powers, [method]))
+                np.testing.assert_allclose(got[0], lam[c], rtol=1e-12, atol=0.0)
+
     def test_rejects_bad_powers(self, drop):
         cfg, beta, rho_stack, methods = drop
         negative = rho_stack.copy()
@@ -418,15 +446,104 @@ class TestCollapsedCells:
                    cfg.replace(seed=self.SEEDS[side]), 0, n, gains, powers,
                    METHODS, self.M_VALUES)])
                for side, (gains, powers) in sides.items()}
-        # asymptotic two-sample critical value c(alpha) sqrt(2 / n)
-        critical = np.sqrt(-np.log(self.KS_ALPHA / 2.0) / 2.0) * np.sqrt(2.0 / n)
         for c, method in enumerate(METHODS):
             for i, m in enumerate(self.M_VALUES):
-                a, b = lam["full"][:, c, i], lam["collapsed"][:, c, i]
-                ks = ks_distance(empirical_cdf(a), empirical_cdf(b))
-                assert ks < critical, (method, m, ks, critical)
-                se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
-                assert abs(a.mean() - b.mean()) <= 3.0 * se, (method, m)
+                _assert_same_law(lam["full"][:, c, i], lam["collapsed"][:, c, i],
+                                 self.KS_ALPHA, (method, m))
+
+    # Fixed before any run: the Gram draw against the full antenna draw at
+    # every antenna count of the desk grid, for the eppa and ppa powers
+    # under both methods, 2,000 trials a side, the antenna draw under root
+    # seed 1 and the Gram draw under root seed 2, and a family-wise level
+    # of 1% over the 3 x 4 x 7 = 84 (gamma, allocation, M) comparisons.
+    GRAM_KS_ALPHA = 0.01 / 84
+
+    @pytest.mark.parametrize("gamma", [1, 3, 7])
+    def test_gram_draw_keeps_the_law_of_the_antenna_draw(self, gamma):
+        cfg = default_config("validate", seed=0).replace(Gamma=gamma)
+        beta = _realization(cfg, 0).beta
+        profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
+        combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
+        rho_stack = np.full((len(combos), cfg.L, cfg.K), cfg.P_total / cfg.K)
+        for c, (scheme, method) in enumerate(combos):
+            if scheme == "ppa":
+                rho_stack[c, 0] = ppa.ppa_allocate(method, profile, cfg).rho
+        methods = [method for _, method in combos]
+        n = self.N_TRIALS
+        antenna = np.array([lam for _, _, lam in _mc_trials(
+            cfg.replace(seed=self.SEEDS["full"]), 0, n, beta, rho_stack, methods,
+            _DESK_M_GRID)])
+        gram = np.concatenate(list(_gram_trials(
+            cfg.replace(seed=self.SEEDS["collapsed"]), 0, n,
+            *_collapse_cells(beta, rho_stack), methods, _DESK_M_GRID)))
+        assert gram.shape == antenna.shape
+        for c, combo in enumerate(combos):
+            for i, m in enumerate(_DESK_M_GRID):
+                _assert_same_law(antenna[:, c, i], gram[:, c, i], self.GRAM_KS_ALPHA,
+                                 (combo, m))
+
+    @pytest.mark.parametrize("dm", [1, 2, 3, 64])
+    def test_gram_segment_means(self, dm):
+        # E G = dm diag(beta_0, beta_S, 1) entry by entry, within 4
+        # standard errors; the last user has no other cell, so its S row
+        # and column are exactly zero
+        gains = np.array([[0.5, 1.0e-2, 2.0], [0.2, 3.0, 0.0]])
+        n = 20000
+        g = _gram_segments(np.random.default_rng(7), n, [dm], gains)[:, :, 0]
+        expected = dm * np.concatenate([gains, np.ones((1, 3)), np.zeros((3, 3))])
+        se = g.std(axis=1, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(g.mean(axis=1) - expected) <= 4.0 * se), (
+            g.mean(axis=1), expected, se)
+
+    def test_single_cell_gets_a_silent_zero_row(self, table_beta):
+        rho = np.full((2, 1, table_beta.shape[1]), 1000.0)
+        gains, powers = _collapse_cells(table_beta[:1], rho)
+        assert np.array_equal(gains, [table_beta[0], np.zeros(3)])
+        assert np.array_equal(powers, np.concatenate([rho, np.zeros_like(rho)], axis=1))
+
+
+def _assert_same_law(a, b, alpha, label):
+    """Two-sample KS at level ``alpha`` and means within 3 standard errors."""
+    n = len(a)
+    # asymptotic two-sample critical value c(alpha) sqrt(2 / n)
+    critical = np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt(2.0 / n)
+    ks = ks_distance(empirical_cdf(a), empirical_cdf(b))
+    assert ks < critical, (label, ks, critical)
+    se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
+    assert abs(a.mean() - b.mean()) <= 3.0 * se, label
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+def test_fig3_with_one_or_two_cells(cells):
+    # one cell collapses to a silent zero row, two to that cell exactly
+    cfg = default_config("fig3", seed=0).replace(L=cells)
+    plan = dataclasses.replace(plan_for("fig3", gammas=(1,), n_large=4, n_small=50),
+                               m_grid=(8, 64))
+    report = run_experiment(plan, cfg)
+    assert len(report.rows) == 2 * 2 * 2
+    for row in report.rows:
+        mc, se, closed = row[6], row[7], row[8]
+        assert abs(mc - closed) <= 3.0 * se, row
+
+
+def test_gram_memory_is_flat_in_the_trial_count():
+    # a fig4b drop: 4 allocations at each of 7 budgets in one kernel run
+    cfg = default_config("fig3", seed=0)
+    beta = _realization(cfg, 0).beta
+    budgets = [{(scheme, method): np.full((cfg.L, cfg.K), 10.0 ** (p_db / 10.0) / cfg.K)
+                for scheme in ("eppa", "ppa") for method in METHODS}
+               for p_db in _DESK_P_GRID_DB]
+
+    def peak(n_trials):
+        plan = plan_for("fig4b", gammas=(1,), n_large=1, n_small=n_trials)
+        tracemalloc.start()
+        try:
+            _mc_means(plan, cfg, 0, beta, budgets, (cfg.M,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * _GRAM_BLOCK) < 2 * peak(_GRAM_BLOCK)
 
 
 def test_unconverged_reference_warns_and_keeps_bytes(tiny_cfg, request):
