@@ -8,12 +8,9 @@ relative channel estimation error under a total budget and per-user
 bounds.
 """
 
-from .airlink import (ChannelRealization, PilotObservation, SinrMoments,
-                      complex_normal, empirical_sinr_terms, pilot_book,
-                      pilot_phase, sample_channels)
-from .estimators import (LS, MMSE, METHODS, ChannelEstimate, check_method,
-                         estimate_ls, estimate_mmse, mmse_gain,
-                         mmse_gain_matrix)
+from .airlink import (SinrMoments, complex_normal, empirical_sinr_terms,
+                      sample_channels)
+from .estimators import LS, MMSE, METHODS, check_method
 from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
                       ExperimentPlan, MetricReport, bench_allocators,
                       default_config, empirical_cdf, ks_distance, plan_for,
@@ -21,8 +18,7 @@ from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
 from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
                       exp_rcee_closed, exp_rcee_eppa_floor,
                       exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
-                      rcee_prefix_samples, rcee_sample, sinr_closed,
-                      sinr_limit, upsilon)
+                      sinr_closed, sinr_limit, upsilon)
 from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
                   ppa_allocate, unconstrained_optimum)
@@ -37,23 +33,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
-    "MMSE", "CellLayout", "ChannelEstimate",
-    "ChannelRealization", "ConfigurationError", "ConstrainedProblem",
+    "MMSE", "CellLayout", "ConfigurationError", "ConstrainedProblem",
     "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
     "InterferenceProfile", "LargeScaleRealization", "MetricReport",
-    "PilotAllocation", "PilotObservation", "RateSummary", "SinrMoments",
-    "SolveResult", "SystemConfig",
+    "PilotAllocation", "RateSummary", "SinrMoments", "SolveResult",
+    "SystemConfig",
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
     "check_method", "complex_normal",
     "db_to_linear", "default_config", "drop_users", "empirical_cdf",
-    "empirical_sinr_terms", "eppa_profile", "estimate_ls", "estimate_mmse",
+    "empirical_sinr_terms", "eppa_profile",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",
     "in_hexagon", "ks_distance", "large_scale",
-    "load_beta_fixture", "make_objective", "mmse_gain", "mmse_gain_matrix",
-    "objective_value", "pilot_book", "pilot_phase", "plan_for",
+    "load_beta_fixture", "make_objective",
+    "objective_value", "plan_for",
     "ppa_allocate", "project_bounded_simplex", "rate_summary",
-    "rcee_prefix_samples", "rcee_sample", "run_experiment",
+    "run_experiment",
     "sample_channels", "sample_hexagon", "sample_shadowing",
     "save_beta_fixture", "seed_schedule", "sinr_closed", "sinr_limit",
     "solve", "unconstrained_optimum", "upsilon",

@@ -1,4 +1,4 @@
-"""Fast fading, pilot-phase signals and empirical SINR statistics.
+"""Fast fading and empirical SINR statistics.
 
 Everything here is expressed at the target base station: channel vectors
 h[l, k] are the links from user k of cell l to the target array, drawn as
@@ -30,17 +30,11 @@ def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One small-scale realization h[l, k] (length-M vectors) at the target BS."""
-
-    h: np.ndarray  # (L, K, M) complex
-
-
-def sample_channels(beta, M: int, rng: np.random.Generator) -> ChannelRealization:
+def sample_channels(beta, M: int, rng: np.random.Generator) -> np.ndarray:
     """Draw h[l, k] ~ CN(0, beta[l, k] * I_M) for every user.
 
-    ``beta`` is the (L, K) array of gains toward the target base station.
+    ``beta`` is the (L, K) array of gains toward the target base station;
+    returns the (L, K, M) complex channel array.
     """
     gains = np.asarray(beta, dtype=float)
     if gains.ndim != 2:
@@ -53,50 +47,7 @@ def sample_channels(beta, M: int, rng: np.random.Generator) -> ChannelRealizatio
     # float view (re, im interleaved) in place
     h_f = h.view(float)
     h_f *= np.sqrt(gains)[:, :, None]
-    return ChannelRealization(h=h)
-
-
-def pilot_book(K: int, tau: int) -> np.ndarray:
-    """Rows of the tau x tau identity as the shared orthonormal pilot book.
-
-    Every cell transmits the same K sequences, which is what couples
-    same-index users across cells during estimation.
-    """
-    if tau < K:
-        raise ValueError("tau must be at least K")
-    return np.eye(tau, dtype=complex)[:K]
-
-
-@dataclass(frozen=True)
-class PilotObservation:
-    """Received pilot block at the target BS plus what produced it."""
-
-    y: np.ndarray       # (M, tau) complex
-    rho: np.ndarray     # (L, K) pilot powers, target cell is row 0
-    book: np.ndarray    # (K, tau) orthonormal sequences
-
-
-def pilot_phase(ch: ChannelRealization, rho, tau: int,
-                noise_rng: np.random.Generator | None) -> PilotObservation:
-    """Superimpose every cell's pilot transmissions at the target array.
-
-    Y = sum_{l,k} sqrt(rho[l,k]) h[l,k] s_k^H + N with N i.i.d. CN(0, 1);
-    pass ``noise_rng=None`` for a noiseless block.  All cells share the
-    same sequence book, so contributions of same-index users add up.
-    """
-    rho = np.asarray(rho, dtype=float)
-    L, K, M = ch.h.shape
-    if rho.shape != (L, K):
-        raise ValueError(f"rho must have shape ({L}, {K})")
-    if np.any(rho < 0):
-        raise ValueError("pilot powers must be non-negative")
-    book = pilot_book(K, tau)
-    # combined per-sequence signal: b_k = sum_l sqrt(rho[l,k]) h[l,k]
-    b = np.einsum("lk,lkm->km", np.sqrt(rho), ch.h)
-    y = b.T @ np.conj(book)
-    if noise_rng is not None:
-        y = y + complex_normal((M, tau), noise_rng)
-    return PilotObservation(y=y, rho=rho, book=book)
+    return h
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,13 @@
-"""Least-squares and MMSE uplink channel estimators.
+"""Names of the two uplink channel estimators, least squares and MMSE.
 
-Both estimators correlate the received pilot block with a user's sequence.
-Because every cell reuses the book, the correlation output contains the
-scaled channels of all same-index users plus noise; the MMSE estimator
-differs from least squares only by a deterministic shrinkage factor.
+Both correlate the received pilot block with a user's sequence; MMSE
+differs from least squares only by a deterministic per-user shrinkage.
+The package never forms an estimate one trial at a time: the closed
+forms in :mod:`.metrics` and the Monte-Carlo kernels in :mod:`.harness`
+take the method name.  The literal per-trial estimators, which those
+kernels are tested against, live in the tests' oracle
+(``tests/oracle.py``).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from .airlink import PilotObservation
 
 LS = "ls"
 MMSE = "mmse"
@@ -23,67 +18,3 @@ def check_method(method: str) -> str:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     return method
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Per-user channel estimates at the target BS."""
-
-    h_hat: np.ndarray  # (K, M) complex
-    method: str
-
-
-def estimate_ls(obs: PilotObservation) -> ChannelEstimate:
-    """Least-squares estimates hhat_k = Y s_k / sqrt(rho_0k).
-
-    Correlating with sequence k keeps the target user's channel at unit
-    gain, the same-index users of other cells at sqrt(rho_lk/rho_0k), and
-    a noise term of per-component variance 1/rho_0k.
-    """
-    rho_target = obs.rho[0]
-    if np.any(rho_target <= 0):
-        raise ValueError("target-cell pilot powers must be positive")
-    h_hat = (obs.y @ obs.book.T.conj()).T / np.sqrt(rho_target)[:, None]
-    return ChannelEstimate(h_hat=h_hat, method=LS)
-
-
-def mmse_gain(rho_col, beta_col) -> float:
-    """Shrinkage factor rho_0 beta_0 / (sum_l rho_l beta_l + 1) for one user.
-
-    ``rho_col`` and ``beta_col`` are the per-cell pilot powers and gains of
-    the user's index, target cell first.
-    """
-    rho = np.asarray(rho_col, dtype=float)
-    beta = np.asarray(beta_col, dtype=float)
-    if rho[0] <= 0 or beta[0] <= 0:
-        raise ValueError("target power and gain must be positive")
-    return float(rho[0] * beta[0] / (np.dot(rho, beta) + 1.0))
-
-
-def estimate_mmse(obs: PilotObservation, beta_slice) -> ChannelEstimate:
-    """MMSE estimates: the LS output scaled per user by :func:`mmse_gain`.
-
-    ``beta_slice`` holds the (L, K) large-scale gains toward the target
-    BS, assumed known.  The scaling is what makes the estimate collinear
-    with the LS one.
-    """
-    beta_slice = np.asarray(beta_slice, dtype=float)
-    if beta_slice.shape != obs.rho.shape:
-        raise ValueError("beta_slice must match the pilot power shape")
-    ls = estimate_ls(obs)
-    K = obs.rho.shape[1]
-    c = np.array([mmse_gain(obs.rho[:, k], beta_slice[:, k]) for k in range(K)])
-    return ChannelEstimate(h_hat=c[:, None] * ls.h_hat, method=MMSE)
-
-
-def mmse_gain_matrix(rho_col, beta_col, M: int) -> np.ndarray:
-    """Covariance-quotient form of the MMSE filter, for small-M checks.
-
-    Builds E{h hhat^H} and E{hhat hhat^H} under the correlated-pilot model
-    and returns their quotient, which collapses to mmse_gain * I_M.
-    """
-    rho = np.asarray(rho_col, dtype=float)
-    beta = np.asarray(beta_col, dtype=float)
-    cross = beta[0] * np.eye(M)
-    auto = ((np.dot(rho, beta) + 1.0) / rho[0]) * np.eye(M)
-    return cross @ np.linalg.inv(auto)

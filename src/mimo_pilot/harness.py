@@ -21,7 +21,8 @@ antenna grid, O(1) variates per user and segment at any antenna count.
 validate needs every channel for its SINR, so :func:`_mc_trials` draws
 each channel and noise block at every antenna; one draw per trial serves
 every allocation and antenna prefix of the drop, so all curves see common
-randomness.  It is also the tests' reference for the Gram draw.
+randomness.  It is also the tests' reference for the Gram draw, and is
+itself held bit for bit to the literal antenna model in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, ppa
-from .airlink import (complex_normal, empirical_sinr_terms, pilot_book,
-                      sample_channels)
+from .airlink import complex_normal, empirical_sinr_terms, sample_channels
 from .estimators import LS, MMSE, METHODS
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, drop_users,
                        large_scale)
@@ -267,16 +267,17 @@ def _kernel_inputs(cfg: SystemConfig, beta_slice, rho_stack, m_values):
     m_values = [int(m) for m in m_values]
     if m_values[0] < 1 or m_values != sorted(set(m_values)):
         raise ValueError("m_values must be increasing antenna counts")
-    # The book is rows of the identity, so correlating the received block
-    # with sequence k selects its column k:
+    # The book is rows of the tau x tau identity, so correlating the
+    # received block with sequence k selects its column k:
     #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
-    pilot_book(K, cfg.tau)
+    if cfg.tau < K:
+        raise ValueError("tau must be at least K")
     return rho_stack, m_values
 
 
 def _shrinkage(beta_slice, rho_stack, methods):
     """(C, K) factor of each estimate: 1 under LS, and under MMSE the
-    rho_0 beta_0 / (sum_l rho_l beta_l + 1) of mmse_gain."""
+    shrinkage rho_0 beta_0 / (sum_l rho_l beta_l + 1)."""
     mmse = np.array([m == MMSE for m in methods])
     shrink = np.ones((len(rho_stack), beta_slice.shape[1]))
     shrink[mmse] = (rho_stack[mmse, 0] * beta_slice[0]
@@ -289,17 +290,17 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     """Monte-Carlo kernel: one drop's trials for C allocations at once.
 
     ``rho_stack[c]`` (L, K) is estimated with ``methods[c]``.  The L rows
-    of ``beta_slice`` are the channels the pilots superimpose: every cell,
-    or the two rows of :func:`_collapse_cells`; row 0 is the target cell.
-    Each trial draws one channel at the largest of the increasing
-    ``m_values`` and one pilot-noise block; both serve every allocation
-    and antenna prefix (length-m estimates are the first m rows of the
-    full ones), so every curve sees common randomness.  Yields
-    ``(channel, h_hat, lam)`` in trial order: the (C, K, M) estimates,
-    overwritten by the next trial, and the (C, len(m_values))
-    user-averaged relative errors.  The arithmetic is that of pilot_phase
-    -> estimate_ls / estimate_mmse -> metrics.rcee_prefix_samples, so
-    every value matches it bit for bit.
+    of ``beta_slice`` are the cells whose channels the pilots superimpose;
+    row 0 is the target cell.  Each trial draws one channel at the largest
+    of the increasing ``m_values`` and one pilot-noise block; both serve
+    every allocation and antenna prefix (length-m estimates are the first
+    m rows of the full ones), so every curve sees common randomness.
+    Yields ``(h, h_hat, lam)`` in trial order: the (L, K, M) channels,
+    the (C, K, M) estimates, overwritten by the next trial, and the
+    (C, len(m_values)) user-averaged relative errors.  The arithmetic is
+    that of the literal antenna model in ``tests/oracle.py`` (pilot_phase
+    -> estimate_ls / estimate_mmse -> rcee_prefix_samples), so every
+    value matches it bit for bit.
 
     The pilot weights, the 1/sqrt(rho_0k) normalisation and the MMSE
     shrinkage are real, and a real factor scales re and im alike, so each
@@ -331,14 +332,14 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     tag = f"gamma={cfg.Gamma}"
     for s in range(n_trials):
         t_id = drop * n_trials + s
-        ch = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
+        h = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
         noise = complex_normal((m_top, cfg.tau),
                                seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-        np.einsum("clk,lkm->kcm", sqrt_rho, ch.h.view(float), out=est_f)
+        np.einsum("clk,lkm->kcm", sqrt_rho, h.view(float), out=est_f)
         est += noise[:, None, :K].T
         est_f *= inv_target
         est_f *= shrink
-        h0 = ch.h[0]
+        h0 = h[0]
         np.abs(h_hat - h0, out=e2.transpose(1, 2, 0))
         np.square(e2, out=e2)
         # each prefix sum continues from the one before, as cumsum would
@@ -351,7 +352,7 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
         # users are the contiguous axis, so this mean sums them as the
         # reference path does
         lam = (err / sig_c[:, None]).mean(axis=-1).T
-        yield ch, h_hat, lam
+        yield h, h_hat, lam
 
 
 def _collapse_cells(beta, rho_stack):
@@ -550,8 +551,8 @@ def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
     estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
     kernel = _mc_trials(cfg, drop, n, beta, list(rho_mats.values()),
                         [m for _, m in rho_mats], (cfg.M,))
-    for s, (ch, h_hat, lam_s) in enumerate(kernel):
-        channels[s], estimates[s], lam[:, s] = ch.h, h_hat, lam_s[:, 0]
+    for s, (h, h_hat, lam_s) in enumerate(kernel):
+        channels[s], estimates[s], lam[:, s] = h, h_hat, lam_s[:, 0]
     out = {"exp_rcee": {}, "sinr": {}}
     for c, (combo, rho) in enumerate(rho_mats.items()):
         method = combo[1]

@@ -107,40 +107,6 @@ def upsilon(rho, beta):
     return _shaped(_upsilon(rho, beta), column)
 
 
-def rcee_sample(h, h_hat) -> float:
-    """Squared estimation error relative to the channel energy.
-
-    ||h - hhat||^2 / ||h||^2 for one channel vector; raises on a zero
-    channel, for which the ratio is undefined.
-    """
-    h = np.asarray(h)
-    h_hat = np.asarray(h_hat)
-    energy = float(np.vdot(h, h).real)
-    if energy == 0.0:
-        raise ValueError("relative error undefined for a zero channel")
-    err = h_hat - h
-    return float(np.vdot(err, err).real) / energy
-
-
-def rcee_prefix_samples(h, h_hat, m_values) -> np.ndarray:
-    """Relative errors restricted to the first m antennas, for each m.
-
-    Valid because per-antenna correlation estimates only involve the same
-    antenna's observations: the length-m estimate equals the first m rows
-    of the full-length estimate.  ``h``/``h_hat`` are (..., M); returns an
-    array of shape (len(m_values),) + batch shape.
-    """
-    h = np.asarray(h)
-    h_hat = np.asarray(h_hat)
-    m_values = np.asarray(m_values, dtype=int)
-    if np.any(m_values < 1) or np.any(m_values > h.shape[-1]):
-        raise ValueError("antenna counts must lie in [1, M]")
-    err_c = np.cumsum(np.abs(h_hat - h) ** 2, axis=-1)
-    sig_c = np.cumsum(np.abs(h) ** 2, axis=-1)
-    idx = m_values - 1
-    return np.moveaxis(err_c[..., idx] / sig_c[..., idx], -1, 0)
-
-
 def exp_rcee_closed(method: str, M, rho, beta):
     """Expected relative estimation error at M antennas.
 

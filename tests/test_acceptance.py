@@ -13,17 +13,17 @@ import pytest
 
 from mimo_pilot import (InterferenceProfile, SystemConfig, bench_allocators,
                         complex_normal, default_config, empirical_cdf,
-                        eppa_profile, estimate_ls, estimate_mmse, ks_distance,
-                        make_objective, objective_value, pilot_phase, plan_for,
-                        ppa_allocate, run_experiment, sample_channels,
-                        seed_schedule, unconstrained_optimum)
+                        eppa_profile, ks_distance, make_objective,
+                        objective_value, plan_for, ppa_allocate,
+                        run_experiment, sample_channels, seed_schedule,
+                        unconstrained_optimum)
 from mimo_pilot import exp_rcee_asymptotic
 from mimo_pilot.cli import main
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.metrics import (exp_rcee_closed, exp_rcee_eppa_floor,
-                                exp_rcee_eppa_limit, exp_rcee_limit,
-                                rcee_prefix_samples)
+                                exp_rcee_eppa_limit, exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
+from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
 TWO_CELL_BETA = np.array([[1.0], [0.3]])
 TWO_CELL_RHO = np.array([[4.0], [1.0]])
@@ -39,13 +39,13 @@ def _two_cell_error_samples(m_values, trials, purpose_prefix, seed=0):
     m_top = max(m_values)
     out = {m: {LS: [], MMSE: []} for m in m_values}
     for trial in range(trials):
-        ch = sample_channels(TWO_CELL_BETA, m_top,
-                             seed_schedule(seed, trial, purpose_prefix + "-channel"))
-        obs = pilot_phase(ch, TWO_CELL_RHO, 1,
+        h = sample_channels(TWO_CELL_BETA, m_top,
+                            seed_schedule(seed, trial, purpose_prefix + "-channel"))
+        obs = pilot_phase(h, TWO_CELL_RHO, 1,
                           seed_schedule(seed, trial, purpose_prefix + "-noise"))
         for method, est in ((LS, estimate_ls(obs)),
                             (MMSE, estimate_mmse(obs, TWO_CELL_BETA))):
-            vals = rcee_prefix_samples(ch.h[0], est.h_hat, m_values)
+            vals = rcee_prefix_samples(h[0], est.h_hat, m_values)
             for i, m in enumerate(m_values):
                 out[m][method].append(vals[i, 0])
     return out

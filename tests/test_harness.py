@@ -9,14 +9,14 @@ from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
 from mimo_pilot import ppa
-from mimo_pilot.airlink import complex_normal, pilot_phase, sample_channels
-from mimo_pilot.estimators import LS, METHODS, MMSE, estimate_ls, estimate_mmse
+from mimo_pilot.airlink import complex_normal, sample_channels
+from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _collapse_cells, _error_weights, _gram_segments,
                                 _gram_trials, _mc_means, _mc_trials, _mean_stderr,
                                 _prefix_rcee, _realization, _worker_count)
-from mimo_pilot.metrics import rcee_prefix_samples
 from mimo_pilot.scenario import SystemConfig
+from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
 
 class TestSeedSchedule:
@@ -344,18 +344,18 @@ class TestMonteCarloKernel:
         d, n = 3, 4
         tag = f"gamma={cfg.Gamma}"
         seen = 0
-        for s, (ch, h_hat, lam) in enumerate(
+        for s, (h, h_hat, lam) in enumerate(
                 _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
             t_id = d * n + s
-            ref_ch = sample_channels(beta, max(m_values),
-                                     seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
-            assert np.array_equal(ch.h, ref_ch.h)
+            ref_h = sample_channels(beta, max(m_values),
+                                    seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
+            assert np.array_equal(h, ref_h)
             assert lam.shape == (len(methods), len(m_values))
             for c, method in enumerate(methods):
-                obs = pilot_phase(ref_ch, rho_stack[c], cfg.tau,
+                obs = pilot_phase(ref_h, rho_stack[c], cfg.tau,
                                   seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
                 est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta)
-                ref = rcee_prefix_samples(ref_ch.h[0], est.h_hat, m_values)
+                ref = rcee_prefix_samples(ref_h[0], est.h_hat, m_values)
                 assert np.array_equal(h_hat[c], est.h_hat)
                 assert np.array_equal(lam[c], ref.mean(axis=1))
             seen += 1
@@ -372,12 +372,12 @@ class TestMonteCarloKernel:
         tag = f"gamma={cfg.Gamma}"
         idx = np.asarray(m_values) - 1
         pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-        for s, (ch, _, lam) in enumerate(
+        for s, (h, _, lam) in enumerate(
                 _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
             noise = complex_normal((max(m_values), cfg.tau),
                                    seed_schedule(cfg.seed, d * n + s, f"pilot-noise/{tag}"))
             for c, method in enumerate(methods):
-                x = (ch.h[0], np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), ch.h[1:]),
+                x = (h[0], np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), h[1:]),
                      noise[:, :cfg.K].T)
                 gram = np.stack([np.cumsum((x[i] * np.conj(x[j])).real, axis=-1)[:, idx].T
                                  for i, j in pairs])
@@ -395,6 +395,18 @@ class TestMonteCarloKernel:
         for bad in (negative, silent_target):
             with pytest.raises(ValueError):
                 next(_mc_trials(cfg, 0, 2, beta, bad, methods, (cfg.M,)))
+
+    def test_rejects_more_users_than_pilot_dimensions(self, drop):
+        # the config's own check holds tau >= cfg.K; the kernels guard the
+        # user count of the gains they are given
+        cfg, beta, rho_stack, methods = drop
+        wide_beta = np.tile(beta, 2)[:, :cfg.tau + 1]
+        wide_rho = np.tile(rho_stack, 2)[:, :, :cfg.tau + 1]
+        with pytest.raises(ValueError, match="tau"):
+            next(_mc_trials(cfg, 0, 2, wide_beta, wide_rho, methods, (cfg.M,)))
+        with pytest.raises(ValueError, match="tau"):
+            next(_gram_trials(cfg, 0, 2, wide_beta[:2], wide_rho[:, :2], methods,
+                              (cfg.M,)))
 
     @pytest.mark.parametrize("m_values", [(8, 4), (4, 4), (0, 4)])
     def test_rejects_unordered_antenna_counts(self, drop, m_values):
@@ -420,42 +432,13 @@ class TestCollapsedCells:
         with pytest.raises(ValueError, match="other cell"):
             _collapse_cells(table_beta, rho)
 
-    # Fixed before any run: 2,000 trials a side, the full draw under root
-    # seed 1 and the collapsed one under root seed 2 (one shared seed would
-    # give both sides the same target-cell normals), and a family-wise
-    # level of 1% over the 3 x 2 x 3 = 18 (gamma, method, M) comparisons.
-    N_TRIALS = 2000
-    SEEDS = {"full": 1, "collapsed": 2}
-    M_VALUES = (8, 64, 512)
-    KS_ALPHA = 0.01 / 18
-
-    @pytest.mark.parametrize("gamma", [1, 3, 7])
-    def test_collapsed_draw_keeps_the_law_of_the_full_draw(self, gamma):
-        # the kernel's per-trial user-averaged errors of one validate-config
-        # drop with its ppa powers: all L cells against the two-row draw
-        cfg = default_config("validate", seed=0).replace(Gamma=gamma)
-        beta = _realization(cfg, 0).beta
-        profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
-        rho_stack = np.full((len(METHODS), cfg.L, cfg.K), cfg.P_total / cfg.K)
-        for c, method in enumerate(METHODS):
-            rho_stack[c, 0] = ppa.ppa_allocate(method, profile, cfg).rho
-        n = self.N_TRIALS
-        sides = {"full": (beta, rho_stack),
-                 "collapsed": _collapse_cells(beta, rho_stack)}
-        lam = {side: np.array([lam for _, _, lam in _mc_trials(
-                   cfg.replace(seed=self.SEEDS[side]), 0, n, gains, powers,
-                   METHODS, self.M_VALUES)])
-               for side, (gains, powers) in sides.items()}
-        for c, method in enumerate(METHODS):
-            for i, m in enumerate(self.M_VALUES):
-                _assert_same_law(lam["full"][:, c, i], lam["collapsed"][:, c, i],
-                                 self.KS_ALPHA, (method, m))
-
     # Fixed before any run: the Gram draw against the full antenna draw at
     # every antenna count of the desk grid, for the eppa and ppa powers
     # under both methods, 2,000 trials a side, the antenna draw under root
     # seed 1 and the Gram draw under root seed 2, and a family-wise level
     # of 1% over the 3 x 4 x 7 = 84 (gamma, allocation, M) comparisons.
+    N_TRIALS = 2000
+    SEEDS = {"full": 1, "collapsed": 2}
     GRAM_KS_ALPHA = 0.01 / 84
 
     @pytest.mark.parametrize("gamma", [1, 3, 7])

@@ -6,9 +6,10 @@ import pytest
 from mimo_pilot import (RateSummary, SystemConfig, achievable_rate,
                         exp_rcee_bound_mmse, exp_rcee_closed,
                         exp_rcee_eppa_floor, exp_rcee_eppa_limit,
-                        exp_rcee_limit, rate_summary, rcee_prefix_samples,
-                        rcee_sample, sinr_closed, sinr_limit, upsilon)
+                        exp_rcee_limit, rate_summary, sinr_closed,
+                        sinr_limit, upsilon)
 from mimo_pilot.estimators import LS, MMSE
+from oracle import rcee_prefix_samples, rcee_sample
 
 # single-interferer column: own received pilot power 1, interference 0.1
 RHO_1 = np.array([4.0, 1.0])

@@ -1,0 +1,39 @@
+"""The package's public surface and the README's library example."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import mimo_pilot
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the literal antenna model, kept in tests/oracle.py as the kernels' reference
+ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimate",
+                "estimate_ls", "mmse_gain", "estimate_mmse", "mmse_gain_matrix",
+                "rcee_sample", "rcee_prefix_samples", "ChannelRealization")
+
+
+def test_every_exported_name_resolves():
+    for name in mimo_pilot.__all__:
+        assert hasattr(mimo_pilot, name), name
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_oracle_names_are_not_in_the_package(name):
+    assert name not in mimo_pilot.__all__
+    for info in pkgutil.iter_modules(mimo_pilot.__path__):
+        module = importlib.import_module(f"mimo_pilot.{info.name}")
+        assert not hasattr(module, name), (info.name, name)
+    assert not hasattr(mimo_pilot, name)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, f"{README}:Library use", "exec"), {})
+    assert capsys.readouterr().out
