@@ -23,7 +23,7 @@ from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
                   ppa_allocate, unconstrained_optimum)
 from .refsolver import ConstrainedProblem, SolveResult, project_bounded_simplex, solve
-from .scenario import (CellLayout, ConfigurationError, FixtureFormatError,
+from .scenario import (ConfigurationError, FixtureFormatError,
                        LargeScaleRealization, SystemConfig, attenuation,
                        build_layout, db_to_linear, drop_users, in_hexagon,
                        large_scale, load_beta_fixture,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
-    "MMSE", "CellLayout", "ConfigurationError", "ConstrainedProblem",
+    "MMSE", "ConfigurationError", "ConstrainedProblem",
     "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
     "InterferenceProfile", "LargeScaleRealization", "MetricReport",
     "PilotAllocation", "RateSummary", "SinrMoments", "SolveResult",

@@ -150,8 +150,8 @@ def _cmd_allocate(args) -> int:
                 raise ConfigurationError(
                     f"config has K={cfg.K} but the fixture has {K} users")
         else:
-            cfg = SystemConfig(K=K, M=200, P_total=1.0e4,
-                               mu=min(3.0, (K + 1) / 2), rho_u=100.0, L=L)
+            cfg = default_config("fig3")
+            cfg = cfg.replace(K=K, L=L, mu=min(cfg.mu, (K + 1) / 2))
         if seed is not None:
             cfg = cfg.replace(seed=seed)
     else:

@@ -40,8 +40,8 @@ import numpy as np
 from . import metrics, ppa
 from .airlink import complex_normal, empirical_sinr_terms, sample_channels
 from .estimators import LS, MMSE, METHODS
-from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, drop_users,
-                       large_scale)
+from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, db_to_linear,
+                       drop_users, large_scale)
 
 EXPERIMENTS = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b", "validate")
 SCHEMES = ("ppa", "eppa", "ref")
@@ -219,21 +219,23 @@ class MetricReport:
 
 def _realization(cfg: SystemConfig, drop: int):
     tag = f"gamma={cfg.Gamma}"
-    layout = build_layout(cfg)
-    pos = drop_users(cfg, layout, seed_schedule(cfg.seed, drop, f"positions/{tag}"))
-    return large_scale(cfg, layout, pos, seed_schedule(cfg.seed, drop, f"shadowing/{tag}"))
+    centers = build_layout(cfg)
+    pos = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, f"positions/{tag}"))
+    return large_scale(cfg, centers, pos, seed_schedule(cfg.seed, drop, f"shadowing/{tag}"))
 
 
 def reference_solve(method: str, profile: ppa.InterferenceProfile,
                     cfg: SystemConfig):
     """The iterative reference solver on the allocator's objective.
 
-    Returns the solver's result.  An unconverged solve emits a
+    The one place the reference problem is built: the budget and power
+    box of ``cfg``, the objective of :func:`ppa.make_objective`.  Returns
+    the solver's result.  An unconverged solve emits a
     ``RuntimeWarning``, so its point is never used without saying so.
     """
     from .refsolver import ConstrainedProblem, solve
 
-    fun, grad = ppa.make_objective(method, profile, cfg.M, exact=(method == LS))
+    fun, grad = ppa.make_objective(method, profile, cfg.M)
     problem = ConstrainedProblem(objective=fun, gradient=grad, total=cfg.P_total,
                                  lower=cfg.rho_min, upper=cfg.rho_max,
                                  dimension=cfg.K)
@@ -254,7 +256,7 @@ def _limit_average(method: str, rho_mat, beta_slice) -> float:
     return float(metrics.exp_rcee_limit(method, rho_mat, beta_slice).mean())
 
 
-def _kernel_inputs(cfg: SystemConfig, beta_slice, rho_stack, m_values):
+def _kernel_inputs(beta_slice, rho_stack, m_values):
     """Checked (C, L, K) powers and antenna counts of a Monte-Carlo kernel."""
     L, K = beta_slice.shape
     rho_stack = np.asarray(rho_stack, dtype=float)
@@ -267,11 +269,6 @@ def _kernel_inputs(cfg: SystemConfig, beta_slice, rho_stack, m_values):
     m_values = [int(m) for m in m_values]
     if m_values[0] < 1 or m_values != sorted(set(m_values)):
         raise ValueError("m_values must be increasing antenna counts")
-    # The book is rows of the tau x tau identity, so correlating the
-    # received block with sequence k selects its column k:
-    #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
-    if cfg.tau < K:
-        raise ValueError("tau must be at least K")
     return rho_stack, m_values
 
 
@@ -310,7 +307,7 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     differently from hypot or re^2 + im^2 of the two planes.
     """
     K = beta_slice.shape[1]
-    rho_stack, m_values = _kernel_inputs(cfg, beta_slice, rho_stack, m_values)
+    rho_stack, m_values = _kernel_inputs(beta_slice, rho_stack, m_values)
     C = len(rho_stack)
     sqrt_rho = np.sqrt(rho_stack)
     # Estimates are laid out (K, C, M): einsum writes that order about
@@ -333,10 +330,13 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     for s in range(n_trials):
         t_id = drop * n_trials + s
         h = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
-        noise = complex_normal((m_top, cfg.tau),
+        # The pilot book is the K x K identity, so correlating the received
+        # block with sequence k selects its column k:
+        #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
+        noise = complex_normal((m_top, K),
                                seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
         np.einsum("clk,lkm->kcm", sqrt_rho, h.view(float), out=est_f)
-        est += noise[:, None, :K].T
+        est += noise[:, None].T
         est_f *= inv_target
         est_f *= shrink
         h0 = h[0]
@@ -471,7 +471,7 @@ def _gram_trials(cfg: SystemConfig, drop: int, n_trials: int, gains, rho_stack,
     user-averaged relative errors, whose law is that of
     :func:`_mc_trials` on the same rows.
     """
-    rho_stack, m_values = _kernel_inputs(cfg, gains, rho_stack, m_values)
+    rho_stack, m_values = _kernel_inputs(gains, rho_stack, m_values)
     weights = _error_weights(gains, rho_stack, methods)
     segments = np.diff(m_values, prepend=0)
     rng = seed_schedule(cfg.seed, drop, f"gram/gamma={cfg.Gamma}")
@@ -582,7 +582,7 @@ def _run_drop(args):
     cfg = cfg.replace(Gamma=gamma)
     beta = _realization(cfg, drop).beta
     budgets = []
-    for cfg_p in ([cfg.replace(P_total=10.0 ** (p_db / 10.0)) for p_db in plan.p_grid_db]
+    for cfg_p in ([cfg.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                   if plan.experiment == "fig4b" else [cfg]):
         profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
         rhos = {}
@@ -710,8 +710,6 @@ def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0,
     same average-error objective.  Returns rows (K, closed-form seconds,
     reference seconds, speedup), each the best of three measurements.
     """
-    from .refsolver import ConstrainedProblem, solve
-
     rows = []
     for K in k_values:
         rng = seed_schedule(seed, K, "bench-profile")
@@ -724,11 +722,8 @@ def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0,
         best_ppa = min(
             _timed(lambda: ppa.ppa_allocate(LS, profile, cfg), loops)
             for _ in range(3))
-        fun, grad = ppa.make_objective(LS, profile, cfg.M)
-        problem = ConstrainedProblem(objective=fun, gradient=grad,
-                                     total=cfg.P_total, lower=cfg.rho_min,
-                                     upper=cfg.rho_max, dimension=K)
-        best_ref = min(_timed(lambda: solve(problem), 1) for _ in range(3))
+        best_ref = min(_timed(lambda: reference_solve(LS, profile, cfg), 1)
+                       for _ in range(3))
         rows.append((K, best_ppa, best_ref, best_ref / best_ppa))
     return rows
 

@@ -223,11 +223,11 @@ def _mean_error(method: str, rho, profile: InterferenceProfile, M: int,
     return float(_error_terms(method, M, ups, own, ups + own).mean())
 
 
-def make_objective(method: str, profile: InterferenceProfile, M: int,
-                   exact: bool = True):
-    """Objective and gradient callables for a general-purpose solver.
+def make_objective(method: str, profile: InterferenceProfile, M: int):
+    """The allocator's objective and its gradient, for a general-purpose solver.
 
-    Returns ``(fun, grad)`` evaluating :func:`objective_value` and its
+    Returns ``(fun, grad)``: :func:`objective_value` with ``exact=False``,
+    the exact error under LS and its upper bound under MMSE, and its
     analytic derivative with respect to the power vector.  Neither checks
     its argument: a solver calls them on every iteration.
     """
@@ -240,15 +240,11 @@ def make_objective(method: str, profile: InterferenceProfile, M: int,
     m_ratio = M / (M - 1)
 
     def fun(rho: np.ndarray) -> float:
-        return _mean_error(method, rho, profile, M, exact)
+        return _mean_error(method, rho, profile, M, exact=False)
 
     if method == LS:
         def grad(rho: np.ndarray) -> np.ndarray:
             return -m_ratio * ups / (beta * rho ** 2) / K
-    elif exact:
-        def grad(rho: np.ndarray) -> np.ndarray:
-            own = beta * rho
-            return ups * beta * ((m_ratio - 2.0) * ups - m_ratio * own) / (ups + own) ** 3 / K
     else:
         def grad(rho: np.ndarray) -> np.ndarray:
             return -m_ratio * ups * beta / (ups + beta * rho) ** 2 / K

@@ -15,6 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+# Stopping tolerance on the fixed-step projected-gradient norm.
+_TOL = 1e-10
+
 
 def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
     """Box side of each entry at the level t where the budget is met.
@@ -85,10 +88,9 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
-    """Minimize ``objective`` over {sum x = total, lower <= x <= upper}.
+    """Minimize ``objective`` over {sum x = total, lower <= x <= upper} in R^dimension.
 
-    Provide either a start point ``x0`` or the ``dimension`` so the solver
-    can start from the uniform feasible point.
+    The solver starts from the uniform feasible point total/dimension.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -96,8 +98,7 @@ class ConstrainedProblem:
     total: float
     lower: float
     upper: float
-    x0: np.ndarray | None = None
-    dimension: int | None = None
+    dimension: int
 
 
 @dataclass(frozen=True)
@@ -109,26 +110,27 @@ class SolveResult:
     pg_norm: float
 
 
-def solve(problem: ConstrainedProblem, tol: float = 1e-10,
-          max_iter: int = 100_000) -> SolveResult:
+def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
     """Projected gradient descent with a backtracking line search.
 
     Steps x+ = proj(x - t * grad) are accepted under an Armijo decrease
     along the projection arc; the accepted step seeds the next trial step
     via the Barzilai-Borwein ratio.  Terminates when the fixed-step
-    projected-gradient norm ||x - proj(x - grad)|| drops below ``tol`` or
-    after ``max_iter`` iterations, in which case the best point found is
+    projected-gradient norm ||x - proj(x - grad)|| drops below ``_TOL``
+    at a point that meets the budget to the projection's slack, or after
+    ``max_iter`` iterations, in which case the best point found is
     returned with ``converged=False`` rather than raising.
     """
-    def proj(z: np.ndarray) -> np.ndarray:
-        return project_bounded_simplex(z, problem.total, problem.lower, problem.upper)
+    total = problem.total
+    slack = 1e-12 * max(1.0, abs(total))
 
-    if problem.x0 is not None:
-        x = proj(np.asarray(problem.x0, dtype=float))
-    elif problem.dimension is not None:
-        x = proj(np.full(problem.dimension, problem.total / problem.dimension))
-    else:
-        raise ValueError("provide x0 or dimension")
+    def proj(z: np.ndarray) -> np.ndarray:
+        return project_bounded_simplex(z, total, problem.lower, problem.upper)
+
+    def converged(x: np.ndarray, pg_norm: float) -> bool:
+        return pg_norm < _TOL and abs(float(x.sum()) - total) <= slack
+
+    x = proj(np.full(problem.dimension, total / problem.dimension))
     f = problem.objective(x)
     g = problem.gradient(x)
     t = 1.0
@@ -136,7 +138,7 @@ def solve(problem: ConstrainedProblem, tol: float = 1e-10,
     pg_norm = float(np.linalg.norm(pg))
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if pg_norm < tol:
+        if converged(x, pg_norm):
             return SolveResult(x=x, objective=f, iterations=iterations - 1,
                                converged=True, pg_norm=pg_norm)
         accepted = False
@@ -163,4 +165,4 @@ def solve(problem: ConstrainedProblem, tol: float = 1e-10,
         pg = x - proj(x - g)
         pg_norm = float(np.linalg.norm(pg))
     return SolveResult(x=x, objective=f, iterations=iterations,
-                       converged=pg_norm < tol, pg_norm=pg_norm)
+                       converged=converged(x, pg_norm), pg_norm=pg_norm)

@@ -43,7 +43,10 @@ class SystemConfig:
     Parameters
     ----------
     K : int
-        Users per cell (at least 2).
+        Users per cell (at least 2).  Every cell reuses one book of K
+        orthonormal pilots, which is what creates pilot contamination.
+        After correlation with its pilot a user's noise has variance
+        1/rho at any pilot length, so the length is not a parameter.
     M : int
         Base-station antennas (at least 2; the expected relative estimation
         error is unbounded for a single antenna).
@@ -51,9 +54,6 @@ class SystemConfig:
         Total pilot power budget of a cell, linear scale.
     L : int
         Number of cells including the target cell, at most 7 (one ring).
-    tau : int or None
-        Pilot sequence length; defaults to K.  Each cell reuses the same
-        orthonormal book, which is what creates pilot contamination.
     mu : float
         Upper-bound multiplier of the per-user power box
         [P/(2K), mu*P/K]; must lie in [3/2, (K+1)/2] so that the box
@@ -85,7 +85,6 @@ class SystemConfig:
     M: int
     P_total: float
     L: int = 7
-    tau: int | None = None
     mu: float = 1.5
     rho_u: float = 100.0
     Gamma: int = 1
@@ -100,16 +99,12 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.K)
         if not (isinstance(self.K, int) and self.K >= 2):
             raise ConfigurationError("K must be an integer >= 2")
         if not (isinstance(self.M, int) and self.M >= 2):
             raise ConfigurationError("M must be an integer >= 2")
         if not (isinstance(self.L, int) and 1 <= self.L <= MAX_CELLS):
             raise ConfigurationError(f"L must be an integer in [1, {MAX_CELLS}]")
-        if not (isinstance(self.tau, int) and self.tau >= self.K):
-            raise ConfigurationError("tau must be an integer >= K")
         if not self.P_total > 0:
             raise ConfigurationError("P_total must be positive")
         if not (1.5 <= self.mu <= (self.K + 1) / 2):
@@ -179,7 +174,7 @@ class SystemConfig:
             if key not in known:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in ("K", "M", "L", "tau", "Gamma", "seed"):
+                if key in ("K", "M", "L", "Gamma", "seed"):
                     values[key] = int(val)
                 else:
                     values[key] = float(val)
@@ -191,20 +186,8 @@ class SystemConfig:
         return cls(**values)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """Cell centre coordinates; the target cell is index 0 at the origin."""
-
-    centers: np.ndarray  # (L, 2)
-    radius: float
-
-    @property
-    def num_cells(self) -> int:
-        return self.centers.shape[0]
-
-
-def build_layout(cfg: SystemConfig) -> CellLayout:
-    """Place the target cell at the origin and L-1 co-channel interferers.
+def build_layout(cfg: SystemConfig) -> np.ndarray:
+    """The (L, 2) cell centres: the target cell at the origin, then L-1 interferers.
 
     The interferers sit on a ring of radius r*sqrt(3*Gamma) at multiples
     of 60 degrees, the first-ring positions of a hexagonal reuse pattern.
@@ -214,7 +197,7 @@ def build_layout(cfg: SystemConfig) -> CellLayout:
     for i in range(1, cfg.L):
         angle = math.radians(60.0 * (i - 1))
         centers[i] = (d * math.cos(angle), d * math.sin(angle))
-    return CellLayout(centers=centers, radius=cfg.r)
+    return centers
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -256,11 +239,11 @@ def sample_hexagon(center, radius: float, n: int, rng: np.random.Generator) -> n
     return out + center
 
 
-def drop_users(cfg: SystemConfig, layout: CellLayout, rng: np.random.Generator) -> np.ndarray:
-    """Place K users uniformly in each cell; returns an (L, K, 2) array."""
-    positions = np.empty((layout.num_cells, cfg.K, 2))
-    for l in range(layout.num_cells):
-        positions[l] = sample_hexagon(layout.centers[l], layout.radius, cfg.K, rng)
+def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (L, K, 2)."""
+    positions = np.empty((len(centers), cfg.K, 2))
+    for l, center in enumerate(centers):
+        positions[l] = sample_hexagon(center, cfg.r, cfg.K, rng)
     return positions
 
 
@@ -297,20 +280,22 @@ class LargeScaleRealization:
         object.__setattr__(self, "beta", b)
 
 
-def large_scale(cfg: SystemConfig, layout: CellLayout, positions: np.ndarray,
+def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
                 rng: np.random.Generator) -> LargeScaleRealization:
     """Compute the large-scale gains toward the target BS for one user drop.
 
-    beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d the distance from
-    user (l, k) to the target BS at the origin and z an i.i.d. log-normal
-    shadowing gain.  With sigma_sh = 0 the gains are a deterministic
-    function of geometry.
+    ``centers`` are the (L, 2) cell centres of :func:`build_layout`, the
+    target BS at ``centers[0]``, and ``positions`` the (L, K, 2) users of
+    :func:`drop_users`.  beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d
+    the distance from user (l, k) to the target BS and z an i.i.d.
+    log-normal shadowing gain.  With sigma_sh = 0 the gains are a
+    deterministic function of geometry.
     """
     positions = np.asarray(positions, dtype=float)
-    L = layout.num_cells
+    L = len(centers)
     if positions.shape != (L, cfg.K, 2):
         raise ValueError(f"positions must have shape ({L}, {cfg.K}, 2)")
-    diff = positions - layout.centers[0]
+    diff = positions - centers[0]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     z = sample_shadowing(cfg.sigma_sh, (L, cfg.K), rng)
     beta = z * attenuation(dist, cfg.r_min, cfg.gamma_pl)

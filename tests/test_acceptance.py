@@ -144,8 +144,7 @@ def test_acceptance_05_allocator_agrees_with_reference_solver(table_beta):
         for method in (LS, MMSE):
             alloc = ppa_allocate(method, prof, cfg)
             value = objective_value(method, alloc.rho, prof, cfg.M)
-            fun, grad = make_objective(method, prof, cfg.M,
-                                       exact=(method == LS))
+            fun, grad = make_objective(method, prof, cfg.M)
             result = solve(ConstrainedProblem(
                 objective=fun, gradient=grad, total=cfg.P_total,
                 lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))

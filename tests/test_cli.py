@@ -110,6 +110,21 @@ class TestAllocate:
         assert lines[1].startswith("0,5000.0,free")
         assert lines[2].startswith("1,5000.0,free")
 
+    def test_fixture_without_config_takes_the_fig3_defaults(self, tmp_path, capsys):
+        # 12 users, so the fig3 cap mu = 3.0 applies unclipped
+        rng = np.random.default_rng(12)
+        mimo_pilot.save_beta_fixture(mimo_pilot.LargeScaleRealization(
+            beta=10.0 ** rng.uniform(-3.0, 0.0, (7, 12))), tmp_path / "beta.csv")
+        (tmp_path / "sim.cfg").write_text("K = 12\nM = 200\nP_total = 1e4\nmu = 3.0\n")
+        for method in ("ls", "mmse"):
+            beta = ["allocate", "--beta", str(tmp_path / "beta.csv"), "--method", method]
+            assert main(beta + ["--check"]) == 0
+            out, err = capsys.readouterr()
+            assert len(out.splitlines()) == 13
+            assert err.endswith("PASS\n")
+            assert main(beta + ["--check", "--config", str(tmp_path / "sim.cfg")]) == 0
+            assert capsys.readouterr() == (out, err)
+
     def test_config_user_count_must_match_fixture(self, table_fixture_path,
                                                   tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -12,9 +12,10 @@ from mimo_pilot import ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
-                                _collapse_cells, _error_weights, _gram_segments,
-                                _gram_trials, _mc_means, _mc_trials, _mean_stderr,
-                                _prefix_rcee, _realization, _worker_count)
+                                _closed_average, _collapse_cells, _error_weights,
+                                _gram_segments, _gram_trials, _limit_average,
+                                _mc_means, _mc_trials, _mean_stderr, _prefix_rcee,
+                                _realization, _worker_count)
 from mimo_pilot.scenario import SystemConfig
 from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
@@ -329,7 +330,7 @@ class TestMonteCarloKernel:
     @pytest.fixture
     def drop(self):
         # K >= 8, where numpy sums the users pairwise rather than in sequence
-        cfg = SystemConfig(K=10, M=16, tau=12, P_total=1.0e4, mu=1.5, seed=11)
+        cfg = SystemConfig(K=10, M=16, P_total=1.0e4, mu=1.5, seed=11)
         rng = np.random.default_rng(5)
         beta = 10.0 ** rng.uniform(-3.0, 0.0, (cfg.L, cfg.K))
         rho_stack = rng.uniform(0.5, 300.0, (8, cfg.L, cfg.K))
@@ -352,7 +353,7 @@ class TestMonteCarloKernel:
             assert np.array_equal(h, ref_h)
             assert lam.shape == (len(methods), len(m_values))
             for c, method in enumerate(methods):
-                obs = pilot_phase(ref_h, rho_stack[c], cfg.tau,
+                obs = pilot_phase(ref_h, rho_stack[c], cfg.K,
                                   seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
                 est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta)
                 ref = rcee_prefix_samples(ref_h[0], est.h_hat, m_values)
@@ -374,11 +375,11 @@ class TestMonteCarloKernel:
         pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
         for s, (h, _, lam) in enumerate(
                 _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
-            noise = complex_normal((max(m_values), cfg.tau),
+            noise = complex_normal((max(m_values), cfg.K),
                                    seed_schedule(cfg.seed, d * n + s, f"pilot-noise/{tag}"))
             for c, method in enumerate(methods):
                 x = (h[0], np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), h[1:]),
-                     noise[:, :cfg.K].T)
+                     noise.T)
                 gram = np.stack([np.cumsum((x[i] * np.conj(x[j])).real, axis=-1)[:, idx].T
                                  for i, j in pairs])
                 gains = np.stack([beta[0], (rho_stack[c, 1:] * beta[1:]).sum(axis=0)])
@@ -395,18 +396,6 @@ class TestMonteCarloKernel:
         for bad in (negative, silent_target):
             with pytest.raises(ValueError):
                 next(_mc_trials(cfg, 0, 2, beta, bad, methods, (cfg.M,)))
-
-    def test_rejects_more_users_than_pilot_dimensions(self, drop):
-        # the config's own check holds tau >= cfg.K; the kernels guard the
-        # user count of the gains they are given
-        cfg, beta, rho_stack, methods = drop
-        wide_beta = np.tile(beta, 2)[:, :cfg.tau + 1]
-        wide_rho = np.tile(rho_stack, 2)[:, :, :cfg.tau + 1]
-        with pytest.raises(ValueError, match="tau"):
-            next(_mc_trials(cfg, 0, 2, wide_beta, wide_rho, methods, (cfg.M,)))
-        with pytest.raises(ValueError, match="tau"):
-            next(_gram_trials(cfg, 0, 2, wide_beta[:2], wide_rho[:, :2], methods,
-                              (cfg.M,)))
 
     @pytest.mark.parametrize("m_values", [(8, 4), (4, 4), (0, 4)])
     def test_rejects_unordered_antenna_counts(self, drop, m_values):
@@ -527,6 +516,40 @@ def test_gram_memory_is_flat_in_the_trial_count():
             tracemalloc.stop()
 
     assert peak(8 * _GRAM_BLOCK) < 2 * peak(_GRAM_BLOCK)
+
+
+def test_gram_draw_reaches_the_large_antenna_limit():
+    # The abstract's claim that RCEE and Exp_rcee converge to one constant
+    # as M grows.  The Gram draw costs the same at any M, so 2,000 trials
+    # reach M = 1e8.  Bounds fixed before the first run: the per-trial
+    # spread falls as 1/sqrt(M) (sd * sqrt(M) within 15% of its value at
+    # M = 512), every mean is within 4 standard errors of the closed form
+    # at its M, and the mean at 1e8 within 4 of the limit.
+    cfg = default_config("validate", seed=0)
+    beta = _realization(cfg, 0).beta
+    profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
+    combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
+    rhos = []
+    for scheme, method in combos:
+        rho = np.full((cfg.L, cfg.K), cfg.P_total / cfg.K)
+        if scheme == "ppa":
+            rho[0] = ppa.ppa_allocate(method, profile, cfg).rho
+        rhos.append(rho)
+    m_values = np.array([512, 10**4, 10**6, 10**8])
+    n = 2000
+    gains, powers = _collapse_cells(beta, rhos)
+    lam = np.concatenate(list(_gram_trials(cfg, 0, n, gains, powers,
+                                           [m for _, m in combos], m_values)))
+    assert lam.shape == (n, len(combos), len(m_values))
+    sd = lam.std(axis=0, ddof=1)
+    scaled = sd * np.sqrt(m_values)
+    assert np.all(np.abs(scaled / scaled[:, :1] - 1.0) <= 0.15), scaled
+    se = sd / np.sqrt(n)
+    for c, (_, method) in enumerate(combos):
+        closed = _closed_average(method, rhos[c], beta, m_values)
+        assert np.all(np.abs(lam[:, c].mean(axis=0) - closed) <= 4.0 * se[c])
+        limit = _limit_average(method, rhos[c], beta)
+        assert abs(lam[:, c, -1].mean() - limit) <= 4.0 * se[c, -1]
 
 
 def test_unconverged_reference_warns_and_keeps_bytes(tiny_cfg, request):

@@ -1,6 +1,7 @@
 """The package's public surface and the README's library example."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mimo_pilot
+from mimo_pilot import refsolver, scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,6 +22,15 @@ ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimat
 def test_every_exported_name_resolves():
     for name in mimo_pilot.__all__:
         assert hasattr(mimo_pilot, name), name
+
+
+def test_signatures_the_benchmark_reads():
+    # perfbench/spans.py counts solves that hit the iteration cap from
+    # solve's max_iter default, and shadowing draws from the shape of
+    # large_scale's third argument
+    max_iter = inspect.signature(refsolver.solve).parameters["max_iter"]
+    assert max_iter.default is not inspect.Parameter.empty
+    assert list(inspect.signature(scenario.large_scale).parameters)[2] == "positions"
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)

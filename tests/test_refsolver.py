@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import (SystemConfig, default_config, eppa_profile,
-                        make_objective, objective_value, plan_for,
-                        ppa_allocate, refsolver, run_experiment)
+from mimo_pilot import (InterferenceProfile, SystemConfig, default_config,
+                        eppa_profile, make_objective, objective_value,
+                        plan_for, ppa_allocate, refsolver, run_experiment)
 from mimo_pilot.estimators import LS
 from mimo_pilot.refsolver import (ConstrainedProblem, SolveResult,
                                   project_bounded_simplex, solve)
@@ -216,12 +216,6 @@ class TestSolve:
         assert np.all(result.x >= 0.5 - 1e-10)
         assert np.all(result.x <= 6.0 + 1e-10)
 
-    def test_x0_start_point_is_projected_first(self):
-        problem = quadratic_problem([1.0, 1.0], 4.0, 0.0, 4.0,
-                                    x0=np.array([100.0, -100.0]))
-        result = solve(problem)
-        assert result.x == pytest.approx([2.0, 2.0], abs=1e-8)
-
     def test_iteration_cap_reports_not_converged(self):
         # anisotropic quadratic with an interior optimum at (4/3, 2/3);
         # the first accepted step lands off it, so one iteration cannot
@@ -240,10 +234,19 @@ class TestSolve:
         assert full.x == pytest.approx([4.0 / 3.0, 2.0 / 3.0], abs=1e-8)
         assert full.objective <= capped.objective
 
-    def test_requires_a_start_point(self):
-        problem = quadratic_problem([1.0, 1.0], 2.0, 0.0, 2.0)
-        with pytest.raises(ValueError, match="x0 or dimension"):
-            solve(problem)
+    def test_converged_point_meets_the_budget(self):
+        # weights of ~3e12 leave the projection of a gradient step off the
+        # budget by ~1e-7, while the projected gradient reads 0; such a
+        # point is not converged
+        cfg = SystemConfig(K=3, M=200, P_total=100.0, mu=2.0)
+        prof = InterferenceProfile(upsilon=np.full(3, 334.33),
+                                   beta_target=np.full(3, 1e-10))
+        fun, grad = make_objective(LS, prof, cfg.M)
+        result = solve(ConstrainedProblem(
+            objective=fun, gradient=grad, total=cfg.P_total,
+            lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
+        miss = abs(float(result.x.sum()) - cfg.P_total)
+        assert not result.converged or miss <= 1e-12 * cfg.P_total
 
     def test_uniform_start_on_symmetric_problem_stays_put(self):
         problem = quadratic_problem([3.0, 3.0, 3.0], 9.0, 1.0, 5.0,

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mimo_pilot import (CellLayout, ConfigurationError, FixtureFormatError,
-                        SystemConfig, attenuation, build_layout, db_to_linear,
-                        drop_users, in_hexagon, large_scale, load_beta_fixture,
-                        sample_hexagon, sample_shadowing, save_beta_fixture)
+from mimo_pilot import (ConfigurationError, FixtureFormatError, SystemConfig,
+                        attenuation, build_layout, db_to_linear,
+                        default_config, drop_users, in_hexagon, large_scale,
+                        load_beta_fixture, sample_hexagon, sample_shadowing,
+                        save_beta_fixture)
 
 
 def test_db_round_trip():
@@ -19,7 +20,6 @@ class TestSystemConfig:
     def test_defaults(self):
         cfg = SystemConfig(K=10, M=200, P_total=1.0e4)
         assert cfg.L == 7
-        assert cfg.tau == 10          # defaults to K
         assert cfg.mu == 1.5
         assert cfg.rho_u == 100.0
         assert cfg.Gamma == 1
@@ -52,7 +52,7 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(K=1), dict(M=1), dict(L=0), dict(L=8), dict(Gamma=2),
-        dict(tau=1), dict(mu=1.4), dict(mu=5.0), dict(P_total=0.0),
+        dict(sigma_sh=-1.0), dict(mu=1.4), dict(mu=5.0), dict(P_total=0.0),
         dict(rho_u=-1.0), dict(r=0.0), dict(slot_fraction=1.5),
         dict(seed=-1),
     ])
@@ -74,6 +74,10 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             cfg.replace(Gamma=4)
 
+    def test_replace_changes_the_user_count(self):
+        assert default_config("fig3").replace(K=12, mu=3.0) == SystemConfig(
+            K=12, M=200, P_total=1.0e4, mu=3.0, rho_u=100.0)
+
     def test_file_round_trip(self, tmp_path):
         cfg = SystemConfig(K=4, M=32, P_total=2.0e3, mu=2.0, Gamma=3,
                            rho_u=50.0, seed=11)
@@ -94,6 +98,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError, match=r"sim\.cfg:4"):
             SystemConfig.from_file(path)
 
+    def test_from_file_rejects_a_pilot_length(self, tmp_path):
+        # the pilot book is always the K x K identity
+        path = tmp_path / "sim.cfg"
+        path.write_text("K = 3\nM = 8\nP_total = 3e3\ntau = 4\n")
+        with pytest.raises(ConfigurationError, match="unknown key 'tau'"):
+            SystemConfig.from_file(path)
+
     def test_from_file_bad_value(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("K = three\nM = 8\nP_total = 3e3\n")
@@ -110,29 +121,29 @@ class TestSystemConfig:
 class TestLayout:
     def test_target_cell_at_origin(self):
         cfg = SystemConfig(K=2, M=2, P_total=10.0)
-        layout = build_layout(cfg)
-        assert layout.centers.shape == (7, 2)
-        assert np.array_equal(layout.centers[0], [0.0, 0.0])
+        centers = build_layout(cfg)
+        assert centers.shape == (7, 2)
+        assert np.array_equal(centers[0], [0.0, 0.0])
 
     def test_interferers_on_reuse_ring(self):
         cfg = SystemConfig(K=2, M=2, P_total=10.0, Gamma=3)
-        layout = build_layout(cfg)
-        dist = np.hypot(*layout.centers[1:].T)
+        centers = build_layout(cfg)
+        dist = np.hypot(*centers[1:].T)
         assert dist == pytest.approx(np.full(6, 1500.0), rel=1e-12)
         # first interferer sits on the positive x axis, then every 60 degrees
-        assert layout.centers[1] == pytest.approx([1500.0, 0.0], abs=1e-9)
-        angles = np.degrees(np.arctan2(layout.centers[1:, 1], layout.centers[1:, 0]))
+        assert centers[1] == pytest.approx([1500.0, 0.0], abs=1e-9)
+        angles = np.degrees(np.arctan2(centers[1:, 1], centers[1:, 0]))
         assert sorted(np.round(angles).astype(int) % 360) == [0, 60, 120, 180, 240, 300]
 
     def test_layout_respects_l(self):
         cfg = SystemConfig(K=2, M=2, P_total=10.0, L=3)
-        assert build_layout(cfg).centers.shape == (3, 2)
+        assert build_layout(cfg).shape == (3, 2)
 
     def test_spacing_property(self):
         # every interferer sits one cell spacing from the target cell
         cfg = SystemConfig(K=2, M=2, P_total=10.0, Gamma=7)
-        layout = build_layout(cfg)
-        assert np.hypot(*layout.centers[1:].T) == pytest.approx(
+        centers = build_layout(cfg)
+        assert np.hypot(*centers[1:].T) == pytest.approx(
             np.full(6, cfg.cell_spacing), rel=1e-14)
 
 
@@ -166,17 +177,17 @@ class TestHexagon:
 class TestDrops:
     def test_users_land_in_their_cells(self):
         cfg = SystemConfig(K=5, M=2, P_total=10.0, L=4)
-        layout = build_layout(cfg)
-        pos = drop_users(cfg, layout, np.random.default_rng(0))
+        centers = build_layout(cfg)
+        pos = drop_users(cfg, centers, np.random.default_rng(0))
         assert pos.shape == (4, 5, 2)
         for l in range(4):
-            assert in_hexagon(pos[l], layout.centers[l], cfg.r).all()
+            assert in_hexagon(pos[l], centers[l], cfg.r).all()
 
     def test_deterministic_under_seeded_rng(self):
         cfg = SystemConfig(K=3, M=2, P_total=10.0)
-        layout = build_layout(cfg)
-        a = drop_users(cfg, layout, np.random.default_rng(7))
-        b = drop_users(cfg, layout, np.random.default_rng(7))
+        centers = build_layout(cfg)
+        a = drop_users(cfg, centers, np.random.default_rng(7))
+        b = drop_users(cfg, centers, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
 
@@ -207,10 +218,10 @@ class TestShadowing:
         assert db.std() == pytest.approx(8.0, rel=0.02)
 
 
-def _full_tensor_slice(cfg, layout, positions, rng):
+def _full_tensor_slice(cfg, centers, positions, rng):
     """Gains toward the target BS as slice 0 of a full (BS, cell, user) draw."""
-    L = layout.num_cells
-    diff = positions[None, :, :, :] - layout.centers[:, None, None, :]
+    L = len(centers)
+    diff = positions[None, :, :, :] - centers[:, None, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     z = sample_shadowing(cfg.sigma_sh, (L, L, cfg.K), rng)
     return (z * attenuation(dist, cfg.r_min, cfg.gamma_pl))[0]
@@ -219,24 +230,24 @@ def _full_tensor_slice(cfg, layout, positions, rng):
 class TestLargeScale:
     def test_matches_manual_formula_without_shadowing(self):
         cfg = SystemConfig(K=2, M=2, P_total=10.0, L=3, sigma_sh=0.0)
-        layout = build_layout(cfg)
-        pos = drop_users(cfg, layout, np.random.default_rng(3))
-        real = large_scale(cfg, layout, pos, np.random.default_rng(4))
+        centers = build_layout(cfg)
+        pos = drop_users(cfg, centers, np.random.default_rng(3))
+        real = large_scale(cfg, centers, pos, np.random.default_rng(4))
         assert real.beta.shape == (3, 2)
         for l in range(3):
             for k in range(2):
-                d = np.hypot(*(pos[l, k] - layout.centers[0]))
+                d = np.hypot(*(pos[l, k] - centers[0]))
                 assert real.beta[l, k] == pytest.approx(
                     attenuation(d, cfg.r_min, cfg.gamma_pl), rel=1e-12)
 
     def test_gains_equal_slice_zero_of_the_full_tensor(self):
         for gamma in (1, 3, 7):
             cfg = SystemConfig(K=10, M=2, P_total=10.0, Gamma=gamma)
-            layout = build_layout(cfg)
+            centers = build_layout(cfg)
             for seed in range(5):
-                pos = drop_users(cfg, layout, np.random.default_rng(seed))
-                real = large_scale(cfg, layout, pos, np.random.default_rng(100 + seed))
-                full = _full_tensor_slice(cfg, layout, pos,
+                pos = drop_users(cfg, centers, np.random.default_rng(seed))
+                real = large_scale(cfg, centers, pos, np.random.default_rng(100 + seed))
+                full = _full_tensor_slice(cfg, centers, pos,
                                           np.random.default_rng(100 + seed))
                 assert np.array_equal(real.beta, full)
 
@@ -290,8 +301,3 @@ class TestBetaFixture:
         path.write_text(f"user_1\n{rows}\n")
         with pytest.raises(FixtureFormatError, match="cell rows"):
             load_beta_fixture(path)
-
-
-def test_cell_layout_num_cells():
-    layout = CellLayout(centers=np.zeros((3, 2)), radius=500.0)
-    assert layout.num_cells == 3
