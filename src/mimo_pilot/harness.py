@@ -8,21 +8,22 @@ the output.
 
 Every drop runs one preamble, :func:`_run_drop`: gains, then the
 allocations and pilot powers of each budget.  A table gives each
-experiment its per-drop value function and one of three reductions over
-drops (a grid, a distribution, or the validate rows).
+experiment its per-drop value function (one stacked closed-form call per
+estimator) and one of three reductions over drops (a grid, a
+distribution, or the validate rows).  A process pool (``jobs`` > 1) forks
+after ``numpy.random`` is loaded, so no worker loads it on its first drop.
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
-sum of their channels (:func:`_collapse_cells`), and its error over the
-first m antennas is a quadratic form in the 3x3 Gram matrix of (target
-channel, that sum, pilot noise) over those antennas.
-:func:`_gram_trials` draws that Gram matrix segment by segment of the
-antenna grid, O(1) variates per user and segment at any antenna count.
+sum of their channels (:func:`_collapse_cells`); its error over the first
+m antennas is a quadratic form in the 3x3 Gram matrix of (target channel,
+that sum, pilot noise), which :func:`_gram_trials` draws segment by
+segment of the antenna grid, O(1) variates per user and segment.
 validate needs every channel for its SINR, so :func:`_mc_trials` draws
-each channel and noise block at every antenna; one draw per trial serves
+each channel and noise block at every antenna.  One draw per trial serves
 every allocation and antenna prefix of the drop, so all curves see common
-randomness.  It is also the tests' reference for the Gram draw, and is
-itself held bit for bit to the literal antenna model in ``tests/oracle.py``.
+randomness.  The antenna kernel is the tests' reference for the Gram
+draw, held bit for bit to the literal antenna model in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class EmpiricalCdf:
     values: np.ndarray  # sorted ascending
 
     def evaluate(self, x) -> np.ndarray | float:
-        n = self.values.size
-        out = np.searchsorted(self.values, np.asarray(x), side="right") / n
+        out = np.searchsorted(self.values, np.asarray(x), side="right") / self.values.size
         return float(out) if out.ndim == 0 else out
 
     def curve(self):
@@ -245,15 +245,6 @@ def reference_solve(method: str, profile: ppa.InterferenceProfile,
                       f"P_total={cfg.P_total!r} iterations={result.iterations} "
                       f"pg_norm={result.pg_norm:.3e}", RuntimeWarning, stacklevel=2)
     return result
-
-
-def _closed_average(method: str, rho_mat, beta_slice, M):
-    """User-averaged expected error at M antennas, one value per M in an array."""
-    return metrics.exp_rcee_closed(method, M, rho_mat, beta_slice).mean(axis=-1)
-
-
-def _limit_average(method: str, rho_mat, beta_slice) -> float:
-    return float(metrics.exp_rcee_limit(method, rho_mat, beta_slice).mean())
 
 
 def _kernel_inputs(beta_slice, rho_stack, m_values):
@@ -503,12 +494,22 @@ def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
     return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
 
 
+def _error_means(beta, rhos, M=None) -> dict:
+    """User-averaged error of each key's powers at M antennas, or in the large-M
+    limit without M: one closed-form call per estimator on its keys' stack."""
+    out = {}
+    for method in METHODS:
+        keys = [key for key in rhos if key[1] == method]
+        stack = np.stack([rhos[key] for key in keys])
+        err = (metrics.exp_rcee_limit(method, stack, beta) if M is None
+               else metrics.exp_rcee_closed(method, M, stack, beta))
+        out.update(zip(keys, err.mean(axis=-1)))
+    return out
+
+
 def _fig3_values(plan, cfg, drop, beta, budgets) -> dict:
-    rhos = budgets[0]
-    return {"closed": {key: _closed_average(key[1], rho, beta, plan.m_grid)
-                       for key, rho in rhos.items()},
-            "limit": {key: _limit_average(key[1], rho, beta)
-                      for key, rho in rhos.items()},
+    return {"closed": _error_means(beta, budgets[0], plan.m_grid),
+            "limit": _error_means(beta, budgets[0]),
             "mc": _mc_means(plan, cfg, drop, beta, budgets, plan.m_grid)}
 
 
@@ -518,68 +519,66 @@ def _fig4b_values(plan, cfg, drop, beta, budgets) -> dict:
     ppa_limit = {m: float(ppa.exp_rcee_asymptotic(m, beta, cfg).mean()) for m in METHODS}
     limit = {(s, m): float(metrics.exp_rcee_eppa_floor(m, beta).mean()) if s == "eppa"
              else ppa_limit[m] for s, m in budgets[0]}
-    return {"closed": {key: [_closed_average(key[1], rhos[key], beta, cfg.M)
-                             for rhos in budgets] for key in budgets[0]},
-            "limit": limit, "mc": _mc_means(plan, cfg, drop, beta, budgets, (cfg.M,))}
+    per_budget = {key: [rhos[key] for rhos in budgets] for key in budgets[0]}
+    return {"closed": _error_means(beta, per_budget, cfg.M), "limit": limit,
+            "mc": _mc_means(plan, cfg, drop, beta, budgets, (cfg.M,))}
 
 
 def _fig4a_values(plan, cfg, drop, beta, budgets) -> dict:
-    return {key: _limit_average(key[1], rho, beta) for key, rho in budgets[0].items()}
+    return _error_means(beta, budgets[0])
 
 
 def _fig5a_values(plan, cfg, drop, beta, budgets) -> dict:
     """The worst user's rate at each antenna count of the grid."""
-    sinr = {key: metrics.sinr_closed(plan.m_grid, rho, beta, cfg.rho_u)
-            for key, rho in budgets[0].items()}
-    return {"closed": {key: metrics.rate_summary(metrics.achievable_rate(cfg, s)).minimum
-                       for key, s in sinr.items()}, "limit": None, "mc": None}
+    sinr = metrics.sinr_closed(plan.m_grid, np.stack([*budgets[0].values()]), beta, cfg.rho_u)
+    rate_min = metrics.rate_summary(metrics.achievable_rate(cfg, sinr)).minimum
+    return {"closed": dict(zip(budgets[0], rate_min)), "limit": None, "mc": None}
 
 
 def _fig5b_values(plan, cfg, drop, beta, budgets) -> dict:
     """The users' average rate in the large-antenna limit."""
-    return {key: metrics.rate_summary(metrics.achievable_rate(
-                cfg, metrics.sinr_limit(rho, beta))).average
-            for key, rho in budgets[0].items()}
+    sinr = metrics.sinr_limit(np.stack([*budgets[0].values()]), beta)
+    rates = metrics.achievable_rate(cfg, sinr)
+    return dict(zip(budgets[0], metrics.rate_summary(rates).average))
 
 
 def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
     """(mc_mean, mc_stderr, closed form, limit) of the error and the SINR."""
     rho_mats = budgets[0]
+    stack = np.stack([*rho_mats.values()])
     n, C = plan.n_small, len(rho_mats)
     lam = np.empty((C, n))
     channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
     estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
-    kernel = _mc_trials(cfg, drop, n, beta, list(rho_mats.values()),
-                        [m for _, m in rho_mats], (cfg.M,))
+    kernel = _mc_trials(cfg, drop, n, beta, stack, [m for _, m in rho_mats], (cfg.M,))
     for s, (h, h_hat, lam_s) in enumerate(kernel):
         channels[s], estimates[s], lam[:, s] = h, h_hat, lam_s[:, 0]
+    closed, limit = _error_means(beta, rho_mats, cfg.M), _error_means(beta, rho_mats)
+    sinr = metrics.sinr_closed(cfg.M, stack, beta, cfg.rho_u).mean(axis=-1)
+    sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)
     out = {"exp_rcee": {}, "sinr": {}}
-    for c, (combo, rho) in enumerate(rho_mats.items()):
-        method = combo[1]
+    for c, combo in enumerate(rho_mats):
         out["exp_rcee"][combo] = (float(lam[c].mean()),
                                   float(lam[c].std(ddof=1) / np.sqrt(n)),
-                                  float(_closed_average(method, rho, beta, cfg.M)),
-                                  _limit_average(method, rho, beta))
+                                  float(closed[combo]), float(limit[combo]))
         emp = [empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u, k).sinr
                for k in range(cfg.K)]
         out["sinr"][combo] = (float(np.mean(emp)), None,
-                              float(metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean()),
-                              float(metrics.sinr_limit(rho, beta).mean()))
+                              float(sinr[c]), float(sinr_limit[c]))
     return out
 
 
 def _run_drop(args):
     """The preamble of every drop, then its experiment's value function.
 
-    It draws the gains, then for each budget builds the interference
-    profile, every allocation and its (L, K) pilot powers: the flat P/K in
-    every other cell, the allocation in row 0.  fig4b sweeps one budget per
-    ``p_grid_db`` entry; every other experiment uses ``cfg.P_total``.  Each
-    budget's powers are keyed by (scheme, method) in sorted order, which is
-    the kernel's order.
+    ``args`` is (plan, config at the drop's reuse factor, drop index).  It
+    draws the gains, then for each budget (one per ``p_grid_db`` entry in
+    fig4b, else ``cfg.P_total``) the interference profile, every
+    allocation and its (L, K) pilot powers: the flat P/K in every other
+    cell, the allocation in row 0, keyed by (scheme, method) in sorted
+    order, which is the kernel's order.
     """
-    plan, cfg, gamma, drop = args
-    cfg = cfg.replace(Gamma=gamma)
+    plan, cfg, drop = args
     beta = _realization(cfg, drop).beta
     budgets = []
     for cfg_p in ([cfg.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
@@ -598,34 +597,35 @@ def _run_drop(args):
 
 
 def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
-    """Pool size: never more workers than tasks or CPUs."""
+    """Pool size: never more workers than tasks or usable CPUs."""
     return min(jobs, n_tasks, n_cpus)
 
 
 def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
-    tasks = [(plan, cfg, gamma, drop)
-             for gamma in plan.gammas for drop in range(plan.n_large)]
-    workers = _worker_count(plan.jobs, len(tasks), os.cpu_count() or 1)
+    cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
+    tasks = [(plan, cfg_g, drop) for cfg_g in cfgs for drop in range(plan.n_large)]
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    workers = _worker_count(plan.jobs, len(tasks), n_cpus)
     if workers == 1:
         results = [_run_drop(t) for t in tasks]
     else:
+        # numpy.random loads lazily (some 13 ms): here the workers inherit it;
+        # at import time every in-process run would pay it instead
+        import numpy.random  # noqa: F401
         # about four chunks per worker: few enough that sending a chunk
         # costs little next to its drops, enough to even out their lengths
         chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_drop, tasks, chunksize=chunksize))
-    per_gamma: dict[int, list] = {g: [] for g in plan.gammas}
-    for task, res in zip(tasks, results):
-        per_gamma[task[2]].append(res)
-    return per_gamma
+    n = plan.n_large  # tasks run gamma by gamma, drop by drop
+    return {g: results[i * n:(i + 1) * n] for i, g in enumerate(plan.gammas)}
 
 
 def _mean_stderr(values) -> tuple[float, float | None]:
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, None
-    return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else None
+    return float(arr.mean()), se
 
 
 def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:

@@ -9,11 +9,16 @@ recurring quantity
 
 is the contamination-plus-noise level seen by the correlator.
 
-Shapes: every closed form takes (L, K) power and gain slices, cell axis
-first, and returns one value per user, shape (K,).  Those with an antenna
-count M also accept a 1-D array of counts and then return (len(M), K).
-A single (L,) column is one user and gives a float (or (len(M),) for an
-array of counts).  Inputs are checked once per call, never per user.
+Shapes: every closed form takes an (L, K) gain slice, cell axis first,
+and powers of the same shape, and returns one value per user, shape (K,).
+The powers may carry leading stack axes, (..., L, K), one allocation per
+slice on the same gains; cells are then axis -2, so row 0 is
+``rho[..., 0, :]``, and the result is (..., K), each slice bit for bit
+the value of a call on that slice alone.  Those with an antenna count M
+also accept a 1-D array of counts and then return (..., len(M), K):
+stack axes, then antennas, then users.  A single (L,) column of gains is
+one user and drops the user axis; a lone value is a float.  Inputs are
+checked once per call, never per allocation or user.
 """
 
 from __future__ import annotations
@@ -27,18 +32,20 @@ from .estimators import LS, check_method
 
 
 def _slices(rho, beta):
-    """Checked (L, K) views of the powers and gains, plus a column flag."""
+    """Checked (..., L, K) powers and (L, K) gains, plus a column flag."""
     rho = np.asarray(rho, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if rho.shape != beta.shape or rho.ndim not in (1, 2) or rho.size == 0:
-        raise ValueError("rho and beta must be equal-shape (L, K) slices or (L,) columns")
-    if np.any(rho < 0) or np.any(beta <= 0):
+    if (beta.ndim not in (1, 2) or beta.size == 0
+            or rho.shape[rho.ndim - beta.ndim:] != beta.shape):
+        raise ValueError("rho must be (..., L, K) against (L, K) gains, "
+                         "or (..., L) against an (L,) column")
+    if (rho < 0).any() or (beta <= 0).any():
         raise ValueError("powers must be non-negative and gains positive")
-    if np.any(rho[0] <= 0):
-        raise ValueError("target-cell power must be positive")
-    column = rho.ndim == 1
+    column = beta.ndim == 1
     if column:
-        rho, beta = rho[:, None], beta[:, None]
+        rho, beta = rho[..., None], beta[:, None]
+    if (rho[..., 0, :] <= 0).any():
+        raise ValueError("target-cell power must be positive")
     return rho, beta, column
 
 
@@ -55,6 +62,11 @@ def _antennas(M, least: int):
     if m.ndim > 1 or m.dtype.kind not in "iu" or np.any(m < least):
         raise ValueError(f"M must be an integer >= {least} or a 1-D array of them")
     return m[:, None] if m.ndim else m
+
+
+def _per_antenna(m, *terms):
+    """Per-user terms, with an antenna axis before the users for a grid of M."""
+    return terms if m.ndim == 0 else tuple(t[..., None, :] for t in terms)
 
 
 def _shaped(values, column: bool):
@@ -76,7 +88,7 @@ def _cell_dot(a, b):
 
 
 def _upsilon(rho, beta):
-    return _cell_dot(rho[1:], beta[1:]) + 1.0
+    return _cell_dot(rho[..., 1:, :], beta[1:]) + 1.0
 
 
 def _total(rho, beta):
@@ -120,9 +132,10 @@ def exp_rcee_closed(method: str, M, rho, beta):
     check_method(method)
     m = _antennas(M, 1)
     rho, beta, column = _slices(rho, beta)
+    terms = _per_antenna(m, _upsilon(rho, beta), rho[..., 0, :] * beta[0],
+                         _total(rho, beta))
     with np.errstate(divide="ignore"):  # M = 1 divides by zero: infinite error
-        out = _error_terms(method, m, _upsilon(rho, beta), rho[0] * beta[0],
-                           _total(rho, beta))
+        out = _error_terms(method, m, *terms)
     return _shaped(out, column)
 
 
@@ -133,7 +146,8 @@ def exp_rcee_bound_mmse(M, rho, beta):
     """
     m = _antennas(M, 2)
     rho, beta, column = _slices(rho, beta)
-    return _shaped(_bound_terms(m, _upsilon(rho, beta), _total(rho, beta)), column)
+    terms = _per_antenna(m, _upsilon(rho, beta), _total(rho, beta))
+    return _shaped(_bound_terms(m, *terms), column)
 
 
 def exp_rcee_limit(method: str, rho, beta):
@@ -146,7 +160,7 @@ def exp_rcee_limit(method: str, rho, beta):
     check_method(method)
     rho, beta, column = _slices(rho, beta)
     ups = _upsilon(rho, beta)
-    own = rho[0] * beta[0]
+    own = rho[..., 0, :] * beta[0]
     return _shaped(ups / own if method == LS else ups / (ups + own), column)
 
 
@@ -192,10 +206,12 @@ def sinr_closed(M, rho, beta, rho_u: float):
     if rho_u <= 0:
         raise ValueError("rho_u must be positive")
     rho, beta, column = _slices(rho, beta)
-    own = rho[0] * beta[0]
+    own, contaminated, total = _per_antenna(m, rho[..., 0, :] * beta[0],
+                                            _cell_dot(rho[..., 1:, :], beta[1:] ** 2),
+                                            _total(rho, beta))
     numer = m * own * beta[0]
-    coherent = m * _cell_dot(rho[1:], beta[1:] ** 2)
-    numer_total = _total(rho, beta) * (1.0 / rho_u + float(beta.sum()))
+    coherent = m * contaminated
+    numer_total = total * (1.0 / rho_u + float(beta.sum()))
     return _shaped(numer / (coherent + numer_total), column)
 
 
@@ -206,9 +222,9 @@ def sinr_limit(rho, beta):
     contamination the matched filter's SINR grows without bound in M.
     """
     rho, beta, column = _slices(rho, beta)
-    denom = _cell_dot(rho[1:], beta[1:] ** 2)
+    denom = _cell_dot(rho[..., 1:, :], beta[1:] ** 2)
     with np.errstate(divide="ignore"):
-        out = rho[0] * np.float_power(beta[0], 2) / denom
+        out = rho[..., 0, :] * np.float_power(beta[0], 2) / denom
     return _shaped(out, column)
 
 

@@ -203,11 +203,11 @@ def build_layout(cfg: SystemConfig) -> np.ndarray:
 def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Membership test for a flat-top hexagon of given circumradius.
 
-    Accepts an (n, 2) array and returns a boolean mask.  Boundary points
-    count as inside.
+    Accepts an (..., n, 2) array and returns an (..., n) boolean mask.
+    Boundary points count as inside.
     """
     p = np.atleast_2d(points) - np.asarray(center)
-    x, y = np.abs(p[:, 0]), np.abs(p[:, 1])
+    x, y = np.abs(p[..., 0]), np.abs(p[..., 1])
     s3 = math.sqrt(3.0)
     return (y <= s3 * radius / 2.0) & (s3 * x + y <= s3 * radius)
 
@@ -240,8 +240,29 @@ def sample_hexagon(center, radius: float, n: int, rng: np.random.Generator) -> n
 
 
 def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (L, K, 2)."""
-    positions = np.empty((len(centers), cfg.K, 2))
+    """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (L, K, 2).
+
+    The draws are those of one :func:`sample_hexagon` call per cell, in
+    cell order.  Each cell's first proposal batch usually holds K points
+    in the hexagon, so all cells' first batches come from one generator
+    call: ``uniform(a, b, n)`` is ``a + (b - a) * random(n)``, value for
+    value.  When some cell falls short, the generator is rewound and the
+    cells are drawn one by one.
+    """
+    L, K, r = len(centers), cfg.K, cfg.r
+    batch = K + max(8, K // 2)  # sample_hexagon's first batch
+    state = rng.bit_generator.state
+    u = rng.random((L, 2, batch)).transpose(0, 2, 1)
+    half_height = math.sqrt(3.0) * r / 2.0
+    low, high = np.array([-r, -half_height]), np.array([r, half_height])
+    cand = low + (high - low) * u
+    inside = in_hexagon(cand, np.zeros(2), r)
+    accepted = inside.cumsum(axis=1)
+    if (accepted[:, -1] >= K).all():
+        keep = inside & (accepted <= K)
+        return cand[keep].reshape(L, K, 2) + np.asarray(centers, dtype=float)[:, None]
+    rng.bit_generator.state = state
+    positions = np.empty((L, K, 2))
     for l, center in enumerate(centers):
         positions[l] = sample_hexagon(center, cfg.r, cfg.K, rng)
     return positions

@@ -159,6 +159,45 @@ def test_stacked_mmse_shrinkage_matches_mmse_gain(L):
                              for rho in rho_stack])
 
 
+@pytest.mark.parametrize("C", [1, 4, 28])
+@pytest.mark.parametrize("L", [1, 2, 7])
+@pytest.mark.parametrize("K", [2, 3, 10])
+def test_stacked_powers_match_per_slice_calls(C, L, K):
+    # a (C, L, K) stack of allocations against one (L, K) gain slice gives
+    # each slice's values bit for bit, stack axis first, then antennas
+    rng = np.random.default_rng(1000 + 100 * C + 10 * L + K)
+    cfg = SystemConfig(K=10, M=200, P_total=1.0e4, mu=3.0)
+    for _ in range(5):
+        pairs = [_instance(rng, L, K) for _ in range(C)]
+        rho, beta = np.stack([r for r, _ in pairs]), pairs[0][1]
+
+        def check(fn, shape):
+            stacked = fn(rho)
+            assert stacked.shape == shape
+            _same_bits(stacked, [fn(r) for r in rho])
+
+        check(lambda r: upsilon(r, beta), (C, K))
+        for method in (LS, MMSE):
+            check(lambda r: exp_rcee_closed(method, M_GRID, r, beta), (C, len(M_GRID), K))
+            check(lambda r: exp_rcee_closed(method, 200, r, beta), (C, K))
+            check(lambda r: exp_rcee_limit(method, r, beta), (C, K))
+        check(lambda r: exp_rcee_bound_mmse(M_GRID[1:], r, beta), (C, len(M_GRID) - 1, K))
+        check(lambda r: sinr_closed(M_GRID, r, beta, 100.0), (C, len(M_GRID), K))
+        check(lambda r: sinr_closed(200, r, beta, 100.0), (C, K))
+        check(lambda r: sinr_limit(r, beta), (C, K))
+        for sinr in (lambda r: sinr_closed(M_GRID, r, beta, 100.0),
+                     lambda r: sinr_limit(r, beta)):
+            summary = rate_summary(achievable_rate(cfg, sinr(rho)))
+            per_slice = [rate_summary(achievable_rate(cfg, sinr(r))) for r in rho]
+            _same_bits(summary.minimum, [s.minimum for s in per_slice])
+            _same_bits(summary.average, [s.average for s in per_slice])
+        # a stack with a second leading axis, and a stack of user columns
+        _same_bits(exp_rcee_closed(LS, M_GRID, rho[None], beta)[0],
+                   exp_rcee_closed(LS, M_GRID, rho, beta))
+        _same_bits(exp_rcee_closed(LS, M_GRID, rho[..., 0], beta[:, 0]),
+                   exp_rcee_closed(LS, M_GRID, rho, beta)[..., 0])
+
+
 class TestShapes:
     def test_column_gives_float(self, table_beta):
         rho = np.full(7, 1000.0)
@@ -194,6 +233,16 @@ class TestValidation:
             upsilon(np.ones((7, 2)), table_beta)
         with pytest.raises(ValueError):
             exp_rcee_limit(LS, np.ones((2, 7, 3)), np.ones((2, 7, 3)))
+
+    def test_stacks_end_in_the_gain_shape(self, table_beta):
+        with pytest.raises(ValueError):
+            upsilon(np.ones((2, 7, 2)), table_beta)
+        with pytest.raises(ValueError):
+            sinr_limit(np.ones((2, 3, 7)), table_beta)
+        rho = np.full((2, 7, 3), 1000.0)
+        rho[1, 0, 2] = 0.0  # one slice's target-cell power
+        with pytest.raises(ValueError):
+            exp_rcee_limit(LS, rho, table_beta)
 
     def test_power_and_gain_signs(self, table_beta):
         rho = np.full((7, 3), 1000.0)

@@ -8,14 +8,13 @@ from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         MetricReport, bench_allocators, default_config,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
-from mimo_pilot import ppa
+from mimo_pilot import harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
-                                _closed_average, _collapse_cells, _error_weights,
-                                _gram_segments, _gram_trials, _limit_average,
-                                _mc_means, _mc_trials, _mean_stderr, _prefix_rcee,
-                                _realization, _worker_count)
+                                _collapse_cells, _error_weights, _gram_segments,
+                                _gram_trials, _mc_means, _mc_trials, _mean_stderr,
+                                _prefix_rcee, _realization, _worker_count)
 from mimo_pilot.scenario import SystemConfig
 from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
@@ -324,6 +323,55 @@ def test_worker_count_is_bounded():
     assert _worker_count(10**6, 600, 2) == 2
 
 
+class TestPoolSize:
+    """--jobs is bounded by the CPUs this process may run on, not the host's."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # records the size of every pool the sweep opens, and runs its
+        # tasks in-process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        return sizes
+
+    def _run(self, tiny_cfg):
+        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=8)
+        return run_experiment(plan, tiny_cfg).rows
+
+    def test_affinity_bounds_the_pool(self, tiny_cfg, pools, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        rows = self._run(tiny_cfg)
+        assert pools == [2]
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert self._run(tiny_cfg) == rows
+        assert pools == [2]  # one usable CPU: the sweep ran in-process
+
+    def test_cpu_count_without_affinity(self, tiny_cfg, pools, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        self._run(tiny_cfg)
+        assert pools == [4]  # 64 CPUs, four drops
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        self._run(tiny_cfg)
+        assert pools == [4]  # no CPU count: one worker, in-process
+
+
 class TestMonteCarloKernel:
     """The batched kernel against pilot_phase -> estimate -> prefix errors."""
 
@@ -546,9 +594,9 @@ def test_gram_draw_reaches_the_large_antenna_limit():
     assert np.all(np.abs(scaled / scaled[:, :1] - 1.0) <= 0.15), scaled
     se = sd / np.sqrt(n)
     for c, (_, method) in enumerate(combos):
-        closed = _closed_average(method, rhos[c], beta, m_values)
+        closed = metrics.exp_rcee_closed(method, m_values, rhos[c], beta).mean(axis=-1)
         assert np.all(np.abs(lam[:, c].mean(axis=0) - closed) <= 4.0 * se[c])
-        limit = _limit_average(method, rhos[c], beta)
+        limit = metrics.exp_rcee_limit(method, rhos[c], beta).mean()
         assert abs(lam[:, c, -1].mean() - limit) <= 4.0 * se[c, -1]
 
 

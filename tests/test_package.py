@@ -2,8 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import mimo_pilot
 from mimo_pilot import refsolver, scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 # the literal antenna model, kept in tests/oracle.py as the kernels' reference
 ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimate",
@@ -48,3 +52,35 @@ def test_readme_library_example_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, f"{README}:Library use", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_numpy_random_loads_before_the_pool_and_not_at_import():
+    # numpy.random costs some 13 ms to load.  A pool loads it before it
+    # forks, so its workers start with it; importing the package must not
+    # load it, or every in-process run would pay it in its setup.
+    code = """
+import sys
+import mimo_pilot
+from mimo_pilot import harness
+print("numpy.random" in sys.modules)
+
+class Pool:
+    def __init__(self, max_workers):
+        print("numpy.random" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, tasks, chunksize):
+        return map(fn, tasks)
+
+harness.ProcessPoolExecutor = Pool
+harness.os.sched_getaffinity = lambda pid: {0, 1}
+plan = harness.plan_for("fig5b", n_large=2, jobs=2)
+harness.run_experiment(plan, harness.default_config("fig5b"))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["False", "True"]

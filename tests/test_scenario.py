@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mimo_pilot import scenario
 from mimo_pilot import (ConfigurationError, FixtureFormatError, SystemConfig,
                         attenuation, build_layout, db_to_linear,
                         default_config, drop_users, in_hexagon, large_scale,
@@ -189,6 +190,38 @@ class TestDrops:
         a = drop_users(cfg, centers, np.random.default_rng(7))
         b = drop_users(cfg, centers, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("K", [2, 10, 40])
+    def test_bits_and_stream_match_the_per_cell_loop(self, K, monkeypatch):
+        # drop_users draws every cell's first batch in one call and falls
+        # back to one sample_hexagon per cell when a batch is short; both
+        # paths must leave the positions and the generator exactly where
+        # the per-cell loop leaves them.  The seeds are fixed up front:
+        # 13% (K = 10) and 33% (K = 40) of these drops fall back, but with
+        # K = 2 a batch of 10 is short about once in 4,000 drops, so two
+        # seeds known to fall back there are added.
+        def per_cell(cfg, centers, rng):
+            positions = np.empty((len(centers), cfg.K, 2))
+            for l, center in enumerate(centers):
+                positions[l] = sample_hexagon(center, cfg.r, cfg.K, rng)
+            return positions
+
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return sample_hexagon(*args)
+
+        monkeypatch.setattr(scenario, "sample_hexagon", counted)
+        for gamma in (1, 3, 7):
+            cfg = SystemConfig(K=K, M=2, P_total=10.0, Gamma=gamma)
+            centers = build_layout(cfg)
+            for seed in (*range(500), 3843, 8172):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = drop_users(cfg, centers, fast)
+                assert got.tobytes() == per_cell(cfg, centers, slow).tobytes()
+                assert fast.bit_generator.state == slow.bit_generator.state
+        assert fallbacks
 
 
 class TestAttenuation:
