@@ -23,11 +23,10 @@ from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
                   ppa_allocate, unconstrained_optimum)
 from .refsolver import ConstrainedProblem, SolveResult, project_bounded_simplex, solve
-from .scenario import (ConfigurationError, FixtureFormatError,
-                       LargeScaleRealization, SystemConfig, attenuation,
-                       build_layout, db_to_linear, drop_users, in_hexagon,
-                       large_scale, load_beta_fixture,
-                       sample_hexagon, sample_shadowing, save_beta_fixture)
+from .scenario import (ConfigurationError, FixtureFormatError, SystemConfig,
+                       attenuation, build_layout, db_to_linear, drop_users,
+                       in_hexagon, large_scale, load_beta_fixture,
+                       sample_shadowing, save_beta_fixture)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
     "MMSE", "ConfigurationError", "ConstrainedProblem",
     "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
-    "InterferenceProfile", "LargeScaleRealization", "MetricReport",
+    "InterferenceProfile", "MetricReport",
     "PilotAllocation", "RateSummary", "SinrMoments", "SolveResult",
     "SystemConfig",
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
@@ -49,7 +48,7 @@ __all__ = [
     "objective_value", "plan_for",
     "ppa_allocate", "project_bounded_simplex", "rate_summary",
     "run_experiment",
-    "sample_channels", "sample_hexagon", "sample_shadowing",
+    "sample_channels", "sample_shadowing",
     "save_beta_fixture", "seed_schedule", "sinr_closed", "sinr_limit",
     "solve", "unconstrained_optimum", "upsilon",
 ]

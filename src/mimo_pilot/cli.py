@@ -141,8 +141,7 @@ def _cmd_figure(args) -> int:
 def _cmd_allocate(args) -> int:
     seed = _resolve_seed(args)
     if args.beta:
-        real = load_beta_fixture(args.beta)
-        beta_slice = real.beta
+        beta_slice = load_beta_fixture(args.beta)
         L, K = beta_slice.shape
         if args.config:
             cfg = SystemConfig.from_file(args.config)
@@ -156,7 +155,7 @@ def _cmd_allocate(args) -> int:
             cfg = cfg.replace(seed=seed)
     else:
         cfg = _load_config(args, "fig3")
-        beta_slice = _realization(cfg, 0).beta  # drop 0 of the sweeps
+        beta_slice = _realization(cfg, 0)  # drop 0 of the sweeps
 
     profile = eppa_profile(beta_slice, cfg.P_total, cfg.K)
     ref = (reference_solve(args.method, profile, cfg)
@@ -203,8 +202,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fixture_check(args) -> int:
-    real = load_beta_fixture(args.beta)
-    L, K = real.beta.shape
+    L, K = load_beta_fixture(args.beta).shape
     print(f"ok: cells={L} users={K}")
     return 0
 

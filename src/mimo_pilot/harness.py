@@ -59,10 +59,12 @@ def seed_schedule(seed: int, trial: int, purpose: str) -> np.random.Generator:
     or purposes give statistically independent streams.  The purpose tag
     is hashed with crc32, which is stable across runs and platforms.
 
-    Tags in use, each suffixed ``/gamma=<reuse factor>``: ``positions``
-    and ``shadowing`` per drop; ``gram`` per drop, the fig3/fig4b
-    Monte-Carlo trials; ``channel`` and ``pilot-noise`` per validate
-    trial, whose slot is ``drop * n_trials + trial``.
+    Tags in use: ``positions`` and ``shadowing`` per drop, with no reuse
+    factor in the tag, so every Gamma sees the same users and shadowing
+    and only the interferer ring moves.  The fading streams stay per
+    reuse factor, suffixed ``/gamma=<reuse factor>``: ``gram`` per drop,
+    the fig3/fig4b Monte-Carlo trials; ``channel`` and ``pilot-noise``
+    per validate trial, whose slot is ``drop * n_trials + trial``.
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError("seed must be a non-negative integer")
@@ -217,11 +219,10 @@ class MetricReport:
 # per-drop work: each worker handles one (gamma, drop) pair
 
 
-def _realization(cfg: SystemConfig, drop: int):
-    tag = f"gamma={cfg.Gamma}"
+def _realization(cfg: SystemConfig, drop: int) -> np.ndarray:
     centers = build_layout(cfg)
-    pos = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, f"positions/{tag}"))
-    return large_scale(cfg, centers, pos, seed_schedule(cfg.seed, drop, f"shadowing/{tag}"))
+    pos = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, "positions"))
+    return large_scale(cfg, centers, pos, seed_schedule(cfg.seed, drop, "shadowing"))
 
 
 def reference_solve(method: str, profile: ppa.InterferenceProfile,
@@ -579,7 +580,7 @@ def _run_drop(args):
     order, which is the kernel's order.
     """
     plan, cfg, drop = args
-    beta = _realization(cfg, drop).beta
+    beta = _realization(cfg, drop)
     budgets = []
     for cfg_p in ([cfg.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                   if plan.experiment == "fig4b" else [cfg]):

@@ -204,7 +204,8 @@ def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndar
     """Membership test for a flat-top hexagon of given circumradius.
 
     Accepts an (..., n, 2) array and returns an (..., n) boolean mask.
-    Boundary points count as inside.
+    Boundary points count as inside.  It defines the cell shape that
+    :func:`drop_users` fills, so tests of a drop check against it.
     """
     p = np.atleast_2d(points) - np.asarray(center)
     x, y = np.abs(p[..., 0]), np.abs(p[..., 1])
@@ -212,60 +213,30 @@ def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndar
     return (y <= s3 * radius / 2.0) & (s3 * x + y <= s3 * radius)
 
 
-def sample_hexagon(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points uniformly from a flat-top hexagon.
-
-    Rejection sampling from the bounding rectangle; acceptance rate is
-    3/4, so the expected number of proposals is 4n/3.  Consumes a
-    deterministic function of the generator state.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    center = np.asarray(center, dtype=float)
-    out = np.empty((n, 2))
-    filled = 0
-    while filled < n:
-        need = n - filled
-        # modest oversampling keeps the loop count low without wasting draws
-        batch = need + max(8, need // 2)
-        cand = np.empty((batch, 2))
-        cand[:, 0] = rng.uniform(-radius, radius, batch)
-        cand[:, 1] = rng.uniform(-math.sqrt(3.0) * radius / 2.0,
-                                 math.sqrt(3.0) * radius / 2.0, batch)
-        good = cand[in_hexagon(cand, np.zeros(2), radius)]
-        take = min(need, good.shape[0])
-        out[filled:filled + take] = good[:take]
-        filled += take
-    return out + center
+# The six corners of the unit flat-top hexagon, counter-clockwise from +x.
+_HEX_CORNERS = np.array([(1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0),
+                         (-0.5, math.sqrt(3.0) / 2.0), (-1.0, 0.0),
+                         (-0.5, -math.sqrt(3.0) / 2.0), (0.5, -math.sqrt(3.0) / 2.0)])
 
 
 def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (L, K, 2).
 
-    The draws are those of one :func:`sample_hexagon` call per cell, in
-    cell order.  Each cell's first proposal batch usually holds K points
-    in the hexagon, so all cells' first batches come from one generator
-    call: ``uniform(a, b, n)`` is ``a + (b - a) * random(n)``, value for
-    value.  When some cell falls short, the generator is rewound and the
-    cells are drawn one by one.
+    The hexagon is six equal triangles around its centre.  Each user
+    takes one triangle uniformly and a uniform point in it: a uniform
+    point (a, b) of the parallelogram spanned by the triangle's two
+    corners, folded across its diagonal when a + b > 1.  That is three
+    uniforms per user from one generator call, and no rejection.  The
+    points are drawn about the origin and then moved to their centres,
+    so the centres do not change the draw.
     """
-    L, K, r = len(centers), cfg.K, cfg.r
-    batch = K + max(8, K // 2)  # sample_hexagon's first batch
-    state = rng.bit_generator.state
-    u = rng.random((L, 2, batch)).transpose(0, 2, 1)
-    half_height = math.sqrt(3.0) * r / 2.0
-    low, high = np.array([-r, -half_height]), np.array([r, half_height])
-    cand = low + (high - low) * u
-    inside = in_hexagon(cand, np.zeros(2), r)
-    accepted = inside.cumsum(axis=1)
-    if (accepted[:, -1] >= K).all():
-        keep = inside & (accepted <= K)
-        return cand[keep].reshape(L, K, 2) + np.asarray(centers, dtype=float)[:, None]
-    rng.bit_generator.state = state
-    positions = np.empty((L, K, 2))
-    for l, center in enumerate(centers):
-        positions[l] = sample_hexagon(center, cfg.r, cfg.K, rng)
-    return positions
+    pick, a, b = rng.random((3, len(centers), cfg.K))
+    corner = (6.0 * pick).astype(int)
+    fold = a + b > 1.0
+    a, b = np.where(fold, 1.0 - a, a), np.where(fold, 1.0 - b, b)
+    local = (a[..., None] * _HEX_CORNERS[corner]
+             + b[..., None] * _HEX_CORNERS[(corner + 1) % 6])
+    return np.asarray(centers, dtype=float)[:, None] + cfg.r * local
 
 
 def attenuation(distance, r_min: float, exponent: float):
@@ -286,24 +257,9 @@ def sample_shadowing(sigma_sh: float, size, rng: np.random.Generator) -> np.ndar
     return 10.0 ** (sigma_sh * rng.standard_normal(size) / 10.0)
 
 
-@dataclass(frozen=True)
-class LargeScaleRealization:
-    """Large-scale gains beta[l, k]: user k of cell l seen by the target BS."""
-
-    beta: np.ndarray  # (L, K)
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.beta, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("beta must have shape (L, K)")
-        if not np.all(np.isfinite(b)) or np.any(b <= 0):
-            raise ValueError("large-scale gains must be positive and finite")
-        object.__setattr__(self, "beta", b)
-
-
 def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
-                rng: np.random.Generator) -> LargeScaleRealization:
-    """Compute the large-scale gains toward the target BS for one user drop.
+                rng: np.random.Generator) -> np.ndarray:
+    """The (L, K) large-scale gains toward the target BS for one user drop.
 
     ``centers`` are the (L, 2) cell centres of :func:`build_layout`, the
     target BS at ``centers[0]``, and ``positions`` the (L, K, 2) users of
@@ -319,23 +275,21 @@ def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
     diff = positions - centers[0]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     z = sample_shadowing(cfg.sigma_sh, (L, cfg.K), rng)
-    beta = z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
-    return LargeScaleRealization(beta=beta)
+    return z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
 
 
-def save_beta_fixture(real: LargeScaleRealization, path: str | Path) -> None:
-    """Write the gains toward the target BS as CSV.
+def save_beta_fixture(beta: np.ndarray, path: str | Path) -> None:
+    """Write the (L, K) gains toward the target BS as CSV.
 
     Header row is ``user_1,...,user_K``; each of the L data rows gives the
     gains from that cell's users.
     """
-    b = real.beta
-    header = ",".join(f"user_{k + 1}" for k in range(b.shape[1]))
-    rows = [",".join(repr(float(v)) for v in row) for row in b]
+    header = ",".join(f"user_{k + 1}" for k in range(np.shape(beta)[1]))
+    rows = [",".join(repr(float(v)) for v in row) for row in beta]
     Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
-def load_beta_fixture(path: str | Path) -> LargeScaleRealization:
+def load_beta_fixture(path: str | Path) -> np.ndarray:
     """Load the (L, K) gains saved by :func:`save_beta_fixture`."""
     text = Path(path).read_text()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -361,4 +315,4 @@ def load_beta_fixture(path: str | Path) -> LargeScaleRealization:
     if not 1 <= slab.shape[0] <= MAX_CELLS:
         raise FixtureFormatError(
             f"{path}: needs 1 to {MAX_CELLS} cell rows, got {slab.shape[0]}")
-    return LargeScaleRealization(beta=slab)
+    return slab

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import LargeScaleRealization, SystemConfig
+from mimo_pilot import SystemConfig
 
 # Seven-cell, three-user attenuation snapshot used as a worked example
 # throughout the suite: row 0 is the target cell's own users, rows 1..6
@@ -30,16 +30,11 @@ def table_cfg():
 
 
 @pytest.fixture
-def table_realization(table_beta):
-    return LargeScaleRealization(beta=table_beta)
-
-
-@pytest.fixture
-def table_fixture_path(tmp_path, table_realization):
+def table_fixture_path(tmp_path, table_beta):
     from mimo_pilot import save_beta_fixture
 
     path = tmp_path / "table.csv"
-    save_beta_fixture(table_realization, path)
+    save_beta_fixture(table_beta, path)
     return path
 
 

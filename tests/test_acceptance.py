@@ -291,6 +291,26 @@ def test_abstract_claims_on_desk_fig4b(desk_mc_sweeps):
         assert eppa_over_ppa[0] < eppa_over_ppa[1] < eppa_over_ppa[2], column
 
 
+def test_closed_form_error_falls_with_the_reuse_factor_on_desk_fig4b():
+    # Every Gamma sees the same users and shadowing of a drop, so on every
+    # desk fig4b series (method x scheme x budget) the closed-form error
+    # falls strictly from Gamma = 1 to 3 to 7.  Seeds 0-9, fixed up front.
+    series = 0
+    for seed in range(10):
+        report = run_experiment(plan_for("fig4b", n_small=0),
+                                default_config("fig4b", seed=seed))
+        i = report.columns.index("closed_form")
+        for method in (LS, MMSE):
+            for scheme in ("eppa", "ppa"):
+                rows = [report.select(gamma=g, method=method, scheme=scheme)
+                        for g in (1, 3, 7)]
+                for one, three, seven in zip(*rows):
+                    assert one[5] == three[5] == seven[5]
+                    assert one[i] > three[i] > seven[i], (seed, one, three, seven)
+                    series += 1
+    assert series == 280
+
+
 # |mc_mean - closed_form| / mc_stderr reached at most 0.186 over every
 # desk fig3 and fig4b row at seeds 0-9 (mc_stderr is the spread over
 # drops, so it also holds the drops' spread of the closed form); the bound

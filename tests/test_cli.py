@@ -113,8 +113,8 @@ class TestAllocate:
     def test_fixture_without_config_takes_the_fig3_defaults(self, tmp_path, capsys):
         # 12 users, so the fig3 cap mu = 3.0 applies unclipped
         rng = np.random.default_rng(12)
-        mimo_pilot.save_beta_fixture(mimo_pilot.LargeScaleRealization(
-            beta=10.0 ** rng.uniform(-3.0, 0.0, (7, 12))), tmp_path / "beta.csv")
+        mimo_pilot.save_beta_fixture(10.0 ** rng.uniform(-3.0, 0.0, (7, 12)),
+                                     tmp_path / "beta.csv")
         (tmp_path / "sim.cfg").write_text("K = 12\nM = 200\nP_total = 1e4\nmu = 3.0\n")
         for method in ("ls", "mmse"):
             beta = ["allocate", "--beta", str(tmp_path / "beta.csv"), "--method", method]

@@ -481,7 +481,7 @@ class TestCollapsedCells:
     @pytest.mark.parametrize("gamma", [1, 3, 7])
     def test_gram_draw_keeps_the_law_of_the_antenna_draw(self, gamma):
         cfg = default_config("validate", seed=0).replace(Gamma=gamma)
-        beta = _realization(cfg, 0).beta
+        beta = _realization(cfg, 0)
         profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
         combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
         rho_stack = np.full((len(combos), cfg.L, cfg.K), cfg.P_total / cfg.K)
@@ -549,7 +549,7 @@ def test_fig3_with_one_or_two_cells(cells):
 def test_gram_memory_is_flat_in_the_trial_count():
     # a fig4b drop: 4 allocations at each of 7 budgets in one kernel run
     cfg = default_config("fig3", seed=0)
-    beta = _realization(cfg, 0).beta
+    beta = _realization(cfg, 0)
     budgets = [{(scheme, method): np.full((cfg.L, cfg.K), 10.0 ** (p_db / 10.0) / cfg.K)
                 for scheme in ("eppa", "ppa") for method in METHODS}
                for p_db in _DESK_P_GRID_DB]
@@ -574,7 +574,7 @@ def test_gram_draw_reaches_the_large_antenna_limit():
     # M = 512), every mean is within 4 standard errors of the closed form
     # at its M, and the mean at 1e8 within 4 of the limit.
     cfg = default_config("validate", seed=0)
-    beta = _realization(cfg, 0).beta
+    beta = _realization(cfg, 0)
     profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
     combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
     rhos = []

@@ -12,6 +12,41 @@ from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
 from mimo_pilot.refsolver import ConstrainedProblem, solve
 
 
+# A desk drop's (7, 10) gains, kept as literals because the drop draw no
+# longer produces it: fig4a drop 2 at seed 0 and Gamma = 1 when each Gamma
+# drew its own users by rejection sampling.
+PINNED_DROP_BETA = np.array([
+    [5.9710805294379568e-02, 2.9772839311598288e-02, 2.3171568837441220e-01,
+     1.2665331443871384e-02, 5.3897377059846718e-01, 1.5063671956557821e-02,
+     1.0665261621221196e-01, 4.4913727240512538e+00, 2.0168539237771321e-01,
+     4.3365270666963052e-01],
+    [8.4291884896735888e-04, 2.1931106784539163e-04, 1.9642233766744061e-04,
+     6.5099731671958312e-05, 1.4894606088982913e-02, 3.1027579158472290e-02,
+     5.0559851847328861e-04, 5.7937835478711643e-04, 3.1101435085289161e-02,
+     8.7679883084960638e-04],
+    [5.1275222225562926e-04, 4.5230618869861711e-02, 1.1731171746442301e-03,
+     1.6908472655896723e-02, 1.1518359901743744e-01, 1.2151268564241998e-02,
+     6.9110311849902037e-04, 2.4374665660955187e-03, 2.3447820084539980e-03,
+     3.3736497437652845e-04],
+    [1.9343006209008706e-04, 3.7942634486759511e-02, 9.7912763338808828e-04,
+     1.1443114171045558e-03, 4.2334160411652502e-04, 1.0084037660906737e-03,
+     1.2576127817639521e-01, 5.3071826328923918e-03, 8.1564619097874102e-04,
+     3.9232534885258832e-04],
+    [1.7665592292401447e-03, 2.9950682798956504e-04, 2.1553634126416082e-05,
+     1.1260981813549032e-02, 4.6513941963117591e-03, 3.4423465765829442e-04,
+     1.1328371460278366e-04, 3.3740517980838280e-04, 2.0298256887008606e-02,
+     7.8744731825967380e-03],
+    [8.1473616951614498e-04, 7.2983085261666188e-03, 8.1081078758449149e-05,
+     2.0934870400357827e-01, 1.7598716458949521e-02, 3.1007242734114582e-01,
+     9.3737569870142718e-04, 2.2917858813844439e-03, 5.6934826918450131e-04,
+     6.1359235444466908e-04],
+    [2.4417891735519425e-03, 2.7304120621920423e-02, 5.4185954006452011e-03,
+     2.5606417125370901e-01, 5.5136284050713385e-04, 1.8288708815075657e-02,
+     5.7361130563654875e-04, 5.5822832156864608e-04, 1.2561895177681599e-02,
+     4.4465054553627318e-03],
+])
+
+
 def table_profile(table_beta, P=3.0e3):
     return eppa_profile(table_beta, P, 3)
 
@@ -164,10 +199,10 @@ class TestPpaAllocate:
         assert alloc.free == {2}
 
     def test_desk_drop_reaches_the_reference_optimum(self):
-        # fig4a's drop 2 at gamma=1 and 40 dB: pinning the worst violator
-        # one pass at a time stopped at 3.3595, above the optimum
-        cfg = default_config(seed=0).replace(Gamma=1)
-        prof = eppa_profile(_realization(cfg, 2).beta, cfg.P_total, cfg.K)
+        # A desk drop at 40 dB on which pinning the worst violator one pass
+        # at a time stopped at 3.3595, above the optimum
+        cfg = default_config(seed=0)
+        prof = eppa_profile(PINNED_DROP_BETA, cfg.P_total, cfg.K)
         ref = reference_solve(LS, prof, cfg)
         assert ref.converged
         value = objective_value(LS, ppa_allocate(LS, prof, cfg).rho, prof, cfg.M)
@@ -475,7 +510,7 @@ class TestExpRceeAsymptotic:
             for gamma in (1, 3, 7):
                 cfg = default_config("fig4b", seed=seed).replace(Gamma=gamma)
                 for drop in range(20):
-                    beta = _realization(cfg, drop).beta
+                    beta = _realization(cfg, drop)
                     for method in (LS, MMSE):
                         values, mean = _oracle_asymptote(method, beta, cfg)
                         limits = exp_rcee_asymptotic(method, beta, cfg)

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mimo_pilot import scenario
 from mimo_pilot import (ConfigurationError, FixtureFormatError, SystemConfig,
                         attenuation, build_layout, db_to_linear,
-                        default_config, drop_users, in_hexagon, large_scale,
-                        load_beta_fixture, sample_hexagon, sample_shadowing,
-                        save_beta_fixture)
+                        default_config, drop_users, empirical_cdf, in_hexagon,
+                        ks_distance, large_scale, load_beta_fixture,
+                        sample_shadowing, save_beta_fixture)
 
 
 def test_db_round_trip():
@@ -163,16 +162,34 @@ class TestHexagon:
         assert not in_hexagon(np.array([[0.0, 0.0]]), center, 100.0).any()
 
     def test_samples_fill_hexagon(self):
-        rng = np.random.default_rng(2)
+        cfg = SystemConfig(K=4000, M=2, P_total=10.0, L=1)
         center = np.array([10.0, 20.0])
-        pts = sample_hexagon(center, 500.0, 4000, rng)
+        pts = drop_users(cfg, center[None], np.random.default_rng(2))[0]
         assert pts.shape == (4000, 2)
-        assert in_hexagon(pts, center, 500.0).all()
+        assert in_hexagon(pts, center, cfg.r).all()
         # uniform over a centrally symmetric region: mean near the center
         assert np.abs(pts.mean(axis=0) - center).max() < 15.0
         # corners get populated, not just the inscribed disc
         radii = np.hypot(*(pts - center).T)
-        assert radii.max() > 500.0 * math.sqrt(3) / 2
+        assert radii.max() > cfg.r * math.sqrt(3) / 2
+
+    def test_drop_law_matches_rejection_sampling(self):
+        # Two-sample KS of x, y and radius against uniform proposals from
+        # the bounding rectangle kept when inside the hexagon.  Each
+        # statistic is held at level 1e-3 (asymptotic critical value).
+        n, r = 20_000, 500.0
+        cfg = SystemConfig(K=n, M=2, P_total=10.0, L=1, r=r)
+        pts = drop_users(cfg, np.zeros((1, 2)), np.random.default_rng(11))[0]
+        rng = np.random.default_rng(12)
+        box = rng.uniform((-r, -r * math.sqrt(3) / 2), (r, r * math.sqrt(3) / 2),
+                          (2 * n, 2))
+        ref = box[in_hexagon(box, np.zeros(2), r)][:n]
+        assert len(ref) == n
+        critical = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / n)
+        for stat in (lambda p: p[:, 0], lambda p: p[:, 1],
+                     lambda p: np.hypot(p[:, 0], p[:, 1])):
+            assert ks_distance(empirical_cdf(stat(pts)),
+                               empirical_cdf(stat(ref))) < critical
 
 
 class TestDrops:
@@ -190,38 +207,6 @@ class TestDrops:
         a = drop_users(cfg, centers, np.random.default_rng(7))
         b = drop_users(cfg, centers, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("K", [2, 10, 40])
-    def test_bits_and_stream_match_the_per_cell_loop(self, K, monkeypatch):
-        # drop_users draws every cell's first batch in one call and falls
-        # back to one sample_hexagon per cell when a batch is short; both
-        # paths must leave the positions and the generator exactly where
-        # the per-cell loop leaves them.  The seeds are fixed up front:
-        # 13% (K = 10) and 33% (K = 40) of these drops fall back, but with
-        # K = 2 a batch of 10 is short about once in 4,000 drops, so two
-        # seeds known to fall back there are added.
-        def per_cell(cfg, centers, rng):
-            positions = np.empty((len(centers), cfg.K, 2))
-            for l, center in enumerate(centers):
-                positions[l] = sample_hexagon(center, cfg.r, cfg.K, rng)
-            return positions
-
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args)
-            return sample_hexagon(*args)
-
-        monkeypatch.setattr(scenario, "sample_hexagon", counted)
-        for gamma in (1, 3, 7):
-            cfg = SystemConfig(K=K, M=2, P_total=10.0, Gamma=gamma)
-            centers = build_layout(cfg)
-            for seed in (*range(500), 3843, 8172):
-                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = drop_users(cfg, centers, fast)
-                assert got.tobytes() == per_cell(cfg, centers, slow).tobytes()
-                assert fast.bit_generator.state == slow.bit_generator.state
-        assert fallbacks
 
 
 class TestAttenuation:
@@ -265,12 +250,12 @@ class TestLargeScale:
         cfg = SystemConfig(K=2, M=2, P_total=10.0, L=3, sigma_sh=0.0)
         centers = build_layout(cfg)
         pos = drop_users(cfg, centers, np.random.default_rng(3))
-        real = large_scale(cfg, centers, pos, np.random.default_rng(4))
-        assert real.beta.shape == (3, 2)
+        beta = large_scale(cfg, centers, pos, np.random.default_rng(4))
+        assert beta.shape == (3, 2)
         for l in range(3):
             for k in range(2):
                 d = np.hypot(*(pos[l, k] - centers[0]))
-                assert real.beta[l, k] == pytest.approx(
+                assert beta[l, k] == pytest.approx(
                     attenuation(d, cfg.r_min, cfg.gamma_pl), rel=1e-12)
 
     def test_gains_equal_slice_zero_of_the_full_tensor(self):
@@ -279,26 +264,17 @@ class TestLargeScale:
             centers = build_layout(cfg)
             for seed in range(5):
                 pos = drop_users(cfg, centers, np.random.default_rng(seed))
-                real = large_scale(cfg, centers, pos, np.random.default_rng(100 + seed))
+                beta = large_scale(cfg, centers, pos, np.random.default_rng(100 + seed))
                 full = _full_tensor_slice(cfg, centers, pos,
                                           np.random.default_rng(100 + seed))
-                assert np.array_equal(real.beta, full)
-
-    def test_rejects_nonpositive_beta(self):
-        from mimo_pilot import LargeScaleRealization
-
-        with pytest.raises(ValueError):
-            LargeScaleRealization(beta=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"\(L, K\)"):
-            LargeScaleRealization(beta=np.ones((2, 2, 2)))
+                assert np.array_equal(beta, full)
 
 
 class TestBetaFixture:
-    def test_round_trip_exact(self, table_realization, tmp_path):
+    def test_round_trip_exact(self, table_beta, tmp_path):
         path = tmp_path / "beta.csv"
-        save_beta_fixture(table_realization, path)
-        loaded = load_beta_fixture(path)
-        assert np.array_equal(loaded.beta, table_realization.beta)
+        save_beta_fixture(table_beta, path)
+        assert np.array_equal(load_beta_fixture(path), table_beta)
 
     def test_header_names_users(self, table_fixture_path):
         header = table_fixture_path.read_text().splitlines()[0]
