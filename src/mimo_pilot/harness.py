@@ -41,6 +41,7 @@ import numpy as np
 from . import metrics, ppa
 from .airlink import complex_normal, empirical_sinr_terms, sample_channels
 from .estimators import LS, MMSE, METHODS
+from .refsolver import ConstrainedProblem, solve
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, db_to_linear,
                        drop_users, large_scale)
 
@@ -234,8 +235,6 @@ def reference_solve(method: str, profile: ppa.InterferenceProfile,
     the solver's result.  An unconverged solve emits a
     ``RuntimeWarning``, so its point is never used without saying so.
     """
-    from .refsolver import ConstrainedProblem, solve
-
     fun, grad = ppa.make_objective(method, profile, cfg.M)
     problem = ConstrainedProblem(objective=fun, gradient=grad, total=cfg.P_total,
                                  lower=cfg.rho_min, upper=cfg.rho_max,

@@ -13,17 +13,23 @@ As the budget grows with every other cell at the flat P/K, that
 partition settles, and :func:`exp_rcee_asymptotic` gives each user's
 limiting error in closed form: a pinned user from its bound's share of
 the budget, a free user from the water-filling ratios of the free group.
+
+The allocator runs on Python float lists, by the rule :mod:`.refsolver`
+states: at K <= 12 numpy's per-call overhead outweighs the arithmetic.
+Its sums take numpy's order through ``_np_sum``: the allocations' last
+bits, and so the CSVs, depend on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import LS, MMSE, check_method
 from .metrics import _bound_terms, _error_terms
-from .refsolver import _clip_level
+from .refsolver import _clip_level, _np_sum
 
 # Fraction of the average per-user power reserved as the lower bound:
 # rho_min = P/(2K) makes rho_min * K / P one half by construction.
@@ -98,24 +104,27 @@ def unconstrained_optimum(method: str, profile: InterferenceProfile, P: float) -
     check_method(method)
     if P <= 0:
         raise ValueError("budget must be positive")
-    return _water_fill(method, profile.weight, P)
+    return np.array(_water_fill(method, profile.weight.tolist(), P))
 
 
-def _water_fill(method: str, w: np.ndarray, P: float) -> np.ndarray:
-    sqrt_w = np.sqrt(w)
-    share = sqrt_w / sqrt_w.sum()
+def _water_fill(method: str, w: list[float], P: float) -> list[float]:
+    sqrt_w = [math.sqrt(x) for x in w]
+    norm = _np_sum(sqrt_w)
     if method == LS:
-        return P * share
+        return [P * (x / norm) for x in sqrt_w]
+    share = [x / norm for x in sqrt_w]
     # (P + sum w) * share - w, split so the weight part cancels cleanly
     # when the weights are all equal
-    rho = P * share + (w.sum() * share - w)
-    if abs(rho.sum() - P) > 1e-12 * P:
+    w_sum = _np_sum(w)
+    rho = [P * x + (w_sum * x - wk) for x, wk in zip(share, w)]
+    if abs(_np_sum(rho) - P) > 1e-12 * P:
         # Weights far above the budget leave a rounding error of order
         # eps * w in that cancellation, which can break the budget.  Taking
         # the sqrt-weight differences first avoids it:
         #   rho_k = sqrt(w_k) (P + sum_j sqrt(w_j) (sqrt(w_j) - sqrt(w_k))) / sum sqrt(w)
-        gaps = (sqrt_w[None, :] - sqrt_w[:, None]) @ sqrt_w
-        rho = sqrt_w * (P + gaps) / sqrt_w.sum()
+        # (in numpy: a matrix product has no list form in its order)
+        s = np.array(sqrt_w)
+        rho = (s * (P + (s[None, :] - s[:, None]) @ s) / norm).tolist()
     return rho
 
 
@@ -139,17 +148,23 @@ class PilotAllocation:
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
-        if sorted([*self.free, *self.at_min, *self.at_max]) != list(range(rho.size)):
+        r = rho.tolist()
+        free, at_min, at_max = self.free, self.at_min, self.at_max
+        if sorted([*free, *at_min, *at_max]) != list(range(rho.size)):
             raise ValueError("free/at_min/at_max must partition the user indices")
-        r = rho.tolist()  # at K <= 12, numpy calls would outweigh the checks
-        if abs(sum(r) - self.P_total) > 1e-9 * self.P_total:
+        P, lo, hi = self.P_total, self.rho_min, self.rho_max
+        if abs(sum(r) - P) > 1e-9 * P:
             raise ValueError("allocation does not exhaust the budget")
-        if ({r[k] for k in self.at_min} - {self.rho_min}
-                or {r[k] for k in self.at_max} - {self.rho_max}):
-            raise ValueError("a user marked at_min or at_max is off its bound")
-        tol = 1e-12 * self.P_total
-        if not all(self.rho_min - tol <= r[k] <= self.rho_max + tol for k in self.free):
-            raise ValueError("a free user lies outside the power box")
+        for k in at_min:
+            if r[k] != lo:
+                raise ValueError("a user marked at_min or at_max is off its bound")
+        for k in at_max:
+            if r[k] != hi:
+                raise ValueError("a user marked at_min or at_max is off its bound")
+        lo, hi = lo - 1e-12 * P, hi + 1e-12 * P
+        for k in free:
+            if not lo <= r[k] <= hi:
+                raise ValueError("a free user lies outside the power box")
 
 
 def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocation:
@@ -164,34 +179,27 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     K = profile.num_users
     if cfg.K != K:
         raise ValueError(f"configuration is for K={cfg.K} users, profile has {K}")
-    lo, hi = cfg.rho_min, cfg.rho_max
+    P, lo, hi = cfg.P_total, cfg.rho_min, cfg.rho_max
     if not (lo > 0 and hi >= lo):
         raise ValueError("invalid power box")
-    if K * lo > cfg.P_total or K * hi < cfg.P_total:
+    if K * lo > P or K * hi < P:
         raise ValueError("power box cannot meet the budget")
 
-    w = profile.weight
-    s = np.sqrt(w).tolist()
-    side = _clip_level(s, [0.0] * K if method == LS else s, cfg.P_total, lo, hi)
-    free = [k for k in range(K) if side[k] == 0]
-    at_min = [k for k in range(K) if side[k] < 0]
-    at_max = [k for k in range(K) if side[k] > 0]
+    w = profile.weight.tolist()
+    s = [math.sqrt(x) for x in w]
+    side = _clip_level(s, [0.0] * K if method == LS else s, P, lo, hi)
     rho = [hi if g > 0 else lo for g in side]
+    at_min, free, at_max = groups = ([], [], [])
+    budget = P
+    for k, g in enumerate(side):
+        groups[g + 1].append(k)
+        if g:  # bound by bound, not n * bound: the CSV bits hang on it
+            budget -= hi if g > 0 else lo
     if free:
-        budget = cfg.P_total
-        for g in side:  # bound by bound, not n * bound: the CSV bits hang on it
-            budget -= lo if g < 0 else hi if g > 0 else 0.0
-        for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
+        for k, x in zip(free, _water_fill(method, [w[k] for k in free], budget)):
             rho[k] = x
-    return PilotAllocation(
-        rho=np.array(rho),
-        free=frozenset(free),
-        at_min=frozenset(at_min),
-        at_max=frozenset(at_max),
-        P_total=cfg.P_total,
-        rho_min=lo,
-        rho_max=hi,
-    )
+    return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
+                           frozenset(at_max), P, lo, hi)
 
 
 def objective_value(method: str, rho, profile: InterferenceProfile, M: int,

@@ -5,11 +5,18 @@ nothing about the objective's structure beyond a gradient, and handles
 the feasible set {sum x = total, lo <= x <= hi} by Euclidean projection.
 The projection and the allocator share one search, :func:`_clip_level`,
 for the level at which a sum of clipped linear terms meets a budget.
+
+Both work on vectors of one entry per user, K <= 12, where numpy's
+per-call overhead outweighs the arithmetic, so their hot paths run on
+Python float lists, entry by entry in the operations numpy would do.
+The exception is a sum: numpy adds float64 in an order of its own,
+which sets the last bits of every level and so the CSVs; sums go
+through :func:`_np_sum`, which replicates that order exactly.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,22 +36,24 @@ def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
     each probe, finds the segment holding t, and the knots passed before
     it give the sides.  A knot keeps lo/s_k only to the precision of c_k,
     so if an entry at the level has s_k * |c_k| far above ``total`` the
-    search is redone with the c_k measured from that entry's c.  Lists,
-    not arrays: at K <= 12 numpy's per-call overhead would dominate.
+    search is redone with the c_k measured from that entry's c.
     """
     n = len(s)
     for recentred in (False, True):
-        knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in zip(s, c)]
+        pairs = list(zip(s, c))
+        knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in pairs]
         order = sorted(range(2 * n), key=knots.__getitem__)
-
-        def budget(j):
-            t, spent = knots[j], 0.0
-            for sk, ck in zip(s, c):
+        end, top = 0, 2 * n
+        while end < top:  # bisect_left over order, keyed by the budget at a knot
+            mid = (end + top) // 2
+            t, spent = knots[order[mid]], 0.0
+            for sk, ck in pairs:
                 x = sk * (t - ck)
                 spent += lo if x < lo else hi if x > hi else x
-            return spent
-
-        end = bisect.bisect_left(order, total, key=budget)
+            if spent < total:
+                end = mid + 1
+            else:
+                top = mid
         side = [-1] * n
         for j in order[:end]:  # an entry's lo-knot sorts before its hi-knot
             side[j % n] += 1
@@ -52,12 +61,36 @@ def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
             return side
         near = [k for k in range(n) if side[k] == 0]
         near += [order[i] % n for i in (end - 1, end) if 0 <= i < 2 * n]
-        scale, k = max((s[k] * abs(c[k]), k) for k in near)
+        scale, k = max([(s[k] * abs(c[k]), k) for k in near])
         # below 2**10 * total the knots lose at most ~1e-13 of the budget
         if scale <= 1024.0 * abs(total):
             return side
         ref = c[k]
         c = [ck - ref for ck in c]
+
+
+def _np_sum(xs) -> float:
+    """``np.sum`` of a list of floats, bit for bit, without making an array.
+
+    NumPy adds float64 pairwise: one running sum below 8 entries, 8
+    interleaved lanes folded as a tree up to 128 entries, and longer runs
+    split in two at a multiple of 8.  Like numpy's, the sum starts from
+    0.0, so it is never -0.0.
+    """
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _np_sum(xs[:half]) + _np_sum(xs[half:])
+    total, tail = 0.0, n - n % 8
+    if tail:
+        r = xs[:8]
+        for i in range(8, tail, 8):
+            r = [a + b for a, b in zip(r, xs[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        xs = xs[tail:]
+    for x in xs:
+        total += x
+    return total
 
 
 def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray:
@@ -77,13 +110,17 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
     slack = 1e-12 * max(1.0, abs(total))
     if not (n * lo - slack <= total <= n * hi + slack):
         raise ValueError("box and budget are incompatible")
-    side = np.array(_clip_level([1.0] * n, (-v).tolist(), total, lo, hi))
-    free = side == 0
-    if not np.any(free):
-        return np.where(side > 0, hi, lo)
-    pinned = np.where(side > 0, hi, 0.0) + np.where(side < 0, lo, 0.0)
-    theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
-    return np.clip(v - theta, lo, hi)
+    v = v.tolist()
+    side = _clip_level([1.0] * n, [-x for x in v], total, lo, hi)
+    n_free = side.count(0)
+    if not n_free:
+        return np.array([hi if g > 0 else lo for g in side])
+    # both sums in numpy's order, which sets theta's last bits
+    pinned = _np_sum([hi if g > 0 else lo if g < 0 else 0.0 for g in side])
+    free = _np_sum([x for x, g in zip(v, side) if g == 0])
+    theta = (free - (total - pinned)) / n_free
+    return np.array([lo if y < lo else hi if y > hi else y
+                     for y in [x - theta for x in v]])
 
 
 @dataclass(frozen=True)
@@ -135,7 +172,7 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
     g = problem.gradient(x)
     t = 1.0
     pg = x - proj(x - g)
-    pg_norm = float(np.linalg.norm(pg))
+    pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if converged(x, pg_norm):
@@ -145,24 +182,24 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
         while t > 1e-300:
             x_new = proj(x - t * g)
             step = x_new - x
-            decrease = float(np.dot(g, step))
+            decrease = float(g.dot(step))
             f_new = problem.objective(x_new)
             if f_new <= f + 1e-4 * decrease:
                 accepted = True
                 break
             t *= 0.5
-        if not accepted or not np.any(x_new != x):
+        if not accepted or not (x_new != x).any():
             break  # stalled at numerical resolution
         g_new = problem.gradient(x_new)
         # Barzilai-Borwein step for the next iteration, kept positive
         y = g_new - g
-        sy = float(np.dot(step, y))
+        sy = float(step.dot(y))
         if sy > 0:
-            t = float(np.dot(step, step)) / sy
+            t = float(step.dot(step)) / sy
         else:
             t *= 2.0
         x, f, g = x_new, f_new, g_new
         pg = x - proj(x - g)
-        pg_norm = float(np.linalg.norm(pg))
+        pg_norm = math.sqrt(pg.dot(pg))
     return SolveResult(x=x, objective=f, iterations=iterations,
                        converged=converged(x, pg_norm), pg_norm=pg_norm)

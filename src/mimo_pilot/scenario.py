@@ -282,8 +282,12 @@ def save_beta_fixture(beta: np.ndarray, path: str | Path) -> None:
     """Write the (L, K) gains toward the target BS as CSV.
 
     Header row is ``user_1,...,user_K``; each of the L data rows gives the
-    gains from that cell's users.
+    gains from that cell's users.  Gains that :func:`load_beta_fixture`
+    would reject raise its :class:`FixtureFormatError`, and nothing is
+    written.
     """
+    beta = np.asarray(beta, dtype=float)
+    _check_gains(beta, path)
     header = ",".join(f"user_{k + 1}" for k in range(np.shape(beta)[1]))
     rows = [",".join(repr(float(v)) for v in row) for row in beta]
     Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -310,9 +314,14 @@ def load_beta_fixture(path: str | Path) -> np.ndarray:
         except ValueError as exc:
             raise FixtureFormatError(f"{path}:{lineno}: non-numeric entry") from exc
     slab = np.asarray(rows)
+    _check_gains(slab, path)
+    return slab
+
+
+def _check_gains(slab: np.ndarray, path) -> None:
+    """The checks a fixture's (L, K) gains must pass, read or written."""
     if not np.all(np.isfinite(slab)) or np.any(slab <= 0):
         raise FixtureFormatError(f"{path}: gains must be positive and finite")
     if not 1 <= slab.shape[0] <= MAX_CELLS:
         raise FixtureFormatError(
             f"{path}: needs 1 to {MAX_CELLS} cell rows, got {slab.shape[0]}")
-    return slab

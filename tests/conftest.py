@@ -43,8 +43,8 @@ def unconverged_solver(monkeypatch):
     """Every reference solve keeps its point but reports no convergence."""
     import dataclasses
 
-    from mimo_pilot import refsolver
+    from mimo_pilot import harness
 
-    solve = refsolver.solve
-    monkeypatch.setattr(refsolver, "solve", lambda problem: dataclasses.replace(
+    solve = harness.solve
+    monkeypatch.setattr(harness, "solve", lambda problem: dataclasses.replace(
         solve(problem), converged=False, iterations=100000, pg_norm=2.5e-3))

@@ -1,19 +1,27 @@
-"""The literal antenna model: the tests' reference for the Monte-Carlo kernels.
+"""Literal references the package's fast paths must match bit for bit.
 
-Pilot transmission, LS and MMSE estimation and the relative errors, one
-trial and one array at a time, written as the paper states them.  No
-sweep runs this path; ``harness._mc_trials`` must match it bit for bit,
-and the acceptance criteria check it against the closed forms.
+The antenna model: pilot transmission, LS and MMSE estimation and the
+relative errors, one trial and one array at a time, written as the paper
+states them.  No sweep runs this path; ``harness._mc_trials`` must match
+it bit for bit, and the acceptance criteria check it against the closed
+forms.
+
+The level search, the projection and the allocator as they were
+written before the package moved their arithmetic onto Python float
+lists: the search with a keyed ``bisect``, the projection and the
+water-filling in numpy arrays.  The package must return the same bits.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from mimo_pilot.airlink import complex_normal
-from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.estimators import LS, MMSE, check_method
+from mimo_pilot.ppa import InterferenceProfile, PilotAllocation
 
 
 def pilot_book(K: int, tau: int) -> np.ndarray:
@@ -156,3 +164,130 @@ def rcee_prefix_samples(h, h_hat, m_values) -> np.ndarray:
     sig_c = np.cumsum(np.abs(h) ** 2, axis=-1)
     idx = m_values - 1
     return np.moveaxis(err_c[..., idx] / sig_c[..., idx], -1, 0)
+
+
+def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
+    """Box side of each entry at the level t where the budget is met.
+
+    t solves sum_k clip(s_k * (t - c_k), lo, hi) = total (all s_k > 0); the
+    result holds -1 for an entry at ``lo``, +1 at ``hi`` and 0 free.  The
+    sum is piecewise linear in t, with knots c_k + lo/s_k and c_k + hi/s_k;
+    a binary search over the sorted knots, summing the clipped terms at
+    each probe, finds the segment holding t, and the knots passed before
+    it give the sides.  A knot keeps lo/s_k only to the precision of c_k,
+    so if an entry at the level has s_k * |c_k| far above ``total`` the
+    search is redone with the c_k measured from that entry's c.  Lists,
+    not arrays: at K <= 12 numpy's per-call overhead would dominate.
+    """
+    n = len(s)
+    for recentred in (False, True):
+        knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in zip(s, c)]
+        order = sorted(range(2 * n), key=knots.__getitem__)
+
+        def budget(j):
+            t, spent = knots[j], 0.0
+            for sk, ck in zip(s, c):
+                x = sk * (t - ck)
+                spent += lo if x < lo else hi if x > hi else x
+            return spent
+
+        end = bisect.bisect_left(order, total, key=budget)
+        side = [-1] * n
+        for j in order[:end]:  # an entry's lo-knot sorts before its hi-knot
+            side[j % n] += 1
+        if recentred or not any(c):
+            return side
+        near = [k for k in range(n) if side[k] == 0]
+        near += [order[i] % n for i in (end - 1, end) if 0 <= i < 2 * n]
+        scale, k = max((s[k] * abs(c[k]), k) for k in near)
+        # below 2**10 * total the knots lose at most ~1e-13 of the budget
+        if scale <= 1024.0 * abs(total):
+            return side
+        ref = c[k]
+        c = [ck - ref for ck in c]
+
+
+def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray:
+    """Euclidean projection onto {x : sum x = total, lo <= x_i <= hi}.
+
+    The projection is x_i = clip(v_i - theta, lo, hi) for the theta making
+    the budget tight.  :func:`_clip_level` finds which entries the exact
+    theta clips, which makes the budget equation linear in theta, and
+    theta is then recovered from the free entries.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("v must be a non-empty 1-D array")
+    if not lo <= hi:
+        raise ValueError("need lo <= hi")
+    n = v.size
+    slack = 1e-12 * max(1.0, abs(total))
+    if not (n * lo - slack <= total <= n * hi + slack):
+        raise ValueError("box and budget are incompatible")
+    side = np.array(_clip_level([1.0] * n, (-v).tolist(), total, lo, hi))
+    free = side == 0
+    if not np.any(free):
+        return np.where(side > 0, hi, lo)
+    pinned = np.where(side > 0, hi, 0.0) + np.where(side < 0, lo, 0.0)
+    theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
+    return np.clip(v - theta, lo, hi)
+
+
+def _water_fill(method: str, w: np.ndarray, P: float) -> np.ndarray:
+    sqrt_w = np.sqrt(w)
+    share = sqrt_w / sqrt_w.sum()
+    if method == LS:
+        return P * share
+    # (P + sum w) * share - w, split so the weight part cancels cleanly
+    # when the weights are all equal
+    rho = P * share + (w.sum() * share - w)
+    if abs(rho.sum() - P) > 1e-12 * P:
+        # Weights far above the budget leave a rounding error of order
+        # eps * w in that cancellation, which can break the budget.  Taking
+        # the sqrt-weight differences first avoids it:
+        #   rho_k = sqrt(w_k) (P + sum_j sqrt(w_j) (sqrt(w_j) - sqrt(w_k))) / sum sqrt(w)
+        gaps = (sqrt_w[None, :] - sqrt_w[:, None]) @ sqrt_w
+        rho = sqrt_w * (P + gaps) / sqrt_w.sum()
+    return rho
+
+
+def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocation:
+    """Allocate the cell's pilot budget under the per-user power box.
+
+    At the optimum rho_k = clip(sqrt(w_k) * t, lo, hi) under LS and
+    clip(sqrt(w_k) * (t - sqrt(w_k)), lo, hi) under the MMSE bound, for one
+    water level t.  The level that exhausts the budget groups the users
+    (at_min, at_max, free); the free users water-fill the residual budget.
+    """
+    check_method(method)
+    K = profile.num_users
+    if cfg.K != K:
+        raise ValueError(f"configuration is for K={cfg.K} users, profile has {K}")
+    lo, hi = cfg.rho_min, cfg.rho_max
+    if not (lo > 0 and hi >= lo):
+        raise ValueError("invalid power box")
+    if K * lo > cfg.P_total or K * hi < cfg.P_total:
+        raise ValueError("power box cannot meet the budget")
+
+    w = profile.weight
+    s = np.sqrt(w).tolist()
+    side = _clip_level(s, [0.0] * K if method == LS else s, cfg.P_total, lo, hi)
+    free = [k for k in range(K) if side[k] == 0]
+    at_min = [k for k in range(K) if side[k] < 0]
+    at_max = [k for k in range(K) if side[k] > 0]
+    rho = [hi if g > 0 else lo for g in side]
+    if free:
+        budget = cfg.P_total
+        for g in side:  # bound by bound, not n * bound: the CSV bits hang on it
+            budget -= lo if g < 0 else hi if g > 0 else 0.0
+        for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
+            rho[k] = x
+    return PilotAllocation(
+        rho=np.array(rho),
+        free=frozenset(free),
+        at_min=frozenset(at_min),
+        at_max=frozenset(at_max),
+        P_total=cfg.P_total,
+        rho_min=lo,
+        rho_max=hi,
+    )

@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from mimo_pilot import (InterferenceProfile, SystemConfig, objective_value,
-                        ppa_allocate)
+                        ppa_allocate, unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE, METHODS
 from mimo_pilot.harness import reference_solve
 
@@ -155,3 +156,19 @@ def test_one_dominant_user_takes_its_bound(K, p_db, method):
     else:
         expected = [cfg.rho_min] + [(P - cfg.rho_min) / (K - 1)] * (K - 1)
     assert np.allclose(alloc.rho, expected, rtol=1e-9, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(METHODS))
+def test_allocation_keeps_the_array_bits(instance, method):
+    # the list arithmetic against the numpy-array allocator in ``oracle``
+    cfg, profile = instance
+    got = ppa_allocate(method, profile, cfg)
+    want = oracle.ppa_allocate(method, profile, cfg)
+    assert np.array_equal(got.rho, want.rho)
+    # the frozensets' iteration order reaches the CSVs too
+    groups = [[list(a.free), list(a.at_min), list(a.at_max)] for a in (got, want)]
+    assert groups[0] == groups[1]
+    assert np.array_equal(
+        unconstrained_optimum(method, profile, cfg.P_total),
+        oracle._water_fill(method, profile.weight, cfg.P_total))

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import oracle
 from mimo_pilot import (InterferenceProfile, SystemConfig, default_config,
                         eppa_profile, make_objective, objective_value,
                         plan_for, ppa_allocate, refsolver, run_experiment)
-from mimo_pilot.estimators import LS
-from mimo_pilot.refsolver import (ConstrainedProblem, SolveResult,
-                                  project_bounded_simplex, solve)
+from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.harness import reference_solve
+from mimo_pilot.refsolver import (ConstrainedProblem, SolveResult, _clip_level,
+                                  _np_sum, project_bounded_simplex, solve)
 
 
 def breakpoint_projection(v, total, lo, hi):
@@ -93,6 +97,44 @@ def projection_instances(rng, kind, count):
         yield v, total, lo, hi
 
 
+def budget_sweep(rng, count):
+    """(v, total, lo, hi) at budgets 1e0-1e8, shaped like solver steps.
+
+    v scatters around the flat share P/n, by up to ten shares; one
+    instance in five puts the budget on a vertex of the box.
+    """
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        P = 10.0 ** rng.uniform(0.0, 8.0)
+        lo = P / n * rng.uniform(0.0, 1.0)
+        hi = P / n * rng.uniform(1.0, 3.0)
+        v = P / n * (1.0 + rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0))
+        if rng.random() < 0.2:
+            j = int(rng.integers(0, n + 1))
+            P = j * lo + (n - j) * hi
+        yield v, P, lo, hi
+
+
+def level_instances(rng, count):
+    """(s, c, total, lo, hi) of the level search, as the allocator and
+    the projection pose it, with offsets c up to 1e12 times the budget."""
+    for i in range(count):
+        n = int(rng.integers(1, 13))
+        lo = 10.0 ** rng.uniform(-3.0, 3.0)
+        hi = lo * rng.choice([1.0, rng.uniform(1.0, 5.0)])
+        total = rng.uniform(n * lo, n * hi)
+        s = (10.0 ** rng.uniform(-6.0, 6.0, n)).tolist()
+        kind = i % 4
+        if kind == 0:
+            c = [0.0] * n
+        elif kind == 1:
+            c = s
+        else:
+            s = [1.0] * n if kind == 2 else s
+            c = (rng.normal(size=n) * total * 10.0 ** rng.uniform(-3.0, 12.0)).tolist()
+        yield s, c, total, lo, hi
+
+
 class TestProjection:
     def test_hand_case_two_users(self):
         out = project_bounded_simplex(np.array([10.0, 0.0]), 10.0, 2.0, 8.0)
@@ -174,6 +216,64 @@ class TestProjection:
             project_bounded_simplex(np.ones(3), 2.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="incompatible"):
             project_bounded_simplex(np.ones(3), 10.0, 0.0, 1.0)
+
+
+class TestListArithmetic:
+    """The list forms return the bits of the array forms in ``oracle``."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "vertex"])
+    def test_projection_keeps_the_array_bits(self, kind):
+        rng = np.random.default_rng(29)
+        for v, total, lo, hi in projection_instances(rng, kind, 2000):
+            np.testing.assert_array_equal(
+                project_bounded_simplex(v, total, lo, hi),
+                oracle.project_bounded_simplex(v, total, lo, hi))
+
+    def test_projection_keeps_the_array_bits_at_every_budget(self):
+        rng = np.random.default_rng(31)
+        for v, total, lo, hi in budget_sweep(rng, 5000):
+            np.testing.assert_array_equal(
+                project_bounded_simplex(v, total, lo, hi),
+                oracle.project_bounded_simplex(v, total, lo, hi))
+
+    def test_level_search_keeps_its_sides(self):
+        rng = np.random.default_rng(37)
+        for args in level_instances(rng, 5000):
+            assert _clip_level(*args) == oracle._clip_level(*args)
+
+    def test_sum_takes_the_numpy_order(self):
+        rng = np.random.default_rng(41)
+        for n in [*range(1, 41), 127, 128, 129, 300, 1000]:
+            for _ in range(20):
+                x = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+                assert _np_sum(x.tolist()) == x.sum()
+
+
+# A reference solve that stalls short of the stopping rule (ROADMAP open
+# item 1): MMSE, 50 dB, upsilon four decades apart.
+STALL_CFG = SystemConfig(K=3, M=200, P_total=1e5, mu=2.0)
+STALL_PROFILE = InterferenceProfile(
+    upsilon=np.array([1.33333333, 33334.3333, 33334.3333]),
+    beta_target=np.array([1.0, 0.01, 0.01]))
+
+
+def _stall_solve():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return reference_solve(MMSE, STALL_PROFILE, STALL_CFG)
+
+
+def test_known_stall_keeps_its_iterates():
+    result = _stall_solve()
+    assert result.iterations == 6
+    assert result.pg_norm == pytest.approx(4.4246e-10, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP open item 1: the absolute pg_norm rule "
+                          "stalls at 4.4e-10 on this instance")
+def test_known_stall_converges():
+    assert _stall_solve().converged
 
 
 def quadratic_problem(center, total, lo, hi, **kwargs):

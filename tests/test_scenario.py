@@ -310,3 +310,18 @@ class TestBetaFixture:
         path.write_text(f"user_1\n{rows}\n")
         with pytest.raises(FixtureFormatError, match="cell rows"):
             load_beta_fixture(path)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+    def test_save_refuses_what_load_rejects(self, table_beta, tmp_path, bad):
+        path = tmp_path / "beta.csv"
+        beta = table_beta.copy()
+        beta[1, 2] = bad
+        with pytest.raises(FixtureFormatError, match="gains must be positive and finite"):
+            save_beta_fixture(beta, path)
+        assert not path.exists()
+
+    def test_save_refuses_too_many_cells(self, tmp_path):
+        path = tmp_path / "beta.csv"
+        with pytest.raises(FixtureFormatError, match="cell rows"):
+            save_beta_fixture(np.full((8, 2), 0.1), path)
+        assert not path.exists()
