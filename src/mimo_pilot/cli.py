@@ -98,8 +98,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args, "validate")
-    if args.trials is not None and args.trials < 2:
-        raise ConfigurationError("validate needs at least 2 trials")
     plan = plan_for("validate", n_small=args.trials, jobs=args.jobs)
     report = run_experiment(plan, cfg)
     emit_csv(report.columns, report.rows, args.out)

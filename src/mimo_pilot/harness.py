@@ -1,7 +1,7 @@
 """Experiment orchestration: seeding, Monte-Carlo sweeps and reports.
 
 Every random draw comes from :func:`seed_schedule`, a counter-style
-stream factory keyed by (root seed, trial index, purpose tag).  Workers
+stream factory keyed by (root seed, slot, purpose tag).  Workers
 therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
@@ -20,10 +20,12 @@ m antennas is a quadratic form in the 3x3 Gram matrix of (target channel,
 that sum, pilot noise), which :func:`_gram_trials` draws segment by
 segment of the antenna grid, O(1) variates per user and segment.
 validate needs every channel for its SINR, so :func:`_mc_trials` draws
-each channel and noise block at every antenna.  One draw per trial serves
-every allocation and antenna prefix of the drop, so all curves see common
-randomness.  The antenna kernel is the tests' reference for the Gram
-draw, held bit for bit to the literal antenna model in ``tests/oracle.py``.
+each channel and noise block at every antenna.  Both kernels draw from
+per-drop streams in blocks of trials, so their memory is flat in the
+trial count.  One draw per trial serves every allocation and antenna
+prefix of the drop, so all curves see common randomness.  The antenna
+kernel is the tests' reference for the Gram draw, held bit for bit to the
+literal antenna model in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -54,18 +56,19 @@ CDF_COLUMNS = ("experiment", "metric", "gamma", "method", "scheme", "value", "cd
 
 
 def seed_schedule(seed: int, trial: int, purpose: str) -> np.random.Generator:
-    """Independent generator for one (trial, purpose) slot under a root seed.
+    """Independent generator for one (slot, purpose) pair under a root seed.
 
-    Identical arguments always give an identical stream; distinct trials
-    or purposes give statistically independent streams.  The purpose tag
-    is hashed with crc32, which is stable across runs and platforms.
+    Identical arguments always give an identical stream; distinct slots
+    (``trial``) or purposes give statistically independent streams.  The
+    purpose tag is hashed with crc32, which is stable across runs and
+    platforms.
 
-    Tags in use: ``positions`` and ``shadowing`` per drop, with no reuse
-    factor in the tag, so every Gamma sees the same users and shadowing
-    and only the interferer ring moves.  The fading streams stay per
-    reuse factor, suffixed ``/gamma=<reuse factor>``: ``gram`` per drop,
-    the fig3/fig4b Monte-Carlo trials; ``channel`` and ``pilot-noise``
-    per validate trial, whose slot is ``drop * n_trials + trial``.
+    A sweep's slot is always the drop.  Tags in use:
+    ``positions`` and ``shadowing``, with no reuse factor in the tag, so
+    every Gamma sees the same users and shadowing and only the interferer
+    ring moves.  The fading streams stay per reuse factor, suffixed
+    ``/gamma=<reuse factor>``: ``gram``, the fig3/fig4b Monte-Carlo
+    trials, and ``channel`` and ``pilot-noise``, the validate trials.
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError("seed must be a non-negative integer")
@@ -143,6 +146,9 @@ class ExperimentPlan:
             raise ValueError("m_grid must be strictly increasing")
         if self.n_large < 1 or self.n_small < 0:
             raise ValueError("n_large must be >= 1 and n_small >= 0")
+        if self.experiment == "validate" and self.n_small < 2:
+            # its SINR moments need two trials
+            raise ValueError("validate needs at least 2 trials")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ValueError(f"schemes must be drawn from {SCHEMES}")
         if self.jobs < 1:
@@ -273,6 +279,11 @@ def _shrinkage(beta_slice, rho_stack, methods):
     return shrink
 
 
+# complex entries (channels plus estimates) per block of the antenna draw,
+# so its memory grows with neither the trial count nor M
+_MC_BLOCK = 1 << 16
+
+
 def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
                rho_stack, methods, m_values):
     """Monte-Carlo kernel: one drop's trials for C allocations at once.
@@ -283,67 +294,47 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
     of the increasing ``m_values`` and one pilot-noise block; both serve
     every allocation and antenna prefix (length-m estimates are the first
     m rows of the full ones), so every curve sees common randomness.
-    Yields ``(h, h_hat, lam)`` in trial order: the (L, K, M) channels,
-    the (C, K, M) estimates, overwritten by the next trial, and the
-    (C, len(m_values)) user-averaged relative errors.  The arithmetic is
-    that of the literal antenna model in ``tests/oracle.py`` (pilot_phase
-    -> estimate_ls / estimate_mmse -> rcee_prefix_samples), so every
-    value matches it bit for bit.
-
-    The pilot weights, the 1/sqrt(rho_0k) normalisation and the MMSE
-    shrinkage are real, and a real factor scales re and im alike, so each
-    multiplies the float view (re, im interleaved) of the complex arrays:
-    the roundings of the complex product at half its arithmetic.  The
-    errors keep ``np.abs`` of the complex difference, because it rounds
-    differently from hypot or re^2 + im^2 of the two planes.
+    Channels and noise come from one stream each per drop, in blocks of
+    as many trials as fit in ``_MC_BLOCK`` complex entries (at least
+    one): a block's (L, K, n M) channel draw is n trials of M antennas,
+    its noise one (n, K, M) draw.  Yields ``(h, h_hat, lam)`` per block:
+    the (n, L, K, M) channels, the (n, C, K, M) estimates and the
+    (n, C, len(m_values)) user-averaged relative errors.  The arithmetic
+    is that of the literal antenna model in ``tests/oracle.py``
+    (pilot_phase -> estimate_ls / estimate_mmse -> rcee_prefix_samples)
+    fed the same draws, so every value matches it bit for bit.
     """
-    K = beta_slice.shape[1]
+    L, K = beta_slice.shape
     rho_stack, m_values = _kernel_inputs(beta_slice, rho_stack, m_values)
-    C = len(rho_stack)
     sqrt_rho = np.sqrt(rho_stack)
-    # Estimates are laid out (K, C, M): einsum writes that order about
-    # twice as fast as (C, K, M).  Factors follow as (K, C, 1).  Dividing
-    # a complex by a real c multiplies both parts by 1/c, and multiplying
-    # an LS row by 1.0 leaves it as it is.
-    inv_target = (1.0 / sqrt_rho[:, 0]).T[:, :, None]
-    shrink = _shrinkage(beta_slice, rho_stack, methods).T[:, :, None]
+    # Dividing a complex by a real c multiplies both parts by 1/c, and
+    # multiplying an LS row by 1.0 leaves it as it is.
+    inv_target = (1.0 / sqrt_rho[:, 0])[:, :, None]
+    shrink = _shrinkage(beta_slice, rho_stack, methods)[:, :, None]
     m_top = m_values[-1]
-    est = np.empty((K, C, m_top), dtype=complex)
-    est_f = est.view(float)
-    h_hat = est.transpose(1, 0, 2)
-    # Squared errors are laid out (M, C, K), so summing the antenna axis
-    # adds whole rows in antenna order: the sequence of a cumsum, but
-    # vectorised over allocations and users.
-    e2 = np.empty((m_top, C, K))
-    err = np.empty((len(m_values), C, K))
     idx = np.asarray(m_values) - 1
     tag = f"gamma={cfg.Gamma}"
-    for s in range(n_trials):
-        t_id = drop * n_trials + s
-        h = sample_channels(beta_slice, m_top, seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
+    channel_rng = seed_schedule(cfg.seed, drop, f"channel/{tag}")
+    noise_rng = seed_schedule(cfg.seed, drop, f"pilot-noise/{tag}")
+    per_block = max(1, _MC_BLOCK // ((L + len(rho_stack)) * K * m_top))
+    for start in range(0, n_trials, per_block):
+        n = min(per_block, n_trials - start)
+        h = sample_channels(beta_slice, n * m_top, channel_rng).reshape(
+            L, K, n, m_top).transpose(2, 0, 1, 3)
         # The pilot book is the K x K identity, so correlating the received
         # block with sequence k selects its column k:
         #   h_hat_k = (sum_l sqrt(rho_lk) h_lk + n_k) / sqrt(rho_0k).
-        noise = complex_normal((m_top, K),
-                               seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-        np.einsum("clk,lkm->kcm", sqrt_rho, h.view(float), out=est_f)
-        est += noise[:, None].T
-        est_f *= inv_target
-        est_f *= shrink
-        h0 = h[0]
-        np.abs(h_hat - h0, out=e2.transpose(1, 2, 0))
-        np.square(e2, out=e2)
-        # each prefix sum continues from the one before, as cumsum would
-        start = 0
-        for i, m in enumerate(m_values):
-            np.add.reduce(e2[start:m], axis=0, out=err[i])
-            e2[m - 1] = err[i]
-            start = m - 1
-        sig_c = np.cumsum(np.abs(h0) ** 2, axis=-1)[:, idx].T
-        # users are the contiguous axis, so this mean sums them as the
+        h_hat = np.einsum("clk,nlkm->nckm", sqrt_rho, h)
+        h_hat += complex_normal((n, K, m_top), noise_rng)[:, None]
+        h_hat *= inv_target
+        h_hat *= shrink
+        h0 = h[:, 0]
+        err = np.cumsum(np.abs(h_hat - h0[:, None]) ** 2, axis=-1)[..., idx]
+        sig = np.cumsum(np.abs(h0) ** 2, axis=-1)[..., idx]
+        # users last and contiguous, so the mean sums them as the
         # reference path does
-        lam = (err / sig_c[:, None]).mean(axis=-1).T
-        yield h, h_hat, lam
+        ratio = np.ascontiguousarray(np.swapaxes(err / sig[:, None], -1, -2))
+        yield h, h_hat, ratio.mean(axis=-1)
 
 
 def _collapse_cells(beta, rho_stack):
@@ -550,9 +541,12 @@ def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
     lam = np.empty((C, n))
     channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
     estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
-    kernel = _mc_trials(cfg, drop, n, beta, stack, [m for _, m in rho_mats], (cfg.M,))
-    for s, (h, h_hat, lam_s) in enumerate(kernel):
-        channels[s], estimates[s], lam[:, s] = h, h_hat, lam_s[:, 0]
+    start = 0
+    for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, stack,
+                                      [m for _, m in rho_mats], (cfg.M,)):
+        block = slice(start, start + len(h))
+        channels[block], estimates[block], lam[:, block] = h, h_hat, lam_b[:, :, 0].T
+        start = block.stop
     closed, limit = _error_means(beta, rho_mats, cfg.M), _error_means(beta, rho_mats)
     sinr = metrics.sinr_closed(cfg.M, stack, beta, cfg.rho_u).mean(axis=-1)
     sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)

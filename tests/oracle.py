@@ -2,9 +2,9 @@
 
 The antenna model: pilot transmission, LS and MMSE estimation and the
 relative errors, one trial and one array at a time, written as the paper
-states them.  No sweep runs this path; ``harness._mc_trials`` must match
-it bit for bit, and the acceptance criteria check it against the closed
-forms.
+states them.  No sweep runs this path; fed the same draws,
+``harness._mc_trials`` must match it bit for bit, and the acceptance
+criteria check it against the closed forms.
 
 The level search, the projection and the allocator as they were
 written before the package moved their arithmetic onto Python float

@@ -20,6 +20,7 @@ from mimo_pilot import (InterferenceProfile, SystemConfig, bench_allocators,
 from mimo_pilot import exp_rcee_asymptotic
 from mimo_pilot.cli import main
 from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.harness import _map_tasks
 from mimo_pilot.metrics import (exp_rcee_closed, exp_rcee_eppa_floor,
                                 exp_rcee_eppa_limit, exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
@@ -325,6 +326,30 @@ def test_monte_carlo_means_sit_on_the_closed_forms(desk_mc_sweeps):
             mc, se, closed = (row[idx["mc_mean"]], row[idx["mc_stderr"]],
                               row[idx["closed_form"]])
             assert abs(mc - closed) <= MC_STDERR_BOUND * se, row
+
+
+# Fixed before any run: every desk fig3 and fig4b row at seeds 0-2, 504
+# rows of 20 drops, at a two-sided family-wise level of 1%, that is
+# scipy.stats.t.isf(0.01 / 1008, 19) = 5.6304 (scipy is not a dependency).
+PAIRED_Z_BOUND = 5.63
+
+
+def test_monte_carlo_rows_pass_the_paired_per_drop_check():
+    # The abstract's claim that the closed forms hold for any antenna
+    # count, row by row.  Per drop, d = mc - closed shares the drop's gains
+    # on both sides, so its standard error is the fading's alone, not the
+    # drops' spread that mc_stderr carries.
+    z = []
+    for seed in range(3):
+        cfg = default_config("fig3", seed=seed)
+        for fig in ("fig3", "fig4b"):
+            for drops in _map_tasks(plan_for(fig), cfg).values():
+                for combo in drops[0]["mc"]:
+                    d = np.array([drop["mc"][combo] - drop["closed"][combo]
+                                  for drop in drops])
+                    z.extend(d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(len(d))))
+    assert len(z) == 504
+    assert np.max(np.abs(z)) <= PAIRED_Z_BOUND, np.max(np.abs(z))
 
 
 def test_acceptance_09_deterministic_reruns(tmp_path):

@@ -110,6 +110,8 @@ class TestExperimentPlan:
         dict(experiment="fig4a", gammas=(1,), schemes=("mrc",)),
         dict(experiment="fig5a", gammas=(1,)),
         dict(experiment="fig4a", gammas=(1,), jobs=0),
+        dict(experiment="validate", gammas=(1,), n_small=1),
+        dict(experiment="validate", gammas=(1,), n_small=0),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -273,6 +275,24 @@ class TestRunExperimentValidate:
         mmse = report.select(metric="sinr", method=MMSE, scheme="eppa")[0]
         assert ls[6] == pytest.approx(mmse[6], rel=1e-12)
 
+    def test_four_streams_per_gamma_and_drop(self, tiny_cfg, monkeypatch):
+        # positions, shadowing, channel and pilot-noise, whatever the trial
+        # count
+        drawn = []
+        schedule = harness.seed_schedule
+
+        def counted(seed, slot, purpose):
+            drawn.append((slot, purpose))
+            return schedule(seed, slot, purpose)
+
+        monkeypatch.setattr(harness, "seed_schedule", counted)
+        run_experiment(plan_for("validate", gammas=(1, 3), n_large=2, n_small=300),
+                       tiny_cfg)
+        assert sorted(drawn) == sorted(
+            (drop, purpose) for gamma in (1, 3) for drop in range(2)
+            for purpose in ("positions", "shadowing", f"channel/gamma={gamma}",
+                            f"pilot-noise/gamma={gamma}"))
+
 
 def test_jobs_do_not_change_results(tiny_cfg):
     # fig4a's 15 tasks go to 2 workers in chunks of 2, the last one short;
@@ -388,26 +408,31 @@ class TestMonteCarloKernel:
 
     @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), (16,), (3,),
                                           (4, 9, 12)])
-    def test_matches_reference_path_bitwise(self, drop, m_values):
+    def test_matches_reference_path_bitwise(self, drop, m_values, monkeypatch):
         cfg, beta, rho_stack, methods = drop
-        d, n = 3, 4
-        tag = f"gamma={cfg.Gamma}"
+        d, n, m_top = 3, 4, max(m_values)
+        # blocks of 3 trials, so the 4 trials span a full and a short block
+        monkeypatch.setattr(harness, "_MC_BLOCK",
+                            3 * (cfg.L + len(methods)) * cfg.K * m_top)
+        channel_rng, noise_rng = _kernel_streams(cfg, d)
         seen = 0
-        for s, (h, h_hat, lam) in enumerate(
-                _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
-            t_id = d * n + s
-            ref_h = sample_channels(beta, max(m_values),
-                                    seed_schedule(cfg.seed, t_id, f"channel/{tag}"))
-            assert np.array_equal(h, ref_h)
-            assert lam.shape == (len(methods), len(m_values))
-            for c, method in enumerate(methods):
-                obs = pilot_phase(ref_h, rho_stack[c], cfg.K,
-                                  seed_schedule(cfg.seed, t_id, f"pilot-noise/{tag}"))
-                est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta)
-                ref = rcee_prefix_samples(ref_h[0], est.h_hat, m_values)
-                assert np.array_equal(h_hat[c], est.h_hat)
-                assert np.array_equal(lam[c], ref.mean(axis=1))
-            seen += 1
+        for h, h_hat, lam in _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values):
+            # the block's draws, redrawn as the kernel draws them
+            b = len(h)
+            ref_h = sample_channels(beta, b * m_top, channel_rng).reshape(
+                cfg.L, cfg.K, b, m_top)
+            noise = complex_normal((b, cfg.K, m_top), noise_rng)
+            assert lam.shape == (b, len(methods), len(m_values))
+            for s in range(b):
+                assert np.array_equal(h[s], ref_h[:, :, s])
+                for c, method in enumerate(methods):
+                    obs = pilot_phase(ref_h[:, :, s], rho_stack[c], cfg.K, None)
+                    obs = dataclasses.replace(obs, y=obs.y + noise[s].T)
+                    est = estimate_ls(obs) if method == LS else estimate_mmse(obs, beta)
+                    ref = rcee_prefix_samples(ref_h[0, :, s], est.h_hat, m_values)
+                    assert np.array_equal(h_hat[s, c], est.h_hat)
+                    assert np.array_equal(lam[s, c], ref.mean(axis=1))
+            seen += b
         assert seen == n
 
     @pytest.mark.parametrize("m_values", [(2, 3, 5, 8, 11, 13, 16), _DESK_M_GRID])
@@ -418,22 +443,23 @@ class TestMonteCarloKernel:
         # rho_other = 1, and the noise.  No randomness of its own.
         cfg, beta, rho_stack, methods = drop
         d, n = 3, 4
-        tag = f"gamma={cfg.Gamma}"
         idx = np.asarray(m_values) - 1
         pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-        for s, (h, _, lam) in enumerate(
-                _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values)):
-            noise = complex_normal((max(m_values), cfg.K),
-                                   seed_schedule(cfg.seed, d * n + s, f"pilot-noise/{tag}"))
-            for c, method in enumerate(methods):
-                x = (h[0], np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), h[1:]),
-                     noise.T)
-                gram = np.stack([np.cumsum((x[i] * np.conj(x[j])).real, axis=-1)[:, idx].T
-                                 for i, j in pairs])
-                gains = np.stack([beta[0], (rho_stack[c, 1:] * beta[1:]).sum(axis=0)])
-                powers = np.stack([rho_stack[c, 0], np.ones(cfg.K)])[None]
-                got = _prefix_rcee(gram, _error_weights(gains, powers, [method]))
-                np.testing.assert_allclose(got[0], lam[c], rtol=1e-12, atol=0.0)
+        _, noise_rng = _kernel_streams(cfg, d)
+        for h, _, lam in _mc_trials(cfg, d, n, beta, rho_stack, methods, m_values):
+            # the block's noise, redrawn as the kernel draws it
+            noise = complex_normal((len(h), cfg.K, max(m_values)), noise_rng)
+            for s in range(len(h)):
+                for c, method in enumerate(methods):
+                    x = (h[s, 0],
+                         np.einsum("lk,lkm->km", np.sqrt(rho_stack[c, 1:]), h[s, 1:]),
+                         noise[s])
+                    gram = np.stack([np.cumsum((x[i] * np.conj(x[j])).real,
+                                               axis=-1)[:, idx].T for i, j in pairs])
+                    gains = np.stack([beta[0], (rho_stack[c, 1:] * beta[1:]).sum(axis=0)])
+                    powers = np.stack([rho_stack[c, 0], np.ones(cfg.K)])[None]
+                    got = _prefix_rcee(gram, _error_weights(gains, powers, [method]))
+                    np.testing.assert_allclose(got[0], lam[s, c], rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_powers(self, drop):
         cfg, beta, rho_stack, methods = drop
@@ -450,6 +476,13 @@ class TestMonteCarloKernel:
         cfg, beta, rho_stack, methods = drop
         with pytest.raises(ValueError, match="increasing"):
             next(_mc_trials(cfg, 0, 2, beta, rho_stack, methods, m_values))
+
+
+def _kernel_streams(cfg, drop):
+    """The antenna kernel's channel and pilot-noise streams of one drop."""
+    tag = f"gamma={cfg.Gamma}"
+    return (seed_schedule(cfg.seed, drop, f"channel/{tag}"),
+            seed_schedule(cfg.seed, drop, f"pilot-noise/{tag}"))
 
 
 class TestCollapsedCells:
@@ -490,7 +523,7 @@ class TestCollapsedCells:
                 rho_stack[c, 0] = ppa.ppa_allocate(method, profile, cfg).rho
         methods = [method for _, method in combos]
         n = self.N_TRIALS
-        antenna = np.array([lam for _, _, lam in _mc_trials(
+        antenna = np.concatenate([lam for _, _, lam in _mc_trials(
             cfg.replace(seed=self.SEEDS["full"]), 0, n, beta, rho_stack, methods,
             _DESK_M_GRID)])
         gram = np.concatenate(list(_gram_trials(
@@ -564,6 +597,29 @@ def test_gram_memory_is_flat_in_the_trial_count():
             tracemalloc.stop()
 
     assert peak(8 * _GRAM_BLOCK) < 2 * peak(_GRAM_BLOCK)
+
+
+def test_antenna_memory_is_flat_in_the_trials_and_antennas():
+    # validate's drop: 4 allocations; a block holds 248 trials at M = 8
+    # and 31 at M = 64, so every run below fills whole blocks.  The loop
+    # holds one block while the kernel draws the next, so two blocks set
+    # the peak.
+    cfg = default_config("validate", seed=0)
+    beta = _realization(cfg, 0)
+    rho_stack = np.full((4, cfg.L, cfg.K), cfg.P_total / cfg.K)
+
+    def peak(n_trials, M):
+        tracemalloc.start()
+        try:
+            for _ in _mc_trials(cfg, 0, n_trials, beta, rho_stack, [LS, MMSE] * 2, (M,)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two_blocks = peak(2 * 248, 8)
+    assert peak(16 * 248, 8) < 1.25 * two_blocks
+    assert peak(16 * 248, 64) < 1.25 * two_blocks
 
 
 def test_gram_draw_reaches_the_large_antenna_limit():
