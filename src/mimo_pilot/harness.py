@@ -10,8 +10,12 @@ Every drop runs one preamble, :func:`_run_drop`: gains, then the
 allocations and pilot powers of each budget.  A table gives each
 experiment its per-drop value function (one stacked closed-form call per
 estimator) and one of three reductions over drops (a grid, a
-distribution, or the validate rows).  A process pool (``jobs`` > 1) forks
-after ``numpy.random`` is loaded, so no worker loads it on its first drop.
+distribution, or the validate rows).  With ``jobs`` > 1 the drops are
+shared out by :func:`_fork_map`: the caller forks up to ``jobs`` - 1
+children after ``numpy.random`` is loaded, so none loads it on its first
+drop, and runs a share itself.  Every child is reaped before the sweep
+returns or raises, and a platform without ``os.fork`` runs the sweep
+in-process.
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -30,12 +34,12 @@ literal antenna model in ``tests/oracle.py``.
 
 from __future__ import annotations
 
-import math
 import os
+import pickle
+import sys
 import time
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -485,6 +489,12 @@ def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
     return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
 
 
+def _mean(values: np.ndarray) -> float:
+    """``float(values.mean())`` bit for bit: ``mean`` is this same sum,
+    then one division, behind a Python-level wrapper this skips."""
+    return float(values.sum()) / values.size
+
+
 def _error_means(beta, rhos, M=None) -> dict:
     """User-averaged error of each key's powers at M antennas, or in the large-M
     limit without M: one closed-form call per estimator on its keys' stack."""
@@ -507,8 +517,8 @@ def _fig3_values(plan, cfg, drop, beta, budgets) -> dict:
 def _fig4b_values(plan, cfg, drop, beta, budgets) -> dict:
     # the infinite-budget floor: the flat split's, or the allocator's
     # high-budget limit, which the ppa and ref rows share
-    ppa_limit = {m: float(ppa.exp_rcee_asymptotic(m, beta, cfg).mean()) for m in METHODS}
-    limit = {(s, m): float(metrics.exp_rcee_eppa_floor(m, beta).mean()) if s == "eppa"
+    ppa_limit = {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS}
+    limit = {(s, m): _mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa"
              else ppa_limit[m] for s, m in budgets[0]}
     per_budget = {key: [rhos[key] for rhos in budgets] for key in budgets[0]}
     return {"closed": _error_means(beta, per_budget, cfg.M), "limit": limit,
@@ -552,7 +562,7 @@ def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
     sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)
     out = {"exp_rcee": {}, "sinr": {}}
     for c, combo in enumerate(rho_mats):
-        out["exp_rcee"][combo] = (float(lam[c].mean()),
+        out["exp_rcee"][combo] = (_mean(lam[c]),
                                   float(lam[c].std(ddof=1) / np.sqrt(n)),
                                   float(closed[combo]), float(limit[combo]))
         emp = [empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u, k).sinr
@@ -591,8 +601,110 @@ def _run_drop(args):
 
 
 def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
-    """Pool size: never more workers than tasks or usable CPUs."""
+    """Worker count: never more workers than tasks or usable CPUs."""
     return min(jobs, n_tasks, n_cpus)
+
+
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, shared out over ``workers`` processes.
+
+    The caller is worker 0 and forks ``workers - 1`` children.  Worker w
+    runs tasks w, w + workers, ...; a child pickles its result list, or
+    its exception and traceback text, down a pipe of its own.  The caller
+    runs its share, reads every pipe, reaps every child, then raises the
+    first failure in worker order (a child's traceback text is its cause)
+    or returns the results in task order.  If the caller's own share
+    fails, it kills and reaps every child first, so no child outlives the
+    call.  Without ``os.fork`` the tasks run in-process.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    children = []  # (pid, read end of its pipe), in worker order
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(fn, tasks[w::workers]))
+        results = [None] * len(tasks)
+        results[::workers] = [fn(task) for task in tasks[::workers]]
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal  # only a failed sweep needs it
+        # so that no reap waits for a child to finish its share
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [_reap(pid, pipe) for pid, pipe in children]
+    for w, ((pid, _), payload, code) in enumerate(zip(children, payloads, codes), 1):
+        if code != 0 or not payload:
+            raise RuntimeError(f"sweep worker {w} (pid {pid}) exited with code "
+                               f"{code} and sent no results")
+        share, failure, trace = pickle.loads(payload)
+        if trace is not None:
+            cause = RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n{trace}")
+            if failure is None:
+                failure = RuntimeError(f"sweep worker {w} failed")
+            raise failure from cause
+        results[w::workers] = share
+    return results
+
+
+def _fork_share(fn, share: list):
+    """Fork a child that sends the outcome of ``share`` down a new pipe;
+    returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    # flushed here, what the caller has buffered is not written again by
+    # the child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _run_share(fn, share, write)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _run_share(fn, share: list, write: int):
+    """A child's whole life: run its share, send the pickled (results,
+    exception, traceback text) and exit, flushing its output but running
+    none of the caller's exit handlers."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps(([fn(task) for task in share], None, None))
+        except BaseException as exc:  # sent to the caller, which raises it
+            payload = _failure_payload(exc)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _failure_payload(exc: BaseException) -> bytes:
+    """A failed share's message; an exception that does not pickle is
+    sent as None, with its traceback text."""
+    import traceback  # only a failed sweep needs it
+    trace = "".join(traceback.format_exception(exc))
+    try:
+        return pickle.dumps((None, exc, trace))
+    except Exception:
+        return pickle.dumps((None, None, trace))
+
+
+def _reap(pid: int, pipe) -> int:
+    """Close a child's pipe and wait for it; returns its exit code."""
+    pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
@@ -604,14 +716,10 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
     if workers == 1:
         results = [_run_drop(t) for t in tasks]
     else:
-        # numpy.random loads lazily (some 13 ms): here the workers inherit it;
-        # at import time every in-process run would pay it instead
+        # numpy.random loads lazily (some 13 ms): here the children inherit
+        # it; at import time every in-process run would pay it instead
         import numpy.random  # noqa: F401
-        # about four chunks per worker: few enough that sending a chunk
-        # costs little next to its drops, enough to even out their lengths
-        chunksize = math.ceil(len(tasks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_drop, tasks, chunksize=chunksize))
+        results = _fork_map(_run_drop, tasks, workers)
     n = plan.n_large  # tasks run gamma by gamma, drop by drop
     return {g: results[i * n:(i + 1) * n] for i, g in enumerate(plan.gammas)}
 
@@ -619,14 +727,17 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
 def _mean_stderr(values) -> tuple[float, float | None]:
     arr = np.asarray(values, dtype=float)
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else None
-    return float(arr.mean()), se
+    return _mean(arr), se
 
 
 def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
-    """Execute one experiment; drop-level work may run in a process pool.
+    """Execute one experiment; with ``jobs`` > 1 its drops run in forked
+    children and in the caller (:func:`_fork_map`).
 
-    The reduction over drops always happens in drop order, so the report
-    is a pure function of (plan, cfg) regardless of ``jobs``.
+    At most ``jobs`` processes run, and no more than there are drops or
+    CPUs this process may use.  The reduction over drops always happens
+    in drop order, so the report is a pure function of (plan, cfg)
+    regardless of ``jobs``.
     """
     if cfg.K < 2:
         raise ValueError("experiments need at least two users per cell")
@@ -647,13 +758,13 @@ def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
         for combo in combos:
             scheme, method = combo
             limit = (None if drops[0]["limit"] is None
-                     else float(np.mean([d["limit"][combo] for d in drops])))
+                     else _mean(np.array([d["limit"][combo] for d in drops])))
             for i, x in enumerate(xs):
-                closed = np.mean([d["closed"][combo][i] for d in drops])
+                closed = _mean(np.array([d["closed"][combo][i] for d in drops]))
                 mc, se = ((None, None) if drops[0]["mc"] is None
                           else _mean_stderr([d["mc"][combo][i] for d in drops]))
                 rows.append((plan.experiment, metric, gamma, method, scheme, x,
-                             mc, se, float(closed), limit))
+                             mc, se, closed, limit))
     return MetricReport(plan.experiment, GRID_COLUMNS, tuple(rows))
 
 

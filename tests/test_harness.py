@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import signal
+import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +17,10 @@ from mimo_pilot import harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
-                                _collapse_cells, _error_weights, _gram_segments,
-                                _gram_trials, _mc_means, _mc_trials, _mean_stderr,
-                                _prefix_rcee, _realization, _worker_count)
+                                _collapse_cells, _error_weights, _fork_map,
+                                _gram_segments, _gram_trials, _mc_means, _mc_trials,
+                                _mean, _mean_stderr, _prefix_rcee, _realization,
+                                _worker_count)
 from mimo_pilot.scenario import SystemConfig
 from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
@@ -180,6 +186,16 @@ def test_mean_stderr():
     assert se == pytest.approx(1.0 / np.sqrt(3.0))
 
 
+# the shapes the means reduce: K users (3 and 10), 1, 3, 20 and 100 drops,
+# and rows of a (C, n) array of 50 and 4000 trials
+@pytest.mark.parametrize("shape", [(1,), (3,), (10,), (20,), (100,), (4, 50),
+                                   (2, 4000)])
+def test_mean_is_numpy_mean_bit_for_bit(shape):
+    values = 10 ** np.random.default_rng(len(shape) * sum(shape)).uniform(-6, 1, shape)
+    rows = values.reshape(-1, shape[-1])
+    assert np.array_equal([_mean(row) for row in rows], [row.mean() for row in rows])
+
+
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return default_config("validate", seed=3)
@@ -336,6 +352,171 @@ def test_jobs_do_not_change_monte_carlo(tiny_cfg, experiment, kwargs):
     assert serial.rows == parallel.rows
 
 
+@pytest.fixture
+def reaped():
+    """Fails the test if it leaves a child process, running or unreaped;
+    a test that hangs raises ``TimeoutError`` instead of stalling."""
+    def expire(signum, frame):
+        raise TimeoutError("the test did not finish in time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monkeypatch,
+                                                       reaped):
+    plan = plan_for("fig4a", gammas=(1, 3), n_large=3)
+    serial = run_experiment(plan, tiny_cfg).rows
+    monkeypatch.delattr(harness.os, "fork")
+    assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
+
+
+class TestForkMap:
+    """The drop-parallel map: results in task order, failures raised in the
+    caller, and no child left behind, whatever fails."""
+
+    @pytest.mark.parametrize("workers, n_tasks", [(2, 7), (3, 8), (4, 10), (4, 5)])
+    def test_results_are_the_serial_list(self, reaped, workers, n_tasks):
+        def task(t):
+            return t * t, [t] * t, os.getpid()
+
+        out = _fork_map(task, list(range(n_tasks)), workers)
+        assert [r[:2] for r in out] == [task(t)[:2] for t in range(n_tasks)]
+        # worker w runs tasks w, w + workers, ...; the caller is worker 0
+        pids = [r[2] for r in out]
+        assert pids == [pids[t % workers] for t in range(n_tasks)]
+        assert pids[0] == os.getpid() and len(set(pids)) == workers
+
+    def test_a_childs_exception_carries_its_traceback(self, reaped):
+        def task(t):
+            if t == 2:
+                raise ValueError(f"bad task {t}")
+            return t
+
+        with pytest.raises(ValueError, match="bad task 2") as caught:
+            _fork_map(task, list(range(6)), 3)
+        cause = caught.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "sweep worker 2" in str(cause)
+        assert "Traceback" in str(cause) and ", in task" in str(cause)
+
+    def test_an_unpicklable_exception_arrives_as_its_traceback(self, reaped):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def task(t):
+            if t == 1:
+                raise Local("not picklable")
+            return t
+
+        with pytest.raises(RuntimeError, match="sweep worker 1 failed") as caught:
+            _fork_map(task, [0, 1], 2)
+        assert "Local: not picklable" in str(caught.value.__cause__)
+
+    @pytest.mark.parametrize("child", ["blocked on a full pipe", "still running"])
+    def test_a_failing_caller_kills_its_children_first(self, reaped, child):
+        ready_read, ready_write = os.pipe()
+        hold_read, hold_write = os.pipe()
+
+        def task(t):
+            if t == 0:
+                os.read(ready_read, 1)  # the child is in its share ...
+                time.sleep(1 / 5)  # ... and, at most, writing its result
+                raise KeyError("the caller's share")
+            os.write(ready_write, b"x")
+            if child == "still running":
+                os.close(hold_write)
+                os.read(hold_read, 1)  # until the test closes the pipe
+            return np.zeros(1 << 20)  # 8 MB, far more than a pipe holds
+
+        try:
+            with pytest.raises(KeyError, match="the caller's share"):
+                _fork_map(task, [0, 1], 2)
+        finally:
+            for fd in (ready_read, ready_write, hold_read, hold_write):
+                os.close(fd)
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_a_child_that_exits_without_results_is_named(self, reaped, code):
+        def task(t):
+            if t == 1:
+                os._exit(code)
+            return t
+
+        with pytest.raises(RuntimeError, match=rf"sweep worker 1 \(pid \d+\) exited "
+                                               rf"with code {code} and sent no results"):
+            _fork_map(task, list(range(4)), 2)
+
+
+class TestSweepOutput:
+    """With output going to a file (block-buffered), a parallel sweep writes
+    what the caller had buffered once, and what a child writes before it
+    exits."""
+
+    @staticmethod
+    def _buffered(name, run):
+        saved = getattr(sys, name)
+        stream = open(os.dup(saved.fileno()), "w")
+        setattr(sys, name, stream)
+        try:
+            run()
+        finally:
+            setattr(sys, name, saved)
+            stream.close()
+
+    def test_buffered_text_is_written_once(self, tiny_cfg, capfd, two_cpus, reaped):
+        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=2)
+
+        def run():
+            sys.stdout.write("written before the sweep")
+            run_experiment(plan, tiny_cfg)
+
+        self._buffered("stdout", run)
+        assert capfd.readouterr().out == "written before the sweep"
+
+    def test_a_childs_warning_reaches_stderr_once(self, tiny_cfg, capfd, two_cpus,
+                                                  reaped, unconverged_solver,
+                                                  monkeypatch):
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(f"{os.getpid()} {category.__name__}: {message}\n")
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+        plan = plan_for("fig4a", gammas=(1,), n_large=2, schemes=("ref",), jobs=2)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                run_experiment(plan, tiny_cfg)
+
+        self._buffered("stderr", run)
+        by_pid = {}
+        for line in capfd.readouterr().err.splitlines():
+            pid, text = line.split(" ", 1)
+            by_pid.setdefault(int(pid), []).append(text)
+        # drop 0 runs in the caller and drop 1 in the child; each drop's
+        # unconverged solves warn once per estimator
+        assert len(by_pid) == 2 and os.getpid() in by_pid
+        for texts in by_pid.values():
+            assert len(texts) == len(METHODS)
+            for method in METHODS:
+                assert sum(f"method={method} " in t for t in texts) == 1
+            assert all(t.startswith("RuntimeWarning: reference solve did not converge")
+                       for t in texts)
+
+
 def test_worker_count_is_bounded():
     assert _worker_count(1, 10, 8) == 1
     assert _worker_count(4, 10, 8) == 4
@@ -347,25 +528,17 @@ class TestPoolSize:
     """--jobs is bounded by the CPUs this process may run on, not the host's."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        # records the size of every pool the sweep opens, and runs its
-        # tasks in-process
+    def pools(self, monkeypatch, reaped):
+        # records the worker count of every fork map the sweep runs, and
+        # runs it
         sizes = []
+        fork_map = harness._fork_map
 
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording(fn, tasks, workers):
+            sizes.append(workers)
+            return fork_map(fn, tasks, workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_fork_map", recording)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         return sizes
 

@@ -54,33 +54,45 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out
 
 
+def _python(code: str) -> list[str]:
+    """The words ``code`` prints, run in a fresh interpreter on this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout.split()
+
+
 def test_numpy_random_loads_before_the_pool_and_not_at_import():
-    # numpy.random costs some 13 ms to load.  A pool loads it before it
-    # forks, so its workers start with it; importing the package must not
-    # load it, or every in-process run would pay it in its setup.
+    # numpy.random costs some 13 ms to load.  A parallel sweep loads it
+    # before it forks, so its children start with it; importing the
+    # package must not load it, or every in-process run would pay it in
+    # its setup.
     code = """
 import sys
 import mimo_pilot
 from mimo_pilot import harness
 print("numpy.random" in sys.modules)
 
-class Pool:
-    def __init__(self, max_workers):
-        print("numpy.random" in sys.modules)
-    def __enter__(self):
-        return self
-    def __exit__(self, *exc):
-        return False
-    def map(self, fn, tasks, chunksize):
-        return map(fn, tasks)
+def fork_map(fn, tasks, workers):
+    print("numpy.random" in sys.modules)
+    return [fn(task) for task in tasks]
 
-harness.ProcessPoolExecutor = Pool
+harness._fork_map = fork_map
 harness.os.sched_getaffinity = lambda pid: {0, 1}
 plan = harness.plan_for("fig5b", n_large=2, jobs=2)
 harness.run_experiment(plan, harness.default_config("fig5b"))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert _python(code) == ["False", "True"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the sweeps fork with os alone; the pool modules would cost every
+    # run some 20 ms of start-up, and numpy.random loads only before a fork
+    code = """
+import sys
+import mimo_pilot.cli
+print([m for m in ("multiprocessing", "concurrent.futures", "numpy.random")
+       if m in sys.modules])
+"""
+    assert _python(code) == ["[]"]
