@@ -13,9 +13,11 @@ estimator) and one of three reductions over drops (a grid, a
 distribution, or the validate rows).  With ``jobs`` > 1 the drops are
 shared out by :func:`_fork_map`: the caller forks up to ``jobs`` - 1
 children after ``numpy.random`` is loaded, so none loads it on its first
-drop, and runs a share itself.  Every child is reaped before the sweep
-returns or raises, and a platform without ``os.fork`` runs the sweep
-in-process.
+drop, and runs a share itself; every worker takes the next drops from one
+queue as it finishes its last.  Every child is reaped before the sweep
+returns or raises.  Parallel sweeps need ``os.fork`` (Linux; macOS forks
+too, though its system libraries do not promise to survive a fork), and
+a platform without it, such as Windows, runs the sweep in-process.
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -608,9 +610,12 @@ def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
 def _fork_map(fn, tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]``, shared out over ``workers`` processes.
 
-    The caller is worker 0 and forks ``workers - 1`` children.  Worker w
-    runs tasks w, w + workers, ...; a child pickles its result list, or
-    its exception and traceback text, down a pipe of its own.  The caller
+    The caller is one worker and forks ``workers - 1`` children.  Every
+    worker takes chunks of tasks from one queue (:func:`_task_queue`)
+    until it is empty, so a worker that draws a slow drop (a reference
+    solve at a high budget can run to ``max_iter``) leaves the rest to
+    the others.  A child pickles its (chunk start, results) pairs, or its
+    exception and traceback text, down a pipe of its own.  The caller
     runs its share, reads every pipe, reaps every child, then raises the
     first failure in worker order (a child's traceback text is its cause)
     or returns the results in task order.  If the caller's own share
@@ -619,12 +624,12 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     """
     if not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
+    queue, size = _task_queue(len(tasks))
     children = []  # (pid, read end of its pipe), in worker order
     try:
-        for w in range(1, workers):
-            children.append(_fork_share(fn, tasks[w::workers]))
-        results = [None] * len(tasks)
-        results[::workers] = [fn(task) for task in tasks[::workers]]
+        for _ in range(1, workers):
+            children.append(_fork_share(fn, tasks, queue, size))
+        done = _take_chunks(fn, tasks, queue, size)
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
         import signal  # only a failed sweep needs it
@@ -633,6 +638,7 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(queue)
         codes = [_reap(pid, pipe) for pid, pipe in children]
     for w, ((pid, _), payload, code) in enumerate(zip(children, payloads, codes), 1):
         if code != 0 or not payload:
@@ -640,22 +646,64 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                                f"{code} and sent no results")
         share, failure, trace = pickle.loads(payload)
         if trace is not None:
-            cause = RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n{trace}")
-            if failure is None:
-                failure = RuntimeError(f"sweep worker {w} failed")
-            raise failure from cause
-        results[w::workers] = share
+            raise failure from RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n"
+                                            f"{trace}")
+        done += share
+    results = [None] * len(tasks)
+    for start, chunk in done:
+        results[start:start + len(chunk)] = chunk
     return results
 
 
-def _fork_share(fn, share: list):
-    """Fork a child that sends the outcome of ``share`` down a new pipe;
-    returns the child's pid and the pipe's read end."""
+_RECORD = 4  # bytes per chunk start in the task queue
+
+
+def _task_queue(n_tasks: int):
+    """A pipe that holds the start of every chunk of ``size`` tasks, then
+    ends: its read end, and ``size``.  A read of one record takes exactly
+    one chunk, whichever worker reads it.  A chunk is one task up to
+    ``PIPE_BUF`` / 4 tasks (1024 on Linux) and grows past that, so that
+    every record goes in one write of at most ``PIPE_BUF`` bytes, which
+    an empty pipe takes without blocking."""
+    read, write = os.pipe()
+    try:
+        size = -(-n_tasks * _RECORD // os.fpathconf(write, "PC_PIPE_BUF"))
+        os.write(write, b"".join(start.to_bytes(_RECORD, "little")
+                                 for start in range(0, n_tasks, size)))
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return read, size
+
+
+def _take_chunks(fn, tasks: list, queue: int, size: int) -> list:
+    """Run chunks of tasks taken from the queue until it is empty; returns
+    their (start, results) pairs."""
+    done = []
+    while record := os.read(queue, _RECORD):
+        start = int.from_bytes(record, "little")
+        done.append((start, [fn(task) for task in tasks[start:start + size]]))
+    return done
+
+
+def _flush_std_streams():
+    """Flush stdout and stderr, skipping one that is None or closed."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+def _fork_share(fn, tasks: list, queue: int, size: int):
+    """Fork a child that takes chunks from the queue and sends their outcome
+    down a new pipe; returns the child's pid and the pipe's read end."""
     read, write = os.pipe()
     # flushed here, what the caller has buffered is not written again by
     # the child
-    sys.stdout.flush()
-    sys.stderr.flush()
+    _flush_std_streams()
     try:
         pid = os.fork()
     except OSError:
@@ -664,41 +712,30 @@ def _fork_share(fn, share: list):
         raise
     if pid == 0:
         os.close(read)
-        _run_share(fn, share, write)
+        _run_share(fn, tasks, queue, size, write)
     os.close(write)
     return pid, open(read, "rb")
 
 
-def _run_share(fn, share: list, write: int):
+def _run_share(fn, tasks: list, queue: int, size: int, write: int):
     """A child's whole life: run its share, send the pickled (results,
     exception, traceback text) and exit, flushing its output but running
     none of the caller's exit handlers."""
     code = 1
     try:
         try:
-            payload = pickle.dumps(([fn(task) for task in share], None, None))
+            payload = pickle.dumps((_take_chunks(fn, tasks, queue, size), None, None))
         except BaseException as exc:  # sent to the caller, which raises it
-            payload = _failure_payload(exc)
+            import traceback  # only a failed sweep needs it
+            payload = pickle.dumps((None, exc, "".join(traceback.format_exception(exc))))
         with open(write, "wb") as pipe:
             pipe.write(payload)
         code = 0
     finally:
         try:
-            sys.stdout.flush()
-            sys.stderr.flush()
+            _flush_std_streams()
         finally:
             os._exit(code)
-
-
-def _failure_payload(exc: BaseException) -> bytes:
-    """A failed share's message; an exception that does not pickle is
-    sent as None, with its traceback text."""
-    import traceback  # only a failed sweep needs it
-    trace = "".join(traceback.format_exception(exc))
-    try:
-        return pickle.dumps((None, exc, trace))
-    except Exception:
-        return pickle.dumps((None, None, trace))
 
 
 def _reap(pid: int, pipe) -> int:
@@ -735,9 +772,10 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
     children and in the caller (:func:`_fork_map`).
 
     At most ``jobs`` processes run, and no more than there are drops or
-    CPUs this process may use.  The reduction over drops always happens
-    in drop order, so the report is a pure function of (plan, cfg)
-    regardless of ``jobs``.
+    CPUs this process may use.  Which process runs a drop depends on how
+    fast the others finish theirs, but the reduction over drops always
+    happens in drop order, so the report is a pure function of (plan,
+    cfg) regardless of ``jobs``.
     """
     if cfg.K < 2:
         raise ValueError("experiments need at least two users per cell")

@@ -384,81 +384,98 @@ def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monke
     assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
 
 
+@pytest.fixture
+def one_each():
+    """Wraps a child's and the caller's task into one, such that the caller's
+    waits until a child has started its own: a two-worker map over two
+    tasks then gives each worker one, whichever takes which."""
+    started_read, started_write = os.pipe()
+    caller = os.getpid()
+
+    def wrap(in_child, in_caller):
+        def task(t):
+            if os.getpid() == caller:
+                os.read(started_read, 1)
+                return in_caller(t)
+            os.write(started_write, b"x")
+            return in_child(t)
+        return task
+
+    yield wrap
+    os.close(started_read)
+    os.close(started_write)
+
+
 class TestForkMap:
     """The drop-parallel map: results in task order, failures raised in the
     caller, and no child left behind, whatever fails."""
 
-    @pytest.mark.parametrize("workers, n_tasks", [(2, 7), (3, 8), (4, 10), (4, 5)])
+    @pytest.mark.parametrize("workers, n_tasks",
+                             [(2, 7), (3, 8), (4, 10), (4, 5), (2, 3000)])
     def test_results_are_the_serial_list(self, reaped, workers, n_tasks):
+        # 3000 tasks are more chunk starts than one write to a pipe holds
         def task(t):
-            return t * t, [t] * t, os.getpid()
+            return t * t, [t] * (t % 7)
 
-        out = _fork_map(task, list(range(n_tasks)), workers)
-        assert [r[:2] for r in out] == [task(t)[:2] for t in range(n_tasks)]
-        # worker w runs tasks w, w + workers, ...; the caller is worker 0
-        pids = [r[2] for r in out]
-        assert pids == [pids[t % workers] for t in range(n_tasks)]
-        assert pids[0] == os.getpid() and len(set(pids)) == workers
+        assert _fork_map(task, list(range(n_tasks)), workers) == [
+            task(t) for t in range(n_tasks)]
 
-    def test_a_childs_exception_carries_its_traceback(self, reaped):
-        def task(t):
-            if t == 2:
-                raise ValueError(f"bad task {t}")
-            return t
-
-        with pytest.raises(ValueError, match="bad task 2") as caught:
-            _fork_map(task, list(range(6)), 3)
-        cause = caught.value.__cause__
-        assert isinstance(cause, RuntimeError)
-        assert "sweep worker 2" in str(cause)
-        assert "Traceback" in str(cause) and ", in task" in str(cause)
-
-    def test_an_unpicklable_exception_arrives_as_its_traceback(self, reaped):
-        class Local(Exception):  # a local class does not pickle
-            pass
-
-        def task(t):
-            if t == 1:
-                raise Local("not picklable")
-            return t
-
-        with pytest.raises(RuntimeError, match="sweep worker 1 failed") as caught:
-            _fork_map(task, [0, 1], 2)
-        assert "Local: not picklable" in str(caught.value.__cause__)
-
-    @pytest.mark.parametrize("child", ["blocked on a full pipe", "still running"])
-    def test_a_failing_caller_kills_its_children_first(self, reaped, child):
-        ready_read, ready_write = os.pipe()
-        hold_read, hold_write = os.pipe()
+    def test_a_slow_task_leaves_the_rest_to_the_other_worker(self, reaped):
+        # task 0 ends only after the five others have run, so one worker
+        # must take them all while the other holds task 0
+        ran_read, ran_write = os.pipe()
 
         def task(t):
             if t == 0:
-                os.read(ready_read, 1)  # the child is in its share ...
-                time.sleep(1 / 5)  # ... and, at most, writing its result
-                raise KeyError("the caller's share")
-            os.write(ready_write, b"x")
+                for _ in range(5):
+                    os.read(ran_read, 1)
+            else:
+                os.write(ran_write, b"x")
+            return t
+
+        try:
+            assert _fork_map(task, list(range(6)), 2) == list(range(6))
+        finally:
+            os.close(ran_read)
+            os.close(ran_write)
+
+    def test_a_childs_exception_carries_its_traceback(self, reaped, one_each):
+        def fail(t):
+            raise ValueError(f"bad task {t}")
+
+        with pytest.raises(ValueError, match="bad task") as caught:
+            _fork_map(one_each(fail, lambda t: t), [0, 1], 2)
+        cause = caught.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "sweep worker 1" in str(cause)
+        assert "Traceback" in str(cause) and ", in fail" in str(cause)
+
+    @pytest.mark.parametrize("child", ["blocked on a full pipe", "still running"])
+    def test_a_failing_caller_kills_its_children_first(self, reaped, one_each, child):
+        hold_read, hold_write = os.pipe()
+
+        def in_child(t):
             if child == "still running":
                 os.close(hold_write)
                 os.read(hold_read, 1)  # until the test closes the pipe
             return np.zeros(1 << 20)  # 8 MB, far more than a pipe holds
 
+        def in_caller(t):
+            time.sleep(1 / 5)  # the child is, at most, writing its result
+            raise KeyError("the caller's share")
+
         try:
             with pytest.raises(KeyError, match="the caller's share"):
-                _fork_map(task, [0, 1], 2)
+                _fork_map(one_each(in_child, in_caller), [0, 1], 2)
         finally:
-            for fd in (ready_read, ready_write, hold_read, hold_write):
-                os.close(fd)
+            os.close(hold_read)
+            os.close(hold_write)
 
     @pytest.mark.parametrize("code", [0, 3])
-    def test_a_child_that_exits_without_results_is_named(self, reaped, code):
-        def task(t):
-            if t == 1:
-                os._exit(code)
-            return t
-
+    def test_a_child_that_exits_without_results_is_named(self, reaped, one_each, code):
         with pytest.raises(RuntimeError, match=rf"sweep worker 1 \(pid \d+\) exited "
                                                rf"with code {code} and sent no results"):
-            _fork_map(task, list(range(4)), 2)
+            _fork_map(one_each(lambda t: os._exit(code), lambda t: t), [0, 1], 2)
 
 
 class TestSweepOutput:
@@ -489,11 +506,13 @@ class TestSweepOutput:
 
     def test_a_childs_warning_reaches_stderr_once(self, tiny_cfg, capfd, two_cpus,
                                                   reaped, unconverged_solver,
-                                                  monkeypatch):
+                                                  one_each, monkeypatch):
         def show(message, category, filename, lineno, file=None, line=None):
             sys.stderr.write(f"{os.getpid()} {category.__name__}: {message}\n")
 
         monkeypatch.setattr(warnings, "showwarning", show)
+        run_drop = harness._run_drop
+        monkeypatch.setattr(harness, "_run_drop", one_each(run_drop, run_drop))
         plan = plan_for("fig4a", gammas=(1,), n_large=2, schemes=("ref",), jobs=2)
 
         def run():
@@ -506,7 +525,7 @@ class TestSweepOutput:
         for line in capfd.readouterr().err.splitlines():
             pid, text = line.split(" ", 1)
             by_pid.setdefault(int(pid), []).append(text)
-        # drop 0 runs in the caller and drop 1 in the child; each drop's
+        # one drop runs in the caller and one in the child; each drop's
         # unconverged solves warn once per estimator
         assert len(by_pid) == 2 and os.getpid() in by_pid
         for texts in by_pid.values():
@@ -515,6 +534,18 @@ class TestSweepOutput:
                 assert sum(f"method={method} " in t for t in texts) == 1
             assert all(t.startswith("RuntimeWarning: reference solve did not converge")
                        for t in texts)
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("state", ["None", "closed"])
+    def test_a_missing_or_closed_stream_does_not_stop_the_sweep(
+            self, tiny_cfg, two_cpus, reaped, monkeypatch, stream, state):
+        # as when a command runs with fd 1 or 2 closed, or a host closed it
+        plan = plan_for("fig4a", gammas=(1,), n_large=4)
+        serial = run_experiment(plan, tiny_cfg).rows
+        closed = open(os.devnull, "w")
+        closed.close()
+        monkeypatch.setattr(sys, stream, None if state == "None" else closed)
+        assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
 
 
 def test_worker_count_is_bounded():
