@@ -6,10 +6,12 @@ therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
 
-Every drop runs one preamble, :func:`_run_drop`: gains, then the
-allocations and pilot powers of each budget.  A table gives each
-experiment its per-drop value function (one stacked closed-form call per
-estimator) and one of three reductions over drops (a grid, a
+A task is one drop at every reuse factor, :func:`_run_drop`: it draws the
+drop's ``positions`` and ``shadowing`` streams once, then at each reuse
+factor the gains, the allocations and pilot powers of each budget, and
+the values, from that (gamma, drop)'s fading streams.  A table gives
+each experiment its per-drop value function (one stacked closed-form
+call per estimator) and one of three reductions over drops (a grid, a
 distribution, or the validate rows).  With ``jobs`` > 1 the drops are
 shared out by :func:`_fork_map`: the caller forks up to ``jobs`` - 1
 children after ``numpy.random`` is loaded, so none loads it on its first
@@ -50,8 +52,8 @@ from . import metrics, ppa
 from .airlink import complex_normal, empirical_sinr_terms, sample_channels
 from .estimators import LS, MMSE, METHODS
 from .refsolver import ConstrainedProblem, solve
-from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, db_to_linear,
-                       drop_users, large_scale)
+from .scenario import (REUSE_FACTORS, SystemConfig, _gains, _user_offsets, build_layout,
+                       db_to_linear, sample_shadowing)
 
 EXPERIMENTS = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b", "validate")
 SCHEMES = ("ppa", "eppa", "ref")
@@ -69,10 +71,10 @@ def seed_schedule(seed: int, trial: int, purpose: str) -> np.random.Generator:
     purpose tag is hashed with crc32, which is stable across runs and
     platforms.
 
-    A sweep's slot is always the drop.  Tags in use:
+    A sweep's slot is always the drop.  Tags in use, opened once per drop:
     ``positions`` and ``shadowing``, with no reuse factor in the tag, so
     every Gamma sees the same users and shadowing and only the interferer
-    ring moves.  The fading streams stay per reuse factor, suffixed
+    ring moves.  Once per (Gamma, drop): the fading streams, suffixed
     ``/gamma=<reuse factor>``: ``gram``, the fig3/fig4b Monte-Carlo
     trials, and ``channel`` and ``pilot-noise``, the validate trials.
     """
@@ -229,13 +231,19 @@ class MetricReport:
 
 
 # ---------------------------------------------------------------------------
-# per-drop work: each worker handles one (gamma, drop) pair
+# per-drop work: each task is one drop at every reuse factor of the plan
+
+
+def _drop_gains(cfg: SystemConfig, layouts, drop: int) -> list:
+    """One drop's (L, K) gains at each (L, 2) layout of cell centres, equal to
+    ``drop_users`` -> ``large_scale`` there on the same, once-drawn streams."""
+    offsets = _user_offsets(cfg, cfg.L, seed_schedule(cfg.seed, drop, "positions"))
+    z = sample_shadowing(cfg.sigma_sh, (cfg.L, cfg.K), seed_schedule(cfg.seed, drop, "shadowing"))
+    return [_gains(cfg, centers, centers[:, None] + offsets, z) for centers in layouts]
 
 
 def _realization(cfg: SystemConfig, drop: int) -> np.ndarray:
-    centers = build_layout(cfg)
-    pos = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, "positions"))
-    return large_scale(cfg, centers, pos, seed_schedule(cfg.seed, drop, "shadowing"))
+    return _drop_gains(cfg, [build_layout(cfg)], drop)[0]
 
 
 def reference_solve(method: str, profile: ppa.InterferenceProfile,
@@ -575,31 +583,33 @@ def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
 
 
 def _run_drop(args):
-    """The preamble of every drop, then its experiment's value function.
+    """One drop's preamble and value function at each reuse factor, in order.
 
-    ``args`` is (plan, config at the drop's reuse factor, drop index).  It
-    draws the gains, then for each budget (one per ``p_grid_db`` entry in
-    fig4b, else ``cfg.P_total``) the interference profile, every
-    allocation and its (L, K) pilot powers: the flat P/K in every other
-    cell, the allocation in row 0, keyed by (scheme, method) in sorted
-    order, which is the kernel's order.
+    ``args`` is (plan, sweep, drop index), the sweep the per-gamma configs,
+    centres and budget configs.  The drop's ``positions`` and ``shadowing``
+    streams serve every gamma; the values open each (gamma, drop)'s fading
+    streams.  Each budget config (one per ``p_grid_db`` entry in fig4b, else
+    the gamma's config) gets its interference profile and every allocation
+    as (L, K) pilot powers, the flat P/K in every other cell and the
+    allocation in row 0, keyed by sorted (scheme, method), the kernel's order.
     """
-    plan, cfg, drop = args
-    beta = _realization(cfg, drop)
-    budgets = []
-    for cfg_p in ([cfg.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
-                  if plan.experiment == "fig4b" else [cfg]):
-        profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
-        rhos = {}
-        for scheme, method in sorted((s, m) for s in plan.schemes for m in METHODS):
-            rho = np.full((cfg.L, cfg.K), cfg_p.P_total / cfg.K)
-            if scheme == "ppa":
-                rho[0] = ppa.ppa_allocate(method, profile, cfg_p).rho
-            elif scheme == "ref":
-                rho[0] = reference_solve(method, profile, cfg_p).x
-            rhos[(scheme, method)] = rho
-        budgets.append(rhos)
-    return _PER_EXPERIMENT[plan.experiment][0](plan, cfg, drop, beta, budgets)
+    plan, (cfgs, layouts, budget_cfgs), drop = args
+    values = []
+    for cfg, cfg_ps, beta in zip(cfgs, budget_cfgs, _drop_gains(cfgs[0], layouts, drop)):
+        budgets = []
+        for cfg_p in cfg_ps:
+            profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
+            rhos = {}
+            for scheme, method in sorted((s, m) for s in plan.schemes for m in METHODS):
+                rho = np.full((cfg.L, cfg.K), cfg_p.P_total / cfg.K)
+                if scheme == "ppa":
+                    rho[0] = ppa.ppa_allocate(method, profile, cfg_p).rho
+                elif scheme == "ref":
+                    rho[0] = reference_solve(method, profile, cfg_p).x
+                rhos[(scheme, method)] = rho
+            budgets.append(rhos)
+        values.append(_PER_EXPERIMENT[plan.experiment][0](plan, cfg, drop, beta, budgets))
+    return values
 
 
 def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
@@ -744,9 +754,14 @@ def _reap(pid: int, pipe) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
+def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
+    """Each gamma's values of every drop, in drop order.  A task is one drop at
+    every gamma; its configs, centres and budget configs are built once here."""
     cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
-    tasks = [(plan, cfg_g, drop) for cfg_g in cfgs for drop in range(plan.n_large)]
+    budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
+                   if plan.experiment == "fig4b" else [c] for c in cfgs]
+    sweep = (cfgs, [build_layout(c) for c in cfgs], budget_cfgs)
+    tasks = [(plan, sweep, drop) for drop in range(plan.n_large)]
     getaffinity = getattr(os, "sched_getaffinity", None)
     n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
     workers = _worker_count(plan.jobs, len(tasks), n_cpus)
@@ -757,8 +772,7 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig):
         # it; at import time every in-process run would pay it instead
         import numpy.random  # noqa: F401
         results = _fork_map(_run_drop, tasks, workers)
-    n = plan.n_large  # tasks run gamma by gamma, drop by drop
-    return {g: results[i * n:(i + 1) * n] for i, g in enumerate(plan.gammas)}
+    return {g: [drop[i] for drop in results] for i, g in enumerate(plan.gammas)}
 
 
 def _mean_stderr(values) -> tuple[float, float | None]:

@@ -227,16 +227,21 @@ def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator)
     point (a, b) of the parallelogram spanned by the triangle's two
     corners, folded across its diagonal when a + b > 1.  That is three
     uniforms per user from one generator call, and no rejection.  The
-    points are drawn about the origin and then moved to their centres,
-    so the centres do not change the draw.
+    points are drawn about the origin, then moved to their centres, so
+    one draw can serve every layout of the same number of cells.
     """
-    pick, a, b = rng.random((3, len(centers), cfg.K))
+    return np.asarray(centers, dtype=float)[:, None] + _user_offsets(cfg, len(centers), rng)
+
+
+def _user_offsets(cfg: SystemConfig, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+    """The users of :func:`drop_users` about the origin: (n_cells, K, 2)."""
+    pick, a, b = rng.random((3, n_cells, cfg.K))
     corner = (6.0 * pick).astype(int)
     fold = a + b > 1.0
     a, b = np.where(fold, 1.0 - a, a), np.where(fold, 1.0 - b, b)
     local = (a[..., None] * _HEX_CORNERS[corner]
              + b[..., None] * _HEX_CORNERS[(corner + 1) % 6])
-    return np.asarray(centers, dtype=float)[:, None] + cfg.r * local
+    return cfg.r * local
 
 
 def attenuation(distance, r_min: float, exponent: float):
@@ -265,17 +270,23 @@ def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
     target BS at ``centers[0]``, and ``positions`` the (L, K, 2) users of
     :func:`drop_users`.  beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d
     the distance from user (l, k) to the target BS and z an i.i.d.
-    log-normal shadowing gain.  With sigma_sh = 0 the gains are a
-    deterministic function of geometry.
+    log-normal shadowing gain, drawn first, so one draw can serve every
+    layout.  With sigma_sh = 0 the gains are a function of geometry.
     """
+    z = sample_shadowing(cfg.sigma_sh, (len(centers), cfg.K), rng)
+    return _gains(cfg, centers, positions, z)
+
+
+def _gains(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
+           shadowing: np.ndarray) -> np.ndarray:
+    """The gains of :func:`large_scale` under the given (L, K) shadowing."""
     positions = np.asarray(positions, dtype=float)
     L = len(centers)
     if positions.shape != (L, cfg.K, 2):
         raise ValueError(f"positions must have shape ({L}, {cfg.K}, 2)")
     diff = positions - centers[0]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    z = sample_shadowing(cfg.sigma_sh, (L, cfg.K), rng)
-    return z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
+    return shadowing * attenuation(dist, cfg.r_min, cfg.gamma_pl)
 
 
 def save_beta_fixture(beta: np.ndarray, path: str | Path) -> None:

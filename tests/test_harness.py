@@ -21,7 +21,7 @@ from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _gram_segments, _gram_trials, _mc_means, _mc_trials,
                                 _mean, _mean_stderr, _prefix_rcee, _realization,
                                 _worker_count)
-from mimo_pilot.scenario import SystemConfig
+from mimo_pilot.scenario import SystemConfig, build_layout, drop_users, large_scale
 from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
 
 
@@ -291,28 +291,89 @@ class TestRunExperimentValidate:
         mmse = report.select(metric="sinr", method=MMSE, scheme="eppa")[0]
         assert ls[6] == pytest.approx(mmse[6], rel=1e-12)
 
-    def test_four_streams_per_gamma_and_drop(self, tiny_cfg, monkeypatch):
-        # positions, shadowing, channel and pilot-noise, whatever the trial
-        # count
-        drawn = []
-        schedule = harness.seed_schedule
+    def test_drop_streams_per_drop_and_fading_streams_per_gamma_and_drop(
+            self, tiny_cfg, monkeypatch):
+        # positions and shadowing once per drop, shared by every gamma;
+        # channel and pilot-noise once per (gamma, drop), whatever the
+        # trial count
+        plan = plan_for("validate", gammas=(1, 3), n_large=2, n_small=300)
+        assert sorted(_streams_opened(plan, tiny_cfg, monkeypatch)) == _streams(
+            plan, ("channel", "pilot-noise"))
 
-        def counted(seed, slot, purpose):
-            drawn.append((slot, purpose))
-            return schedule(seed, slot, purpose)
 
-        monkeypatch.setattr(harness, "seed_schedule", counted)
-        run_experiment(plan_for("validate", gammas=(1, 3), n_large=2, n_small=300),
-                       tiny_cfg)
-        assert sorted(drawn) == sorted(
-            (drop, purpose) for gamma in (1, 3) for drop in range(2)
-            for purpose in ("positions", "shadowing", f"channel/gamma={gamma}",
-                            f"pilot-noise/gamma={gamma}"))
+def _streams_opened(plan, cfg, monkeypatch) -> list:
+    """The (slot, purpose) of every stream a sweep opens."""
+    drawn = []
+    schedule = harness.seed_schedule
+
+    def counted(seed, slot, purpose):
+        drawn.append((slot, purpose))
+        return schedule(seed, slot, purpose)
+
+    monkeypatch.setattr(harness, "seed_schedule", counted)
+    run_experiment(plan, cfg)
+    return drawn
+
+
+def _streams(plan, fading) -> list:
+    """Sorted: the drop's two streams per drop, each fading stream per
+    (gamma, drop)."""
+    return sorted([(drop, purpose) for drop in range(plan.n_large)
+                   for purpose in ("positions", "shadowing")]
+                  + [(drop, f"{purpose}/gamma={gamma}") for gamma in plan.gammas
+                     for drop in range(plan.n_large) for purpose in fading])
+
+
+@pytest.mark.parametrize("experiment, fading", [("fig4a", ()), ("fig4b", ("gram",))])
+def test_sweep_streams_per_drop_and_per_gamma_and_drop(tiny_cfg, monkeypatch,
+                                                        experiment, fading):
+    plan = plan_for(experiment, gammas=(1, 3, 7), n_large=3, n_small=2)
+    assert sorted(_streams_opened(plan, tiny_cfg, monkeypatch)) == _streams(plan, fading)
+
+
+@pytest.mark.parametrize("L", [1, 7])
+@pytest.mark.parametrize("K", [2, 10])
+@pytest.mark.parametrize("sigma_sh", [0.0, SystemConfig.sigma_sh])
+def test_one_draw_per_drop_gives_each_gammas_chain_gains(monkeypatch, L, K, sigma_sh):
+    # the sweep draws a drop's users and shadowing once for every gamma;
+    # each gamma's gains must be those of build_layout -> drop_users ->
+    # large_scale at that gamma on the same two streams, bit for bit
+    cfg = SystemConfig(K=K, M=8, P_total=1.0e3, L=L, sigma_sh=sigma_sh, seed=5)
+    seen = {}
+
+    def record(plan, cfg_g, drop, beta, budgets):
+        seen[(cfg_g.Gamma, drop)] = beta
+        return {}
+
+    monkeypatch.setitem(harness._PER_EXPERIMENT, "fig4a",
+                        (record, *harness._PER_EXPERIMENT["fig4a"][1:]))
+    harness._map_tasks(plan_for("fig4a", gammas=(1, 3, 7), n_large=3), cfg)
+    assert len(seen) == 3 * 3
+    for (gamma, drop), beta in seen.items():
+        cfg_g = cfg.replace(Gamma=gamma)
+        centers = build_layout(cfg_g)
+        pos = drop_users(cfg_g, centers, seed_schedule(cfg.seed, drop, "positions"))
+        chain = large_scale(cfg_g, centers, pos, seed_schedule(cfg.seed, drop, "shadowing"))
+        assert np.array_equal(beta, chain)
+        assert np.array_equal(_realization(cfg_g, drop), chain)
+
+
+@pytest.mark.parametrize("experiment", ["fig4a", "fig4b", "validate"])
+def test_jobs_do_not_change_rows_with_fewer_drops_than_gamma_drop_pairs(
+        tiny_cfg, monkeypatch, reaped, experiment):
+    # two drops at three reuse factors: two tasks, so never more than two
+    # workers, whatever --jobs asks for
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    plan = plan_for(experiment, gammas=(1, 3, 7), n_large=2, n_small=2)
+    rows = [run_experiment(dataclasses.replace(plan, jobs=jobs), tiny_cfg).rows
+            for jobs in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_jobs_do_not_change_results(tiny_cfg):
-    # fig4a's 15 tasks go to 2 workers in chunks of 2, the last one short;
-    # validate runs one drop per gamma, so three gammas make a pool of 2
+    # a task is one drop at every gamma: fig4a's 5 tasks go to 2 workers;
+    # validate runs one drop, so it runs in-process at any --jobs
     for experiment, kwargs in (("fig5b", dict(gammas=(1,), n_large=4)),
                                ("fig4a", dict(gammas=(1, 3, 7), n_large=5)),
                                ("fig5a", dict(gammas=(1, 3), n_large=3)),
