@@ -13,8 +13,8 @@ from .airlink import (SinrMoments, complex_normal, empirical_sinr_terms,
 from .estimators import LS, MMSE, METHODS, check_method
 from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
                       ExperimentPlan, MetricReport, bench_allocators,
-                      default_config, empirical_cdf, ks_distance, plan_for,
-                      run_experiment, seed_schedule)
+                      default_config, drop_gains, empirical_cdf, ks_distance,
+                      plan_for, run_experiment, seed_schedule)
 from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
                       exp_rcee_closed, exp_rcee_eppa_floor,
                       exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
@@ -39,7 +39,7 @@ __all__ = [
     "SystemConfig",
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
     "check_method", "complex_normal",
-    "db_to_linear", "default_config", "drop_users", "empirical_cdf",
+    "db_to_linear", "default_config", "drop_gains", "drop_users", "empirical_cdf",
     "empirical_sinr_terms", "eppa_profile",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import LS, METHODS
-from .harness import (_realization, bench_allocators, default_config, plan_for,
+from .harness import (bench_allocators, default_config, drop_gains, plan_for,
                       reference_solve, run_experiment)
 from .ppa import eppa_profile, objective_value, ppa_allocate
 from .scenario import ConfigurationError, SystemConfig, load_beta_fixture
@@ -153,7 +153,7 @@ def _cmd_allocate(args) -> int:
             cfg = cfg.replace(seed=seed)
     else:
         cfg = _load_config(args, "fig3")
-        beta_slice = _realization(cfg, 0)  # drop 0 of the sweeps
+        beta_slice = drop_gains(cfg, 0)  # drop 0 of the sweeps
 
     profile = eppa_profile(beta_slice, cfg.P_total, cfg.K)
     ref = (reference_solve(args.method, profile, cfg)

@@ -8,10 +8,12 @@ the output.
 
 A task is one drop at every reuse factor, :func:`_run_drop`: it draws the
 drop's ``positions`` and ``shadowing`` streams once, then at each reuse
-factor the gains, the allocations and pilot powers of each budget, and
-the values, from that (gamma, drop)'s fading streams.  A table gives
-each experiment its per-drop value function (one stacked closed-form
-call per estimator) and one of three reductions over drops (a grid, a
+factor returns the (L, K) gains, the target-cell powers of every budget
+and allocation, and the Monte-Carlo of that (gamma, drop)'s fading
+streams.  After the map, the caller evaluates the closed forms one gamma
+at a time over blocks of drops, one call per estimator on a block's
+stacked gains and powers.  A table gives each experiment its Monte-Carlo,
+its closed forms and one of three reductions over drops (a grid, a
 distribution, or the validate rows).  With ``jobs`` > 1 the drops are
 shared out by :func:`_fork_map`: the caller forks up to ``jobs`` - 1
 children after ``numpy.random`` is loaded, so none loads it on its first
@@ -242,7 +244,9 @@ def _drop_gains(cfg: SystemConfig, layouts, drop: int) -> list:
     return [_gains(cfg, centers, centers[:, None] + offsets, z) for centers in layouts]
 
 
-def _realization(cfg: SystemConfig, drop: int) -> np.ndarray:
+def drop_gains(cfg: SystemConfig, drop: int) -> np.ndarray:
+    """The (L, K) gains of drop ``drop`` at ``cfg``'s reuse factor, as the
+    sweeps draw it (``build_layout`` -> ``drop_users`` -> ``large_scale``)."""
     return _drop_gains(cfg, [build_layout(cfg)], drop)[0]
 
 
@@ -505,111 +509,63 @@ def _mean(values: np.ndarray) -> float:
     return float(values.sum()) / values.size
 
 
-def _error_means(beta, rhos, M=None) -> dict:
-    """User-averaged error of each key's powers at M antennas, or in the large-M
-    limit without M: one closed-form call per estimator on its keys' stack."""
-    out = {}
-    for method in METHODS:
-        keys = [key for key in rhos if key[1] == method]
-        stack = np.stack([rhos[key] for key in keys])
-        err = (metrics.exp_rcee_limit(method, stack, beta) if M is None
-               else metrics.exp_rcee_closed(method, M, stack, beta))
-        out.update(zip(keys, err.mean(axis=-1)))
-    return out
+def _full_powers(target, cfg_ps, L: int) -> np.ndarray:
+    """(..., B, C, L, K) powers: target rows, then budget b's flat P/K."""
+    rho = np.empty((*target.shape[:-1], L, target.shape[-1]))
+    rho[...] = np.array([c.P_total / c.K for c in cfg_ps])[:, None, None, None]
+    rho[..., 0, :] = target
+    return rho
 
 
-def _fig3_values(plan, cfg, drop, beta, budgets) -> dict:
-    return {"closed": _error_means(beta, budgets[0], plan.m_grid),
-            "limit": _error_means(beta, budgets[0]),
-            "mc": _mc_means(plan, cfg, drop, beta, budgets, plan.m_grid)}
+def _fig4b_mc(plan, cfg, drop, beta, budgets, m_values):
+    # and the allocator's high-budget limit, which the ppa and ref rows share
+    return (_mc_means(plan, cfg, drop, beta, budgets, m_values),
+            {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS})
 
 
-def _fig4b_values(plan, cfg, drop, beta, budgets) -> dict:
-    # the infinite-budget floor: the flat split's, or the allocator's
-    # high-budget limit, which the ppa and ref rows share
-    ppa_limit = {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS}
-    limit = {(s, m): _mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa"
-             else ppa_limit[m] for s, m in budgets[0]}
-    per_budget = {key: [rhos[key] for rhos in budgets] for key in budgets[0]}
-    return {"closed": _error_means(beta, per_budget, cfg.M), "limit": limit,
-            "mc": _mc_means(plan, cfg, drop, beta, budgets, (cfg.M,))}
-
-
-def _fig4a_values(plan, cfg, drop, beta, budgets) -> dict:
-    return _error_means(beta, budgets[0])
-
-
-def _fig5a_values(plan, cfg, drop, beta, budgets) -> dict:
-    """The worst user's rate at each antenna count of the grid."""
-    sinr = metrics.sinr_closed(plan.m_grid, np.stack([*budgets[0].values()]), beta, cfg.rho_u)
-    rate_min = metrics.rate_summary(metrics.achievable_rate(cfg, sinr)).minimum
-    return {"closed": dict(zip(budgets[0], rate_min)), "limit": None, "mc": None}
-
-
-def _fig5b_values(plan, cfg, drop, beta, budgets) -> dict:
-    """The users' average rate in the large-antenna limit."""
-    sinr = metrics.sinr_limit(np.stack([*budgets[0].values()]), beta)
-    rates = metrics.achievable_rate(cfg, sinr)
-    return dict(zip(budgets[0], metrics.rate_summary(rates).average))
-
-
-def _validate_values(plan, cfg, drop, beta, budgets) -> dict:
-    """(mc_mean, mc_stderr, closed form, limit) of the error and the SINR."""
+def _validate_mc(plan, cfg, drop, beta, budgets, m_values) -> dict:
+    """Each allocation's error mean and standard error, and mean empirical SINR."""
     rho_mats = budgets[0]
-    stack = np.stack([*rho_mats.values()])
     n, C = plan.n_small, len(rho_mats)
     lam = np.empty((C, n))
     channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
     estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
     start = 0
-    for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, stack,
-                                      [m for _, m in rho_mats], (cfg.M,)):
+    for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, np.stack([*rho_mats.values()]),
+                                      [m for _, m in rho_mats], m_values):
         block = slice(start, start + len(h))
         channels[block], estimates[block], lam[:, block] = h, h_hat, lam_b[:, :, 0].T
         start = block.stop
-    closed, limit = _error_means(beta, rho_mats, cfg.M), _error_means(beta, rho_mats)
-    sinr = metrics.sinr_closed(cfg.M, stack, beta, cfg.rho_u).mean(axis=-1)
-    sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)
-    out = {"exp_rcee": {}, "sinr": {}}
-    for c, combo in enumerate(rho_mats):
-        out["exp_rcee"][combo] = (_mean(lam[c]),
-                                  float(lam[c].std(ddof=1) / np.sqrt(n)),
-                                  float(closed[combo]), float(limit[combo]))
-        emp = [empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u, k).sinr
-               for k in range(cfg.K)]
-        out["sinr"][combo] = (float(np.mean(emp)), None,
-                              float(sinr[c]), float(sinr_limit[c]))
-    return out
+    return {combo: (_mean(lam[c]), float(lam[c].std(ddof=1) / np.sqrt(n)),
+                    float(np.mean([empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u,
+                                                        k).sinr for k in range(cfg.K)])))
+            for c, combo in enumerate(rho_mats)}
 
 
 def _run_drop(args):
-    """One drop's preamble and value function at each reuse factor, in order.
+    """One drop's draws, allocations and Monte-Carlo at each reuse factor.
 
     ``args`` is (plan, sweep, drop index), the sweep the per-gamma configs,
-    centres and budget configs.  The drop's ``positions`` and ``shadowing``
-    streams serve every gamma; the values open each (gamma, drop)'s fading
-    streams.  Each budget config (one per ``p_grid_db`` entry in fig4b, else
-    the gamma's config) gets its interference profile and every allocation
-    as (L, K) pilot powers, the flat P/K in every other cell and the
-    allocation in row 0, keyed by sorted (scheme, method), the kernel's order.
-    """
+    centres and budget configs (one per ``p_grid_db`` entry in fig4b, else
+    the gamma's config).  Returns the (Gamma, L, K) gains, the (Gamma,
+    budgets, C, K) target-cell powers of the sorted (scheme, method) combos
+    and each gamma's Monte-Carlo values (None where the sweep has none)."""
     plan, (cfgs, layouts, budget_cfgs), drop = args
-    values = []
-    for cfg, cfg_ps, beta in zip(cfgs, budget_cfgs, _drop_gains(cfgs[0], layouts, drop)):
-        budgets = []
-        for cfg_p in cfg_ps:
+    combos, drop_mc = _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
+    gains = np.array(_drop_gains(cfgs[0], layouts, drop))
+    powers = np.empty((len(cfgs), len(budget_cfgs[0]), len(combos), cfgs[0].K))
+    mc = []
+    for cfg, cfg_ps, beta, rows in zip(cfgs, budget_cfgs, gains, powers):
+        for cfg_p, row in zip(cfg_ps, rows):
             profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
-            rhos = {}
-            for scheme, method in sorted((s, m) for s in plan.schemes for m in METHODS):
-                rho = np.full((cfg.L, cfg.K), cfg_p.P_total / cfg.K)
-                if scheme == "ppa":
-                    rho[0] = ppa.ppa_allocate(method, profile, cfg_p).rho
-                elif scheme == "ref":
-                    rho[0] = reference_solve(method, profile, cfg_p).x
-                rhos[(scheme, method)] = rho
-            budgets.append(rhos)
-        values.append(_PER_EXPERIMENT[plan.experiment][0](plan, cfg, drop, beta, budgets))
-    return values
+            for c, (scheme, method) in enumerate(combos):
+                row[c] = (ppa.ppa_allocate(method, profile, cfg_p).rho if scheme == "ppa"
+                          else reference_solve(method, profile, cfg_p).x if scheme == "ref"
+                          else cfg_p.P_total / cfg.K)
+        mc.append(drop_mc and drop_mc(plan, cfg, drop, beta, [
+            dict(zip(combos, rho)) for rho in _full_powers(rows, cfg_ps, cfg.L)],
+            plan.m_grid or (cfg.M,)))
+    return gains, powers, mc
 
 
 def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
@@ -754,9 +710,19 @@ def _reap(pid: int, pipe) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+def _combos(plan: ExperimentPlan) -> list:
+    return sorted((s, m) for s in plan.schemes for m in METHODS)
+
+
+# bytes per block of drops in the closed-form pass (its powers and one value per
+# user, allocation and antenna count), so that its memory is flat in the drops
+_CF_BLOCK = 1 << 16
+
+
 def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
-    """Each gamma's values of every drop, in drop order.  A task is one drop at
-    every gamma; its configs, centres and budget configs are built once here."""
+    """Each gamma's values of every drop, in drop order.  A task is one drop
+    at every gamma; its configs, centres and budget configs are built once
+    here, and after the map its closed forms are evaluated block by block."""
     cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
     budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                    if plan.experiment == "fig4b" else [c] for c in cfgs]
@@ -772,7 +738,75 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
         # it; at import time every in-process run would pay it instead
         import numpy.random  # noqa: F401
         results = _fork_map(_run_drop, tasks, workers)
-    return {g: [drop[i] for drop in results] for i, g in enumerate(plan.gammas)}
+    combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
+    size = max(1, _CF_BLOCK // (8 * len(budget_cfgs[0]) * len(combos) * cfg.K
+                                * (cfg.L + max(1, len(plan.m_grid)))))
+    per_gamma = {gamma: [] for gamma in plan.gammas}
+    for g, (cfg_g, cfg_ps) in enumerate(zip(cfgs, budget_cfgs)):
+        for i in range(0, len(results), size):
+            gains, powers, mc = zip(*results[i:i + size])
+            per_gamma[cfg_g.Gamma] += closed_forms(
+                plan, cfg_g, combos, np.stack([x[g] for x in gains])[:, None, None],
+                _full_powers(np.stack([x[g] for x in powers]), cfg_ps, cfg.L), [x[g] for x in mc])
+    return per_gamma
+
+
+def _per_method(combos, rho, fn, beta, *m_values) -> dict:
+    """combo -> (n, B, ...) user means of ``fn(method, *m_values, powers, beta)``:
+    one call per estimator on its allocations' (n, B, C_m, L, K) powers."""
+    out = {}
+    for method in METHODS:
+        cols = [j for j, c in enumerate(combos) if c[1] == method]
+        values = fn(method, *m_values, rho[:, :, cols], beta).mean(axis=-1)
+        out.update((combos[j], values[:, :, i]) for i, j in enumerate(cols))
+    return out
+
+
+def _fig3_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    # validate's errors too, at its configured M
+    closed = _per_method(combos, rho, metrics.exp_rcee_closed, beta, plan.m_grid or cfg.M)
+    limit = _per_method(combos, rho, metrics.exp_rcee_limit, beta)
+    return [{"closed": {c: closed[c][d, 0] for c in combos},
+             "limit": {c: limit[c][d, 0] for c in combos}, "mc": x} for d, x in enumerate(mc)]
+
+
+def _fig4b_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    closed = _per_method(combos, rho, metrics.exp_rcee_closed, beta, cfg.M)
+    # the infinite-budget floor: the flat split's, or the allocator's limit
+    floor = {m: metrics.exp_rcee_eppa_floor(m, beta[:, 0, 0]).mean(axis=-1)
+             for s, m in combos if s == "eppa"}
+    return [{"closed": {c: closed[c][d] for c in combos}, "mc": x,
+             "limit": {(s, m): floor[m][d] if s == "eppa" else lim[m] for s, m in combos}}
+            for d, (x, lim) in enumerate(mc)]
+
+
+def _fig4a_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    limit = _per_method(combos, rho, metrics.exp_rcee_limit, beta)
+    return [{c: limit[c][d, 0] for c in combos} for d in range(len(mc))]
+
+
+def _fig5a_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    """The worst user's rate at each antenna count of the grid."""
+    sinr = metrics.sinr_closed(plan.m_grid, rho, beta, cfg.rho_u)
+    rate_min = metrics.rate_summary(metrics.achievable_rate(cfg, sinr)).minimum[:, 0]
+    return [{"closed": dict(zip(combos, r)), "limit": None, "mc": None} for r in rate_min]
+
+
+def _fig5b_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    """The users' average rate in the large-antenna limit."""
+    rates = metrics.achievable_rate(cfg, metrics.sinr_limit(rho, beta))
+    return [dict(zip(combos, r)) for r in metrics.rate_summary(rates).average[:, 0]]
+
+
+def _validate_closed(plan, cfg, combos, beta, rho, mc) -> list:
+    """(mc_mean, mc_stderr, closed form, limit) of the error and the SINR."""
+    sinr = metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean(axis=-1)[:, 0]
+    sinr_limit = metrics.sinr_limit(rho, beta).mean(axis=-1)[:, 0]
+    return [{"exp_rcee": {c: (*x["mc"][c][:2], float(x["closed"][c]), float(x["limit"][c]))
+                          for c in combos},
+             "sinr": {c: (x["mc"][c][2], None, float(s), float(lim))
+                      for c, s, lim in zip(combos, sinr[d], sinr_limit[d])}}
+            for d, x in enumerate(_fig3_closed(plan, cfg, combos, beta, rho, mc))]
 
 
 def _mean_stderr(values) -> tuple[float, float | None]:
@@ -793,10 +827,8 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
     """
     if cfg.K < 2:
         raise ValueError("experiments need at least two users per cell")
-    per_gamma = _map_tasks(plan, cfg)
-    combos = sorted((s, m) for s in plan.schemes for m in METHODS)
-    _, reduce, metric = _PER_EXPERIMENT[plan.experiment]
-    return reduce(plan, cfg, per_gamma, combos, metric)
+    _, _, reduce, metric = _PER_EXPERIMENT[plan.experiment]
+    return reduce(plan, cfg, _map_tasks(plan, cfg), _combos(plan), metric)
 
 
 def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
@@ -844,14 +876,15 @@ def _validate_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     return MetricReport("validate", GRID_COLUMNS, tuple(rows))
 
 
-# experiment -> (values of one drop, reduction over drops, metric label)
+# experiment -> (Monte-Carlo of one drop at one gamma, closed forms of a
+# block of drops, reduction over drops, metric label)
 _PER_EXPERIMENT = {
-    "fig3": (_fig3_values, _grid_report, "exp_rcee"),
-    "fig4a": (_fig4a_values, _cdf_report, "exp_rcee"),
-    "fig4b": (_fig4b_values, _grid_report, "exp_rcee"),
-    "fig5a": (_fig5a_values, _grid_report, "rate_min"),
-    "fig5b": (_fig5b_values, _cdf_report, "rate_av"),
-    "validate": (_validate_values, _validate_report, None),
+    "fig3": (_mc_means, _fig3_closed, _grid_report, "exp_rcee"),
+    "fig4a": (None, _fig4a_closed, _cdf_report, "exp_rcee"),
+    "fig4b": (_fig4b_mc, _fig4b_closed, _grid_report, "exp_rcee"),
+    "fig5a": (None, _fig5a_closed, _grid_report, "rate_min"),
+    "fig5b": (None, _fig5b_closed, _cdf_report, "rate_av"),
+    "validate": (_validate_mc, _validate_closed, _validate_report, None),
 }
 
 

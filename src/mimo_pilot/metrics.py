@@ -11,14 +11,15 @@ is the contamination-plus-noise level seen by the correlator.
 
 Shapes: every closed form takes an (L, K) gain slice, cell axis first,
 and powers of the same shape, and returns one value per user, shape (K,).
-The powers may carry leading stack axes, (..., L, K), one allocation per
-slice on the same gains; cells are then axis -2, so row 0 is
-``rho[..., 0, :]``, and the result is (..., K), each slice bit for bit
-the value of a call on that slice alone.  Those with an antenna count M
-also accept a 1-D array of counts and then return (..., len(M), K):
-stack axes, then antennas, then users.  A single (L,) column of gains is
-one user and drops the user axis; a lone value is a float.  Inputs are
-checked once per call, never per allocation or user.
+Powers and gains may both carry leading stack axes, (..., L, K), that
+broadcast against each other: (D, 1, L, K) gains of D drops against
+(D, C, L, K) powers evaluate C allocations on each drop.  Cells are then
+axis -2, so row 0 is ``rho[..., 0, :]``, and the result is (..., K), each
+slice bit for bit the value of a call on that slice alone.  Those with an
+antenna count M also accept a 1-D array of counts and then return
+(..., len(M), K): stack axes, then antennas, then users.  A single (L,)
+column of gains is one user and drops the user axis; a lone value is a
+float.  Inputs are checked once per call, never per allocation or user.
 """
 
 from __future__ import annotations
@@ -32,18 +33,19 @@ from .estimators import LS, check_method
 
 
 def _slices(rho, beta):
-    """Checked (..., L, K) powers and (L, K) gains, plus a column flag."""
+    """Checked (..., L, K) powers and (L, K) or (..., 1, L, K) gains, plus a
+    column flag; stacked gains without the allocations' 1 are a mismatch."""
     rho = np.asarray(rho, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if (beta.ndim not in (1, 2) or beta.size == 0
-            or rho.shape[rho.ndim - beta.ndim:] != beta.shape):
-        raise ValueError("rho must be (..., L, K) against (L, K) gains, "
-                         "or (..., L) against an (L,) column")
-    if (rho < 0).any() or (beta <= 0).any():
-        raise ValueError("powers must be non-negative and gains positive")
     column = beta.ndim == 1
     if column:
         rho, beta = rho[..., None], beta[:, None]
+    if (beta.ndim < 2 or beta.size == 0 or rho.shape[-2:] != beta.shape[-2:]
+            or beta.shape[-3:-2] not in ((), (1,))):
+        raise ValueError("rho must be (..., L, K) against (L, K) or (..., 1, L, K) "
+                         "gains, or (..., L) against an (L,) column")
+    if (rho < 0).any() or (beta <= 0).any():
+        raise ValueError("powers must be non-negative and gains positive")
     if (rho[..., 0, :] <= 0).any():
         raise ValueError("target-cell power must be positive")
     return rho, beta, column
@@ -51,8 +53,8 @@ def _slices(rho, beta):
 
 def _gains(beta):
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim not in (1, 2) or beta.size == 0 or np.any(beta <= 0):
-        raise ValueError("beta must be an (L, K) slice or (L,) column of positive gains")
+    if beta.ndim == 0 or beta.size == 0 or np.any(beta <= 0):
+        raise ValueError("beta must be (..., L, K) slices or an (L,) column of positive gains")
     column = beta.ndim == 1
     return (beta[:, None] if column else beta), column
 
@@ -88,7 +90,7 @@ def _cell_dot(a, b):
 
 
 def _upsilon(rho, beta):
-    return _cell_dot(rho[..., 1:, :], beta[1:]) + 1.0
+    return _cell_dot(rho[..., 1:, :], beta[..., 1:, :]) + 1.0
 
 
 def _total(rho, beta):
@@ -132,7 +134,7 @@ def exp_rcee_closed(method: str, M, rho, beta):
     check_method(method)
     m = _antennas(M, 1)
     rho, beta, column = _slices(rho, beta)
-    terms = _per_antenna(m, _upsilon(rho, beta), rho[..., 0, :] * beta[0],
+    terms = _per_antenna(m, _upsilon(rho, beta), rho[..., 0, :] * beta[..., 0, :],
                          _total(rho, beta))
     with np.errstate(divide="ignore"):  # M = 1 divides by zero: infinite error
         out = _error_terms(method, m, *terms)
@@ -160,7 +162,7 @@ def exp_rcee_limit(method: str, rho, beta):
     check_method(method)
     rho, beta, column = _slices(rho, beta)
     ups = _upsilon(rho, beta)
-    own = rho[..., 0, :] * beta[0]
+    own = rho[..., 0, :] * beta[..., 0, :]
     return _shaped(ups / own if method == LS else ups / (ups + own), column)
 
 
@@ -174,10 +176,10 @@ def exp_rcee_eppa_limit(method: str, beta, K: int, P: float):
     beta, column = _gains(beta)
     if K < 1 or P <= 0:
         raise ValueError("K must be >= 1 and P positive")
-    interference = beta[1:].sum(axis=0) + K / P
+    interference = beta[..., 1:, :].sum(axis=-2) + K / P
     if method == LS:
-        return _shaped(interference / beta[0], column)
-    return _shaped(interference / (beta.sum(axis=0) + K / P), column)
+        return _shaped(interference / beta[..., 0, :], column)
+    return _shaped(interference / (beta.sum(axis=-2) + K / P), column)
 
 
 def exp_rcee_eppa_floor(method: str, beta):
@@ -188,30 +190,32 @@ def exp_rcee_eppa_floor(method: str, beta):
     """
     check_method(method)
     beta, column = _gains(beta)
-    interference = beta[1:].sum(axis=0)
+    interference = beta[..., 1:, :].sum(axis=-2)
     if method == LS:
-        return _shaped(interference / beta[0], column)
-    return _shaped(interference / beta.sum(axis=0), column)
+        return _shaped(interference / beta[..., 0, :], column)
+    return _shaped(interference / beta.sum(axis=-2), column)
 
 
 def sinr_closed(M, rho, beta, rho_u: float):
     """Matched-filter uplink SINR of every target-cell user at M antennas.
 
     ``rho`` and ``beta`` are the (L, K) pilot powers and gains toward the
-    target BS; every user's interference includes all L*K gains.  The
-    value is the same whichever of the two estimators produced the
-    filter, because they are collinear.
+    target BS; every user's interference includes all L*K gains of its
+    slice.  The value is the same whichever of the two estimators produced
+    the filter, because they are collinear.
     """
     m = _antennas(M, 1)
     if rho_u <= 0:
         raise ValueError("rho_u must be positive")
     rho, beta, column = _slices(rho, beta)
-    own, contaminated, total = _per_antenna(m, rho[..., 0, :] * beta[0],
-                                            _cell_dot(rho[..., 1:, :], beta[1:] ** 2),
-                                            _total(rho, beta))
-    numer = m * own * beta[0]
+    # each slice's gains summed in the order of a one-slice ``beta.sum()``
+    own, beta_0, contaminated, total, gain_sum = _per_antenna(
+        m, rho[..., 0, :] * beta[..., 0, :], beta[..., 0, :],
+        _cell_dot(rho[..., 1:, :], beta[..., 1:, :] ** 2), _total(rho, beta),
+        beta.sum(axis=(-2, -1))[..., None])
+    numer = m * own * beta_0
     coherent = m * contaminated
-    numer_total = total * (1.0 / rho_u + float(beta.sum()))
+    numer_total = total * (1.0 / rho_u + gain_sum)
     return _shaped(numer / (coherent + numer_total), column)
 
 
@@ -222,9 +226,9 @@ def sinr_limit(rho, beta):
     contamination the matched filter's SINR grows without bound in M.
     """
     rho, beta, column = _slices(rho, beta)
-    denom = _cell_dot(rho[..., 1:, :], beta[1:] ** 2)
+    denom = _cell_dot(rho[..., 1:, :], beta[..., 1:, :] ** 2)
     with np.errstate(divide="ignore"):
-        out = rho[..., 0, :] * np.float_power(beta[0], 2) / denom
+        out = rho[..., 0, :] * np.float_power(beta[..., 0, :], 2) / denom
     return _shaped(out, column)
 
 

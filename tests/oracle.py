@@ -10,6 +10,10 @@ The level search, the projection and the allocator as they were
 written before the package moved their arithmetic onto Python float
 lists: the search with a keyed ``bisect``, the projection and the
 water-filling in numpy arrays.  The package must return the same bits.
+
+The sweeps' closed forms as they were evaluated before the sweeps
+stacked them over drops: one public call per (gamma, drop, estimator) on
+the drop's (L, K) gains.  The stacked pass must return the same bits.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mimo_pilot import metrics
+from mimo_pilot import ppa as package_ppa
 from mimo_pilot.airlink import complex_normal
-from mimo_pilot.estimators import LS, MMSE, check_method
+from mimo_pilot.estimators import LS, METHODS, MMSE, check_method
+from mimo_pilot.harness import reference_solve
 from mimo_pilot.ppa import InterferenceProfile, PilotAllocation
+from mimo_pilot.scenario import db_to_linear
 
 
 def pilot_book(K: int, tau: int) -> np.ndarray:
@@ -291,3 +299,76 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         rho_min=lo,
         rho_max=hi,
     )
+
+
+def drop_budgets(plan, cfg, beta) -> list:
+    """One drop's {(scheme, method): (L, K) pilot powers} at each budget
+    config (one per ``p_grid_db`` entry in fig4b, else ``cfg``): the flat
+    P/K in every other cell and the allocation in row 0."""
+    cfg_ps = ([cfg.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
+              if plan.experiment == "fig4b" else [cfg])
+    budgets = []
+    for cfg_p in cfg_ps:
+        profile = package_ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
+        rhos = {}
+        for scheme, method in sorted((s, m) for s in plan.schemes for m in METHODS):
+            rho = np.full((cfg.L, cfg.K), cfg_p.P_total / cfg.K)
+            if scheme == "ppa":
+                rho[0] = package_ppa.ppa_allocate(method, profile, cfg_p).rho
+            elif scheme == "ref":
+                rho[0] = reference_solve(method, profile, cfg_p).x
+            rhos[(scheme, method)] = rho
+        budgets.append(rhos)
+    return budgets
+
+
+def _error_means(beta, rhos, M=None) -> dict:
+    """User-averaged error of each key's powers at M antennas, or in the
+    large-M limit without M: one call per estimator on its keys' stack."""
+    out = {}
+    for method in METHODS:
+        keys = [key for key in rhos if key[1] == method]
+        stack = np.stack([rhos[key] for key in keys])
+        err = (metrics.exp_rcee_limit(method, stack, beta) if M is None
+               else metrics.exp_rcee_closed(method, M, stack, beta))
+        out.update(zip(keys, err.mean(axis=-1)))
+    return out
+
+
+def _mean(values) -> float:
+    return float(values.sum()) / values.size
+
+
+def drop_closed_forms(plan, cfg, beta, budgets) -> dict:
+    """Every closed-form value one (gamma, drop) of a sweep reports, from its
+    (L, K) gains and the powers of :func:`drop_budgets`.
+
+    fig3 and fig4b give {"closed": {combo: values over x}, "limit": {combo:
+    value}}, fig5a only the first; fig4a and fig5b {combo: value}; validate
+    {"exp_rcee" or "sinr": {combo: (closed form, limit)}}.
+    """
+    rhos = budgets[0]
+    stack = np.stack([*rhos.values()])
+    if plan.experiment == "fig3":
+        return {"closed": _error_means(beta, rhos, plan.m_grid),
+                "limit": _error_means(beta, rhos)}
+    if plan.experiment == "fig4b":
+        # the flat split's floor, or the allocator's high-budget limit
+        limit = {(s, m): _mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa"
+                 else _mean(package_ppa.exp_rcee_asymptotic(m, beta, cfg)) for s, m in rhos}
+        per_budget = {key: [b[key] for b in budgets] for key in rhos}
+        return {"closed": _error_means(beta, per_budget, cfg.M), "limit": limit}
+    if plan.experiment == "fig4a":
+        return _error_means(beta, rhos)
+    if plan.experiment == "fig5a":
+        sinr = metrics.sinr_closed(plan.m_grid, stack, beta, cfg.rho_u)
+        rates = metrics.achievable_rate(cfg, sinr)
+        return {"closed": dict(zip(rhos, metrics.rate_summary(rates).minimum))}
+    if plan.experiment == "fig5b":
+        rates = metrics.achievable_rate(cfg, metrics.sinr_limit(stack, beta))
+        return dict(zip(rhos, metrics.rate_summary(rates).average))
+    closed, limit = _error_means(beta, rhos, cfg.M), _error_means(beta, rhos)
+    sinr = metrics.sinr_closed(cfg.M, stack, beta, cfg.rho_u).mean(axis=-1)
+    sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)
+    return {"exp_rcee": {key: (closed[key], limit[key]) for key in rhos},
+            "sinr": {key: (sinr[c], sinr_limit[c]) for c, key in enumerate(rhos)}}

@@ -198,6 +198,55 @@ def test_stacked_powers_match_per_slice_calls(C, L, K):
                    exp_rcee_closed(LS, M_GRID, rho, beta)[..., 0])
 
 
+@pytest.mark.parametrize("C", [1, 4, 28])
+@pytest.mark.parametrize("L", [1, 2, 7])
+@pytest.mark.parametrize("K", [2, 3, 10])
+def test_stacked_gains_match_per_slice_calls(C, L, K):
+    # D drops' gains against each drop's C allocations: (D, 1, L, K) gains
+    # against (D, C, L, K) powers give slice (d, c) bit for bit, also as a
+    # stride-0 broadcast of one drop's gains, and with an antenna grid
+    # between the stack and the users
+    rng = np.random.default_rng(2000 + 100 * C + 10 * L + K)
+    cfg = SystemConfig(K=10, M=200, P_total=1.0e4, mu=3.0)
+    D = 3
+    for _ in range(3):
+        pairs = [_instance(rng, L, K) for _ in range(D * C)]
+        rho = np.stack([r for r, _ in pairs]).reshape(D, C, L, K)
+        gains = np.stack([b for _, b in pairs[::C]])  # (D, L, K)
+        shared = np.broadcast_to(gains[:1, None], (D, 1, L, K))  # stride 0 over drops
+        for beta in (gains[:, None], shared):
+
+            def check(fn, grid=()):
+                stacked = fn(rho, beta)
+                assert stacked.shape == (D, C, *grid, K)
+                _same_bits(stacked, [[fn(rho[d, c], beta[d, 0]) for c in range(C)]
+                                     for d in range(D)])
+
+            check(upsilon)
+            for method in (LS, MMSE):
+                check(lambda r, b: exp_rcee_closed(method, M_GRID, r, b), (len(M_GRID),))
+                check(lambda r, b: exp_rcee_closed(method, 200, r, b))
+                check(lambda r, b: exp_rcee_limit(method, r, b))
+                _same_bits(exp_rcee_eppa_floor(method, beta[:, 0]),
+                           [exp_rcee_eppa_floor(method, b) for b in beta[:, 0]])
+                _same_bits(exp_rcee_eppa_limit(method, beta[:, 0], K, 1.0e4),
+                           [exp_rcee_eppa_limit(method, b, K, 1.0e4) for b in beta[:, 0]])
+            check(lambda r, b: exp_rcee_bound_mmse(M_GRID[1:], r, b), (len(M_GRID) - 1,))
+            # each slice's interference sums its own drop's L*K gains
+            check(lambda r, b: sinr_closed(M_GRID, r, b, 100.0), (len(M_GRID),))
+            check(lambda r, b: sinr_closed(200, r, b, 100.0))
+            check(sinr_limit)
+            for sinr in (lambda r, b: sinr_closed(M_GRID, r, b, 100.0), sinr_limit):
+                summary = rate_summary(achievable_rate(cfg, sinr(rho, beta)))
+                for d in range(D):
+                    per_slice = rate_summary(achievable_rate(cfg, sinr(rho[d], beta[d, 0])))
+                    _same_bits(summary.minimum[d], per_slice.minimum)
+                    _same_bits(summary.average[d], per_slice.average)
+        # gains with more stack axes than the powers broadcast the powers
+        _same_bits(sinr_closed(M_GRID, rho[0], gains[:, None], 100.0),
+                   [sinr_closed(M_GRID, rho[0], b, 100.0) for b in gains])
+
+
 class TestShapes:
     def test_column_gives_float(self, table_beta):
         rho = np.full(7, 1000.0)
@@ -243,6 +292,15 @@ class TestValidation:
         rho[1, 0, 2] = 0.0  # one slice's target-cell power
         with pytest.raises(ValueError):
             exp_rcee_limit(LS, rho, table_beta)
+
+    def test_stacked_gains_need_a_one_for_the_allocations(self, table_beta):
+        rho = np.full((2, 4, 7, 3), 1000.0)
+        gains = np.stack([table_beta, 2.0 * table_beta])
+        assert exp_rcee_limit(LS, rho, gains[:, None]).shape == (2, 4, 3)
+        # no 1, a gain slice per allocation, and three drops against two
+        for bad in (gains, np.stack([gains] * 4, axis=1), np.stack([table_beta] * 3)[:, None]):
+            with pytest.raises(ValueError):
+                exp_rcee_limit(LS, rho, bad)
 
     def test_power_and_gain_signs(self, table_beta):
         rho = np.full((7, 3), 1000.0)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mimo_pilot import (GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
+from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         MetricReport, bench_allocators, default_config,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
@@ -19,10 +19,11 @@ from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _collapse_cells, _error_weights, _fork_map,
                                 _gram_segments, _gram_trials, _mc_means, _mc_trials,
-                                _mean, _mean_stderr, _prefix_rcee, _realization,
-                                _worker_count)
+                                _mean, _mean_stderr, _prefix_rcee, _worker_count,
+                                drop_gains)
 from mimo_pilot.scenario import SystemConfig, build_layout, drop_users, large_scale
-from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
+from oracle import (drop_budgets, drop_closed_forms, estimate_ls, estimate_mmse,
+                    pilot_phase, rcee_prefix_samples)
 
 
 class TestSeedSchedule:
@@ -339,23 +340,28 @@ def test_one_draw_per_drop_gives_each_gammas_chain_gains(monkeypatch, L, K, sigm
     # each gamma's gains must be those of build_layout -> drop_users ->
     # large_scale at that gamma on the same two streams, bit for bit
     cfg = SystemConfig(K=K, M=8, P_total=1.0e3, L=L, sigma_sh=sigma_sh, seed=5)
+    gammas = (1, 3, 7)
     seen = {}
+    run_drop = harness._run_drop
 
-    def record(plan, cfg_g, drop, beta, budgets):
-        seen[(cfg_g.Gamma, drop)] = beta
-        return {}
+    def record(task):
+        result = run_drop(task)
+        seen[task[2]] = result[0]  # the task's (Gamma, L, K) gains
+        return result
 
-    monkeypatch.setitem(harness._PER_EXPERIMENT, "fig4a",
-                        (record, *harness._PER_EXPERIMENT["fig4a"][1:]))
-    harness._map_tasks(plan_for("fig4a", gammas=(1, 3, 7), n_large=3), cfg)
-    assert len(seen) == 3 * 3
-    for (gamma, drop), beta in seen.items():
-        cfg_g = cfg.replace(Gamma=gamma)
-        centers = build_layout(cfg_g)
-        pos = drop_users(cfg_g, centers, seed_schedule(cfg.seed, drop, "positions"))
-        chain = large_scale(cfg_g, centers, pos, seed_schedule(cfg.seed, drop, "shadowing"))
-        assert np.array_equal(beta, chain)
-        assert np.array_equal(_realization(cfg_g, drop), chain)
+    monkeypatch.setattr(harness, "_run_drop", record)
+    harness._map_tasks(plan_for("fig4a", gammas=gammas, n_large=3), cfg)
+    assert sorted(seen) == [0, 1, 2]
+    for drop, gains in seen.items():
+        assert gains.shape == (len(gammas), L, K)
+        for gamma, beta in zip(gammas, gains):
+            cfg_g = cfg.replace(Gamma=gamma)
+            centers = build_layout(cfg_g)
+            pos = drop_users(cfg_g, centers, seed_schedule(cfg.seed, drop, "positions"))
+            chain = large_scale(cfg_g, centers, pos,
+                                seed_schedule(cfg.seed, drop, "shadowing"))
+            assert np.array_equal(beta, chain)
+            assert np.array_equal(drop_gains(cfg_g, drop), chain)
 
 
 @pytest.mark.parametrize("experiment", ["fig4a", "fig4b", "validate"])
@@ -411,6 +417,84 @@ def test_jobs_do_not_change_monte_carlo(tiny_cfg, experiment, kwargs):
     serial = run_experiment(plan_for(experiment, **kwargs), tiny_cfg)
     parallel = run_experiment(plan_for(experiment, jobs=2, **kwargs), tiny_cfg)
     assert serial.rows == parallel.rows
+
+
+def _stacking_plan(experiment):
+    """Five drops at every reuse factor, with a few trials where the sweep
+    has Monte-Carlo."""
+    return plan_for(experiment, gammas=(1, 3, 7), n_large=5,
+                    n_small={"fig3": 2, "fig4b": 2, "validate": 4}.get(experiment, 0))
+
+
+def _closed_values(experiment, values):
+    """The closed-form part of one drop's values in a sweep, in the layout
+    of ``oracle.drop_closed_forms``."""
+    if experiment == "validate":
+        return {label: {c: v[2:] for c, v in values[label].items()} for label in values}
+    if experiment in ("fig4a", "fig5b"):
+        return values
+    return {k: values[k] for k in ("closed", "limit") if values[k] is not None}
+
+
+def _leaves(tree, path=()):
+    """(path, float array) of every leaf of nested dicts and tuples."""
+    if isinstance(tree, (dict, tuple)):
+        for key, value in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, np.asarray(tree, dtype=float)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_stacked_closed_forms_equal_the_per_drop_path(tiny_cfg, experiment, seed):
+    # every closed form of the pass stacked over drops, bit for bit that of
+    # one public call per (gamma, drop, estimator) on the drop's gains
+    cfg = tiny_cfg.replace(seed=seed)
+    plan = _stacking_plan(experiment)
+    checked = 0
+    for gamma, drops in harness._map_tasks(plan, cfg).items():
+        cfg_g = cfg.replace(Gamma=gamma)
+        for drop, values in enumerate(drops):
+            beta = drop_gains(cfg_g, drop)
+            want = dict(_leaves(drop_closed_forms(plan, cfg_g, beta,
+                                                  drop_budgets(plan, cfg_g, beta))))
+            got = dict(_leaves(_closed_values(experiment, values)))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key].tobytes() == value.tobytes(), (gamma, drop, key)
+                checked += 1
+    assert checked >= 3 * 5 * 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_rows_do_not_depend_on_the_closed_form_block(tiny_cfg, monkeypatch, two_cpus,
+                                                     reaped, experiment, seed):
+    # blocks of one drop (a budget of 1 or 2 bytes), of two, and the
+    # default, which holds all five drops of this small config
+    cfg = tiny_cfg.replace(seed=seed)
+    plan = _stacking_plan(experiment)
+    mc, closed_forms, *rest = harness._PER_EXPERIMENT[experiment]
+    blocks = []
+
+    def spy(plan, cfg, combos, beta, rho, mc):
+        blocks.append(len(mc))
+        return closed_forms(plan, cfg, combos, beta, rho, mc)
+
+    monkeypatch.setitem(harness._PER_EXPERIMENT, experiment, (mc, spy, *rest))
+    n_budgets = len(plan.p_grid_db) if experiment == "fig4b" else 1
+    # a drop's share of the budget: its 4 allocations' powers at every
+    # budget, and one value per user, allocation and antenna count
+    two_drops = 2 * 8 * n_budgets * 4 * cfg.K * (cfg.L + max(1, len(plan.m_grid)))
+    reference = run_experiment(plan, cfg).rows
+    assert blocks == [5] * 3
+    for budget, sizes in ((1, [1] * 5), (2, [1] * 5), (two_drops, [2, 2, 1])):
+        monkeypatch.setattr(harness, "_CF_BLOCK", budget)
+        for jobs in (1, 2):
+            blocks.clear()
+            assert run_experiment(dataclasses.replace(plan, jobs=jobs), cfg).rows == reference
+            assert blocks == sizes * 3, (budget, jobs)
 
 
 @pytest.fixture
@@ -779,7 +863,7 @@ class TestCollapsedCells:
     @pytest.mark.parametrize("gamma", [1, 3, 7])
     def test_gram_draw_keeps_the_law_of_the_antenna_draw(self, gamma):
         cfg = default_config("validate", seed=0).replace(Gamma=gamma)
-        beta = _realization(cfg, 0)
+        beta = drop_gains(cfg, 0)
         profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
         combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
         rho_stack = np.full((len(combos), cfg.L, cfg.K), cfg.P_total / cfg.K)
@@ -847,7 +931,7 @@ def test_fig3_with_one_or_two_cells(cells):
 def test_gram_memory_is_flat_in_the_trial_count():
     # a fig4b drop: 4 allocations at each of 7 budgets in one kernel run
     cfg = default_config("fig3", seed=0)
-    beta = _realization(cfg, 0)
+    beta = drop_gains(cfg, 0)
     budgets = [{(scheme, method): np.full((cfg.L, cfg.K), 10.0 ** (p_db / 10.0) / cfg.K)
                 for scheme in ("eppa", "ppa") for method in METHODS}
                for p_db in _DESK_P_GRID_DB]
@@ -870,7 +954,7 @@ def test_antenna_memory_is_flat_in_the_trials_and_antennas():
     # holds one block while the kernel draws the next, so two blocks set
     # the peak.
     cfg = default_config("validate", seed=0)
-    beta = _realization(cfg, 0)
+    beta = drop_gains(cfg, 0)
     rho_stack = np.full((4, cfg.L, cfg.K), cfg.P_total / cfg.K)
 
     def peak(n_trials, M):
@@ -895,7 +979,7 @@ def test_gram_draw_reaches_the_large_antenna_limit():
     # M = 512), every mean is within 4 standard errors of the closed form
     # at its M, and the mean at 1e8 within 4 of the limit.
     cfg = default_config("validate", seed=0)
-    beta = _realization(cfg, 0)
+    beta = drop_gains(cfg, 0)
     profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
     combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
     rhos = []

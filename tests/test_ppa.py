@@ -6,7 +6,7 @@ from mimo_pilot import (ALPHA, InterferenceProfile, PilotAllocation,
                         make_objective, objective_value, ppa_allocate,
                         unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
-from mimo_pilot.harness import _realization, default_config, reference_solve
+from mimo_pilot.harness import default_config, drop_gains, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
                                 exp_rcee_eppa_floor, exp_rcee_limit)
 from mimo_pilot.refsolver import ConstrainedProblem, solve
@@ -510,7 +510,7 @@ class TestExpRceeAsymptotic:
             for gamma in (1, 3, 7):
                 cfg = default_config("fig4b", seed=seed).replace(Gamma=gamma)
                 for drop in range(20):
-                    beta = _realization(cfg, drop)
+                    beta = drop_gains(cfg, drop)
                     for method in (LS, MMSE):
                         values, mean = _oracle_asymptote(method, beta, cfg)
                         limits = exp_rcee_asymptotic(method, beta, cfg)
