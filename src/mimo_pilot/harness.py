@@ -14,14 +14,8 @@ streams.  After the map, the caller evaluates the closed forms one gamma
 at a time over blocks of drops, one call per estimator on a block's
 stacked gains and powers.  A table gives each experiment its Monte-Carlo,
 its closed forms and one of three reductions over drops (a grid, a
-distribution, or the validate rows).  With ``jobs`` > 1 the drops are
-shared out by :func:`_fork_map`: the caller forks up to ``jobs`` - 1
-children after ``numpy.random`` is loaded, so none loads it on its first
-drop, and runs a share itself; every worker takes the next drops from one
-queue as it finishes its last.  Every child is reaped before the sweep
-returns or raises.  Parallel sweeps need ``os.fork`` (Linux; macOS forks
-too, though its system libraries do not promise to survive a fork), and
-a platform without it, such as Windows, runs the sweep in-process.
+distribution, or the validate rows).  The drops are shared out over up
+to ``jobs`` processes by :func:`forkmap.fork_map`.
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -41,8 +35,6 @@ literal antenna model in ``tests/oracle.py``.
 from __future__ import annotations
 
 import os
-import pickle
-import sys
 import time
 import warnings
 import zlib
@@ -53,6 +45,7 @@ import numpy as np
 from . import metrics, ppa
 from .airlink import complex_normal, empirical_sinr_terms, sample_channels
 from .estimators import LS, MMSE, METHODS
+from .forkmap import fork_map
 from .refsolver import ConstrainedProblem, solve
 from .scenario import (REUSE_FACTORS, SystemConfig, _gains, _user_offsets, build_layout,
                        db_to_linear, sample_shadowing)
@@ -355,26 +348,22 @@ def _mc_trials(cfg: SystemConfig, drop: int, n_trials: int, beta_slice,
         yield h, h_hat, ratio.mean(axis=-1)
 
 
-def _collapse_cells(beta, rho_stack):
+def _collapse_cells(beta, target, flat):
     """Two-row gains and powers with the estimates' law of all L cells.
 
     Under the identity pilot book user k's estimate sees the other cells
-    only through sum_l sqrt(rho_lk) h_lk.  When every allocation gives
-    each other cell the same power rho_other_k, that sum is
-    sqrt(rho_other_k) S_k with S_k = sum_{l>=1} h_lk ~ CN(0, sum_{l>=1}
-    beta_lk I).  Returns the (2, K) gains (beta_0, sum_{l>=1} beta_l) and
-    the (C, 2, K) powers (rho_0, rho_other), with a zero row of both for a
-    single cell; raises ``ValueError`` unless rows l >= 1 of every (L, K)
-    allocation in ``rho_stack`` are equal.
+    only through sum_l sqrt(rho_lk) h_lk.  Every other cell gives each
+    user the same flat power, so that sum is sqrt(flat) S_k with S_k =
+    sum_{l>=1} h_lk ~ CN(0, sum_{l>=1} beta_lk I).  ``target`` holds C
+    allocations' (K,) target-cell rows and ``flat`` their C flat powers.
+    Returns the (2, K) gains (beta_0, sum_{l>=1} beta_l) and the (C, 2,
+    K) powers (target, flat), with a zero row of both for a single cell.
     """
-    rho_stack = np.asarray(rho_stack, dtype=float)
-    other = rho_stack[:, 1:]
-    if np.any(other != other[:, :1]):
-        raise ValueError("collapsing the cells needs one power per user "
-                         "in every other cell")
-    rho_other = other[:, 0] if other.shape[1] else np.zeros_like(rho_stack[:, 0])
-    return (np.stack([beta[0], beta[1:].sum(axis=0)]),
-            np.stack([rho_stack[:, 0], rho_other], axis=1))
+    target = np.asarray(target, dtype=float)
+    other = np.zeros_like(target)
+    if len(beta) > 1:
+        other[...] = np.asarray(flat, dtype=float)[:, None]
+    return np.stack([beta[0], beta[1:].sum(axis=0)]), np.stack([target, other], axis=1)
 
 
 # trials per block of the Gram draw, so its memory does not grow with the
@@ -481,25 +470,28 @@ def _gram_trials(cfg: SystemConfig, drop: int, n_trials: int, gains, rho_stack,
         yield _prefix_rcee(gram, weights)
 
 
-def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, budgets,
+def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, target, flat,
               m_values) -> dict | None:
     """Monte-Carlo mean error of every allocation, or None without trials.
 
-    All budgets' allocations share one run of :func:`_gram_trials`, on the
-    collapsed cells of :func:`_collapse_cells` and stacked budget-major;
-    each (scheme, method) gets its means over budgets x ``m_values``.
+    ``target`` holds the (B, C, K) target-cell powers of the sorted
+    (scheme, method) combos at each budget, ``flat`` the (B,) flat P/K of
+    the other cells.  All of them share one run of :func:`_gram_trials`,
+    on the collapsed cells of :func:`_collapse_cells` and stacked
+    budget-major; each combo gets its means over budgets x ``m_values``.
     Each block's trials are summed in trial order, then the blocks in
     block order, so every mean is the same whatever is stacked beside it.
     """
     if plan.n_small == 0:
         return None
-    combos = list(budgets[0])
-    gains, powers = _collapse_cells(beta, [rhos[c] for rhos in budgets for c in combos])
+    combos = _combos(plan)
+    B, C, K = target.shape
+    gains, powers = _collapse_cells(beta, target.reshape(B * C, K), np.repeat(flat, C))
     total = 0.0
     for lam in _gram_trials(cfg, drop, plan.n_small, gains, powers,
-                            [m for _, m in combos] * len(budgets), m_values):
+                            [m for _, m in combos] * B, m_values):
         total = total + np.cumsum(lam, axis=0)[-1]
-    mc = (total / plan.n_small).reshape(len(budgets), len(combos), len(m_values))
+    mc = (total / plan.n_small).reshape(B, C, len(m_values))
     return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
 
 
@@ -509,205 +501,63 @@ def _mean(values: np.ndarray) -> float:
     return float(values.sum()) / values.size
 
 
-def _full_powers(target, cfg_ps, L: int) -> np.ndarray:
+def _full_powers(target, flat, L: int) -> np.ndarray:
     """(..., B, C, L, K) powers: target rows, then budget b's flat P/K."""
     rho = np.empty((*target.shape[:-1], L, target.shape[-1]))
-    rho[...] = np.array([c.P_total / c.K for c in cfg_ps])[:, None, None, None]
+    rho[...] = flat[:, None, None, None]
     rho[..., 0, :] = target
     return rho
 
 
-def _fig4b_mc(plan, cfg, drop, beta, budgets, m_values):
+def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values):
     # and the allocator's high-budget limit, which the ppa and ref rows share
-    return (_mc_means(plan, cfg, drop, beta, budgets, m_values),
+    return (_mc_means(plan, cfg, drop, beta, target, flat, m_values),
             {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS})
 
 
-def _validate_mc(plan, cfg, drop, beta, budgets, m_values) -> dict:
+def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
     """Each allocation's error mean and standard error, and mean empirical SINR."""
-    rho_mats = budgets[0]
-    n, C = plan.n_small, len(rho_mats)
+    combos = _combos(plan)
+    n, C = plan.n_small, len(combos)
     lam = np.empty((C, n))
     channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
     estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
     start = 0
-    for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, np.stack([*rho_mats.values()]),
-                                      [m for _, m in rho_mats], m_values):
+    for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, _full_powers(target, flat, cfg.L)[0],
+                                      [m for _, m in combos], m_values):
         block = slice(start, start + len(h))
         channels[block], estimates[block], lam[:, block] = h, h_hat, lam_b[:, :, 0].T
         start = block.stop
     return {combo: (_mean(lam[c]), float(lam[c].std(ddof=1) / np.sqrt(n)),
                     float(np.mean([empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u,
                                                         k).sinr for k in range(cfg.K)])))
-            for c, combo in enumerate(rho_mats)}
+            for c, combo in enumerate(combos)}
 
 
 def _run_drop(args):
     """One drop's draws, allocations and Monte-Carlo at each reuse factor.
 
     ``args`` is (plan, sweep, drop index), the sweep the per-gamma configs,
-    centres and budget configs (one per ``p_grid_db`` entry in fig4b, else
-    the gamma's config).  Returns the (Gamma, L, K) gains, the (Gamma,
-    budgets, C, K) target-cell powers of the sorted (scheme, method) combos
-    and each gamma's Monte-Carlo values (None where the sweep has none)."""
-    plan, (cfgs, layouts, budget_cfgs), drop = args
+    centres, budget configs (one per ``p_grid_db`` entry in fig4b, else
+    the gamma's config) and their flat P/K.  Returns the (Gamma, L, K)
+    gains, the (Gamma, budgets, C, K) target-cell powers of the sorted
+    (scheme, method) combos and each gamma's Monte-Carlo values (None
+    where the sweep has none)."""
+    plan, (cfgs, layouts, budget_cfgs, flats), drop = args
     combos, drop_mc = _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
     gains = np.array(_drop_gains(cfgs[0], layouts, drop))
     powers = np.empty((len(cfgs), len(budget_cfgs[0]), len(combos), cfgs[0].K))
     mc = []
-    for cfg, cfg_ps, beta, rows in zip(cfgs, budget_cfgs, gains, powers):
+    for cfg, cfg_ps, flat, beta, rows in zip(cfgs, budget_cfgs, flats, gains, powers):
         for cfg_p, row in zip(cfg_ps, rows):
             profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
             for c, (scheme, method) in enumerate(combos):
                 row[c] = (ppa.ppa_allocate(method, profile, cfg_p).rho if scheme == "ppa"
                           else reference_solve(method, profile, cfg_p).x if scheme == "ref"
                           else cfg_p.P_total / cfg.K)
-        mc.append(drop_mc and drop_mc(plan, cfg, drop, beta, [
-            dict(zip(combos, rho)) for rho in _full_powers(rows, cfg_ps, cfg.L)],
-            plan.m_grid or (cfg.M,)))
+        mc.append(drop_mc and drop_mc(plan, cfg, drop, beta, rows, flat,
+                                      plan.m_grid or (cfg.M,)))
     return gains, powers, mc
-
-
-def _worker_count(jobs: int, n_tasks: int, n_cpus: int) -> int:
-    """Worker count: never more workers than tasks or usable CPUs."""
-    return min(jobs, n_tasks, n_cpus)
-
-
-def _fork_map(fn, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, shared out over ``workers`` processes.
-
-    The caller is one worker and forks ``workers - 1`` children.  Every
-    worker takes chunks of tasks from one queue (:func:`_task_queue`)
-    until it is empty, so a worker that draws a slow drop (a reference
-    solve at a high budget can run to ``max_iter``) leaves the rest to
-    the others.  A child pickles its (chunk start, results) pairs, or its
-    exception and traceback text, down a pipe of its own.  The caller
-    runs its share, reads every pipe, reaps every child, then raises the
-    first failure in worker order (a child's traceback text is its cause)
-    or returns the results in task order.  If the caller's own share
-    fails, it kills and reaps every child first, so no child outlives the
-    call.  Without ``os.fork`` the tasks run in-process.
-    """
-    if not hasattr(os, "fork"):
-        return [fn(task) for task in tasks]
-    queue, size = _task_queue(len(tasks))
-    children = []  # (pid, read end of its pipe), in worker order
-    try:
-        for _ in range(1, workers):
-            children.append(_fork_share(fn, tasks, queue, size))
-        done = _take_chunks(fn, tasks, queue, size)
-        payloads = [pipe.read() for _, pipe in children]
-    except BaseException:
-        import signal  # only a failed sweep needs it
-        # so that no reap waits for a child to finish its share
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(queue)
-        codes = [_reap(pid, pipe) for pid, pipe in children]
-    for w, ((pid, _), payload, code) in enumerate(zip(children, payloads, codes), 1):
-        if code != 0 or not payload:
-            raise RuntimeError(f"sweep worker {w} (pid {pid}) exited with code "
-                               f"{code} and sent no results")
-        share, failure, trace = pickle.loads(payload)
-        if trace is not None:
-            raise failure from RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n"
-                                            f"{trace}")
-        done += share
-    results = [None] * len(tasks)
-    for start, chunk in done:
-        results[start:start + len(chunk)] = chunk
-    return results
-
-
-_RECORD = 4  # bytes per chunk start in the task queue
-
-
-def _task_queue(n_tasks: int):
-    """A pipe that holds the start of every chunk of ``size`` tasks, then
-    ends: its read end, and ``size``.  A read of one record takes exactly
-    one chunk, whichever worker reads it.  A chunk is one task up to
-    ``PIPE_BUF`` / 4 tasks (1024 on Linux) and grows past that, so that
-    every record goes in one write of at most ``PIPE_BUF`` bytes, which
-    an empty pipe takes without blocking."""
-    read, write = os.pipe()
-    try:
-        size = -(-n_tasks * _RECORD // os.fpathconf(write, "PC_PIPE_BUF"))
-        os.write(write, b"".join(start.to_bytes(_RECORD, "little")
-                                 for start in range(0, n_tasks, size)))
-    except BaseException:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    return read, size
-
-
-def _take_chunks(fn, tasks: list, queue: int, size: int) -> list:
-    """Run chunks of tasks taken from the queue until it is empty; returns
-    their (start, results) pairs."""
-    done = []
-    while record := os.read(queue, _RECORD):
-        start = int.from_bytes(record, "little")
-        done.append((start, [fn(task) for task in tasks[start:start + size]]))
-    return done
-
-
-def _flush_std_streams():
-    """Flush stdout and stderr, skipping one that is None or closed."""
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (AttributeError, ValueError):
-            pass
-
-
-def _fork_share(fn, tasks: list, queue: int, size: int):
-    """Fork a child that takes chunks from the queue and sends their outcome
-    down a new pipe; returns the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    # flushed here, what the caller has buffered is not written again by
-    # the child
-    _flush_std_streams()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        os.close(read)
-        _run_share(fn, tasks, queue, size, write)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _run_share(fn, tasks: list, queue: int, size: int, write: int):
-    """A child's whole life: run its share, send the pickled (results,
-    exception, traceback text) and exit, flushing its output but running
-    none of the caller's exit handlers."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((_take_chunks(fn, tasks, queue, size), None, None))
-        except BaseException as exc:  # sent to the caller, which raises it
-            import traceback  # only a failed sweep needs it
-            payload = pickle.dumps((None, exc, "".join(traceback.format_exception(exc))))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        try:
-            _flush_std_streams()
-        finally:
-            os._exit(code)
-
-
-def _reap(pid: int, pipe) -> int:
-    """Close a child's pipe and wait for it; returns its exit code."""
-    pipe.close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _combos(plan: ExperimentPlan) -> list:
@@ -726,28 +576,22 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
     cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
     budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                    if plan.experiment == "fig4b" else [c] for c in cfgs]
-    sweep = (cfgs, [build_layout(c) for c in cfgs], budget_cfgs)
+    flats = [np.array([c.P_total / c.K for c in cfg_ps]) for cfg_ps in budget_cfgs]
+    sweep = (cfgs, [build_layout(c) for c in cfgs], budget_cfgs, flats)
     tasks = [(plan, sweep, drop) for drop in range(plan.n_large)]
     getaffinity = getattr(os, "sched_getaffinity", None)
     n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    workers = _worker_count(plan.jobs, len(tasks), n_cpus)
-    if workers == 1:
-        results = [_run_drop(t) for t in tasks]
-    else:
-        # numpy.random loads lazily (some 13 ms): here the children inherit
-        # it; at import time every in-process run would pay it instead
-        import numpy.random  # noqa: F401
-        results = _fork_map(_run_drop, tasks, workers)
+    results = fork_map(_run_drop, tasks, min(plan.jobs, len(tasks), n_cpus))
     combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
     size = max(1, _CF_BLOCK // (8 * len(budget_cfgs[0]) * len(combos) * cfg.K
                                 * (cfg.L + max(1, len(plan.m_grid)))))
     per_gamma = {gamma: [] for gamma in plan.gammas}
-    for g, (cfg_g, cfg_ps) in enumerate(zip(cfgs, budget_cfgs)):
+    for g, (cfg_g, flat) in enumerate(zip(cfgs, flats)):
         for i in range(0, len(results), size):
             gains, powers, mc = zip(*results[i:i + size])
             per_gamma[cfg_g.Gamma] += closed_forms(
                 plan, cfg_g, combos, np.stack([x[g] for x in gains])[:, None, None],
-                _full_powers(np.stack([x[g] for x in powers]), cfg_ps, cfg.L), [x[g] for x in mc])
+                _full_powers(np.stack([x[g] for x in powers]), flat, cfg.L), [x[g] for x in mc])
     return per_gamma
 
 
@@ -817,7 +661,7 @@ def _mean_stderr(values) -> tuple[float, float | None]:
 
 def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
     """Execute one experiment; with ``jobs`` > 1 its drops run in forked
-    children and in the caller (:func:`_fork_map`).
+    children and in the caller (:func:`forkmap.fork_map`).
 
     At most ``jobs`` processes run, and no more than there are drops or
     CPUs this process may use.  Which process runs a drop depends on how
@@ -892,8 +736,10 @@ _PER_EXPERIMENT = {
 # allocator timing
 
 
-def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0,
-                     budget: float = 1.0e4) -> list[tuple]:
+_BENCH_BUDGET = 1.0e4  # the pilot budget of every timed profile
+
+
+def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0) -> list[tuple]:
     """Time the closed-form allocator against the reference solver.
 
     One synthetic interference profile per K; both solvers minimize the
@@ -903,10 +749,10 @@ def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0,
     rows = []
     for K in k_values:
         rng = seed_schedule(seed, K, "bench-profile")
-        ups = 1.0 + (budget / K) * 10.0 ** rng.normal(-1.5, 0.6, K)
+        ups = 1.0 + (_BENCH_BUDGET / K) * 10.0 ** rng.normal(-1.5, 0.6, K)
         beta0 = 10.0 ** rng.normal(-1.0, 0.6, K)
         profile = ppa.InterferenceProfile(upsilon=ups, beta_target=beta0)
-        cfg = SystemConfig(K=K, M=200, P_total=budget, mu=1.5, seed=seed)
+        cfg = SystemConfig(K=K, M=200, P_total=_BENCH_BUDGET, mu=1.5, seed=seed)
 
         loops = 100
         best_ppa = min(

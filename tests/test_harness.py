@@ -13,14 +13,14 @@ from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
                         MetricReport, bench_allocators, default_config,
                         empirical_cdf, ks_distance, plan_for, run_experiment,
                         seed_schedule)
-from mimo_pilot import harness, metrics, ppa
+from mimo_pilot import forkmap, harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
+from mimo_pilot.forkmap import fork_map
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
-                                _collapse_cells, _error_weights, _fork_map,
-                                _gram_segments, _gram_trials, _mc_means, _mc_trials,
-                                _mean, _mean_stderr, _prefix_rcee, _worker_count,
-                                drop_gains)
+                                _collapse_cells, _error_weights, _gram_segments,
+                                _gram_trials, _mc_means, _mc_trials, _mean, _mean_stderr,
+                                _prefix_rcee, drop_gains)
 from mimo_pilot.scenario import SystemConfig, build_layout, drop_users, large_scale
 from oracle import (drop_budgets, drop_closed_forms, estimate_ls, estimate_mmse,
                     pilot_phase, rcee_prefix_samples)
@@ -525,7 +525,7 @@ def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monke
                                                        reaped):
     plan = plan_for("fig4a", gammas=(1, 3), n_large=3)
     serial = run_experiment(plan, tiny_cfg).rows
-    monkeypatch.delattr(harness.os, "fork")
+    monkeypatch.delattr(forkmap.os, "fork")
     assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
 
 
@@ -562,8 +562,18 @@ class TestForkMap:
         def task(t):
             return t * t, [t] * (t % 7)
 
-        assert _fork_map(task, list(range(n_tasks)), workers) == [
+        assert fork_map(task, list(range(n_tasks)), workers) == [
             task(t) for t in range(n_tasks)]
+
+    def test_one_worker_runs_in_process(self, reaped, monkeypatch):
+        # neither a child nor the task queue's pipe
+        def refuse():
+            raise AssertionError("a one-worker map left the in-process path")
+
+        monkeypatch.setattr(forkmap.os, "fork", refuse)
+        monkeypatch.setattr(forkmap.os, "pipe", refuse)
+        assert fork_map(lambda t: (t, os.getpid()), list(range(5)), 1) == [
+            (t, os.getpid()) for t in range(5)]
 
     def test_a_slow_task_leaves_the_rest_to_the_other_worker(self, reaped):
         # task 0 ends only after the five others have run, so one worker
@@ -579,7 +589,7 @@ class TestForkMap:
             return t
 
         try:
-            assert _fork_map(task, list(range(6)), 2) == list(range(6))
+            assert fork_map(task, list(range(6)), 2) == list(range(6))
         finally:
             os.close(ran_read)
             os.close(ran_write)
@@ -589,7 +599,7 @@ class TestForkMap:
             raise ValueError(f"bad task {t}")
 
         with pytest.raises(ValueError, match="bad task") as caught:
-            _fork_map(one_each(fail, lambda t: t), [0, 1], 2)
+            fork_map(one_each(fail, lambda t: t), [0, 1], 2)
         cause = caught.value.__cause__
         assert isinstance(cause, RuntimeError)
         assert "sweep worker 1" in str(cause)
@@ -611,7 +621,7 @@ class TestForkMap:
 
         try:
             with pytest.raises(KeyError, match="the caller's share"):
-                _fork_map(one_each(in_child, in_caller), [0, 1], 2)
+                fork_map(one_each(in_child, in_caller), [0, 1], 2)
         finally:
             os.close(hold_read)
             os.close(hold_write)
@@ -620,13 +630,12 @@ class TestForkMap:
     def test_a_child_that_exits_without_results_is_named(self, reaped, one_each, code):
         with pytest.raises(RuntimeError, match=rf"sweep worker 1 \(pid \d+\) exited "
                                                rf"with code {code} and sent no results"):
-            _fork_map(one_each(lambda t: os._exit(code), lambda t: t), [0, 1], 2)
+            fork_map(one_each(lambda t: os._exit(code), lambda t: t), [0, 1], 2)
 
 
 class TestSweepOutput:
-    """With output going to a file (block-buffered), a parallel sweep writes
-    what the caller had buffered once, and what a child writes before it
-    exits."""
+    """With output going to a file (block-buffered), a fork map writes what
+    the caller had buffered once, and what a child writes before it exits."""
 
     @staticmethod
     def _buffered(name, run):
@@ -639,12 +648,10 @@ class TestSweepOutput:
             setattr(sys, name, saved)
             stream.close()
 
-    def test_buffered_text_is_written_once(self, tiny_cfg, capfd, two_cpus, reaped):
-        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=2)
-
+    def test_buffered_text_is_written_once(self, capfd, reaped):
         def run():
             sys.stdout.write("written before the sweep")
-            run_experiment(plan, tiny_cfg)
+            assert fork_map(lambda t: -t, list(range(4)), 2) == [0, -1, -2, -3]
 
         self._buffered("stdout", run)
         assert capfd.readouterr().out == "written before the sweep"
@@ -683,62 +690,60 @@ class TestSweepOutput:
     @pytest.mark.parametrize("stream", ["stdout", "stderr"])
     @pytest.mark.parametrize("state", ["None", "closed"])
     def test_a_missing_or_closed_stream_does_not_stop_the_sweep(
-            self, tiny_cfg, two_cpus, reaped, monkeypatch, stream, state):
+            self, reaped, monkeypatch, stream, state):
         # as when a command runs with fd 1 or 2 closed, or a host closed it
-        plan = plan_for("fig4a", gammas=(1,), n_large=4)
-        serial = run_experiment(plan, tiny_cfg).rows
         closed = open(os.devnull, "w")
         closed.close()
         monkeypatch.setattr(sys, stream, None if state == "None" else closed)
-        assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
+        assert fork_map(lambda t: t * t, list(range(4)), 2) == [0, 1, 4, 9]
 
 
-def test_worker_count_is_bounded():
-    assert _worker_count(1, 10, 8) == 1
-    assert _worker_count(4, 10, 8) == 4
-    assert _worker_count(10**6, 6, 64) == 6
-    assert _worker_count(10**6, 600, 2) == 2
-
-
-class TestPoolSize:
-    """--jobs is bounded by the CPUs this process may run on, not the host's."""
+class TestForkMapSize:
+    """--jobs is bounded by the drops and by the CPUs this process may run
+    on, not the host's."""
 
     @pytest.fixture
-    def pools(self, monkeypatch, reaped):
+    def fork_maps(self, monkeypatch, reaped):
         # records the worker count of every fork map the sweep runs, and
         # runs it
         sizes = []
-        fork_map = harness._fork_map
 
         def recording(fn, tasks, workers):
             sizes.append(workers)
             return fork_map(fn, tasks, workers)
 
-        monkeypatch.setattr(harness, "_fork_map", recording)
+        monkeypatch.setattr(harness, "fork_map", recording)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         return sizes
 
-    def _run(self, tiny_cfg):
-        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=8)
+    def _run(self, tiny_cfg, jobs=8):
+        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=jobs)
         return run_experiment(plan, tiny_cfg).rows
 
-    def test_affinity_bounds_the_pool(self, tiny_cfg, pools, monkeypatch):
+    def test_affinity_bounds_the_fork_map(self, tiny_cfg, fork_maps, monkeypatch):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         rows = self._run(tiny_cfg)
-        assert pools == [2]
+        assert fork_maps == [2]
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3},
                             raising=False)
         assert self._run(tiny_cfg) == rows
-        assert pools == [2]  # one usable CPU: the sweep ran in-process
+        assert fork_maps == [2, 1]  # one usable CPU: one worker, in-process
 
-    def test_cpu_count_without_affinity(self, tiny_cfg, pools, monkeypatch):
+    def test_cpu_count_without_affinity(self, tiny_cfg, fork_maps, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         self._run(tiny_cfg)
-        assert pools == [4]  # 64 CPUs, four drops
+        assert fork_maps == [4]  # 64 CPUs, four drops
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         self._run(tiny_cfg)
-        assert pools == [4]  # no CPU count: one worker, in-process
+        assert fork_maps == [4, 1]  # no CPU count: one worker, in-process
+
+    def test_jobs_bound_the_fork_map(self, tiny_cfg, fork_maps, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        rows = self._run(tiny_cfg, jobs=3)
+        assert self._run(tiny_cfg, jobs=1) == rows
+        assert fork_maps == [3, 1]  # 64 CPUs, four drops
 
 
 class TestMonteCarloKernel:
@@ -838,18 +843,11 @@ class TestCollapsedCells:
     """fig3/fig4b draw (h_0k, sum_{l>=1} h_lk) in place of every cell."""
 
     def test_two_rows_of_gains_and_powers(self, table_beta):
-        rho = np.full((2, *table_beta.shape), 1000.0)
-        rho[0, 0] = [500.0, 1500.0, 1000.0]
-        rho[1, 1:] = 700.0
-        gains, powers = _collapse_cells(table_beta, rho)
+        target = np.array([[500.0, 1500.0, 1000.0], [1000.0, 1000.0, 1000.0]])
+        gains, powers = _collapse_cells(table_beta, target, np.array([1000.0, 700.0]))
         assert np.array_equal(gains, [table_beta[0], table_beta[1:].sum(axis=0)])
-        assert np.array_equal(powers, rho[:, :2])
-
-    def test_rejects_other_cells_one_ulp_apart(self, table_beta):
-        rho = np.full((3, *table_beta.shape), 1000.0)
-        rho[1, 4, 2] = np.nextafter(1000.0, np.inf)
-        with pytest.raises(ValueError, match="other cell"):
-            _collapse_cells(table_beta, rho)
+        assert np.array_equal(powers, [[target[0], np.full(3, 1000.0)],
+                                       [target[1], np.full(3, 700.0)]])
 
     # Fixed before any run: the Gram draw against the full antenna draw at
     # every antenna count of the desk grid, for the eppa and ppa powers
@@ -866,6 +864,7 @@ class TestCollapsedCells:
         beta = drop_gains(cfg, 0)
         profile = ppa.eppa_profile(beta, cfg.P_total, cfg.K)
         combos = [(scheme, method) for scheme in ("eppa", "ppa") for method in METHODS]
+        flat = np.full(len(combos), cfg.P_total / cfg.K)
         rho_stack = np.full((len(combos), cfg.L, cfg.K), cfg.P_total / cfg.K)
         for c, (scheme, method) in enumerate(combos):
             if scheme == "ppa":
@@ -877,7 +876,7 @@ class TestCollapsedCells:
             _DESK_M_GRID)])
         gram = np.concatenate(list(_gram_trials(
             cfg.replace(seed=self.SEEDS["collapsed"]), 0, n,
-            *_collapse_cells(beta, rho_stack), methods, _DESK_M_GRID)))
+            *_collapse_cells(beta, rho_stack[:, 0], flat), methods, _DESK_M_GRID)))
         assert gram.shape == antenna.shape
         for c, combo in enumerate(combos):
             for i, m in enumerate(_DESK_M_GRID):
@@ -899,7 +898,7 @@ class TestCollapsedCells:
 
     def test_single_cell_gets_a_silent_zero_row(self, table_beta):
         rho = np.full((2, 1, table_beta.shape[1]), 1000.0)
-        gains, powers = _collapse_cells(table_beta[:1], rho)
+        gains, powers = _collapse_cells(table_beta[:1], rho[:, 0], np.full(2, 1000.0))
         assert np.array_equal(gains, [table_beta[0], np.zeros(3)])
         assert np.array_equal(powers, np.concatenate([rho, np.zeros_like(rho)], axis=1))
 
@@ -932,15 +931,14 @@ def test_gram_memory_is_flat_in_the_trial_count():
     # a fig4b drop: 4 allocations at each of 7 budgets in one kernel run
     cfg = default_config("fig3", seed=0)
     beta = drop_gains(cfg, 0)
-    budgets = [{(scheme, method): np.full((cfg.L, cfg.K), 10.0 ** (p_db / 10.0) / cfg.K)
-                for scheme in ("eppa", "ppa") for method in METHODS}
-               for p_db in _DESK_P_GRID_DB]
+    flat = np.array([10.0 ** (p_db / 10.0) / cfg.K for p_db in _DESK_P_GRID_DB])
+    target = np.broadcast_to(flat[:, None, None], (len(flat), 4, cfg.K))
 
     def peak(n_trials):
         plan = plan_for("fig4b", gammas=(1,), n_large=1, n_small=n_trials)
         tracemalloc.start()
         try:
-            _mc_means(plan, cfg, 0, beta, budgets, (cfg.M,))
+            _mc_means(plan, cfg, 0, beta, target, flat, (cfg.M,))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -990,7 +988,8 @@ def test_gram_draw_reaches_the_large_antenna_limit():
         rhos.append(rho)
     m_values = np.array([512, 10**4, 10**6, 10**8])
     n = 2000
-    gains, powers = _collapse_cells(beta, rhos)
+    gains, powers = _collapse_cells(beta, [rho[0] for rho in rhos],
+                                    np.full(len(rhos), cfg.P_total / cfg.K))
     lam = np.concatenate(list(_gram_trials(cfg, 0, n, gains, powers,
                                            [m for _, m in combos], m_values)))
     assert lam.shape == (n, len(combos), len(m_values))

@@ -63,23 +63,25 @@ def _python(code: str) -> list[str]:
     return done.stdout.split()
 
 
-def test_numpy_random_loads_before_the_pool_and_not_at_import():
-    # numpy.random costs some 13 ms to load.  A parallel sweep loads it
+def test_numpy_random_loads_before_the_fork_map_forks_and_not_at_import():
+    # numpy.random costs some 13 ms to load.  The fork map loads it
     # before it forks, so its children start with it; importing the
     # package must not load it, or every in-process run would pay it in
-    # its setup.
+    # its setup.  A sweep at two workers forks one child.
     code = """
+import os
 import sys
 import mimo_pilot
 from mimo_pilot import harness
 print("numpy.random" in sys.modules)
+fork = os.fork
 
-def fork_map(fn, tasks, workers):
-    print("numpy.random" in sys.modules)
-    return [fn(task) for task in tasks]
+def fork_after_printing():
+    print("numpy.random" in sys.modules, flush=True)
+    return fork()
 
-harness._fork_map = fork_map
-harness.os.sched_getaffinity = lambda pid: {0, 1}
+os.fork = fork_after_printing
+os.sched_getaffinity = lambda pid: {0, 1}
 plan = harness.plan_for("fig5b", n_large=2, jobs=2)
 harness.run_experiment(plan, harness.default_config("fig5b"))
 """
