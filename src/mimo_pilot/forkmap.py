@@ -3,19 +3,21 @@
 :func:`fork_map` returns ``[fn(task) for task in tasks]``.  With one
 worker, or on a platform without ``os.fork`` such as Windows, it runs
 the tasks in-process.  Otherwise the caller loads ``numpy.random``, so
-that no child loads it on its first task, forks ``workers - 1``
-children and runs a share itself.  Every worker takes chunks of tasks
-from one queue (:func:`_task_queue`) until it is empty, so a worker that
-draws a slow task (a reference solve at a high budget can run to
-``max_iter``) leaves the rest to the others.  A child pickles its (chunk
-start, results) pairs, or its exception and traceback text, down a pipe
-of its own.  The caller runs its share, reads every pipe, reaps every
-child, then raises the first failure in worker order (a child's
-traceback text is its cause) or returns the results in task order.  If
-the caller's own share fails, it kills and reaps every child first, so
-no child outlives the call.  macOS forks too, though its system
-libraries do not promise to survive a fork.  Nothing of
-``multiprocessing`` loads.
+that no child loads it on its first task, forks ``workers - 1`` children
+and runs a share itself.  On Linux each worker has its own CPU of the
+affinity set for the map, if there are enough, and the caller then gets
+its set back: the kernel may leave a child on its parent's CPU while
+another idles.  Every worker takes chunks of tasks from one queue
+(:func:`_task_queue`) until it is empty, so a worker that draws a slow
+task (a reference solve at a high budget can run to ``max_iter``) leaves
+the rest to the others.  A child pickles its (chunk start, results)
+pairs, or its exception and traceback text, down a pipe of its own.  The
+caller runs its share, reads every pipe, reaps every child, then raises
+the first failure in worker order (a child's traceback text is its
+cause) or returns the results in task order.  If the caller's own share
+fails, it kills and reaps every child first, so no child outlives the
+call.  macOS forks too, though its system libraries do not promise to
+survive a fork.  Nothing of ``multiprocessing`` loads.
 """
 
 from __future__ import annotations
@@ -32,11 +34,14 @@ def fork_map(fn, tasks: list, workers: int) -> list:
     # numpy.random loads lazily (some 13 ms): here the children inherit
     # it; at import time every in-process run would pay it instead
     import numpy.random  # noqa: F401
+    mask = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    cpus = [{cpu} for cpu in sorted(mask)] if len(mask) >= workers else [mask] * workers
     queue, size = _task_queue(len(tasks))
     children = []  # (pid, read end of its pipe), in worker order
     try:
-        for _ in range(1, workers):
-            children.append(_fork_share(fn, tasks, queue, size))
+        for w in range(1, workers):
+            children.append(_fork_share(fn, tasks, queue, size, cpus[w]))
+        _pin(cpus[0])
         done = _take_chunks(fn, tasks, queue, size)
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
@@ -46,6 +51,7 @@ def fork_map(fn, tasks: list, workers: int) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _pin(mask)  # only this thread moved
         os.close(queue)
         codes = [_reap(pid, pipe) for pid, pipe in children]
     for w, ((pid, _), payload, code) in enumerate(zip(children, payloads, codes), 1):
@@ -105,9 +111,17 @@ def _flush_std_streams():
             pass
 
 
-def _fork_share(fn, tasks: list, queue: int, size: int):
-    """Fork a child that takes chunks from the queue and sends their outcome
-    down a new pipe; returns the child's pid and the pipe's read end."""
+def _pin(cpus):
+    """Best effort: run this thread on ``cpus`` alone."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no such call (macOS), or no such CPU
+        pass
+
+
+def _fork_share(fn, tasks: list, queue: int, size: int, cpus):
+    """Fork a child that takes chunks from the queue on ``cpus`` and sends
+    their outcome down a new pipe; returns its pid and the pipe's read end."""
     read, write = os.pipe()
     # flushed here, what the caller has buffered is not written again by
     # the child
@@ -120,17 +134,18 @@ def _fork_share(fn, tasks: list, queue: int, size: int):
         raise
     if pid == 0:
         os.close(read)
-        _run_share(fn, tasks, queue, size, write)
+        _run_share(fn, tasks, queue, size, write, cpus)
     os.close(write)
     return pid, open(read, "rb")
 
 
-def _run_share(fn, tasks: list, queue: int, size: int, write: int):
-    """A child's whole life: run its share, send the pickled (results,
-    exception, traceback text) and exit, flushing its output but running
-    none of the caller's exit handlers."""
+def _run_share(fn, tasks: list, queue: int, size: int, write: int, cpus):
+    """A child's whole life: move onto ``cpus``, run its share, send the
+    pickled (results, exception, traceback text) and exit, flushing its
+    output but running none of the caller's exit handlers."""
     code = 1
     try:
+        _pin(cpus)
         try:
             payload = pickle.dumps((_take_chunks(fn, tasks, queue, size), None, None))
         except BaseException as exc:  # sent to the caller, which raises it

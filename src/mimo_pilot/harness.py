@@ -663,11 +663,11 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
     """Execute one experiment; with ``jobs`` > 1 its drops run in forked
     children and in the caller (:func:`forkmap.fork_map`).
 
-    At most ``jobs`` processes run, and no more than there are drops or
-    CPUs this process may use.  Which process runs a drop depends on how
-    fast the others finish theirs, but the reduction over drops always
-    happens in drop order, so the report is a pure function of (plan,
-    cfg) regardless of ``jobs``.
+    At most ``jobs`` processes run, no more than there are drops or CPUs
+    this process may use, and on Linux each on a CPU of its own, so that no
+    two share one while another idles.  A drop goes to whichever process is
+    free first, but the reduction over drops happens in drop order, so the
+    report is a pure function of (plan, cfg) regardless of ``jobs``.
     """
     if cfg.K < 2:
         raise ValueError("experiments need at least two users per cell")

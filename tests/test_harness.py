@@ -9,10 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf, ExperimentPlan,
-                        MetricReport, bench_allocators, default_config,
-                        empirical_cdf, ks_distance, plan_for, run_experiment,
-                        seed_schedule)
+from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, ExperimentPlan, MetricReport,
+                        bench_allocators, default_config, empirical_cdf, ks_distance,
+                        plan_for, run_experiment, seed_schedule)
 from mimo_pilot import forkmap, harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
@@ -369,8 +368,7 @@ def test_jobs_do_not_change_rows_with_fewer_drops_than_gamma_drop_pairs(
         tiny_cfg, monkeypatch, reaped, experiment):
     # two drops at three reuse factors: two tasks, so never more than two
     # workers, whatever --jobs asks for
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
+    _fake_affinity(monkeypatch, {0, 1, 2})
     plan = plan_for(experiment, gammas=(1, 3, 7), n_large=2, n_small=2)
     rows = [run_experiment(dataclasses.replace(plan, jobs=jobs), tiny_cfg).rows
             for jobs in (1, 2, 3)]
@@ -497,13 +495,33 @@ def test_rows_do_not_depend_on_the_closed_form_block(tiny_cfg, monkeypatch, two_
             assert blocks == sizes * 3, (budget, jobs)
 
 
+# taken at import, as tests replace os.sched_getaffinity
+_AFFINITY = getattr(os, "sched_getaffinity", None)
+_CPUS = frozenset(_AFFINITY(0)) if _AFFINITY else frozenset()
+
+
+def _cpu_mask():
+    """The CPUs this thread may run on, None where the platform cannot say."""
+    return _AFFINITY(0) if _AFFINITY else None
+
+
+def _fake_affinity(monkeypatch, cpus):
+    """Makes ``os`` report the affinity set ``cpus`` and take none: pinned to
+    a CPU of a faked set, and restored to it, a process could keep fewer
+    CPUs than it had on a larger machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
 @pytest.fixture
 def reaped():
-    """Fails the test if it leaves a child process, running or unreaped;
-    a test that hangs raises ``TimeoutError`` instead of stalling."""
+    """Fails the test if it leaves a child process, running or unreaped, or
+    this process on other CPUs than it had; a test that hangs raises
+    ``TimeoutError`` instead of stalling."""
     def expire(signum, frame):
         raise TimeoutError("the test did not finish in time")
 
+    mask = _cpu_mask()
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)
     try:
@@ -513,12 +531,12 @@ def reaped():
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _cpu_mask() == mask
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _fake_affinity(monkeypatch, {0, 1})
 
 
 def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monkeypatch,
@@ -531,24 +549,28 @@ def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monke
 
 @pytest.fixture
 def one_each():
-    """Wraps a child's and the caller's task into one, such that the caller's
-    waits until a child has started its own: a two-worker map over two
-    tasks then gives each worker one, whichever takes which."""
-    started_read, started_write = os.pipe()
+    """Wraps a child's and the caller's task into one, such that each waits
+    until the other has started its own: a two-worker map over two tasks
+    then gives each worker one, whichever takes which (a child that did not
+    wait could take both before the caller reads the queue)."""
+    child_read, child_write = os.pipe()
+    caller_read, caller_write = os.pipe()
     caller = os.getpid()
 
     def wrap(in_child, in_caller):
         def task(t):
             if os.getpid() == caller:
-                os.read(started_read, 1)
+                os.read(child_read, 1)
+                os.write(caller_write, b"x")
                 return in_caller(t)
-            os.write(started_write, b"x")
+            os.write(child_write, b"x")
+            os.read(caller_read, 1)
             return in_child(t)
         return task
 
     yield wrap
-    os.close(started_read)
-    os.close(started_write)
+    for fd in (child_read, child_write, caller_read, caller_write):
+        os.close(fd)
 
 
 class TestForkMap:
@@ -631,6 +653,61 @@ class TestForkMap:
         with pytest.raises(RuntimeError, match=rf"sweep worker 1 \(pid \d+\) exited "
                                                rf"with code {code} and sent no results"):
             fork_map(one_each(lambda t: os._exit(code), lambda t: t), [0, 1], 2)
+
+    @pytest.mark.skipif(len(_CPUS) < 2, reason="needs two CPUs to pin to")
+    def test_each_worker_runs_on_a_cpu_of_its_own(self, reaped, one_each):
+        def task(t):
+            return os.getpid(), _cpu_mask()
+
+        seen = dict(fork_map(one_each(task, task), [0, 1], 2))
+        first, second = sorted(_CPUS)[:2]
+        assert seen.pop(os.getpid()) == {first}  # the caller's
+        assert list(seen.values()) == [{second}]  # the child's
+
+    @pytest.mark.skipif(len(_CPUS) < 2, reason="needs two CPUs to pin to")
+    @pytest.mark.parametrize("failing", [None, "caller", "child"])
+    def test_the_callers_cpus_are_restored(self, reaped, one_each, failing):
+        # also when the caller's share or a child's raises
+        during = []
+
+        def in_caller(t):
+            during.append(_cpu_mask())
+            if failing == "caller":
+                raise KeyError("the caller's share")
+            return t
+
+        def in_child(t):
+            if failing == "child":
+                raise KeyError("a child's share")
+            return t
+
+        try:
+            assert fork_map(one_each(in_child, in_caller), [0, 1], 2) == [0, 1]
+        except KeyError:
+            assert failing is not None
+        else:
+            assert failing is None
+        # against the set at import: after an earlier test left it narrowed,
+        # this map would pin nothing
+        assert during == [{min(_CPUS)}] and _cpu_mask() == _CPUS
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_cpus_the_machine_lacks_leave_their_workers_unpinned(self, reaped,
+                                                                 monkeypatch, real):
+        # a faked affinity set; no machine has CPUs 65536 and 65537
+        lacking = {1 << 16, (1 << 16) + 1}
+        cpus = (_CPUS if real else set()) | lacking
+        if len(cpus) > 10:
+            pytest.skip("a worker for each CPU would be too many processes")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+        def task(t):
+            return t * t, _cpu_mask()
+
+        results = fork_map(task, list(range(3 * len(cpus))), len(cpus))
+        assert [r for r, _ in results] == [t * t for t in range(3 * len(cpus))]
+        for _, mask in results:
+            assert mask == _CPUS or (len(mask) == 1 and mask < _CPUS)
 
 
 class TestSweepOutput:
@@ -721,12 +798,10 @@ class TestForkMapSize:
         return run_experiment(plan, tiny_cfg).rows
 
     def test_affinity_bounds_the_fork_map(self, tiny_cfg, fork_maps, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        _fake_affinity(monkeypatch, {0, 1})
         rows = self._run(tiny_cfg)
         assert fork_maps == [2]
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3},
-                            raising=False)
+        _fake_affinity(monkeypatch, {3})
         assert self._run(tiny_cfg) == rows
         assert fork_maps == [2, 1]  # one usable CPU: one worker, in-process
 
@@ -739,8 +814,7 @@ class TestForkMapSize:
         assert fork_maps == [4, 1]  # no CPU count: one worker, in-process
 
     def test_jobs_bound_the_fork_map(self, tiny_cfg, fork_maps, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
+        _fake_affinity(monkeypatch, range(64))
         rows = self._run(tiny_cfg, jobs=3)
         assert self._run(tiny_cfg, jobs=1) == rows
         assert fork_maps == [3, 1]  # 64 CPUs, four drops
