@@ -8,8 +8,7 @@ relative channel estimation error under a total budget and per-user
 bounds.
 """
 
-from .airlink import (SinrMoments, complex_normal, empirical_sinr_terms,
-                      sample_channels)
+from .airlink import SinrMoments, complex_normal, sample_channels
 from .estimators import LS, MMSE, METHODS, check_method
 from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
                       ExperimentPlan, MetricReport, bench_allocators,
@@ -40,7 +39,7 @@ __all__ = [
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
     "check_method", "complex_normal",
     "db_to_linear", "default_config", "drop_gains", "drop_users", "empirical_cdf",
-    "empirical_sinr_terms", "eppa_profile",
+    "eppa_profile",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",
     "in_hexagon", "ks_distance", "large_scale",

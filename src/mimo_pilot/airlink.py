@@ -1,4 +1,4 @@
-"""Fast fading and empirical SINR statistics.
+"""Fast fading and the matched-filter SINR of its Monte-Carlo moments.
 
 Everything here is expressed at the target base station: channel vectors
 h[l, k] are the links from user k of cell l to the target array, drawn as
@@ -52,52 +52,22 @@ def sample_channels(beta, M: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SinrMoments:
-    """Monte-Carlo moments of the matched-filter receiver for one user.
+    """Monte-Carlo moments of the matched-filter receiver.
 
-    ``signal_gain`` is |E{hhat^H h}|^2 for the user's own channel,
+    For one user, ``signal_gain`` is |E{hhat^H h}|^2 for its own channel,
     ``cross_energy[l, n]`` is E{|hhat^H h[l, n]|^2} against every user in
-    the system, and ``filter_energy`` is E{||hhat||^2}.
+    the system, and ``filter_energy`` is E{||hhat||^2}.  The moments may
+    carry leading stack axes, e.g. (C, K) for C allocations of K users,
+    with ``cross_energy`` (C, K, L, K); ``sinr`` then has the stack shape.
     """
 
-    signal_gain: float
-    cross_energy: np.ndarray  # (L, K)
-    filter_energy: float
+    signal_gain: float | np.ndarray
+    cross_energy: np.ndarray  # (..., L, K)
+    filter_energy: float | np.ndarray
     rho_u: float
 
     @property
-    def sinr(self) -> float:
+    def sinr(self):
         """Assemble the moments into the matched-filter uplink SINR."""
-        interference = self.rho_u * (self.cross_energy.sum() - self.signal_gain)
+        interference = self.rho_u * (self.cross_energy.sum(axis=(-2, -1)) - self.signal_gain)
         return self.rho_u * self.signal_gain / (interference + self.filter_energy)
-
-
-def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMoments:
-    """Estimate the receiver moments from paired channel/estimate ensembles.
-
-    ``channels`` (n, L, K, M) and ``estimates`` (n, K, M) are stacked
-    samples drawn under a single configuration, with the same estimator
-    applied throughout.  At least two samples are required for the
-    averages to be meaningful.
-    """
-    h = np.asarray(channels)
-    h_hat = np.asarray(estimates)
-    n = h.shape[0]
-    if n != h_hat.shape[0]:
-        raise ValueError("channel and estimate ensembles must pair up")
-    if n < 2:
-        raise ValueError("need at least 2 realizations to form moments")
-    if rho_u <= 0:
-        raise ValueError("rho_u must be positive")
-    hhat = h_hat[:, k]
-    inner = np.einsum("nm,nlkm->nlk", np.conj(hhat), h)
-    # every sum over trials runs in trial order (cumsum), as a running total
-    # over the ensemble would
-    inner_own = np.cumsum(inner[:, 0, k])[-1]
-    cross = np.cumsum(np.abs(inner) ** 2, axis=0)[-1]
-    energy = np.cumsum(np.matmul(np.conj(hhat)[:, None, :], hhat[:, :, None]).real)[-1]
-    return SinrMoments(
-        signal_gain=float(np.abs(inner_own / n) ** 2),
-        cross_energy=cross / n,
-        filter_energy=float(energy) / n,
-        rho_u=float(rho_u),
-    )

@@ -192,6 +192,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.kmax < 2:
+        raise ValueError("kmax must be at least 2")
     seed = _resolve_seed(args)
     rows = bench_allocators(k_values=tuple(range(2, args.kmax + 1)),
                             seed=0 if seed is None else seed)

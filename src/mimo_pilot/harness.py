@@ -26,10 +26,12 @@ segment of the antenna grid, O(1) variates per user and segment.
 validate needs every channel for its SINR, so :func:`_mc_trials` draws
 each channel and noise block at every antenna.  Both kernels draw from
 per-drop streams in blocks of trials, so their memory is flat in the
-trial count.  One draw per trial serves every allocation and antenna
-prefix of the drop, so all curves see common randomness.  The antenna
-kernel is the tests' reference for the Gram draw, held bit for bit to the
-literal antenna model in ``tests/oracle.py``.
+trial count; validate carries its SINR moments as running sums over the
+blocks, in trial order, so it holds one block, not the ensemble.  One
+draw per trial serves every allocation and antenna prefix of the drop,
+so all curves see common randomness.  The antenna kernel is the tests'
+reference for the Gram draw, held bit for bit to the literal antenna
+model in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, ppa
-from .airlink import complex_normal, empirical_sinr_terms, sample_channels
+from .airlink import SinrMoments, complex_normal, sample_channels
 from .estimators import LS, MMSE, METHODS
 from .forkmap import fork_map
 from .refsolver import ConstrainedProblem, solve
@@ -515,22 +517,39 @@ def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values):
             {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS})
 
 
+def _running(total, rows):
+    """``total`` plus the sum of ``rows`` over axis 0, added in row order:
+    the float sequence of one ``cumsum`` over every row so far."""
+    if total is not None:
+        rows = np.concatenate([total[None], rows])
+    return np.cumsum(rows, axis=0)[-1]
+
+
 def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
-    """Each allocation's error mean and standard error, and mean empirical SINR."""
+    """Each allocation's error mean and standard error, and mean empirical SINR.
+
+    The SINR moments of every allocation and user are running sums over
+    the kernel's blocks, in trial order, so one block of channels and
+    estimates is held at a time.
+    """
     combos = _combos(plan)
     n, C = plan.n_small, len(combos)
     lam = np.empty((C, n))
-    channels = np.empty((n, *beta.shape, cfg.M), dtype=complex)
-    estimates = np.empty((n, C, cfg.K, cfg.M), dtype=complex)
+    own = cross = energy = None
     start = 0
     for h, h_hat, lam_b in _mc_trials(cfg, drop, n, beta, _full_powers(target, flat, cfg.L)[0],
                                       [m for _, m in combos], m_values):
-        block = slice(start, start + len(h))
-        channels[block], estimates[block], lam[:, block] = h, h_hat, lam_b[:, :, 0].T
-        start = block.stop
-    return {combo: (_mean(lam[c]), float(lam[c].std(ddof=1) / np.sqrt(n)),
-                    float(np.mean([empirical_sinr_terms(channels, estimates[:, c], cfg.rho_u,
-                                                        k).sinr for k in range(cfg.K)])))
+        lam[:, start:start + len(h)] = lam_b[:, :, 0].T
+        start += len(h)
+        conj = np.conj(h_hat)
+        inner = np.einsum("nckm,nljm->ncklj", conj, h)  # hhat_ck^H h_lj
+        own = _running(own, np.diagonal(inner[:, :, :, 0], axis1=2, axis2=3))
+        cross = _running(cross, np.abs(inner) ** 2)
+        energy = _running(energy, np.matmul(conj[..., None, :], h_hat[..., None]).real[..., 0, 0])
+    # C pow, as a scalar's ** 2 is; an array's ** 2 is x * x, which can
+    # differ in the last bit
+    sinr = SinrMoments(np.float_power(np.abs(own / n), 2), cross / n, energy / n, cfg.rho_u).sinr
+    return {combo: (_mean(lam[c]), float(lam[c].std(ddof=1) / np.sqrt(n)), _mean(sinr[c]))
             for c, combo in enumerate(combos)}
 
 

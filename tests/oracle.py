@@ -4,7 +4,10 @@ The antenna model: pilot transmission, LS and MMSE estimation and the
 relative errors, one trial and one array at a time, written as the paper
 states them.  No sweep runs this path; fed the same draws,
 ``harness._mc_trials`` must match it bit for bit, and the acceptance
-criteria check it against the closed forms.
+criteria check it against the closed forms.  validate's SINR moments
+as one whole-ensemble pass per allocation and user, summed over trials
+in trial order: the running sums ``harness._validate_mc`` carries over
+the kernel's blocks must return the same bits.
 
 The level search, the projection and the allocator as they were
 written before the package moved their arithmetic onto Python float
@@ -25,7 +28,7 @@ import numpy as np
 
 from mimo_pilot import metrics
 from mimo_pilot import ppa as package_ppa
-from mimo_pilot.airlink import complex_normal
+from mimo_pilot.airlink import SinrMoments, complex_normal
 from mimo_pilot.estimators import LS, METHODS, MMSE, check_method
 from mimo_pilot.harness import reference_solve
 from mimo_pilot.ppa import InterferenceProfile, PilotAllocation
@@ -172,6 +175,38 @@ def rcee_prefix_samples(h, h_hat, m_values) -> np.ndarray:
     sig_c = np.cumsum(np.abs(h) ** 2, axis=-1)
     idx = m_values - 1
     return np.moveaxis(err_c[..., idx] / sig_c[..., idx], -1, 0)
+
+
+def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMoments:
+    """Estimate the receiver moments from paired channel/estimate ensembles.
+
+    ``channels`` (n, L, K, M) and ``estimates`` (n, K, M) are stacked
+    samples drawn under a single configuration, with the same estimator
+    applied throughout.  At least two samples are required for the
+    averages to be meaningful.
+    """
+    h = np.asarray(channels)
+    h_hat = np.asarray(estimates)
+    n = h.shape[0]
+    if n != h_hat.shape[0]:
+        raise ValueError("channel and estimate ensembles must pair up")
+    if n < 2:
+        raise ValueError("need at least 2 realizations to form moments")
+    if rho_u <= 0:
+        raise ValueError("rho_u must be positive")
+    hhat = h_hat[:, k]
+    inner = np.einsum("nm,nlkm->nlk", np.conj(hhat), h)
+    # every sum over trials runs in trial order (cumsum), as a running total
+    # over the ensemble would
+    inner_own = np.cumsum(inner[:, 0, k])[-1]
+    cross = np.cumsum(np.abs(inner) ** 2, axis=0)[-1]
+    energy = np.cumsum(np.matmul(np.conj(hhat)[:, None, :], hhat[:, :, None]).real)[-1]
+    return SinrMoments(
+        signal_gain=float(np.abs(inner_own / n) ** 2),
+        cross_energy=cross / n,
+        filter_energy=float(energy) / n,
+        rho_u=float(rho_u),
+    )
 
 
 def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:

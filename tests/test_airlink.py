@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import (SinrMoments, complex_normal, empirical_sinr_terms,
-                        sample_channels)
-from oracle import pilot_book, pilot_phase
+from mimo_pilot import SinrMoments, complex_normal, sample_channels
+from oracle import empirical_sinr_terms, pilot_book, pilot_phase
 
 
 def test_complex_normal_moments():
@@ -113,6 +112,22 @@ class TestSinrMoments:
         m = SinrMoments(signal_gain=4.0, cross_energy=np.array([[1.0, 2.0], [3.0, 4.0]]),
                         filter_energy=5.0, rho_u=2.0)
         assert m.sinr == pytest.approx(8.0 / 17.0, rel=1e-14)
+
+    def test_stacked_moments_assemble_each_user_bitwise(self):
+        # (C, K) stacks of moments give each user's SINR with the sum over
+        # its whole (L, K) cross-energy block, as one user's moments do
+        rng = np.random.default_rng(3)
+        C, K, L = 4, 10, 7
+        gain = rng.uniform(0.0, 50.0, (C, K))
+        cross = rng.uniform(0.0, 60.0, (C, K, L, K))
+        energy = rng.uniform(1.0, 9.0, (C, K))
+        sinr = SinrMoments(gain, cross, energy, 100.0).sinr
+        assert sinr.shape == (C, K)
+        for c in range(C):
+            for k in range(K):
+                one = 100.0 * gain[c, k] / (100.0 * (cross[c, k].sum() - gain[c, k])
+                                            + energy[c, k])
+                assert sinr[c, k] == one
 
     def test_hand_rolled_ensemble(self):
         rng = np.random.default_rng(6)

@@ -189,6 +189,16 @@ class TestValidate:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBench:
+    @pytest.mark.parametrize("kmax", ["1", "0"])
+    def test_rejects_kmax_below_two(self, kmax, capsys):
+        # range(2, kmax + 1) would be empty: a header-only CSV
+        assert main(["bench", "--kmax", kmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kmax must be at least 2\n"
+
+
 class TestFigure:
     def test_byte_identical_reruns(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

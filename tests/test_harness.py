@@ -21,8 +21,8 @@ from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _gram_trials, _mc_means, _mc_trials, _mean, _mean_stderr,
                                 _prefix_rcee, drop_gains)
 from mimo_pilot.scenario import SystemConfig, build_layout, drop_users, large_scale
-from oracle import (drop_budgets, drop_closed_forms, estimate_ls, estimate_mmse,
-                    pilot_phase, rcee_prefix_samples)
+from oracle import (drop_budgets, drop_closed_forms, empirical_sinr_terms, estimate_ls,
+                    estimate_mmse, pilot_phase, rcee_prefix_samples)
 
 
 class TestSeedSchedule:
@@ -1041,6 +1041,77 @@ def test_antenna_memory_is_flat_in_the_trials_and_antennas():
     two_blocks = peak(2 * 248, 8)
     assert peak(16 * 248, 8) < 1.25 * two_blocks
     assert peak(16 * 248, 64) < 1.25 * two_blocks
+
+
+# (K, M, L, seed, trials): with 4 allocations a block holds 3,276 trials at
+# K=2, M=2, L=1; 655 at K=10, M=2, L=1; 248 at K=3, M=8, L=7; 163 at K=10,
+# M=8, L=1; 74 at K=10, M=8, L=7; 297 at K=10, M=2, L=7; 9 at K=3, M=200,
+# L=7 and 2 at K=10, M=200, L=7.  The cases marked * have a signal gain
+# whose array square (x * x) is not the scalar square (C pow) in the last bit.
+@pytest.mark.parametrize("K, M, L, seed, n", [
+    (2, 2, 1, 6, 300),      # * one partial block
+    (10, 2, 1, 17, 300),    # * one partial block
+    (3, 8, 7, 0, 248),      # one full block
+    (2, 2, 1, 1, 7000),     # several blocks, a partial last one
+    (3, 8, 7, 2, 4000),     # the default validate config and trials
+    (10, 8, 1, 31, 300),    # *
+    (10, 8, 7, 10, 300),    # *
+    (10, 2, 7, 3, 900),
+    (3, 200, 7, 1, 50),
+    (10, 200, 7, 1, 41),
+])
+def test_validate_moments_are_the_whole_ensemble_moments(K, M, L, seed, n, monkeypatch):
+    # validate's running sums over the kernel's blocks against the oracle's
+    # whole-ensemble moments on the same draws, bit for bit
+    cfg = default_config("validate", seed=seed).replace(K=K, M=M, L=L)
+    blocks, moments = [], []
+    mc_trials, sinr_moments = harness._mc_trials, harness.SinrMoments
+
+    def recorded_trials(*args):
+        for h, h_hat, lam in mc_trials(*args):
+            blocks.append((h.copy(), h_hat.copy()))
+            yield h, h_hat, lam
+
+    def recorded_moments(*args):
+        moments.append(sinr_moments(*args))
+        return moments[-1]
+
+    monkeypatch.setattr(harness, "_mc_trials", recorded_trials)
+    monkeypatch.setattr(harness, "SinrMoments", recorded_moments)
+    plan = plan_for("validate", n_small=n)
+    report = run_experiment(plan, cfg)
+    h = np.concatenate([b[0] for b in blocks])
+    h_hat = np.concatenate([b[1] for b in blocks])
+    assert len(h) == n and len(moments) == 1
+    (streamed,) = moments
+    sinr = streamed.sinr
+    for c, (scheme, method) in enumerate(harness._combos(plan)):
+        per_user = []
+        for k in range(K):
+            ref = empirical_sinr_terms(h, h_hat[:, c], cfg.rho_u, k)
+            assert streamed.signal_gain[c, k] == ref.signal_gain, (c, k)
+            assert np.array_equal(streamed.cross_energy[c, k], ref.cross_energy), (c, k)
+            assert streamed.filter_energy[c, k] == ref.filter_energy, (c, k)
+            assert sinr[c, k] == ref.sinr, (c, k)
+            per_user.append(ref.sinr)
+        (row,) = report.select(metric="sinr", scheme=scheme, method=method)
+        assert row[6] == float(np.mean(per_user))
+
+
+def test_validate_memory_is_flat_in_the_trial_count():
+    # one block of channels and estimates at a time: only the C x n errors
+    # grow with the trials (8 B per allocation and trial)
+    cfg = default_config("validate", seed=0)
+
+    def peak(n_trials):
+        tracemalloc.start()
+        try:
+            run_experiment(plan_for("validate", n_small=n_trials), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64_000) < 1.5 * peak(4_000)
 
 
 def test_gram_draw_reaches_the_large_antenna_limit():

@@ -17,10 +17,12 @@ from mimo_pilot import refsolver, scenario
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
 
-# the literal antenna model, kept in tests/oracle.py as the kernels' reference
+# the literal antenna model and the whole-ensemble SINR moments, kept in
+# tests/oracle.py as the kernels' references
 ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimate",
                 "estimate_ls", "mmse_gain", "estimate_mmse", "mmse_gain_matrix",
-                "rcee_sample", "rcee_prefix_samples", "ChannelRealization")
+                "rcee_sample", "rcee_prefix_samples", "ChannelRealization",
+                "empirical_sinr_terms")
 
 
 def test_every_exported_name_resolves():
