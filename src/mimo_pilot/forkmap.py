@@ -11,7 +11,9 @@ another idles.  Every worker takes chunks of tasks from one queue
 (:func:`_task_queue`) until it is empty, so a worker that draws a slow
 task (a reference solve at a high budget can run to ``max_iter``) leaves
 the rest to the others.  A child pickles its (chunk start, results)
-pairs, or its exception and traceback text, down a pipe of its own.  The
+pairs, or its exception and traceback text, down a pipe of its own; an
+exception that does not pickle, or does not unpickle in the caller,
+arrives as a :class:`WorkerError` naming its type and message.  The
 caller runs its share, reads every pipe, reaps every child, then raises
 the first failure in worker order (a child's traceback text is its
 cause) or returns the results in task order.  If the caller's own share
@@ -25,6 +27,11 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+
+
+class WorkerError(Exception):
+    """A worker's exception that could not cross the pipe, as its type's
+    qualified name and its message."""
 
 
 def fork_map(fn, tasks: list, workers: int) -> list:
@@ -60,8 +67,8 @@ def fork_map(fn, tasks: list, workers: int) -> list:
                                f"{code} and sent no results")
         share, failure, trace = pickle.loads(payload)
         if trace is not None:
-            raise failure from RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n"
-                                            f"{trace}")
+            cause = RuntimeError(f"sweep worker {w} (pid {pid}) raised:\n{trace}")
+            raise _unpickled(*failure) from cause
         done += share
     results = [None] * len(tasks)
     for start, chunk in done:
@@ -142,7 +149,8 @@ def _fork_share(fn, tasks: list, queue: int, size: int, cpus):
 def _run_share(fn, tasks: list, queue: int, size: int, write: int, cpus):
     """A child's whole life: move onto ``cpus``, run its share, send the
     pickled (results, exception, traceback text) and exit, flushing its
-    output but running none of the caller's exit handlers."""
+    output but running none of the caller's exit handlers.  The exception
+    goes as (its own pickle or None, "module.Type: message")."""
     code = 1
     try:
         _pin(cpus)
@@ -150,7 +158,13 @@ def _run_share(fn, tasks: list, queue: int, size: int, write: int, cpus):
             payload = pickle.dumps((_take_chunks(fn, tasks, queue, size), None, None))
         except BaseException as exc:  # sent to the caller, which raises it
             import traceback  # only a failed map needs it
-            payload = pickle.dumps((None, exc, "".join(traceback.format_exception(exc))))
+            summary = f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"
+            try:
+                sent = pickle.dumps(exc)
+            except Exception:  # a lambda attribute, say: the summary stands in
+                sent = None
+            payload = pickle.dumps((None, (sent, summary),
+                                    "".join(traceback.format_exception(exc))))
         with open(write, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -159,6 +173,16 @@ def _run_share(fn, tasks: list, queue: int, size: int, write: int, cpus):
             _flush_std_streams()
         finally:
             os._exit(code)
+
+
+def _unpickled(sent, summary: str) -> BaseException:
+    """A child's exception from its pickle, or a :class:`WorkerError` with
+    its summary if there is no pickle or it does not load (an ``__init__``
+    whose arguments are not the exception's ``args``, say)."""
+    try:
+        return WorkerError(summary) if sent is None else pickle.loads(sent)
+    except Exception:
+        return WorkerError(summary)
 
 
 def _reap(pid: int, pipe) -> int:

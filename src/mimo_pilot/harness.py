@@ -696,7 +696,11 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
 
 def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     """One row per (gamma, combo, x), averaged over drops in drop order.
-    A drop's "mc" or "limit" is None where its sweep has none."""
+    A drop's "mc" or "limit" is None where its sweep has none.
+
+    ``mc_stderr`` is the standard error over drops of the per-drop
+    Monte-Carlo means.  It includes the drops' own spread of the closed
+    form, so it is not an error bar of the Monte-Carlo estimate."""
     xs = ([float(p) for p in plan.p_grid_db] if plan.experiment == "fig4b"
           else plan.m_grid)
     rows = []

@@ -17,7 +17,12 @@ the budget, a free user from the water-filling ratios of the free group.
 The allocator runs on Python float lists, by the rule :mod:`.refsolver`
 states: at K <= 12 numpy's per-call overhead outweighs the arithmetic.
 Its sums take numpy's order through ``_np_sum``: the allocations' last
-bits, and so the CSVs, depend on it.
+bits, and so the CSVs, depend on it.  A profile builds its weight and
+square-root weight lists once, for every allocation made from it, and
+:func:`ppa_allocate` checks its result on its lists before making the
+one array it returns.  The objective takes the mean of its per-user
+terms as ``sum / size``, the bits of ``ndarray.mean`` without its
+Python-level wrapper.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ class InterferenceProfile:
     """Per-user quantities the allocator needs, for one large-scale drop.
 
     ``upsilon[k]`` is the contamination-plus-noise level of user k and
-    ``beta_target[k]`` the user's own gain at the serving BS.
+    ``beta_target[k]`` the user's own gain at the serving BS.  The weights
+    and their square roots are built once, as lists, for the allocator.
     """
 
     upsilon: np.ndarray       # (K,)
@@ -56,10 +62,17 @@ class InterferenceProfile:
         beta = np.asarray(self.beta_target, dtype=float)
         if ups.shape != beta.shape or ups.ndim != 1:
             raise ValueError("upsilon and beta_target must be equal-length 1-D arrays")
+        if not (np.isfinite(ups).all() and np.isfinite(beta).all()):
+            raise ValueError("upsilon and beta_target must be finite")
         if np.any(ups <= 0) or np.any(beta <= 0):
             raise ValueError("upsilon and beta_target must be positive")
         object.__setattr__(self, "upsilon", ups)
         object.__setattr__(self, "beta_target", beta)
+        # the bits of self.weight and of np.sqrt over it: both divide and
+        # take square roots correctly rounded
+        w = [u / b for u, b in zip(ups.tolist(), beta.tolist())]
+        object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_sqrt_weights", [math.sqrt(x) for x in w])
 
     @property
     def num_users(self) -> int:
@@ -104,11 +117,13 @@ def unconstrained_optimum(method: str, profile: InterferenceProfile, P: float) -
     check_method(method)
     if P <= 0:
         raise ValueError("budget must be positive")
-    return np.array(_water_fill(method, profile.weight.tolist(), P))
+    return np.array(_water_fill(method, profile._weights, profile._sqrt_weights, P))
 
 
-def _water_fill(method: str, w: list[float], P: float) -> list[float]:
-    sqrt_w = [math.sqrt(x) for x in w]
+def _water_fill(method: str, w: list[float] | None, sqrt_w: list[float],
+                P: float) -> list[float]:
+    """The budget-only optimum from the weights and their square roots;
+    least squares reads only the square roots."""
     norm = _np_sum(sqrt_w)
     if method == LS:
         return [P * (x / norm) for x in sqrt_w]
@@ -148,23 +163,28 @@ class PilotAllocation:
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
-        r = rho.tolist()
-        free, at_min, at_max = self.free, self.at_min, self.at_max
-        if sorted([*free, *at_min, *at_max]) != list(range(rho.size)):
-            raise ValueError("free/at_min/at_max must partition the user indices")
-        P, lo, hi = self.P_total, self.rho_min, self.rho_max
-        if abs(sum(r) - P) > 1e-9 * P:
-            raise ValueError("allocation does not exhaust the budget")
-        for k in at_min:
-            if r[k] != lo:
-                raise ValueError("a user marked at_min or at_max is off its bound")
-        for k in at_max:
-            if r[k] != hi:
-                raise ValueError("a user marked at_min or at_max is off its bound")
-        lo, hi = lo - 1e-12 * P, hi + 1e-12 * P
-        for k in free:
-            if not lo <= r[k] <= hi:
-                raise ValueError("a free user lies outside the power box")
+        _check_allocation(rho.tolist(), self.free, self.at_min, self.at_max,
+                          self.P_total, self.rho_min, self.rho_max)
+
+
+def _check_allocation(r: list[float], free, at_min, at_max, P: float,
+                      lo: float, hi: float) -> None:
+    """:class:`PilotAllocation`'s invariants, on its powers as a list and
+    its groups as any collections of indices."""
+    if sorted([*free, *at_min, *at_max]) != list(range(len(r))):
+        raise ValueError("free/at_min/at_max must partition the user indices")
+    if abs(sum(r) - P) > 1e-9 * P:
+        raise ValueError("allocation does not exhaust the budget")
+    for k in at_min:
+        if r[k] != lo:
+            raise ValueError("a user marked at_min or at_max is off its bound")
+    for k in at_max:
+        if r[k] != hi:
+            raise ValueError("a user marked at_min or at_max is off its bound")
+    lo, hi = lo - 1e-12 * P, hi + 1e-12 * P
+    for k in free:
+        if not lo <= r[k] <= hi:
+            raise ValueError("a free user lies outside the power box")
 
 
 def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocation:
@@ -185,9 +205,8 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     if K * lo > P or K * hi < P:
         raise ValueError("power box cannot meet the budget")
 
-    w = profile.weight.tolist()
-    s = [math.sqrt(x) for x in w]
-    side = _clip_level(s, [0.0] * K if method == LS else s, P, lo, hi)
+    w, s = profile._weights, profile._sqrt_weights
+    side = _clip_level(s, None if method == LS else s, P, lo, hi)
     rho = [hi if g > 0 else lo for g in side]
     at_min, free, at_max = groups = ([], [], [])
     budget = P
@@ -196,10 +215,17 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         if g:  # bound by bound, not n * bound: the CSV bits hang on it
             budget -= hi if g > 0 else lo
     if free:
-        for k, x in zip(free, _water_fill(method, [w[k] for k in free], budget)):
+        w_free = None if method == LS else [w[k] for k in free]
+        for k, x in zip(free, _water_fill(method, w_free, [s[k] for k in free], budget)):
             rho[k] = x
-    return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
-                           frozenset(at_max), P, lo, hi)
+    _check_allocation(rho, free, at_min, at_max, P, lo, hi)
+    # built without __init__, whose __post_init__ would redo the checks on
+    # an array
+    alloc = object.__new__(PilotAllocation)
+    vars(alloc).update(rho=np.array(rho, dtype=float), free=frozenset(free),
+                       at_min=frozenset(at_min), at_max=frozenset(at_max),
+                       P_total=P, rho_min=lo, rho_max=hi)
+    return alloc
 
 
 def objective_value(method: str, rho, profile: InterferenceProfile, M: int,
@@ -227,8 +253,10 @@ def _mean_error(method: str, rho, profile: InterferenceProfile, M: int,
     ups = profile.upsilon
     own = rho * profile.beta_target
     if method == MMSE and not exact:
-        return float(_bound_terms(M, ups, ups + own).mean())
-    return float(_error_terms(method, M, ups, own, ups + own).mean())
+        terms = _bound_terms(M, ups, ups + own)
+    else:
+        terms = _error_terms(method, M, ups, own, ups + own)
+    return float(terms.sum()) / terms.size
 
 
 def make_objective(method: str, profile: InterferenceProfile, M: int):

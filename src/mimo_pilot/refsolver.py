@@ -5,6 +5,9 @@ nothing about the objective's structure beyond a gradient, and handles
 the feasible set {sum x = total, lo <= x <= hi} by Euclidean projection.
 The projection and the allocator share one search, :func:`_clip_level`,
 for the level at which a sum of clipped linear terms meets a budget.
+The projection's terms all have unit slope, and the least-squares
+allocator's zero offset, which the search then leaves out of its
+arithmetic.
 
 Both work on vectors of one entry per user, K <= 12, where numpy's
 per-call overhead outweighs the arithmetic, so their hot paths run on
@@ -37,19 +40,40 @@ def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
     it give the sides.  A knot keeps lo/s_k only to the precision of c_k,
     so if an entry at the level has s_k * |c_k| far above ``total`` the
     search is redone with the c_k measured from that entry's c.
+
+    Two cases skip an operation of each knot and term.  ``s=None``
+    stands for unit slopes, the projection's case: knots c_k + lo and
+    c_k + hi, terms t - c_k.  ``c=None`` stands for zero offsets, the
+    least-squares allocator's: knots lo/s_k and hi/s_k, terms s_k * t.
+    Both do the general forms' arithmetic at s_k = 1.0 or c_k = 0.0, and
+    so give their sides.
     """
-    n = len(s)
+    n = len(s if c is None else c)
     for recentred in (False, True):
-        pairs = list(zip(s, c))
-        knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in pairs]
+        if s is None:
+            knots = [ck + bound for bound in (lo, hi) for ck in c]
+        elif c is None:
+            knots = [bound / sk for bound in (lo, hi) for sk in s]
+        else:
+            pairs = list(zip(s, c))
+            knots = [ck + bound / sk for bound in (lo, hi) for sk, ck in pairs]
         order = sorted(range(2 * n), key=knots.__getitem__)
         end, top = 0, 2 * n
         while end < top:  # bisect_left over order, keyed by the budget at a knot
             mid = (end + top) // 2
             t, spent = knots[order[mid]], 0.0
-            for sk, ck in pairs:
-                x = sk * (t - ck)
-                spent += lo if x < lo else hi if x > hi else x
+            if s is None:
+                for ck in c:
+                    x = t - ck
+                    spent += lo if x < lo else hi if x > hi else x
+            elif c is None:
+                for sk in s:
+                    x = sk * t
+                    spent += lo if x < lo else hi if x > hi else x
+            else:
+                for sk, ck in pairs:
+                    x = sk * (t - ck)
+                    spent += lo if x < lo else hi if x > hi else x
             if spent < total:
                 end = mid + 1
             else:
@@ -57,13 +81,19 @@ def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
         side = [-1] * n
         for j in order[:end]:  # an entry's lo-knot sorts before its hi-knot
             side[j % n] += 1
-        if recentred or not any(c):
+        if recentred or c is None or not any(c):
+            return side
+        # below 2**10 * total the knots lose at most ~1e-13 of the budget;
+        # the entries at the level are among all entries
+        limit = 1024.0 * abs(total)
+        scales = (list(map(abs, c)) if s is None
+                  else [sk * abs(ck) for sk, ck in pairs])
+        if max(scales) <= limit:
             return side
         near = [k for k in range(n) if side[k] == 0]
         near += [order[i] % n for i in (end - 1, end) if 0 <= i < 2 * n]
-        scale, k = max([(s[k] * abs(c[k]), k) for k in near])
-        # below 2**10 * total the knots lose at most ~1e-13 of the budget
-        if scale <= 1024.0 * abs(total):
+        scale, k = max([(scales[k], k) for k in near])
+        if scale <= limit:
             return side
         ref = c[k]
         c = [ck - ref for ck in c]
@@ -111,7 +141,7 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
     if not (n * lo - slack <= total <= n * hi + slack):
         raise ValueError("box and budget are incompatible")
     v = v.tolist()
-    side = _clip_level([1.0] * n, [-x for x in v], total, lo, hi)
+    side = _clip_level(None, [-x for x in v], total, lo, hi)
     n_free = side.count(0)
     if not n_free:
         return np.array([hi if g > 0 else lo for g in side])
@@ -119,8 +149,7 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
     pinned = _np_sum([hi if g > 0 else lo if g < 0 else 0.0 for g in side])
     free = _np_sum([x for x, g in zip(v, side) if g == 0])
     theta = (free - (total - pinned)) / n_free
-    return np.array([lo if y < lo else hi if y > hi else y
-                     for y in [x - theta for x in v]])
+    return np.array([lo if (y := x - theta) < lo else hi if y > hi else y for x in v])
 
 
 @dataclass(frozen=True)
@@ -165,7 +194,7 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
         return project_bounded_simplex(z, total, problem.lower, problem.upper)
 
     def converged(x: np.ndarray, pg_norm: float) -> bool:
-        return pg_norm < _TOL and abs(float(x.sum()) - total) <= slack
+        return pg_norm < _TOL and abs(_np_sum(x.tolist()) - total) <= slack
 
     x = proj(np.full(problem.dimension, total / problem.dimension))
     f = problem.objective(x)
@@ -188,7 +217,7 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
                 accepted = True
                 break
             t *= 0.5
-        if not accepted or not (x_new != x).any():
+        if not accepted or not step.any():
             break  # stalled at numerical resolution
         g_new = problem.gradient(x_new)
         # Barzilai-Borwein step for the next iteration, kept positive

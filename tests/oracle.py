@@ -12,7 +12,8 @@ the kernel's blocks must return the same bits.
 The level search, the projection and the allocator as they were
 written before the package moved their arithmetic onto Python float
 lists: the search with a keyed ``bisect``, the projection and the
-water-filling in numpy arrays.  The package must return the same bits.
+water-filling in numpy arrays; the allocator's objective as the
+``.mean()`` of its per-user terms.  The package must return the same bits.
 
 The sweeps' closed forms as they were evaluated before the sweeps
 stacked them over drops: one public call per (gamma, drop, estimator) on
@@ -334,6 +335,17 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         rho_min=lo,
         rho_max=hi,
     )
+
+
+def mean_error(method: str, rho, profile: InterferenceProfile, M: int,
+               exact: bool) -> float:
+    """Cell-average error of an allocation, as ``.mean()`` of its terms."""
+    # the metrics kernels with the full level written as upsilon + rho*beta
+    ups = profile.upsilon
+    own = rho * profile.beta_target
+    if method == MMSE and not exact:
+        return float(metrics._bound_terms(M, ups, ups + own).mean())
+    return float(metrics._error_terms(method, M, ups, own, ups + own).mean())
 
 
 def drop_budgets(plan, cfg, beta) -> list:

@@ -15,7 +15,7 @@ from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, ExperimentPlan, MetricReport,
 from mimo_pilot import forkmap, harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
-from mimo_pilot.forkmap import fork_map
+from mimo_pilot.forkmap import WorkerError, fork_map
 from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _collapse_cells, _error_weights, _gram_segments,
                                 _gram_trials, _mc_means, _mc_trials, _mean, _mean_stderr,
@@ -573,6 +573,13 @@ def one_each():
         os.close(fd)
 
 
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its ``args`` hold one argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} failed: {why}")
+
+
 class TestForkMap:
     """The drop-parallel map: results in task order, failures raised in the
     caller, and no child left behind, whatever fails."""
@@ -625,6 +632,31 @@ class TestForkMap:
         cause = caught.value.__cause__
         assert isinstance(cause, RuntimeError)
         assert "sweep worker 1" in str(cause)
+        assert "Traceback" in str(cause) and ", in fail" in str(cause)
+
+    def test_an_exception_that_does_not_pickle_keeps_its_traceback(self, reaped,
+                                                                   one_each):
+        def fail(t):
+            exc = ValueError(f"bad task {t}")
+            exc.hook = lambda: None
+            raise exc
+
+        with pytest.raises(WorkerError, match=r"^builtins\.ValueError: bad task \d$") as caught:
+            fork_map(one_each(fail, lambda t: t), [0, 1], 2)
+        cause = caught.value.__cause__
+        assert isinstance(cause, RuntimeError) and "sweep worker 1" in str(cause)
+        assert "Traceback" in str(cause) and ", in fail" in str(cause)
+
+    def test_an_exception_that_does_not_unpickle_keeps_its_traceback(self, reaped,
+                                                                     one_each):
+        def fail(t):
+            raise TwoArgumentError(f"task {t}", "on purpose")
+
+        with pytest.raises(WorkerError, match=r"\.TwoArgumentError: task \d failed: "
+                                              r"on purpose$") as caught:
+            fork_map(one_each(fail, lambda t: t), [0, 1], 2)
+        cause = caught.value.__cause__
+        assert isinstance(cause, RuntimeError) and "sweep worker 1" in str(cause)
         assert "Traceback" in str(cause) and ", in fail" in str(cause)
 
     @pytest.mark.parametrize("child", ["blocked on a full pipe", "still running"])

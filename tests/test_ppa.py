@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from mimo_pilot import (ALPHA, InterferenceProfile, PilotAllocation,
                         SystemConfig, eppa_profile, exp_rcee_asymptotic,
                         make_objective, objective_value, ppa_allocate,
@@ -86,6 +87,17 @@ class TestInterferenceProfile:
             InterferenceProfile(upsilon=np.ones(2),
                                 beta_target=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_inputs(self, bad):
+        # an infinite level would pin its user at the top of the box, a
+        # nan one fail later on the budget
+        with pytest.raises(ValueError, match="must be finite"):
+            InterferenceProfile(upsilon=np.array([bad, 2.0, 3.0]),
+                                beta_target=np.ones(3))
+        with pytest.raises(ValueError, match="must be finite"):
+            InterferenceProfile(upsilon=np.ones(3),
+                                beta_target=np.array([1.0, bad, 1.0]))
+
 
 class TestWaterFill:
     def test_ls_hand_value(self):
@@ -152,6 +164,19 @@ class TestPpaAllocate:
             alloc = ppa_allocate(method, prof, cfg)
             assert np.array_equal(alloc.rho, np.full(4, 1000.0))
             assert alloc.free == {0, 1, 2, 3}
+
+    def test_result_has_the_fields_of_a_checked_allocation(self, table_beta):
+        # ppa_allocate builds its result without __init__
+        cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
+        for method in (LS, MMSE):
+            alloc = ppa_allocate(method, table_profile(table_beta), cfg)
+            checked = PilotAllocation(**vars(alloc))
+            assert vars(alloc).keys() == vars(checked).keys()
+            assert alloc.rho.dtype == checked.rho.dtype == np.float64
+            assert np.array_equal(alloc.rho, checked.rho)
+            assert [alloc.free, alloc.at_min, alloc.at_max, alloc.P_total] == \
+                [checked.free, checked.at_min, checked.at_max, checked.P_total]
+            assert (alloc.rho_min, alloc.rho_max) == (checked.rho_min, checked.rho_max)
 
     def test_worked_example_ls(self, table_beta):
         cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
@@ -373,6 +398,21 @@ class TestMakeObjective:
         for method in (LS, MMSE):
             fun, _ = make_objective(method, prof, 8)
             assert fun(rho) == objective_value(method, rho, prof, 8, exact=False)
+
+    def test_mean_keeps_the_bits_of_numpy_mean(self):
+        rng = np.random.default_rng(47)
+        for K in range(2, 13):
+            for _ in range(40):
+                P = 10.0 ** rng.uniform(2.0, 8.0)
+                prof = random_profile(rng, K, P)
+                rho = P / K * 10.0 ** rng.uniform(-1.0, 1.0, K)
+                M = int(rng.integers(2, 513))
+                for method in (LS, MMSE):
+                    fun, _ = make_objective(method, prof, M)
+                    assert fun(rho) == oracle.mean_error(method, rho, prof, M, False)
+                    for exact in (True, False):
+                        assert objective_value(method, rho, prof, M, exact=exact) \
+                            == oracle.mean_error(method, rho, prof, M, exact)
 
 
 def _oracle_asymptote(method, beta, cfg):

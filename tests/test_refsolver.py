@@ -135,6 +135,29 @@ def level_instances(rng, count):
         yield s, c, total, lo, hi
 
 
+def unit_slope_instances(rng, count):
+    """(c, total, lo, hi) of the level search as the projection poses it,
+    c = -v at unit slopes: random, tie-heavy and vertex instances, solver
+    steps at budgets 1e0-1e8, and two kinds that take the recentring
+    pass: ties offset by 10**3.5-10**12 times the budget, and offsets of
+    1e6-1e12 times the budget around a box narrower than their precision,
+    where the pass sets the sides."""
+    for kind in ("random", "ties", "vertex"):
+        for v, total, lo, hi in projection_instances(rng, kind, count):
+            yield (-v).tolist(), total, lo, hi
+    for v, total, lo, hi in budget_sweep(rng, count):
+        yield (-v).tolist(), total, lo, hi
+    for v, total, lo, hi in projection_instances(rng, "ties", count):
+        shift = max(1.0, total) * 10.0 ** rng.uniform(3.5, 12.0) * rng.choice([-1.0, 1.0])
+        yield (shift - v).tolist(), total, lo, hi
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        lo = 10.0 ** rng.uniform(-3.0, 3.0)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0))
+        total = rng.uniform(n * lo, n * hi)
+        yield (rng.normal(size=n) * total * 10.0 ** rng.uniform(6.0, 12.0)).tolist(), total, lo, hi
+
+
 class TestProjection:
     def test_hand_case_two_users(self):
         out = project_bounded_simplex(np.array([10.0, 0.0]), 10.0, 2.0, 8.0)
@@ -186,9 +209,23 @@ class TestProjection:
     def test_reference_sweep_keeps_the_bisection_bits(self, seed, monkeypatch):
         plan = plan_for("fig4a", schemes=("eppa", "ppa", "ref"), n_large=10)
         cfg = default_config("fig4a", seed=seed)
+        served = []
+
+        def counted(projection):
+            def project(*args):
+                served.append(projection)
+                return projection(*args)
+            return project
+
+        monkeypatch.setattr(refsolver, "project_bounded_simplex",
+                            counted(project_bounded_simplex))
         exact = run_experiment(plan, cfg).select(scheme="ref")
-        monkeypatch.setattr(refsolver, "project_bounded_simplex", bisection_projection)
+        monkeypatch.setattr(refsolver, "project_bounded_simplex",
+                            counted(bisection_projection))
         assert run_experiment(plan, cfg).select(scheme="ref") == exact
+        # every projection of the second sweep came from the oracle
+        assert served.count(bisection_projection) == served.count(
+            project_bounded_simplex) > 0
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -240,6 +277,26 @@ class TestListArithmetic:
         rng = np.random.default_rng(37)
         for args in level_instances(rng, 5000):
             assert _clip_level(*args) == oracle._clip_level(*args)
+        # s=None, the unit slopes of the projection
+        rng = np.random.default_rng(43)
+        far = 0
+        for c, total, lo, hi in unit_slope_instances(rng, 1000):
+            assert _clip_level(None, c, total, lo, hi) == oracle._clip_level(
+                [1.0] * len(c), c, total, lo, hi)
+            far += min(map(abs, c)) > 1024.0 * abs(total)
+        assert far >= 1000
+        # c=None, the zero offsets of the least-squares allocator, with
+        # slopes that tie one instance in two and the budget on a vertex of
+        # the box in the other
+        rng = np.random.default_rng(53)
+        for i, (s, _, total, lo, hi) in enumerate(level_instances(rng, 2000)):
+            if i % 2:
+                s = [s[0] * float(rng.integers(1, 4)) for _ in s]
+            else:
+                j = int(rng.integers(0, len(s) + 1))
+                total = j * lo + (len(s) - j) * hi
+            assert _clip_level(s, None, total, lo, hi) == oracle._clip_level(
+                s, [0.0] * len(s), total, lo, hi)
 
     def test_sum_takes_the_numpy_order(self):
         rng = np.random.default_rng(41)
