@@ -7,15 +7,17 @@ worker count, and a rerun with the same seed reproduces every byte of
 the output.
 
 A task is one drop at every reuse factor, :func:`_run_drop`: it draws the
-drop's ``positions`` and ``shadowing`` streams once, then at each reuse
-factor returns the (L, K) gains, the target-cell powers of every budget
-and allocation, and the Monte-Carlo of that (gamma, drop)'s fading
-streams.  After the map, the caller evaluates the closed forms one gamma
-at a time over blocks of drops, one call per estimator on a block's
-stacked gains and powers.  A table gives each experiment its Monte-Carlo,
-its closed forms and one of three reductions over drops (a grid, a
-distribution, or the validate rows).  The drops are shared out over up
-to ``jobs`` processes by :func:`forkmap.fork_map`.
+drop's ``positions`` and ``shadowing`` streams once, on the stack of every
+reuse factor's layout, then at each reuse factor returns the (L, K)
+gains, the target-cell powers of every budget and allocation, and the
+Monte-Carlo of that (gamma, drop)'s fading streams.  After the map, the
+caller evaluates the closed forms one gamma at a time over blocks of
+drops, one call per estimator on a block's stacked gains and powers.
+Each gamma's values reach the report as one dict of named (drop, combo,
+...) arrays (:func:`_map_tasks`).  A table gives each experiment its
+Monte-Carlo, its closed forms and one of three reductions over drops (a
+grid, a distribution, or the validate rows).  The drops are shared out
+over up to ``jobs`` processes by :func:`forkmap.fork_map`.
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -49,8 +51,8 @@ from .airlink import SinrMoments, complex_normal, sample_channels
 from .estimators import LS, MMSE, METHODS
 from .forkmap import fork_map
 from .refsolver import ConstrainedProblem, solve
-from .scenario import (REUSE_FACTORS, SystemConfig, _gains, _user_offsets, build_layout,
-                       db_to_linear, sample_shadowing)
+from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, db_to_linear, drop_users,
+                       large_scale)
 
 EXPERIMENTS = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b", "validate")
 SCHEMES = ("ppa", "eppa", "ref")
@@ -231,18 +233,12 @@ class MetricReport:
 # per-drop work: each task is one drop at every reuse factor of the plan
 
 
-def _drop_gains(cfg: SystemConfig, layouts, drop: int) -> list:
-    """One drop's (L, K) gains at each (L, 2) layout of cell centres, equal to
-    ``drop_users`` -> ``large_scale`` there on the same, once-drawn streams."""
-    offsets = _user_offsets(cfg, cfg.L, seed_schedule(cfg.seed, drop, "positions"))
-    z = sample_shadowing(cfg.sigma_sh, (cfg.L, cfg.K), seed_schedule(cfg.seed, drop, "shadowing"))
-    return [_gains(cfg, centers, centers[:, None] + offsets, z) for centers in layouts]
-
-
 def drop_gains(cfg: SystemConfig, drop: int) -> np.ndarray:
     """The (L, K) gains of drop ``drop`` at ``cfg``'s reuse factor, as the
     sweeps draw it (``build_layout`` -> ``drop_users`` -> ``large_scale``)."""
-    return _drop_gains(cfg, [build_layout(cfg)], drop)[0]
+    centers = build_layout(cfg)
+    positions = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, "positions"))
+    return large_scale(cfg, centers, positions, seed_schedule(cfg.seed, drop, "shadowing"))
 
 
 def reference_solve(method: str, profile: ppa.InterferenceProfile,
@@ -473,19 +469,19 @@ def _gram_trials(cfg: SystemConfig, drop: int, n_trials: int, gains, rho_stack,
 
 
 def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, target, flat,
-              m_values) -> dict | None:
-    """Monte-Carlo mean error of every allocation, or None without trials.
+              m_values) -> dict:
+    """Monte-Carlo mean error of every allocation, ``mc``, or none without trials.
 
     ``target`` holds the (B, C, K) target-cell powers of the sorted
     (scheme, method) combos at each budget, ``flat`` the (B,) flat P/K of
     the other cells.  All of them share one run of :func:`_gram_trials`,
     on the collapsed cells of :func:`_collapse_cells` and stacked
-    budget-major; each combo gets its means over budgets x ``m_values``.
+    budget-major; ``mc`` is (C, budgets x ``m_values``), combos sorted.
     Each block's trials are summed in trial order, then the blocks in
     block order, so every mean is the same whatever is stacked beside it.
     """
     if plan.n_small == 0:
-        return None
+        return {}
     combos = _combos(plan)
     B, C, K = target.shape
     gains, powers = _collapse_cells(beta, target.reshape(B * C, K), np.repeat(flat, C))
@@ -494,7 +490,7 @@ def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, target, 
                             [m for _, m in combos] * B, m_values):
         total = total + np.cumsum(lam, axis=0)[-1]
     mc = (total / plan.n_small).reshape(B, C, len(m_values))
-    return {combo: mc[:, j].ravel() for j, combo in enumerate(combos)}
+    return {"mc": np.moveaxis(mc, 1, 0).reshape(C, -1)}
 
 
 def _mean(values: np.ndarray) -> float:
@@ -511,22 +507,26 @@ def _full_powers(target, flat, L: int) -> np.ndarray:
     return rho
 
 
-def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values):
-    # and the allocator's high-budget limit, which the ppa and ref rows share
-    return (_mc_means(plan, cfg, drop, beta, target, flat, m_values),
-            {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS})
+def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
+    # and the (C,) infinite-budget floor: the flat split's, or the
+    # allocator's high-budget limit, which the ppa and ref rows share
+    asymptote = {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS}
+    limit = [_mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa" else asymptote[m]
+             for s, m in _combos(plan)]
+    return {**_mc_means(plan, cfg, drop, beta, target, flat, m_values), "limit": np.array(limit)}
 
 
 def _running(total, rows):
-    """``total`` plus the sum of ``rows`` over axis 0, added in row order:
-    the float sequence of one ``cumsum`` over every row so far."""
-    if total is not None:
-        rows = np.concatenate([total[None], rows])
-    return np.cumsum(rows, axis=0)[-1]
+    """``total`` plus the sum of ``rows`` over axis 0, added row by row in
+    order: the float sequence of one ``cumsum`` over every row so far."""
+    for row in rows:
+        total = row.copy() if total is None else np.add(total, row, out=total)
+    return total
 
 
 def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
-    """Each allocation's error mean and standard error, and mean empirical SINR.
+    """Each allocation's error mean and mean empirical SINR, ``mc`` (C, 2),
+    and the error's standard error over the trials, ``mc_stderr`` (C,).
 
     The SINR moments of every allocation and user are running sums over
     the kernel's blocks, in trial order, so one block of channels and
@@ -544,28 +544,33 @@ def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
         conj = np.conj(h_hat)
         inner = np.einsum("nckm,nljm->ncklj", conj, h)  # hhat_ck^H h_lj
         own = _running(own, np.diagonal(inner[:, :, :, 0], axis1=2, axis2=3))
-        cross = _running(cross, np.abs(inner) ** 2)
+        # |inner|^2 squared in place (the arithmetic of ** 2) and rebound,
+        # so that the complex products of two blocks are never held at once
+        inner = np.abs(inner)
+        inner *= inner
+        cross = _running(cross, inner)
         energy = _running(energy, np.matmul(conj[..., None, :], h_hat[..., None]).real[..., 0, 0])
     # C pow, as a scalar's ** 2 is; an array's ** 2 is x * x, which can
     # differ in the last bit
     sinr = SinrMoments(np.float_power(np.abs(own / n), 2), cross / n, energy / n, cfg.rho_u).sinr
-    return {combo: (_mean(lam[c]), float(lam[c].std(ddof=1) / np.sqrt(n)), _mean(sinr[c]))
-            for c, combo in enumerate(combos)}
+    return {"mc": np.stack([lam.mean(axis=1), sinr.mean(axis=1)], axis=-1),
+            "mc_stderr": lam.std(axis=1, ddof=1) / np.sqrt(n)}
 
 
 def _run_drop(args):
     """One drop's draws, allocations and Monte-Carlo at each reuse factor.
 
     ``args`` is (plan, sweep, drop index), the sweep the per-gamma configs,
-    centres, budget configs (one per ``p_grid_db`` entry in fig4b, else
-    the gamma's config) and their flat P/K.  Returns the (Gamma, L, K)
-    gains, the (Gamma, budgets, C, K) target-cell powers of the sorted
-    (scheme, method) combos and each gamma's Monte-Carlo values (None
-    where the sweep has none)."""
+    (Gamma, L, 2) stack of centres, budget configs (one per ``p_grid_db``
+    entry in fig4b, else the gamma's config) and their flat P/K.  Returns
+    the (Gamma, L, K) gains, the (Gamma, budgets, C, K) target-cell powers
+    of the sorted (scheme, method) combos and each gamma's Monte-Carlo
+    arrays (none where the sweep has no Monte-Carlo)."""
     plan, (cfgs, layouts, budget_cfgs, flats), drop = args
-    combos, drop_mc = _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
-    gains = np.array(_drop_gains(cfgs[0], layouts, drop))
-    powers = np.empty((len(cfgs), len(budget_cfgs[0]), len(combos), cfgs[0].K))
+    cfg, combos, drop_mc = cfgs[0], _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
+    positions = drop_users(cfg, layouts, seed_schedule(cfg.seed, drop, "positions"))
+    gains = large_scale(cfg, layouts, positions, seed_schedule(cfg.seed, drop, "shadowing"))
+    powers = np.empty((len(cfgs), len(budget_cfgs[0]), len(combos), cfg.K))
     mc = []
     for cfg, cfg_ps, flat, beta, rows in zip(cfgs, budget_cfgs, flats, gains, powers):
         for cfg_p, row in zip(cfg_ps, rows):
@@ -574,8 +579,8 @@ def _run_drop(args):
                 row[c] = (ppa.ppa_allocate(method, profile, cfg_p).rho if scheme == "ppa"
                           else reference_solve(method, profile, cfg_p).x if scheme == "ref"
                           else cfg_p.P_total / cfg.K)
-        mc.append(drop_mc and drop_mc(plan, cfg, drop, beta, rows, flat,
-                                      plan.m_grid or (cfg.M,)))
+        mc.append(drop_mc(plan, cfg, drop, beta, rows, flat, plan.m_grid or (cfg.M,))
+                  if drop_mc else {})
     return gains, powers, mc
 
 
@@ -589,87 +594,85 @@ _CF_BLOCK = 1 << 16
 
 
 def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
-    """Each gamma's values of every drop, in drop order.  A task is one drop
-    at every gamma; its configs, centres and budget configs are built once
-    here, and after the map its closed forms are evaluated block by block."""
+    """Each gamma's named arrays, drops (in drop order) on axis 0 and the
+    sorted (scheme, method) combos on axis 1: ``mc`` the Monte-Carlo means
+    and ``closed`` the closed forms over the sweep's x values, ``limit``
+    the large-antenna (fig4b: infinite-budget) value, and for validate,
+    whose x are (error, SINR), ``mc_stderr`` the error's standard error
+    over trials.  A sweep has only the arrays its figure reports, and no
+    ``mc`` without trials.  A task is one drop at every gamma; its
+    configs, centres and budget configs are built once here, and after
+    the map its closed forms are evaluated block by block of drops."""
     cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
     budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                    if plan.experiment == "fig4b" else [c] for c in cfgs]
     flats = [np.array([c.P_total / c.K for c in cfg_ps]) for cfg_ps in budget_cfgs]
-    sweep = (cfgs, [build_layout(c) for c in cfgs], budget_cfgs, flats)
+    sweep = (cfgs, np.stack([build_layout(c) for c in cfgs]), budget_cfgs, flats)
     tasks = [(plan, sweep, drop) for drop in range(plan.n_large)]
     getaffinity = getattr(os, "sched_getaffinity", None)
     n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    results = fork_map(_run_drop, tasks, min(plan.jobs, len(tasks), n_cpus))
+    gains, powers, mc = zip(*fork_map(_run_drop, tasks, min(plan.jobs, len(tasks), n_cpus)))
     combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
     size = max(1, _CF_BLOCK // (8 * len(budget_cfgs[0]) * len(combos) * cfg.K
                                 * (cfg.L + max(1, len(plan.m_grid)))))
-    per_gamma = {gamma: [] for gamma in plan.gammas}
+    per_gamma = {}
     for g, (cfg_g, flat) in enumerate(zip(cfgs, flats)):
-        for i in range(0, len(results), size):
-            gains, powers, mc = zip(*results[i:i + size])
-            per_gamma[cfg_g.Gamma] += closed_forms(
-                plan, cfg_g, combos, np.stack([x[g] for x in gains])[:, None, None],
-                _full_powers(np.stack([x[g] for x in powers]), flat, cfg.L), [x[g] for x in mc])
+        beta = np.stack([x[g] for x in gains])[:, None, None]
+        target = np.stack([x[g] for x in powers])
+        blocks = [closed_forms(plan, cfg_g, combos, beta[i:i + size],
+                               _full_powers(target[i:i + size], flat, cfg.L))
+                  for i in range(0, len(beta), size)]
+        per_gamma[cfg_g.Gamma] = {**{k: np.stack([x[g][k] for x in mc]) for k in mc[0][g]},
+                                  **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
     return per_gamma
 
 
-def _per_method(combos, rho, fn, beta, *m_values) -> dict:
-    """combo -> (n, B, ...) user means of ``fn(method, *m_values, powers, beta)``:
+def _per_method(combos, rho, fn, beta, *m_values) -> np.ndarray:
+    """(n, B, C, ...) user means of ``fn(method, *m_values, powers, beta)``:
     one call per estimator on its allocations' (n, B, C_m, L, K) powers."""
     out = {}
     for method in METHODS:
         cols = [j for j, c in enumerate(combos) if c[1] == method]
         values = fn(method, *m_values, rho[:, :, cols], beta).mean(axis=-1)
-        out.update((combos[j], values[:, :, i]) for i, j in enumerate(cols))
-    return out
+        out.update(zip(cols, np.moveaxis(values, 2, 0)))
+    return np.stack([out[j] for j in range(len(combos))], axis=2)
 
 
-def _fig3_closed(plan, cfg, combos, beta, rho, mc) -> list:
+def _fig3_closed(plan, cfg, combos, beta, rho) -> dict:
     # validate's errors too, at its configured M
-    closed = _per_method(combos, rho, metrics.exp_rcee_closed, beta, plan.m_grid or cfg.M)
-    limit = _per_method(combos, rho, metrics.exp_rcee_limit, beta)
-    return [{"closed": {c: closed[c][d, 0] for c in combos},
-             "limit": {c: limit[c][d, 0] for c in combos}, "mc": x} for d, x in enumerate(mc)]
+    return {"closed": _per_method(combos, rho, metrics.exp_rcee_closed, beta,
+                                  plan.m_grid or cfg.M)[:, 0],
+            **_fig4a_closed(plan, cfg, combos, beta, rho)}
 
 
-def _fig4b_closed(plan, cfg, combos, beta, rho, mc) -> list:
-    closed = _per_method(combos, rho, metrics.exp_rcee_closed, beta, cfg.M)
-    # the infinite-budget floor: the flat split's, or the allocator's limit
-    floor = {m: metrics.exp_rcee_eppa_floor(m, beta[:, 0, 0]).mean(axis=-1)
-             for s, m in combos if s == "eppa"}
-    return [{"closed": {c: closed[c][d] for c in combos}, "mc": x,
-             "limit": {(s, m): floor[m][d] if s == "eppa" else lim[m] for s, m in combos}}
-            for d, (x, lim) in enumerate(mc)]
+def _fig4b_closed(plan, cfg, combos, beta, rho) -> dict:
+    return {"closed": _per_method(combos, rho, metrics.exp_rcee_closed, beta, cfg.M)
+            .swapaxes(1, 2)}
 
 
-def _fig4a_closed(plan, cfg, combos, beta, rho, mc) -> list:
-    limit = _per_method(combos, rho, metrics.exp_rcee_limit, beta)
-    return [{c: limit[c][d, 0] for c in combos} for d in range(len(mc))]
+def _fig4a_closed(plan, cfg, combos, beta, rho) -> dict:
+    return {"limit": _per_method(combos, rho, metrics.exp_rcee_limit, beta)[:, 0]}
 
 
-def _fig5a_closed(plan, cfg, combos, beta, rho, mc) -> list:
+def _fig5a_closed(plan, cfg, combos, beta, rho) -> dict:
     """The worst user's rate at each antenna count of the grid."""
     sinr = metrics.sinr_closed(plan.m_grid, rho, beta, cfg.rho_u)
-    rate_min = metrics.rate_summary(metrics.achievable_rate(cfg, sinr)).minimum[:, 0]
-    return [{"closed": dict(zip(combos, r)), "limit": None, "mc": None} for r in rate_min]
+    return {"closed": metrics.rate_summary(metrics.achievable_rate(cfg, sinr)).minimum[:, 0]}
 
 
-def _fig5b_closed(plan, cfg, combos, beta, rho, mc) -> list:
+def _fig5b_closed(plan, cfg, combos, beta, rho) -> dict:
     """The users' average rate in the large-antenna limit."""
     rates = metrics.achievable_rate(cfg, metrics.sinr_limit(rho, beta))
-    return [dict(zip(combos, r)) for r in metrics.rate_summary(rates).average[:, 0]]
+    return {"limit": metrics.rate_summary(rates).average[:, 0]}
 
 
-def _validate_closed(plan, cfg, combos, beta, rho, mc) -> list:
-    """(mc_mean, mc_stderr, closed form, limit) of the error and the SINR."""
-    sinr = metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean(axis=-1)[:, 0]
-    sinr_limit = metrics.sinr_limit(rho, beta).mean(axis=-1)[:, 0]
-    return [{"exp_rcee": {c: (*x["mc"][c][:2], float(x["closed"][c]), float(x["limit"][c]))
-                          for c in combos},
-             "sinr": {c: (x["mc"][c][2], None, float(s), float(lim))
-                      for c, s, lim in zip(combos, sinr[d], sinr_limit[d])}}
-            for d, x in enumerate(_fig3_closed(plan, cfg, combos, beta, rho, mc))]
+def _validate_closed(plan, cfg, combos, beta, rho) -> dict:
+    """The closed form and the limit of the error and of the SINR, in that
+    order on the last axis."""
+    error = _fig3_closed(plan, cfg, combos, beta, rho)
+    sinr = {"closed": metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean(axis=-1)[:, 0],
+            "limit": metrics.sinr_limit(rho, beta).mean(axis=-1)[:, 0]}
+    return {k: np.stack([error[k], sinr[k]], axis=-1) for k in error}
 
 
 def _mean_stderr(values) -> tuple[float, float | None]:
@@ -696,7 +699,7 @@ def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
 
 def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     """One row per (gamma, combo, x), averaged over drops in drop order.
-    A drop's "mc" or "limit" is None where its sweep has none.
+    A sweep without ``mc`` or ``limit`` arrays leaves those columns empty.
 
     ``mc_stderr`` is the standard error over drops of the per-drop
     Monte-Carlo means.  It includes the drops' own spread of the closed
@@ -705,17 +708,13 @@ def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
           else plan.m_grid)
     rows = []
     for gamma in plan.gammas:
-        drops = per_gamma[gamma]
-        for combo in combos:
-            scheme, method = combo
-            limit = (None if drops[0]["limit"] is None
-                     else _mean(np.array([d["limit"][combo] for d in drops])))
+        v = per_gamma[gamma]
+        for c, (scheme, method) in enumerate(combos):
+            limit = _mean(v["limit"][:, c]) if "limit" in v else None
             for i, x in enumerate(xs):
-                closed = _mean(np.array([d["closed"][combo][i] for d in drops]))
-                mc, se = ((None, None) if drops[0]["mc"] is None
-                          else _mean_stderr([d["mc"][combo][i] for d in drops]))
+                mc, se = _mean_stderr(v["mc"][:, c, i]) if "mc" in v else (None, None)
                 rows.append((plan.experiment, metric, gamma, method, scheme, x,
-                             mc, se, closed, limit))
+                             mc, se, _mean(v["closed"][:, c, i]), limit))
     return MetricReport(plan.experiment, GRID_COLUMNS, tuple(rows))
 
 
@@ -723,8 +722,8 @@ def _cdf_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     """The empirical distribution over drops of each (gamma, combo) value."""
     rows = []
     for gamma in plan.gammas:
-        for scheme, method in combos:
-            cdf = empirical_cdf([d[(scheme, method)] for d in per_gamma[gamma]])
+        for c, (scheme, method) in enumerate(combos):
+            cdf = empirical_cdf(per_gamma[gamma]["limit"][:, c])
             for value, level in zip(*cdf.curve()):
                 rows.append((plan.experiment, metric, gamma, method, scheme,
                              float(value), float(level)))
@@ -735,11 +734,14 @@ def _validate_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     """Closed forms against Monte-Carlo at the configured M, one row per drop."""
     rows = []
     for gamma in plan.gammas:
-        for label in ("exp_rcee", "sinr"):
-            for scheme, method in combos:
-                for d in per_gamma[gamma]:
+        v = per_gamma[gamma]
+        for i, label in enumerate(("exp_rcee", "sinr")):
+            for c, (scheme, method) in enumerate(combos):
+                for d in range(plan.n_large):
+                    se = float(v["mc_stderr"][d, c]) if label == "exp_rcee" else None
                     rows.append(("validate", label, gamma, method, scheme, cfg.M,
-                                 *d[label][(scheme, method)]))
+                                 float(v["mc"][d, c, i]), se, float(v["closed"][d, c, i]),
+                                 float(v["limit"][d, c, i])))
     return MetricReport("validate", GRID_COLUMNS, tuple(rows))
 
 

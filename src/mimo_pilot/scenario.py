@@ -99,6 +99,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
+                raise ConfigurationError(f"{field.name} must be finite")
         if not (isinstance(self.K, int) and self.K >= 2):
             raise ConfigurationError("K must be an integer >= 2")
         if not (isinstance(self.M, int) and self.M >= 2):
@@ -220,28 +223,25 @@ _HEX_CORNERS = np.array([(1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0),
 
 
 def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (L, K, 2).
+    """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (..., L, K, 2).
 
     The hexagon is six equal triangles around its centre.  Each user
     takes one triangle uniformly and a uniform point in it: a uniform
     point (a, b) of the parallelogram spanned by the triangle's two
     corners, folded across its diagonal when a + b > 1.  That is three
     uniforms per user from one generator call, and no rejection.  The
-    points are drawn about the origin, then moved to their centres, so
-    one draw can serve every layout of the same number of cells.
+    points are drawn once about the origin, then moved to their centres,
+    so a stack (..., L, 2) of layouts of the same number of cells gets
+    the same users in each.
     """
-    return np.asarray(centers, dtype=float)[:, None] + _user_offsets(cfg, len(centers), rng)
-
-
-def _user_offsets(cfg: SystemConfig, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-    """The users of :func:`drop_users` about the origin: (n_cells, K, 2)."""
-    pick, a, b = rng.random((3, n_cells, cfg.K))
+    centers = np.asarray(centers, dtype=float)
+    pick, a, b = rng.random((3, centers.shape[-2], cfg.K))
     corner = (6.0 * pick).astype(int)
     fold = a + b > 1.0
     a, b = np.where(fold, 1.0 - a, a), np.where(fold, 1.0 - b, b)
     local = (a[..., None] * _HEX_CORNERS[corner]
              + b[..., None] * _HEX_CORNERS[(corner + 1) % 6])
-    return cfg.r * local
+    return centers[..., None, :] + cfg.r * local
 
 
 def attenuation(distance, r_min: float, exponent: float):
@@ -264,29 +264,25 @@ def sample_shadowing(sigma_sh: float, size, rng: np.random.Generator) -> np.ndar
 
 def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    """The (L, K) large-scale gains toward the target BS for one user drop.
+    """The (..., L, K) large-scale gains toward the target BS for one user drop.
 
     ``centers`` are the (L, 2) cell centres of :func:`build_layout`, the
     target BS at ``centers[0]``, and ``positions`` the (L, K, 2) users of
-    :func:`drop_users`.  beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d
-    the distance from user (l, k) to the target BS and z an i.i.d.
-    log-normal shadowing gain, drawn first, so one draw can serve every
-    layout.  With sigma_sh = 0 the gains are a function of geometry.
+    :func:`drop_users`, or stacks (..., L, 2) and (..., L, K, 2) of both.
+    beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d the distance from
+    user (l, k) to the target BS and z an i.i.d. log-normal shadowing
+    gain, drawn once for the whole stack.  With sigma_sh = 0 the gains
+    are a function of geometry.
     """
-    z = sample_shadowing(cfg.sigma_sh, (len(centers), cfg.K), rng)
-    return _gains(cfg, centers, positions, z)
-
-
-def _gains(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
-           shadowing: np.ndarray) -> np.ndarray:
-    """The gains of :func:`large_scale` under the given (L, K) shadowing."""
+    centers = np.asarray(centers, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    L = len(centers)
-    if positions.shape != (L, cfg.K, 2):
-        raise ValueError(f"positions must have shape ({L}, {cfg.K}, 2)")
-    diff = positions - centers[0]
+    shape = (*centers.shape[:-1], cfg.K, 2)
+    if positions.shape != shape:
+        raise ValueError(f"positions must have shape {shape}")
+    z = sample_shadowing(cfg.sigma_sh, shape[-3:-1], rng)
+    diff = positions - centers[..., :1, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    return shadowing * attenuation(dist, cfg.r_min, cfg.gamma_pl)
+    return z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
 
 
 def save_beta_fixture(beta: np.ndarray, path: str | Path) -> None:

@@ -343,11 +343,9 @@ def test_monte_carlo_rows_pass_the_paired_per_drop_check():
     for seed in range(3):
         cfg = default_config("fig3", seed=seed)
         for fig in ("fig3", "fig4b"):
-            for drops in _map_tasks(plan_for(fig), cfg).values():
-                for combo in drops[0]["mc"]:
-                    d = np.array([drop["mc"][combo] - drop["closed"][combo]
-                                  for drop in drops])
-                    z.extend(d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(len(d))))
+            for arrays in _map_tasks(plan_for(fig), cfg).values():
+                d = arrays["mc"] - arrays["closed"]  # (drops, combos, x)
+                z.extend((d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(len(d)))).ravel())
     assert len(z) == 504
     assert np.max(np.abs(z)) <= PAIRED_Z_BOUND, np.max(np.abs(z))
 

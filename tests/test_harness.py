@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import signal
 import sys
@@ -424,14 +425,17 @@ def _stacking_plan(experiment):
                     n_small={"fig3": 2, "fig4b": 2, "validate": 4}.get(experiment, 0))
 
 
-def _closed_values(experiment, values):
-    """The closed-form part of one drop's values in a sweep, in the layout
-    of ``oracle.drop_closed_forms``."""
-    if experiment == "validate":
-        return {label: {c: v[2:] for c, v in values[label].items()} for label in values}
+def _closed_values(experiment, arrays, drop, combos):
+    """The closed-form part of one drop's values in a sweep's per-gamma
+    arrays, in the layout of ``oracle.drop_closed_forms``."""
+    per_combo = {name: dict(zip(combos, arrays[name][drop]))
+                 for name in ("closed", "limit") if name in arrays}
     if experiment in ("fig4a", "fig5b"):
-        return values
-    return {k: values[k] for k in ("closed", "limit") if values[k] is not None}
+        return per_combo["limit"]
+    if experiment == "validate":
+        return {label: {c: (per_combo["closed"][c][i], per_combo["limit"][c][i])
+                        for c in combos} for i, label in enumerate(("exp_rcee", "sinr"))}
+    return per_combo
 
 
 def _leaves(tree, path=()):
@@ -451,13 +455,14 @@ def test_stacked_closed_forms_equal_the_per_drop_path(tiny_cfg, experiment, seed
     cfg = tiny_cfg.replace(seed=seed)
     plan = _stacking_plan(experiment)
     checked = 0
-    for gamma, drops in harness._map_tasks(plan, cfg).items():
+    for gamma, arrays in harness._map_tasks(plan, cfg).items():
         cfg_g = cfg.replace(Gamma=gamma)
-        for drop, values in enumerate(drops):
+        for drop in range(plan.n_large):
             beta = drop_gains(cfg_g, drop)
             want = dict(_leaves(drop_closed_forms(plan, cfg_g, beta,
                                                   drop_budgets(plan, cfg_g, beta))))
-            got = dict(_leaves(_closed_values(experiment, values)))
+            got = dict(_leaves(_closed_values(experiment, arrays, drop,
+                                              harness._combos(plan))))
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert got[key].tobytes() == value.tobytes(), (gamma, drop, key)
@@ -476,9 +481,9 @@ def test_rows_do_not_depend_on_the_closed_form_block(tiny_cfg, monkeypatch, two_
     mc, closed_forms, *rest = harness._PER_EXPERIMENT[experiment]
     blocks = []
 
-    def spy(plan, cfg, combos, beta, rho, mc):
-        blocks.append(len(mc))
-        return closed_forms(plan, cfg, combos, beta, rho, mc)
+    def spy(plan, cfg, combos, beta, rho):
+        blocks.append(len(beta))
+        return closed_forms(plan, cfg, combos, beta, rho)
 
     monkeypatch.setitem(harness._PER_EXPERIMENT, experiment, (mc, spy, *rest))
     n_budgets = len(plan.p_grid_db) if experiment == "fig4b" else 1
@@ -1130,20 +1135,35 @@ def test_validate_moments_are_the_whole_ensemble_moments(K, M, L, seed, n, monke
         assert row[6] == float(np.mean(per_user))
 
 
+def _validate_peak(cfg, n_trials) -> int:
+    """Traced peak bytes of one validate run, after a collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_experiment(plan_for("validate", n_small=n_trials), cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_validate_memory_is_flat_in_the_trial_count():
     # one block of channels and estimates at a time: only the C x n errors
-    # grow with the trials (8 B per allocation and trial)
+    # grow with the trials (8 B per allocation and trial).  An untraced
+    # warm-up run keeps the process's first-run allocations out of both
+    # readings.
     cfg = default_config("validate", seed=0)
+    run_experiment(plan_for("validate", n_small=4_000), cfg)
+    assert _validate_peak(cfg, 64_000) - _validate_peak(cfg, 4_000) < 2 * (4 * 60_000 * 8)
 
-    def peak(n_trials):
-        tracemalloc.start()
-        try:
-            run_experiment(plan_for("validate", n_small=n_trials), cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(64_000) < 1.5 * peak(4_000)
+def test_validate_memory_at_few_antennas():
+    # At K = 10, M = 2 a block holds 297 trials, whose (n, C, K, L, K)
+    # inner products (13.3 MB complex) and their squared magnitudes set
+    # the peak: a block must not hold a further full-size copy of them,
+    # nor the products of the next block beside those of this one.
+    cfg = default_config("validate", seed=0).replace(K=10, M=2)
+    run_experiment(plan_for("validate", n_small=300), cfg)
+    assert _validate_peak(cfg, 4_000) < 23.7 * 2**20
 
 
 def test_gram_draw_reaches_the_large_antenna_limit():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,12 +55,15 @@ class TestSystemConfig:
         dict(K=1), dict(M=1), dict(L=0), dict(L=8), dict(Gamma=2),
         dict(sigma_sh=-1.0), dict(mu=1.4), dict(mu=5.0), dict(P_total=0.0),
         dict(rho_u=-1.0), dict(r=0.0), dict(slot_fraction=1.5),
-        dict(seed=-1),
+        dict(seed=-1), dict(P_total=math.inf), dict(rho_u=math.inf),
+        dict(r=math.inf), dict(r_min=math.inf), dict(gamma_pl=math.inf),
+        dict(B=math.inf), dict(Tu=math.inf), dict(To=math.inf),
+        dict(sigma_sh=math.inf), dict(sigma_sh=math.nan),
     ])
     def test_rejects_invalid(self, bad):
         base = dict(K=3, M=8, P_total=3.0e3)
         base.update(bad)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
             SystemConfig(**base)
 
     def test_mu_upper_bound_scales_with_k(self):
@@ -257,6 +261,9 @@ class TestLargeScale:
                 d = np.hypot(*(pos[l, k] - centers[0]))
                 assert beta[l, k] == pytest.approx(
                     attenuation(d, cfg.r_min, cfg.gamma_pl), rel=1e-12)
+        # a stack of layouts takes a stack of positions of the same shape
+        with pytest.raises(ValueError, match=re.escape("shape (2, 3, 2, 2)")):
+            large_scale(cfg, np.stack([centers, centers]), pos, np.random.default_rng(4))
 
     def test_gains_equal_slice_zero_of_the_full_tensor(self):
         for gamma in (1, 3, 7):
