@@ -10,44 +10,40 @@ bounds.
 
 from .airlink import SinrMoments, complex_normal, sample_channels
 from .estimators import LS, MMSE, METHODS, check_method
-from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, EmpiricalCdf,
-                      ExperimentPlan, MetricReport, bench_allocators,
-                      default_config, drop_gains, empirical_cdf, ks_distance,
+from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, ExperimentPlan,
+                      MetricReport, bench_allocators, default_config, drop_gains,
                       plan_for, run_experiment, seed_schedule)
 from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
                       exp_rcee_closed, exp_rcee_eppa_floor,
                       exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
-                      sinr_closed, sinr_limit, upsilon)
+                      sinr_closed, sinr_limit)
 from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
                   ppa_allocate, unconstrained_optimum)
 from .refsolver import ConstrainedProblem, SolveResult, project_bounded_simplex, solve
 from .scenario import (ConfigurationError, FixtureFormatError, SystemConfig,
                        attenuation, build_layout, db_to_linear, drop_users,
-                       in_hexagon, large_scale, load_beta_fixture,
-                       sample_shadowing, save_beta_fixture)
+                       large_scale, load_beta_fixture, sample_shadowing,
+                       save_beta_fixture)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
-    "MMSE", "ConfigurationError", "ConstrainedProblem",
-    "EmpiricalCdf", "ExperimentPlan", "FixtureFormatError",
-    "InterferenceProfile", "MetricReport",
+    "MMSE", "ConfigurationError", "ConstrainedProblem", "ExperimentPlan",
+    "FixtureFormatError", "InterferenceProfile", "MetricReport",
     "PilotAllocation", "RateSummary", "SinrMoments", "SolveResult",
     "SystemConfig",
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
     "check_method", "complex_normal",
-    "db_to_linear", "default_config", "drop_gains", "drop_users", "empirical_cdf",
-    "eppa_profile",
+    "db_to_linear", "default_config", "drop_gains", "drop_users", "eppa_profile",
     "exp_rcee_asymptotic", "exp_rcee_bound_mmse", "exp_rcee_closed",
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",
-    "in_hexagon", "ks_distance", "large_scale",
-    "load_beta_fixture", "make_objective",
+    "large_scale", "load_beta_fixture", "make_objective",
     "objective_value", "plan_for",
     "ppa_allocate", "project_bounded_simplex", "rate_summary",
     "run_experiment",
     "sample_channels", "sample_shadowing",
     "save_beta_fixture", "seed_schedule", "sinr_closed", "sinr_limit",
-    "solve", "unconstrained_optimum", "upsilon",
+    "solve", "unconstrained_optimum",
 ]

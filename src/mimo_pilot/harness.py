@@ -88,41 +88,6 @@ def seed_schedule(seed: int, trial: int, purpose: str) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution function."""
-
-    values: np.ndarray  # sorted ascending
-
-    def evaluate(self, x) -> np.ndarray | float:
-        out = np.searchsorted(self.values, np.asarray(x), side="right") / self.values.size
-        return float(out) if out.ndim == 0 else out
-
-    def curve(self):
-        """Jump points and the distribution level reached at each."""
-        n = self.values.size
-        return self.values, np.arange(1, n + 1) / n
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    s = np.asarray(samples, dtype=float).ravel()
-    if s.size == 0:
-        raise ValueError("empirical distribution of an empty sample is undefined")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("samples must be finite")
-    return EmpiricalCdf(values=np.sort(s))
-
-
-def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
-    """Kolmogorov-Smirnov distance between two empirical distributions.
-
-    Both functions are piecewise constant, so the supremum is attained at
-    a jump point of either one.
-    """
-    grid = np.union1d(a.values, b.values)
-    return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     """What to sweep and how hard to sample.
 
@@ -719,12 +684,16 @@ def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
 
 
 def _cdf_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
-    """The empirical distribution over drops of each (gamma, combo) value."""
+    """The empirical distribution over drops of each (gamma, combo) value:
+    its sorted drop values, the n-th of N at level n/N."""
     rows = []
     for gamma in plan.gammas:
+        values = np.sort(per_gamma[gamma]["limit"], axis=0)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples must be finite")
+        levels = np.arange(1, len(values) + 1) / len(values)
         for c, (scheme, method) in enumerate(combos):
-            cdf = empirical_cdf(per_gamma[gamma]["limit"][:, c])
-            for value, level in zip(*cdf.curve()):
+            for value, level in zip(values[:, c], levels):
                 rows.append((plan.experiment, metric, gamma, method, scheme,
                              float(value), float(level)))
     return MetricReport(plan.experiment, CDF_COLUMNS, tuple(rows))
@@ -762,6 +731,7 @@ _PER_EXPERIMENT = {
 
 
 _BENCH_BUDGET = 1.0e4  # the pilot budget of every timed profile
+_BENCH_LOOPS = 20  # calls per measurement of either solver
 
 
 def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0) -> list[tuple]:
@@ -769,7 +739,8 @@ def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0) -> li
 
     One synthetic interference profile per K; both solvers minimize the
     same average-error objective.  Returns rows (K, closed-form seconds,
-    reference seconds, speedup), each the best of three measurements.
+    reference seconds, speedup), each the best of three measurements of
+    the mean over the same number of calls.
     """
     rows = []
     for K in k_values:
@@ -779,18 +750,15 @@ def bench_allocators(k_values=(2, 3, 4, 5, 6, 7, 8, 9, 10), seed: int = 0) -> li
         profile = ppa.InterferenceProfile(upsilon=ups, beta_target=beta0)
         cfg = SystemConfig(K=K, M=200, P_total=_BENCH_BUDGET, mu=1.5, seed=seed)
 
-        loops = 100
-        best_ppa = min(
-            _timed(lambda: ppa.ppa_allocate(LS, profile, cfg), loops)
-            for _ in range(3))
-        best_ref = min(_timed(lambda: reference_solve(LS, profile, cfg), 1)
-                       for _ in range(3))
+        best_ppa = min(_timed(lambda: ppa.ppa_allocate(LS, profile, cfg)) for _ in range(3))
+        best_ref = min(_timed(lambda: reference_solve(LS, profile, cfg)) for _ in range(3))
         rows.append((K, best_ppa, best_ref, best_ref / best_ppa))
     return rows
 
 
-def _timed(fn, loops: int) -> float:
+def _timed(fn) -> float:
+    """Mean seconds of one call of ``fn`` over ``_BENCH_LOOPS`` calls."""
     start = time.perf_counter()
-    for _ in range(loops):
+    for _ in range(_BENCH_LOOPS):
         fn()
-    return (time.perf_counter() - start) / loops
+    return (time.perf_counter() - start) / _BENCH_LOOPS

@@ -115,12 +115,6 @@ def _bound_terms(M, ups, total):
     return M * ups / ((M - 1) * total)
 
 
-def upsilon(rho, beta):
-    """Contamination-plus-noise level sum_{l != 0} rho_l beta_l + 1."""
-    rho, beta, column = _slices(rho, beta)
-    return _shaped(_upsilon(rho, beta), column)
-
-
 def exp_rcee_closed(method: str, M, rho, beta):
     """Expected relative estimation error at M antennas.
 

@@ -177,10 +177,7 @@ class SystemConfig:
             if key not in known:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in ("K", "M", "L", "Gamma", "seed"):
-                    values[key] = int(val)
-                else:
-                    values[key] = float(val)
+                values[key] = int(val) if known[key].type == "int" else float(val)
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
         missing = {"K", "M", "P_total"} - set(values)
@@ -201,19 +198,6 @@ def build_layout(cfg: SystemConfig) -> np.ndarray:
         angle = math.radians(60.0 * (i - 1))
         centers[i] = (d * math.cos(angle), d * math.sin(angle))
     return centers
-
-
-def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Membership test for a flat-top hexagon of given circumradius.
-
-    Accepts an (..., n, 2) array and returns an (..., n) boolean mask.
-    Boundary points count as inside.  It defines the cell shape that
-    :func:`drop_users` fills, so tests of a drop check against it.
-    """
-    p = np.atleast_2d(points) - np.asarray(center)
-    x, y = np.abs(p[..., 0]), np.abs(p[..., 1])
-    s3 = math.sqrt(3.0)
-    return (y <= s3 * radius / 2.0) & (s3 * x + y <= s3 * radius)
 
 
 # The six corners of the unit flat-top hexagon, counter-clockwise from +x.

@@ -18,11 +18,17 @@ water-filling in numpy arrays; the allocator's objective as the
 The sweeps' closed forms as they were evaluated before the sweeps
 stacked them over drops: one public call per (gamma, drop, estimator) on
 the drop's (L, K) gains.  The stacked pass must return the same bits.
+
+The tests' statistical and geometric tools: the empirical distribution
+and the Kolmogorov-Smirnov distance between two of them, membership of
+the hexagonal cell a drop fills, and upsilon on its own.  No command
+uses them.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,3 +425,57 @@ def drop_closed_forms(plan, cfg, beta, budgets) -> dict:
     sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)
     return {"exp_rcee": {key: (closed[key], limit[key]) for key in rhos},
             "sinr": {key: (sinr[c], sinr_limit[c]) for c, key in enumerate(rhos)}}
+
+
+@dataclass(frozen=True)
+class EmpiricalCdf:
+    """Right-continuous empirical distribution function."""
+
+    values: np.ndarray  # sorted ascending
+
+    def evaluate(self, x) -> np.ndarray | float:
+        out = np.searchsorted(self.values, np.asarray(x), side="right") / self.values.size
+        return float(out) if out.ndim == 0 else out
+
+    def curve(self):
+        """Jump points and the distribution level reached at each."""
+        n = self.values.size
+        return self.values, np.arange(1, n + 1) / n
+
+
+def empirical_cdf(samples) -> EmpiricalCdf:
+    s = np.asarray(samples, dtype=float).ravel()
+    if s.size == 0:
+        raise ValueError("empirical distribution of an empty sample is undefined")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("samples must be finite")
+    return EmpiricalCdf(values=np.sort(s))
+
+
+def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
+    """Kolmogorov-Smirnov distance between two empirical distributions.
+
+    Both functions are piecewise constant, so the supremum is attained at
+    a jump point of either one.
+    """
+    grid = np.union1d(a.values, b.values)
+    return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
+
+
+def in_hexagon(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Membership test for a flat-top hexagon of given circumradius.
+
+    Accepts an (..., n, 2) array and returns an (..., n) boolean mask.
+    Boundary points count as inside.  It defines the cell shape that
+    ``scenario.drop_users`` fills, so tests of a drop check against it.
+    """
+    p = np.atleast_2d(points) - np.asarray(center)
+    x, y = np.abs(p[..., 0]), np.abs(p[..., 1])
+    s3 = math.sqrt(3.0)
+    return (y <= s3 * radius / 2.0) & (s3 * x + y <= s3 * radius)
+
+
+def upsilon(rho, beta):
+    """Contamination-plus-noise level sum_{l != 0} rho_l beta_l + 1."""
+    rho, beta, column = metrics._slices(rho, beta)
+    return metrics._shaped(metrics._upsilon(rho, beta), column)

@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from mimo_pilot import (InterferenceProfile, SystemConfig, bench_allocators,
-                        complex_normal, default_config, empirical_cdf,
-                        eppa_profile, ks_distance, make_objective,
+                        complex_normal, default_config, eppa_profile,
                         objective_value, plan_for, ppa_allocate,
                         run_experiment, sample_channels, seed_schedule,
                         unconstrained_optimum)
 from mimo_pilot import exp_rcee_asymptotic
 from mimo_pilot.cli import main
 from mimo_pilot.estimators import LS, MMSE
-from mimo_pilot.harness import _map_tasks
+from mimo_pilot.harness import _map_tasks, reference_solve
 from mimo_pilot.metrics import (exp_rcee_closed, exp_rcee_eppa_floor,
                                 exp_rcee_eppa_limit, exp_rcee_limit)
-from mimo_pilot.refsolver import ConstrainedProblem, solve
-from oracle import estimate_ls, estimate_mmse, pilot_phase, rcee_prefix_samples
+from oracle import (empirical_cdf, estimate_ls, estimate_mmse, ks_distance, pilot_phase,
+                    rcee_prefix_samples)
 
 TWO_CELL_BETA = np.array([[1.0], [0.3]])
 TWO_CELL_RHO = np.array([[4.0], [1.0]])
@@ -145,10 +144,7 @@ def test_acceptance_05_allocator_agrees_with_reference_solver(table_beta):
         for method in (LS, MMSE):
             alloc = ppa_allocate(method, prof, cfg)
             value = objective_value(method, alloc.rho, prof, cfg.M)
-            fun, grad = make_objective(method, prof, cfg.M)
-            result = solve(ConstrainedProblem(
-                objective=fun, gradient=grad, total=cfg.P_total,
-                lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
+            result = reference_solve(method, prof, cfg)
             reference = objective_value(method, result.x, prof, cfg.M)
             gap = (value - reference) / abs(reference)
             assert gap <= 1e-4

@@ -212,9 +212,15 @@ class TestFigure:
                      "--out", "/nonexistent/dir/out.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_config_file(self, capsys):
+    def test_missing_config_file(self, tmp_path, capsys):
         assert main(["figure", "fig5b", "--config", "/nonexistent/sim.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
+        # a config the sweep cannot report: one cell has no interference,
+        # so every large-antenna rate is infinite
+        single_cell = tmp_path / "single.cfg"
+        single_cell.write_text("K = 10\nM = 200\nP_total = 1e4\nL = 1\n")
+        assert main(["figure", "fig5b", "--config", str(single_cell), "--drops", "3"]) == 1
+        assert capsys.readouterr().err == "error: samples must be finite\n"
 
 
 def test_console_script_entry_point(table_fixture_path):

@@ -14,10 +14,10 @@ import pytest
 from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
                         exp_rcee_closed, exp_rcee_eppa_floor,
                         exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
-                        sinr_closed, sinr_limit, upsilon)
+                        sinr_closed, sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.metrics import _total
-from oracle import mmse_gain
+from oracle import mmse_gain, upsilon
 
 M_GRID = np.array([1, 2, 3, 8, 17, 200, 512, 4096])
 

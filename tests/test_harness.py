@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mimo_pilot import (EXPERIMENTS, GRID_COLUMNS, ExperimentPlan, MetricReport,
-                        bench_allocators, default_config, empirical_cdf, ks_distance,
-                        plan_for, run_experiment, seed_schedule)
+                        bench_allocators, default_config, plan_for, run_experiment,
+                        seed_schedule)
 from mimo_pilot import forkmap, harness, metrics, ppa
 from mimo_pilot.airlink import complex_normal, sample_channels
 from mimo_pilot.estimators import LS, METHODS, MMSE
@@ -22,8 +22,9 @@ from mimo_pilot.harness import (_DESK_M_GRID, _DESK_P_GRID_DB, _GRAM_BLOCK,
                                 _gram_trials, _mc_means, _mc_trials, _mean, _mean_stderr,
                                 _prefix_rcee, drop_gains)
 from mimo_pilot.scenario import SystemConfig, build_layout, drop_users, large_scale
-from oracle import (drop_budgets, drop_closed_forms, empirical_sinr_terms, estimate_ls,
-                    estimate_mmse, pilot_phase, rcee_prefix_samples)
+from oracle import (drop_budgets, drop_closed_forms, empirical_cdf, empirical_sinr_terms,
+                    estimate_ls, estimate_mmse, ks_distance, pilot_phase,
+                    rcee_prefix_samples)
 
 
 class TestSeedSchedule:
@@ -251,14 +252,17 @@ class TestRunExperimentFig4a:
         report = run_experiment(plan, tiny_cfg)
         assert report.columns == ("experiment", "metric", "gamma", "method",
                                   "scheme", "value", "cdf")
-        for method in (LS, MMSE):
-            for scheme in ("ppa", "eppa"):
-                rows = report.select(method=method, scheme=scheme)
-                values = [row[5] for row in rows]
-                levels = [row[6] for row in rows]
-                assert len(rows) == 6
-                assert values == sorted(values)
-                assert levels == pytest.approx(np.arange(1, 7) / 6.0)
+        limit = harness._map_tasks(plan, tiny_cfg)[1]["limit"]
+        for c, (scheme, method) in enumerate(harness._combos(plan)):
+            rows = report.select(method=method, scheme=scheme)
+            values = [row[5] for row in rows]
+            levels = [row[6] for row in rows]
+            assert len(rows) == 6
+            assert values == sorted(values)
+            assert levels == pytest.approx(np.arange(1, 7) / 6.0)
+            # the rows are the drop values' empirical distribution, bit for bit
+            want_values, want_levels = empirical_cdf(limit[:, c]).curve()
+            assert (values, levels) == (want_values.tolist(), want_levels.tolist())
 
 
 def test_fig5a_rows_hold_the_worst_rate_only(tiny_cfg):

@@ -7,9 +7,9 @@ from mimo_pilot import (RateSummary, SystemConfig, achievable_rate,
                         exp_rcee_bound_mmse, exp_rcee_closed,
                         exp_rcee_eppa_floor, exp_rcee_eppa_limit,
                         exp_rcee_limit, rate_summary, sinr_closed,
-                        sinr_limit, upsilon)
+                        sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
-from oracle import rcee_prefix_samples, rcee_sample
+from oracle import rcee_prefix_samples, rcee_sample, upsilon
 
 # single-interferer column: own received pilot power 1, interference 0.1
 RHO_1 = np.array([4.0, 1.0])

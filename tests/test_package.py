@@ -1,5 +1,6 @@
 """The package's public surface and the README's library example."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -18,11 +19,21 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
 
 # the literal antenna model and the whole-ensemble SINR moments, kept in
-# tests/oracle.py as the kernels' references
+# tests/oracle.py as the kernels' references, and the tests' statistical
+# and geometric tools, which no command uses
 ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimate",
                 "estimate_ls", "mmse_gain", "estimate_mmse", "mmse_gain_matrix",
                 "rcee_sample", "rcee_prefix_samples", "ChannelRealization",
-                "empirical_sinr_terms")
+                "empirical_sinr_terms", "EmpiricalCdf", "empirical_cdf", "ks_distance",
+                "in_hexagon", "upsilon")
+
+# exported names no package module uses, each with why it is public
+REASONS = {
+    "unconstrained_optimum": "the subject of acceptance 06",
+    "exp_rcee_bound_mmse": "the MMSE bound the allocator minimizes, a bound property",
+    "exp_rcee_eppa_limit": "the subject of acceptance 07",
+    "save_beta_fixture": "writes the format allocate --beta and fixture-check read (README)",
+}
 
 
 def test_every_exported_name_resolves():
@@ -37,6 +48,32 @@ def test_signatures_the_benchmark_reads():
     max_iter = inspect.signature(refsolver.solve).parameters["max_iter"]
     assert max_iter.default is not inspect.Parameter.empty
     assert list(inspect.signature(scenario.large_scale).parameters)[2] == "positions"
+
+
+def _uses(node, owners=frozenset()):
+    """Names ``node`` reads, imports or takes as attributes, except inside
+    the ``def``/``class`` of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owners = owners | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    else:
+        name = node.name if isinstance(node, ast.alias) else None
+    if name is not None and name not in owners:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, owners)
+
+
+def test_every_exported_name_is_used_or_has_a_reason():
+    used = set()
+    for path in (SRC / "mimo_pilot").glob("*.py"):
+        if path.name != "__init__.py":
+            used.update(_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = set(mimo_pilot.__all__) - used
+    assert sorted(unused) == sorted(REASONS), "export only what the package uses, or say why"
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)

@@ -10,7 +10,6 @@ from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import default_config, drop_gains, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
                                 exp_rcee_eppa_floor, exp_rcee_limit)
-from mimo_pilot.refsolver import ConstrainedProblem, solve
 
 
 # A desk drop's (7, 10) gains, kept as literals because the drop draw no
@@ -202,10 +201,7 @@ class TestPpaAllocate:
         cfg = SystemConfig(K=3, M=200, P_total=3.0e3, mu=1.5)
         prof = table_profile(table_beta)
         alloc = ppa_allocate(LS, prof, cfg)
-        fun, grad = make_objective(LS, prof, cfg.M)
-        result = solve(ConstrainedProblem(
-            objective=fun, gradient=grad, total=cfg.P_total,
-            lower=cfg.rho_min, upper=cfg.rho_max, dimension=cfg.K))
+        result = reference_solve(LS, prof, cfg)
         assert objective_value(LS, alloc.rho, prof, cfg.M) \
             <= result.objective * (1.0 + 1e-6)
 
@@ -269,10 +265,7 @@ class TestPpaAllocate:
             prof = random_profile(rng, K, P)
             for method in (LS, MMSE):
                 alloc = ppa_allocate(method, prof, cfg)
-                fun, grad = make_objective(method, prof, cfg.M)
-                result = solve(ConstrainedProblem(
-                    objective=fun, gradient=grad, total=P,
-                    lower=cfg.rho_min, upper=cfg.rho_max, dimension=K))
+                result = reference_solve(method, prof, cfg)
                 exact_at_ref = objective_value(method, result.x, prof, cfg.M)
                 value = objective_value(method, alloc.rho, prof, cfg.M)
                 assert value <= exact_at_ref * (1.0 + 1e-4)

@@ -7,9 +7,9 @@ import pytest
 
 from mimo_pilot import (ConfigurationError, FixtureFormatError, SystemConfig,
                         attenuation, build_layout, db_to_linear,
-                        default_config, drop_users, empirical_cdf, in_hexagon,
-                        ks_distance, large_scale, load_beta_fixture,
-                        sample_shadowing, save_beta_fixture)
+                        default_config, drop_users, large_scale,
+                        load_beta_fixture, sample_shadowing, save_beta_fixture)
+from oracle import empirical_cdf, in_hexagon, ks_distance
 
 
 def test_db_round_trip():
