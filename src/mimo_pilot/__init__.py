@@ -13,9 +13,8 @@ from .estimators import LS, MMSE, METHODS, check_method
 from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, ExperimentPlan,
                       MetricReport, bench_allocators, default_config, drop_gains,
                       plan_for, run_experiment, seed_schedule)
-from .metrics import (RateSummary, achievable_rate, exp_rcee_bound_mmse,
-                      exp_rcee_closed, exp_rcee_eppa_floor,
-                      exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
+from .metrics import (achievable_rate, exp_rcee_bound_mmse, exp_rcee_closed,
+                      exp_rcee_eppa_floor, exp_rcee_eppa_limit, exp_rcee_limit,
                       sinr_closed, sinr_limit)
 from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
@@ -32,7 +31,7 @@ __all__ = [
     "ALPHA", "CDF_COLUMNS", "EXPERIMENTS", "GRID_COLUMNS", "LS", "METHODS",
     "MMSE", "ConfigurationError", "ConstrainedProblem", "ExperimentPlan",
     "FixtureFormatError", "InterferenceProfile", "MetricReport",
-    "PilotAllocation", "RateSummary", "SinrMoments", "SolveResult",
+    "PilotAllocation", "SinrMoments", "SolveResult",
     "SystemConfig",
     "achievable_rate", "attenuation", "bench_allocators", "build_layout",
     "check_method", "complex_normal",
@@ -41,7 +40,7 @@ __all__ = [
     "exp_rcee_eppa_floor", "exp_rcee_eppa_limit", "exp_rcee_limit",
     "large_scale", "load_beta_fixture", "make_objective",
     "objective_value", "plan_for",
-    "ppa_allocate", "project_bounded_simplex", "rate_summary",
+    "ppa_allocate", "project_bounded_simplex",
     "run_experiment",
     "sample_channels", "sample_shadowing",
     "save_beta_fixture", "seed_schedule", "sinr_closed", "sinr_limit",

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import LS, METHODS
-from .harness import (bench_allocators, default_config, drop_gains, plan_for,
-                      reference_solve, run_experiment)
+from .harness import (EXPERIMENTS, SCHEMES, bench_allocators, default_config,
+                      drop_gains, plan_for, reference_solve, run_experiment)
 from .ppa import eppa_profile, objective_value, ppa_allocate
 from .scenario import ConfigurationError, SystemConfig, load_beta_fixture
 
 SEED_ENV = "MIMO_PILOT_SEED"
 
-FIGURES = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b")
+FIGURES = tuple(e for e in EXPERIMENTS if e != "validate")
 ALLOCATE_COLUMNS = ("user", "rho_pilot", "group", "objective")
 BENCH_COLUMNS = ("K", "ppa_seconds", "refsolver_seconds", "speedup")
 
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pilot powers for one scenario realization")
     _add_common(p)
     p.add_argument("--method", choices=METHODS, default=LS)
-    p.add_argument("--scheme", choices=("ppa", "eppa", "ref"), default="ppa")
+    p.add_argument("--scheme", choices=SCHEMES, default="ppa")
     p.add_argument("--beta", metavar="FILE",
                    help="attenuation fixture instead of a random drop")
     p.add_argument("--check", action="store_true",

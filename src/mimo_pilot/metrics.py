@@ -25,7 +25,6 @@ float.  Inputs are checked once per call, never per allocation or user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,25 +236,3 @@ def achievable_rate(cfg, sinr):
         raise ValueError("SINR must be non-negative")
     logs = np.array([math.log2(v) for v in (1.0 + s).ravel().tolist()])
     return _shaped(cfg.rate_prefactor * logs.reshape(s.shape), False)
-
-
-@dataclass(frozen=True)
-class RateSummary:
-    """Cell-level rate figures: worst user and per-user average.
-
-    Floats for one set of users, arrays for a stack of them.
-    """
-
-    minimum: float | np.ndarray
-    average: float | np.ndarray
-
-
-def rate_summary(rates) -> RateSummary:
-    """Collapse per-user rates (last axis) into the cell minimum and average."""
-    r = np.atleast_1d(np.asarray(rates, dtype=float))
-    if r.size == 0:
-        raise ValueError("rate summary of an empty collection is undefined")
-    if np.any(r < 0):
-        raise ValueError("rates must be non-negative")
-    return RateSummary(minimum=_shaped(r.min(axis=-1), False),
-                       average=_shaped(r.mean(axis=-1), False))

@@ -149,28 +149,21 @@ class PilotAllocation:
 
     ``free``, ``at_min`` and ``at_max`` partition the user indices: free
     users carry the water-filling powers of the residual budget, the
-    others sit exactly on a box bound.
+    others sit exactly on a box bound.  :func:`ppa_allocate` makes every
+    instance and checks these invariants as it does.
     """
 
     rho: np.ndarray
     free: frozenset[int]
     at_min: frozenset[int]
     at_max: frozenset[int]
-    P_total: float
-    rho_min: float
-    rho_max: float
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        _check_allocation(rho.tolist(), self.free, self.at_min, self.at_max,
-                          self.P_total, self.rho_min, self.rho_max)
 
 
 def _check_allocation(r: list[float], free, at_min, at_max, P: float,
                       lo: float, hi: float) -> None:
-    """:class:`PilotAllocation`'s invariants, on its powers as a list and
-    its groups as any collections of indices."""
+    """:class:`PilotAllocation`'s invariants under the budget ``P`` and the
+    box [lo, hi], on its powers as a list and its groups as any
+    collections of indices."""
     if sorted([*free, *at_min, *at_max]) != list(range(len(r))):
         raise ValueError("free/at_min/at_max must partition the user indices")
     if abs(sum(r) - P) > 1e-9 * P:
@@ -219,13 +212,8 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
         for k, x in zip(free, _water_fill(method, w_free, [s[k] for k in free], budget)):
             rho[k] = x
     _check_allocation(rho, free, at_min, at_max, P, lo, hi)
-    # built without __init__, whose __post_init__ would redo the checks on
-    # an array
-    alloc = object.__new__(PilotAllocation)
-    vars(alloc).update(rho=np.array(rho, dtype=float), free=frozenset(free),
-                       at_min=frozenset(at_min), at_max=frozenset(at_max),
-                       P_total=P, rho_min=lo, rho_max=hi)
-    return alloc
+    return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
+                           frozenset(at_max))
 
 
 def objective_value(method: str, rho, profile: InterferenceProfile, M: int,
@@ -318,12 +306,15 @@ def exp_rcee_asymptotic(method: str, beta_slice, cfg) -> np.ndarray:
     ratio = interference / beta0
     free = list(alloc.free)
     varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
-    phi = interference * float(np.sqrt(ratio[free]).sum())
-    psi = np.sqrt(beta0 * interference)
+    # evaluated over the free users only: with every user pinned, varphi is
+    # 0 and the free-user expressions would divide 0 by 0
+    i_free = interference[free]
+    phi = i_free * float(np.sqrt(ratio[free]).sum())
+    psi = np.sqrt(beta0[free] * i_free)
     if method == LS:
         out = interference / (share * beta0)
-        out[free] = (phi / (varphi * psi))[free]
+        out[free] = phi / (varphi * psi)
     else:
         out = interference / (interference + share * beta0)
-        out[free] = (phi / ((varphi + float(ratio[free].sum())) * psi))[free]
+        out[free] = phi / ((varphi + float(ratio[free].sum())) * psi)
     return out

@@ -332,15 +332,9 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
             budget -= lo if g < 0 else hi if g > 0 else 0.0
         for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
             rho[k] = x
-    return PilotAllocation(
-        rho=np.array(rho),
-        free=frozenset(free),
-        at_min=frozenset(at_min),
-        at_max=frozenset(at_max),
-        P_total=cfg.P_total,
-        rho_min=lo,
-        rho_max=hi,
-    )
+    package_ppa._check_allocation(rho, free, at_min, at_max, cfg.P_total, lo, hi)
+    return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
+                           frozenset(at_max))
 
 
 def mean_error(method: str, rho, profile: InterferenceProfile, M: int,
@@ -416,10 +410,10 @@ def drop_closed_forms(plan, cfg, beta, budgets) -> dict:
     if plan.experiment == "fig5a":
         sinr = metrics.sinr_closed(plan.m_grid, stack, beta, cfg.rho_u)
         rates = metrics.achievable_rate(cfg, sinr)
-        return {"closed": dict(zip(rhos, metrics.rate_summary(rates).minimum))}
+        return {"closed": dict(zip(rhos, rates.min(-1)))}
     if plan.experiment == "fig5b":
         rates = metrics.achievable_rate(cfg, metrics.sinr_limit(stack, beta))
-        return dict(zip(rhos, metrics.rate_summary(rates).average))
+        return dict(zip(rhos, rates.mean(-1)))
     closed, limit = _error_means(beta, rhos, cfg.M), _error_means(beta, rhos)
     sinr = metrics.sinr_closed(cfg.M, stack, beta, cfg.rho_u).mean(axis=-1)
     sinr_limit = metrics.sinr_limit(stack, beta).mean(axis=-1)

@@ -223,13 +223,29 @@ class TestFigure:
         assert capsys.readouterr().err == "error: samples must be finite\n"
 
 
-def test_console_script_entry_point(table_fixture_path):
-    # the child imports the package from where this process found it
+def _run_cli(*args) -> subprocess.CompletedProcess:
+    """The command in a child process, which prints warnings to its stderr;
+    the child imports the package from where this process found it."""
     package_root = str(Path(mimo_pilot.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "mimo_pilot.cli", "fixture-check",
-         str(table_fixture_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "mimo_pilot.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_entry_point(table_fixture_path):
+    result = _run_cli("fixture-check", str(table_fixture_path))
     assert result.returncode == 0
     assert result.stdout == "ok: cells=7 users=3\n"
+
+
+def test_every_user_pinned_prints_no_warning(tmp_path):
+    # K = 2 and mu = 1.5 put both box corners on the budget; this drop's
+    # high-budget allocation pins both users, so no user is free
+    cfg = tmp_path / "vertex.cfg"
+    cfg.write_text("K = 2\nM = 2\nP_total = 100\nmu = 1.5\n")
+    result = _run_cli("figure", "fig4b", "--config", str(cfg), "--drops", "1",
+                      "--gamma", "1", "--trials", "3")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert len(result.stdout.splitlines()) == 1 + 4 * 7

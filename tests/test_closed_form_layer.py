@@ -13,9 +13,10 @@ import pytest
 
 from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
                         exp_rcee_closed, exp_rcee_eppa_floor,
-                        exp_rcee_eppa_limit, exp_rcee_limit, rate_summary,
+                        exp_rcee_eppa_limit, exp_rcee_limit, plan_for,
                         sinr_closed, sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot.harness import _fig5a_closed, _fig5b_closed
 from mimo_pilot.metrics import _total
 from oracle import mmse_gain, upsilon
 
@@ -138,10 +139,9 @@ def test_array_layer_matches_scalar_reference(L, K, fortran):
         _same_bits(limit, _per_user(lambda k: _ref_sinr_limit(rho[:, k], beta[:, k]), K))
         rates = achievable_rate(cfg, sinr)
         _same_bits(rates, [[_ref_rate(cfg, float(s)) for s in row] for row in sinr])
-        summary = rate_summary(rates)
-        _same_bits(summary.minimum, [min(row) for row in rates])
-        _same_bits(summary.average, [float(np.mean(list(row))) for row in rates])
-        _same_bits(rate_summary(achievable_rate(cfg, limit)).average,
+        _same_bits(rates.min(axis=-1), [min(row) for row in rates])
+        _same_bits(rates.mean(axis=-1), [float(np.mean(list(row))) for row in rates])
+        _same_bits(achievable_rate(cfg, limit).mean(axis=-1),
                    float(np.mean([_ref_rate(cfg, float(s)) for s in limit])))
 
 
@@ -187,10 +187,10 @@ def test_stacked_powers_match_per_slice_calls(C, L, K):
         check(lambda r: sinr_limit(r, beta), (C, K))
         for sinr in (lambda r: sinr_closed(M_GRID, r, beta, 100.0),
                      lambda r: sinr_limit(r, beta)):
-            summary = rate_summary(achievable_rate(cfg, sinr(rho)))
-            per_slice = [rate_summary(achievable_rate(cfg, sinr(r))) for r in rho]
-            _same_bits(summary.minimum, [s.minimum for s in per_slice])
-            _same_bits(summary.average, [s.average for s in per_slice])
+            rates = achievable_rate(cfg, sinr(rho))
+            per_slice = [achievable_rate(cfg, sinr(r)) for r in rho]
+            _same_bits(rates.min(axis=-1), [r.min(axis=-1) for r in per_slice])
+            _same_bits(rates.mean(axis=-1), [r.mean(axis=-1) for r in per_slice])
         # a stack with a second leading axis, and a stack of user columns
         _same_bits(exp_rcee_closed(LS, M_GRID, rho[None], beta)[0],
                    exp_rcee_closed(LS, M_GRID, rho, beta))
@@ -237,11 +237,11 @@ def test_stacked_gains_match_per_slice_calls(C, L, K):
             check(lambda r, b: sinr_closed(200, r, b, 100.0))
             check(sinr_limit)
             for sinr in (lambda r, b: sinr_closed(M_GRID, r, b, 100.0), sinr_limit):
-                summary = rate_summary(achievable_rate(cfg, sinr(rho, beta)))
+                rates = achievable_rate(cfg, sinr(rho, beta))
                 for d in range(D):
-                    per_slice = rate_summary(achievable_rate(cfg, sinr(rho[d], beta[d, 0])))
-                    _same_bits(summary.minimum[d], per_slice.minimum)
-                    _same_bits(summary.average[d], per_slice.average)
+                    per_slice = achievable_rate(cfg, sinr(rho[d], beta[d, 0]))
+                    _same_bits(rates[d].min(axis=-1), per_slice.min(axis=-1))
+                    _same_bits(rates[d].mean(axis=-1), per_slice.mean(axis=-1))
         # gains with more stack axes than the powers broadcast the powers
         _same_bits(sinr_closed(M_GRID, rho[0], gains[:, None], 100.0),
                    [sinr_closed(M_GRID, rho[0], b, 100.0) for b in gains])
@@ -270,10 +270,25 @@ class TestShapes:
         grid = exp_rcee_closed(MMSE, [8, 512], rho, table_beta)
         assert np.array_equal(grid[1], exp_rcee_closed(MMSE, 512, rho, table_beta))
 
-    def test_rate_summary_of_a_stack(self):
-        s = rate_summary([[3.0, 1.0, 2.0], [4.0, 6.0, 5.0]])
-        assert np.array_equal(s.minimum, [1.0, 4.0])
-        assert np.array_equal(s.average, [2.0, 5.0])
+    def test_rate_summary_of_a_stack(self, table_beta):
+        # the sweep's rate figures of a (drop, budget, allocation) stack:
+        # fig5a's worst user at each antenna count, fig5b's average user
+        # in the limit, one row per allocation
+        cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
+        plan = plan_for("fig5a", n_large=1)
+        rho = np.full((2, 7, 3), 1000.0)
+        rho[1, 0] = [500.0, 1500.0, 1000.0]
+        beta, stack = table_beta[None, None, None], rho[None, None]
+        worst = _fig5a_closed(plan, cfg, None, beta, stack)["closed"]
+        average = _fig5b_closed(plan, cfg, None, beta, stack)["limit"]
+        assert worst.shape == (1, 2, len(plan.m_grid))
+        assert average.shape == (1, 2)
+        for c in range(2):
+            rates = achievable_rate(cfg, sinr_closed(plan.m_grid, rho[c], table_beta,
+                                                     cfg.rho_u))
+            assert worst[0, c].tolist() == [min(row) for row in rates.tolist()]
+            limit = achievable_rate(cfg, sinr_limit(rho[c], table_beta))
+            assert average[0, c] == limit.mean()
 
 
 class TestValidation:
@@ -328,6 +343,4 @@ class TestValidation:
         cfg = SystemConfig(K=2, M=2, P_total=10.0)
         with pytest.raises(ValueError):
             achievable_rate(cfg, np.array([1.0, -0.5]))
-        with pytest.raises(ValueError):
-            rate_summary([[1.0, -1.0]])
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mimo_pilot import (RateSummary, SystemConfig, achievable_rate,
-                        exp_rcee_bound_mmse, exp_rcee_closed,
-                        exp_rcee_eppa_floor, exp_rcee_eppa_limit,
-                        exp_rcee_limit, rate_summary, sinr_closed,
+from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
+                        exp_rcee_closed, exp_rcee_eppa_floor,
+                        exp_rcee_eppa_limit, exp_rcee_limit, sinr_closed,
                         sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
 from oracle import rcee_prefix_samples, rcee_sample, upsilon
@@ -188,10 +187,3 @@ class TestRates:
         r1 = achievable_rate(cfg, 9.0)
         r3 = achievable_rate(cfg.replace(Gamma=3), 9.0)
         assert r1 == pytest.approx(3.0 * r3, rel=1e-12)
-
-    def test_rate_summary(self):
-        s = rate_summary([3.0, 1.0, 2.0])
-        assert s == RateSummary(minimum=1.0, average=2.0)
-        with pytest.raises(ValueError):
-            rate_summary([])
-

@@ -1,15 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracle
-from mimo_pilot import (ALPHA, InterferenceProfile, PilotAllocation,
-                        SystemConfig, eppa_profile, exp_rcee_asymptotic,
-                        make_objective, objective_value, ppa_allocate,
-                        unconstrained_optimum)
+from mimo_pilot import (ALPHA, InterferenceProfile, SystemConfig, eppa_profile,
+                        exp_rcee_asymptotic, make_objective, objective_value,
+                        ppa_allocate, unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import default_config, drop_gains, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
                                 exp_rcee_eppa_floor, exp_rcee_limit)
+from mimo_pilot.ppa import _check_allocation
 
 
 # A desk drop's (7, 10) gains, kept as literals because the drop draw no
@@ -164,19 +166,6 @@ class TestPpaAllocate:
             assert np.array_equal(alloc.rho, np.full(4, 1000.0))
             assert alloc.free == {0, 1, 2, 3}
 
-    def test_result_has_the_fields_of_a_checked_allocation(self, table_beta):
-        # ppa_allocate builds its result without __init__
-        cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
-        for method in (LS, MMSE):
-            alloc = ppa_allocate(method, table_profile(table_beta), cfg)
-            checked = PilotAllocation(**vars(alloc))
-            assert vars(alloc).keys() == vars(checked).keys()
-            assert alloc.rho.dtype == checked.rho.dtype == np.float64
-            assert np.array_equal(alloc.rho, checked.rho)
-            assert [alloc.free, alloc.at_min, alloc.at_max, alloc.P_total] == \
-                [checked.free, checked.at_min, checked.at_max, checked.P_total]
-            assert (alloc.rho_min, alloc.rho_max) == (checked.rho_min, checked.rho_max)
-
     def test_worked_example_ls(self, table_beta):
         cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
         alloc = ppa_allocate(LS, table_profile(table_beta), cfg)
@@ -288,30 +277,28 @@ class TestPpaAllocate:
 
 
 class TestPilotAllocationValidation:
-    def kwargs(self):
-        return dict(rho=np.array([2.0, 6.0]), free=frozenset({1}),
-                    at_min=frozenset({0}), at_max=frozenset(),
-                    P_total=8.0,
-                    rho_min=2.0, rho_max=6.0)
+    # ppa_allocate's one check of its result, on the powers as a list
+    def args(self):
+        return dict(r=[2.0, 6.0], free={1}, at_min={0}, at_max=set(),
+                    P=8.0, lo=2.0, hi=6.0)
 
     def test_valid_instance(self):
-        alloc = PilotAllocation(**self.kwargs())
-        assert alloc.at_min == {0}
+        _check_allocation(**self.args())
 
     def test_partition_must_cover_users(self):
-        bad = self.kwargs() | {"free": frozenset()}
+        bad = self.args() | {"free": set()}
         with pytest.raises(ValueError, match="partition"):
-            PilotAllocation(**bad)
+            _check_allocation(**bad)
 
     def test_budget_must_be_exhausted(self):
-        bad = self.kwargs() | {"P_total": 9.0}
+        bad = self.args() | {"P": 9.0}
         with pytest.raises(ValueError, match="budget"):
-            PilotAllocation(**bad)
+            _check_allocation(**bad)
 
     def test_pinned_users_sit_on_the_bound(self):
-        bad = self.kwargs() | {"rho": np.array([2.5, 5.5])}
+        bad = self.args() | {"r": [2.5, 5.5]}
         with pytest.raises(ValueError, match="at_min"):
-            PilotAllocation(**bad)
+            _check_allocation(**bad)
 
 
 class TestObjectiveValue:
@@ -511,6 +498,21 @@ class TestExpRceeAsymptotic:
     def test_method_mismatch_rejected(self, table_beta):
         with pytest.raises(ValueError, match="method"):
             exp_rcee_asymptotic("zf", table_beta, self.cfg())
+
+    def test_every_user_pinned(self):
+        # K = 2 and mu = 1.5 put both box corners on the budget.  User 0's
+        # weight is 1000 times user 1's: MMSE's noise-free allocation pins
+        # user 0 at max and user 1 at min, so no user is free and no
+        # free-user formula may be evaluated; LS leaves one user free on
+        # its bound.
+        cfg = SystemConfig(K=2, M=2, P_total=100.0, mu=1.5)
+        beta = np.array([[1.0, 1.0], [10.0, 0.01]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ls, mmse = (exp_rcee_asymptotic(m, beta, cfg) for m in (LS, MMSE))
+        # interference 5 and 0.005 over the shares mu/K and alpha/K
+        assert ls == pytest.approx([20.0 / 3.0, 0.02], rel=1e-14)
+        assert mmse == pytest.approx([20.0 / 23.0, 1.0 / 51.0], rel=1e-14)
 
     def test_matches_large_budget_allocation(self, table_beta):
         # drive the budget 12 decades up and price the actual allocation
