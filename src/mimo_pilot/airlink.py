@@ -1,13 +1,14 @@
-"""Fast fading and the matched-filter SINR of its Monte-Carlo moments.
+"""Fast fading and the matched-filter SINR.
 
-Everything here is expressed at the target base station: channel vectors
-h[l, k] are the links from user k of cell l to the target array, drawn as
-circularly-symmetric complex Gaussians scaled by the large-scale gains.
+:func:`complex_normal` and :func:`sample_channels` draw the fading, and
+:func:`matched_filter_sinr` assembles a user's Monte-Carlo moments into
+its uplink SINR.  Everything here is expressed at the target base
+station: channel vectors h[l, k] are the links from user k of cell l to
+the target array, drawn as circularly-symmetric complex Gaussians scaled
+by the large-scale gains.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +51,14 @@ def sample_channels(beta, M: int, rng: np.random.Generator) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class SinrMoments:
-    """Monte-Carlo moments of the matched-filter receiver.
+def matched_filter_sinr(signal_gain, cross_energy, filter_energy, rho_u: float):
+    """The matched-filter uplink SINR of a user's Monte-Carlo moments.
 
-    For one user, ``signal_gain`` is |E{hhat^H h}|^2 for its own channel,
-    ``cross_energy[l, n]`` is E{|hhat^H h[l, n]|^2} against every user in
-    the system, and ``filter_energy`` is E{||hhat||^2}.  The moments may
+    ``signal_gain`` is |E{hhat^H h}|^2 for the user's own channel,
+    ``cross_energy[..., l, n]`` is E{|hhat^H h[l, n]|^2} against every user
+    in the system, and ``filter_energy`` is E{||hhat||^2}.  The moments may
     carry leading stack axes, e.g. (C, K) for C allocations of K users,
-    with ``cross_energy`` (C, K, L, K); ``sinr`` then has the stack shape.
+    with ``cross_energy`` (C, K, L, K); the SINR then has the stack shape.
     """
-
-    signal_gain: float | np.ndarray
-    cross_energy: np.ndarray  # (..., L, K)
-    filter_energy: float | np.ndarray
-    rho_u: float
-
-    @property
-    def sinr(self):
-        """Assemble the moments into the matched-filter uplink SINR."""
-        interference = self.rho_u * (self.cross_energy.sum(axis=(-2, -1)) - self.signal_gain)
-        return self.rho_u * self.signal_gain / (interference + self.filter_energy)
+    interference = rho_u * (cross_energy.sum(axis=(-2, -1)) - signal_gain)
+    return rho_u * signal_gain / (interference + filter_energy)

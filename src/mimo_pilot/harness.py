@@ -41,6 +41,7 @@ the flat P/K, and the antenna counts come from a validated plan or
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
@@ -50,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, ppa
-from .airlink import SinrMoments, complex_normal, sample_channels
+from .airlink import complex_normal, matched_filter_sinr, sample_channels
 from .estimators import LS, MMSE, METHODS
 from .forkmap import fork_map
-from .refsolver import ConstrainedProblem, solve
+from .refsolver import solve
 from .scenario import (REUSE_FACTORS, SystemConfig, build_layout, db_to_linear, drop_users,
                        large_scale)
 
@@ -219,10 +220,8 @@ def reference_solve(method: str, profile: ppa.InterferenceProfile,
     ``RuntimeWarning``, so its point is never used without saying so.
     """
     fun, grad = ppa.make_objective(method, profile, cfg.M)
-    problem = ConstrainedProblem(objective=fun, gradient=grad, total=cfg.P_total,
-                                 lower=cfg.rho_min, upper=cfg.rho_max,
-                                 dimension=cfg.K)
-    result = solve(problem)
+    result = solve(fun, grad, total=cfg.P_total, lower=cfg.rho_min,
+                   upper=cfg.rho_max, dimension=cfg.K)
     if not result.converged:
         warnings.warn(f"reference solve did not converge: method={method} "
                       f"P_total={cfg.P_total!r} iterations={result.iterations} "
@@ -461,8 +460,8 @@ def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
     # and the (C,) infinite-budget floor: the flat split's, or the
     # allocator's high-budget limit, which the ppa and ref rows share
     asymptote = {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS}
-    limit = [_mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa" else asymptote[m]
-             for s, m in _combos(plan)]
+    limit = [_mean(metrics.exp_rcee_eppa_limit(m, beta, cfg.K, math.inf)) if s == "eppa"
+             else asymptote[m] for s, m in _combos(plan)]
     return {**_mc_means(plan, cfg, drop, beta, target, flat, m_values), "limit": np.array(limit)}
 
 
@@ -502,7 +501,8 @@ def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
         energy = _running(energy, np.matmul(conj[..., None, :], h_hat[..., None]).real[..., 0, 0])
     # C pow, as a scalar's ** 2 is; an array's ** 2 is x * x, which can
     # differ in the last bit
-    sinr = SinrMoments(np.float_power(np.abs(own / n), 2), cross / n, energy / n, cfg.rho_u).sinr
+    sinr = matched_filter_sinr(np.float_power(np.abs(own / n), 2), cross / n, energy / n,
+                               cfg.rho_u)
     return {"mc": np.stack([lam.mean(axis=1), sinr.mean(axis=1)], axis=-1),
             "mc_stderr": lam.std(axis=1, ddof=1) / np.sqrt(n)}
 

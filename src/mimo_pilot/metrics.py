@@ -20,6 +20,10 @@ antenna count M also accept a 1-D array of counts and then return
 (..., len(M), K): stack axes, then antennas, then users.  A single (L,)
 column of gains is one user and drops the user axis; a lone value is a
 float.  Inputs are checked once per call, never per allocation or user.
+
+The equal-power limit, :func:`exp_rcee_eppa_limit`, takes gains and a
+budget in place of powers; at P = ``math.inf`` it is the interference
+floor that equal pilot powers' error falls to as the budget grows.
 """
 
 from __future__ import annotations
@@ -163,7 +167,9 @@ def exp_rcee_eppa_limit(method: str, beta, K: int, P: float):
     """Large-antenna error limit under equal pilot powers rho = P/K.
 
     The power cancels almost everywhere, leaving the interference gains
-    plus the noise share K/P.
+    plus the noise share K/P.  At P = ``math.inf`` the share is 0.0, which
+    adds nothing, and the result is the floor as the budget grows: LS gives
+    sum_{l != 0} beta_l / beta_0, MMSE sum_{l != 0} beta_l / sum_l beta_l.
     """
     check_method(method)
     beta, column = _gains(beta)
@@ -173,20 +179,6 @@ def exp_rcee_eppa_limit(method: str, beta, K: int, P: float):
     if method == LS:
         return _shaped(interference / beta[..., 0, :], column)
     return _shaped(interference / (beta.sum(axis=-2) + K / P), column)
-
-
-def exp_rcee_eppa_floor(method: str, beta):
-    """Joint limit of :func:`exp_rcee_eppa_limit` as the budget grows.
-
-    Only the gain ratios survive: LS gives sum_{l != 0} beta_l / beta_0,
-    MMSE gives sum_{l != 0} beta_l / sum_l beta_l.
-    """
-    check_method(method)
-    beta, column = _gains(beta)
-    interference = beta[..., 1:, :].sum(axis=-2)
-    if method == LS:
-        return _shaped(interference / beta[..., 0, :], column)
-    return _shaped(interference / beta.sum(axis=-2), column)
 
 
 def sinr_closed(M, rho, beta, rho_u: float):
@@ -234,5 +226,5 @@ def achievable_rate(cfg, sinr):
     s = np.asarray(sinr, dtype=float)
     if np.any(s < 0):
         raise ValueError("SINR must be non-negative")
-    logs = np.array([math.log2(v) for v in (1.0 + s).ravel().tolist()])
+    logs = np.fromiter(map(math.log2, (1.0 + s).ravel().tolist()), float, s.size)
     return _shaped(cfg.rate_prefactor * logs.reshape(s.shape), False)

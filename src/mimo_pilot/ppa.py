@@ -62,15 +62,16 @@ class InterferenceProfile:
         beta = np.asarray(self.beta_target, dtype=float)
         if ups.shape != beta.shape or ups.ndim != 1:
             raise ValueError("upsilon and beta_target must be equal-length 1-D arrays")
-        if not (np.isfinite(ups).all() and np.isfinite(beta).all()):
+        u, b = ups.tolist(), beta.tolist()
+        if not (all(map(math.isfinite, u)) and all(map(math.isfinite, b))):
             raise ValueError("upsilon and beta_target must be finite")
-        if np.any(ups <= 0) or np.any(beta <= 0):
+        if any(x <= 0 for x in u) or any(x <= 0 for x in b):
             raise ValueError("upsilon and beta_target must be positive")
         object.__setattr__(self, "upsilon", ups)
         object.__setattr__(self, "beta_target", beta)
         # the bits of self.weight and of np.sqrt over it: both divide and
         # take square roots correctly rounded
-        w = [u / b for u, b in zip(ups.tolist(), beta.tolist())]
+        w = [x / y for x, y in zip(u, b)]
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_sqrt_weights", [math.sqrt(x) for x in w])
 
@@ -150,7 +151,8 @@ class PilotAllocation:
     ``free``, ``at_min`` and ``at_max`` partition the user indices: free
     users carry the water-filling powers of the residual budget, the
     others sit exactly on a box bound.  :func:`ppa_allocate` makes every
-    instance and checks these invariants as it does.
+    instance and checks these invariants as it does; a user it
+    water-fills exactly onto a bound is filed as pinned there.
     """
 
     rho: np.ndarray
@@ -209,8 +211,17 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
             budget -= hi if g > 0 else lo
     if free:
         w_free = None if method == LS else [w[k] for k in free]
-        for k, x in zip(free, _water_fill(method, w_free, [s[k] for k in free], budget)):
+        filled = _water_fill(method, w_free, [s[k] for k in free], budget)
+        for k, x in zip(free, filled):
             rho[k] = x
+        if lo in filled or hi in filled:
+            # the level search sides a user at its knot by the probe's last
+            # bit, so a user it leaves free can sit exactly on a bound
+            kept = []
+            for k in free:
+                x = rho[k]
+                (at_min if x == lo else at_max if x == hi else kept).append(k)
+            free = kept
     _check_allocation(rho, free, at_min, at_max, P, lo, hi)
     return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
                            frozenset(at_max))

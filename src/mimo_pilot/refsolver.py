@@ -3,11 +3,12 @@
 Used as an independent check of the closed-form allocator: it knows
 nothing about the objective's structure beyond a gradient, and handles
 the feasible set {sum x = total, lo <= x <= hi} by Euclidean projection.
-The projection and the allocator share one search, :func:`_clip_level`,
-for the level at which a sum of clipped linear terms meets a budget.
-The projection's terms all have unit slope, and the least-squares
-allocator's zero offset, which the search then leaves out of its
-arithmetic.
+:func:`solve` takes the objective and its gradient by position and the
+set's fields by keyword.  The projection and the allocator share one
+search, :func:`_clip_level`, for the level at which a sum of clipped
+linear terms meets a budget.  The projection's terms all have unit
+slope, and the least-squares allocator's zero offset, which the search
+then leaves out of its arithmetic.
 
 Both work on vectors of one entry per user, K <= 12, where numpy's
 per-call overhead outweighs the arithmetic, so their hot paths run on
@@ -153,21 +154,6 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class ConstrainedProblem:
-    """Minimize ``objective`` over {sum x = total, lower <= x <= upper} in R^dimension.
-
-    The solver starts from the uniform feasible point total/dimension.
-    """
-
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    total: float
-    lower: float
-    upper: float
-    dimension: int
-
-
-@dataclass(frozen=True)
 class SolveResult:
     x: np.ndarray
     objective: float
@@ -176,9 +162,14 @@ class SolveResult:
     pg_norm: float
 
 
-def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
-    """Projected gradient descent with a backtracking line search.
+def solve(objective: Callable[[np.ndarray], float],
+          gradient: Callable[[np.ndarray], np.ndarray], *, total: float,
+          lower: float, upper: float, dimension: int,
+          max_iter: int = 100_000) -> SolveResult:
+    """Minimize ``objective`` over {sum x = total, lower <= x <= upper} in
+    R^dimension by projected gradient descent with a backtracking line search.
 
+    The descent starts from the uniform feasible point total/dimension.
     Steps x+ = proj(x - t * grad) are accepted under an Armijo decrease
     along the projection arc; the accepted step seeds the next trial step
     via the Barzilai-Borwein ratio.  Terminates when the fixed-step
@@ -187,18 +178,17 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
     ``max_iter`` iterations, in which case the best point found is
     returned with ``converged=False`` rather than raising.
     """
-    total = problem.total
     slack = 1e-12 * max(1.0, abs(total))
 
     def proj(z: np.ndarray) -> np.ndarray:
-        return project_bounded_simplex(z, total, problem.lower, problem.upper)
+        return project_bounded_simplex(z, total, lower, upper)
 
     def converged(x: np.ndarray, pg_norm: float) -> bool:
         return pg_norm < _TOL and abs(_np_sum(x.tolist()) - total) <= slack
 
-    x = proj(np.full(problem.dimension, total / problem.dimension))
-    f = problem.objective(x)
-    g = problem.gradient(x)
+    x = proj(np.full(dimension, total / dimension))
+    f = objective(x)
+    g = gradient(x)
     t = 1.0
     pg = x - proj(x - g)
     pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic
@@ -212,14 +202,14 @@ def solve(problem: ConstrainedProblem, max_iter: int = 100_000) -> SolveResult:
             x_new = proj(x - t * g)
             step = x_new - x
             decrease = float(g.dot(step))
-            f_new = problem.objective(x_new)
+            f_new = objective(x_new)
             if f_new <= f + 1e-4 * decrease:
                 accepted = True
                 break
             t *= 0.5
         if not accepted or not step.any():
             break  # stalled at numerical resolution
-        g_new = problem.gradient(x_new)
+        g_new = gradient(x_new)
         # Barzilai-Borwein step for the next iteration, kept positive
         y = g_new - g
         sy = float(step.dot(y))

@@ -46,5 +46,5 @@ def unconverged_solver(monkeypatch):
     from mimo_pilot import harness
 
     solve = harness.solve
-    monkeypatch.setattr(harness, "solve", lambda problem: dataclasses.replace(
-        solve(problem), converged=False, iterations=100000, pg_norm=2.5e-3))
+    monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: dataclasses.replace(
+        solve(*args, **kwargs), converged=False, iterations=100000, pg_norm=2.5e-3))

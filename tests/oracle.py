@@ -35,7 +35,7 @@ import numpy as np
 
 from mimo_pilot import metrics
 from mimo_pilot import ppa as package_ppa
-from mimo_pilot.airlink import SinrMoments, complex_normal
+from mimo_pilot.airlink import complex_normal
 from mimo_pilot.estimators import LS, METHODS, MMSE, check_method
 from mimo_pilot.harness import reference_solve
 from mimo_pilot.ppa import InterferenceProfile, PilotAllocation
@@ -184,13 +184,15 @@ def rcee_prefix_samples(h, h_hat, m_values) -> np.ndarray:
     return np.moveaxis(err_c[..., idx] / sig_c[..., idx], -1, 0)
 
 
-def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMoments:
-    """Estimate the receiver moments from paired channel/estimate ensembles.
+def empirical_sinr_terms(channels, estimates, k: int):
+    """User k's receiver moments from paired channel/estimate ensembles.
 
     ``channels`` (n, L, K, M) and ``estimates`` (n, K, M) are stacked
     samples drawn under a single configuration, with the same estimator
     applied throughout.  At least two samples are required for the
-    averages to be meaningful.
+    averages to be meaningful.  Returns the arguments of
+    :func:`mimo_pilot.airlink.matched_filter_sinr` before ``rho_u``:
+    (signal gain, (L, K) cross energies, filter energy).
     """
     h = np.asarray(channels)
     h_hat = np.asarray(estimates)
@@ -199,8 +201,6 @@ def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMomen
         raise ValueError("channel and estimate ensembles must pair up")
     if n < 2:
         raise ValueError("need at least 2 realizations to form moments")
-    if rho_u <= 0:
-        raise ValueError("rho_u must be positive")
     hhat = h_hat[:, k]
     inner = np.einsum("nm,nlkm->nlk", np.conj(hhat), h)
     # every sum over trials runs in trial order (cumsum), as a running total
@@ -208,12 +208,7 @@ def empirical_sinr_terms(channels, estimates, rho_u: float, k: int) -> SinrMomen
     inner_own = np.cumsum(inner[:, 0, k])[-1]
     cross = np.cumsum(np.abs(inner) ** 2, axis=0)[-1]
     energy = np.cumsum(np.matmul(np.conj(hhat)[:, None, :], hhat[:, :, None]).real)[-1]
-    return SinrMoments(
-        signal_gain=float(np.abs(inner_own / n) ** 2),
-        cross_energy=cross / n,
-        filter_energy=float(energy) / n,
-        rho_u=float(rho_u),
-    )
+    return float(np.abs(inner_own / n) ** 2), cross / n, float(energy) / n
 
 
 def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
@@ -332,6 +327,10 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
             budget -= lo if g < 0 else hi if g > 0 else 0.0
         for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
             rho[k] = x
+        # a free user the water-fill puts exactly on a bound is pinned there
+        at_min += [k for k in free if rho[k] == lo]
+        at_max += [k for k in free if rho[k] == hi]
+        free = [k for k in free if rho[k] not in (lo, hi)]
     package_ppa._check_allocation(rho, free, at_min, at_max, cfg.P_total, lo, hi)
     return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
                            frozenset(at_max))
@@ -401,8 +400,9 @@ def drop_closed_forms(plan, cfg, beta, budgets) -> dict:
                 "limit": _error_means(beta, rhos)}
     if plan.experiment == "fig4b":
         # the flat split's floor, or the allocator's high-budget limit
-        limit = {(s, m): _mean(metrics.exp_rcee_eppa_floor(m, beta)) if s == "eppa"
-                 else _mean(package_ppa.exp_rcee_asymptotic(m, beta, cfg)) for s, m in rhos}
+        limit = {(s, m): _mean(metrics.exp_rcee_eppa_limit(m, beta, cfg.K, math.inf))
+                 if s == "eppa" else _mean(package_ppa.exp_rcee_asymptotic(m, beta, cfg))
+                 for s, m in rhos}
         per_budget = {key: [b[key] for b in budgets] for key in rhos}
         return {"closed": _error_means(beta, per_budget, cfg.M), "limit": limit}
     if plan.experiment == "fig4a":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimo_pilot import SinrMoments, complex_normal, sample_channels
+from mimo_pilot import complex_normal, matched_filter_sinr, sample_channels
 from oracle import empirical_sinr_terms, pilot_book, pilot_phase
 
 
@@ -109,9 +109,8 @@ class TestPilotPhase:
 
 class TestSinrMoments:
     def test_assembly_formula(self):
-        m = SinrMoments(signal_gain=4.0, cross_energy=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        filter_energy=5.0, rho_u=2.0)
-        assert m.sinr == pytest.approx(8.0 / 17.0, rel=1e-14)
+        sinr = matched_filter_sinr(4.0, np.array([[1.0, 2.0], [3.0, 4.0]]), 5.0, 2.0)
+        assert sinr == pytest.approx(8.0 / 17.0, rel=1e-14)
 
     def test_stacked_moments_assemble_each_user_bitwise(self):
         # (C, K) stacks of moments give each user's SINR with the sum over
@@ -121,7 +120,7 @@ class TestSinrMoments:
         gain = rng.uniform(0.0, 50.0, (C, K))
         cross = rng.uniform(0.0, 60.0, (C, K, L, K))
         energy = rng.uniform(1.0, 9.0, (C, K))
-        sinr = SinrMoments(gain, cross, energy, 100.0).sinr
+        sinr = matched_filter_sinr(gain, cross, energy, 100.0)
         assert sinr.shape == (C, K)
         for c in range(C):
             for k in range(K):
@@ -133,14 +132,14 @@ class TestSinrMoments:
         rng = np.random.default_rng(6)
         channels = np.stack([complex_normal((2, 2, 3), rng) for _ in range(5)])
         estimates = np.stack([complex_normal((2, 3), rng) for _ in range(5)])
-        m = empirical_sinr_terms(channels, estimates, 2.0, 1)
+        gain, cross, energy = empirical_sinr_terms(channels, estimates, 1)
         own = np.mean([e[1].conj() @ c[0, 1] for c, e in zip(channels, estimates)])
-        assert m.signal_gain == pytest.approx(abs(own) ** 2, rel=1e-12)
+        assert gain == pytest.approx(abs(own) ** 2, rel=1e-12)
         cross_01 = np.mean([abs(e[1].conj() @ c[0, 1]) ** 2
                             for c, e in zip(channels, estimates)])
-        assert m.cross_energy[0, 1] == pytest.approx(cross_01, rel=1e-12)
-        energy = np.mean([np.sum(np.abs(e[1]) ** 2) for e in estimates])
-        assert m.filter_energy == pytest.approx(energy, rel=1e-12)
+        assert cross[0, 1] == pytest.approx(cross_01, rel=1e-12)
+        hand_energy = np.mean([np.sum(np.abs(e[1]) ** 2) for e in estimates])
+        assert energy == pytest.approx(hand_energy, rel=1e-12)
 
     def test_matches_a_running_sum_over_trials(self):
         # the batched moments equal a trial-by-trial accumulation bit for bit
@@ -155,15 +154,15 @@ class TestSinrMoments:
                 own += inner[0, k]
                 cross += np.abs(inner) ** 2
                 energy += float(np.vdot(h_hat[s, k], h_hat[s, k]).real)
-            m = empirical_sinr_terms(h, h_hat, 2.0, k)
-            assert m.signal_gain == float(np.abs(own / n) ** 2)
-            assert np.array_equal(m.cross_energy, cross / n)
-            assert m.filter_energy == energy / n
+            gain, cross_mean, energy_mean = empirical_sinr_terms(h, h_hat, k)
+            assert gain == float(np.abs(own / n) ** 2)
+            assert np.array_equal(cross_mean, cross / n)
+            assert energy_mean == energy / n
 
     def test_needs_two_samples(self):
         ch = complex_normal((1, 1, 2, 2), np.random.default_rng(0))
         est = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError):
-            empirical_sinr_terms(ch, est, 1.0, 0)
+            empirical_sinr_terms(ch, est, 0)
         with pytest.raises(ValueError):
-            empirical_sinr_terms(np.concatenate([ch, ch]), est, 1.0, 0)
+            empirical_sinr_terms(np.concatenate([ch, ch]), est, 0)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
-                        exp_rcee_closed, exp_rcee_eppa_floor,
-                        exp_rcee_eppa_limit, exp_rcee_limit, plan_for,
+                        exp_rcee_closed, exp_rcee_eppa_limit, exp_rcee_limit, plan_for,
                         sinr_closed, sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import _fig5a_closed, _fig5b_closed
@@ -124,7 +123,7 @@ def test_array_layer_matches_scalar_reference(L, K, fortran):
             _same_bits(exp_rcee_closed(method, 200, rho, beta), grid[M_GRID == 200][0])
             _same_bits(exp_rcee_limit(method, rho, beta), _per_user(
                 lambda k: _ref_limit(method, rho[:, k], beta[:, k]), K))
-            _same_bits(exp_rcee_eppa_floor(method, beta), _per_user(
+            _same_bits(exp_rcee_eppa_limit(method, beta, K, math.inf), _per_user(
                 lambda k: _ref_eppa_floor(method, beta[:, k]), K))
             _same_bits(exp_rcee_eppa_limit(method, beta, K, 1.0e4), _per_user(
                 lambda k: _ref_eppa_limit(method, beta[:, k], K, 1.0e4), K))
@@ -227,8 +226,8 @@ def test_stacked_gains_match_per_slice_calls(C, L, K):
                 check(lambda r, b: exp_rcee_closed(method, M_GRID, r, b), (len(M_GRID),))
                 check(lambda r, b: exp_rcee_closed(method, 200, r, b))
                 check(lambda r, b: exp_rcee_limit(method, r, b))
-                _same_bits(exp_rcee_eppa_floor(method, beta[:, 0]),
-                           [exp_rcee_eppa_floor(method, b) for b in beta[:, 0]])
+                _same_bits(exp_rcee_eppa_limit(method, beta[:, 0], K, math.inf),
+                           [exp_rcee_eppa_limit(method, b, K, math.inf) for b in beta[:, 0]])
                 _same_bits(exp_rcee_eppa_limit(method, beta[:, 0], K, 1.0e4),
                            [exp_rcee_eppa_limit(method, b, K, 1.0e4) for b in beta[:, 0]])
             check(lambda r, b: exp_rcee_bound_mmse(M_GRID[1:], r, b), (len(M_GRID) - 1,))
@@ -253,7 +252,7 @@ class TestShapes:
         for value in (upsilon(rho, table_beta[:, 0]),
                       exp_rcee_closed(LS, 8, rho, table_beta[:, 0]),
                       exp_rcee_limit(MMSE, rho, table_beta[:, 0]),
-                      exp_rcee_eppa_floor(MMSE, table_beta[:, 0]),
+                      exp_rcee_eppa_limit(MMSE, table_beta[:, 0], 3, math.inf),
                       sinr_limit(rho, table_beta[:, 0])):
             assert isinstance(value, float)
 
@@ -327,7 +326,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             sinr_limit(rho, table_beta)
         with pytest.raises(ValueError):
-            exp_rcee_eppa_floor(LS, -table_beta)
+            exp_rcee_eppa_limit(LS, -table_beta, 3, math.inf)
 
     def test_antenna_counts(self, table_beta):
         rho = np.full((7, 3), 1000.0)

@@ -1090,35 +1090,37 @@ def test_validate_moments_are_the_whole_ensemble_moments(K, M, L, seed, n, monke
     # whole-ensemble moments on the same draws, bit for bit
     cfg = default_config("validate", seed=seed).replace(K=K, M=M, L=L)
     blocks, moments = [], []
-    mc_trials, sinr_moments = harness._mc_trials, harness.SinrMoments
+    mc_trials, sinr_of = harness._mc_trials, harness.matched_filter_sinr
 
     def recorded_trials(*args):
         for h, h_hat, lam in mc_trials(*args):
             blocks.append((h.copy(), h_hat.copy()))
             yield h, h_hat, lam
 
-    def recorded_moments(*args):
-        moments.append(sinr_moments(*args))
-        return moments[-1]
+    def recorded_sinr(*args):
+        moments.append((args, sinr_of(*args)))
+        return moments[-1][1]
 
     monkeypatch.setattr(harness, "_mc_trials", recorded_trials)
-    monkeypatch.setattr(harness, "SinrMoments", recorded_moments)
+    monkeypatch.setattr(harness, "matched_filter_sinr", recorded_sinr)
     plan = plan_for("validate", n_small=n)
     report = run_experiment(plan, cfg)
     h = np.concatenate([b[0] for b in blocks])
     h_hat = np.concatenate([b[1] for b in blocks])
     assert len(h) == n and len(moments) == 1
-    (streamed,) = moments
-    sinr = streamed.sinr
+    [(args, sinr)] = moments
+    gain, cross, energy, rho_u = args
+    assert rho_u == cfg.rho_u
     for c, (scheme, method) in enumerate(harness._combos(plan)):
         per_user = []
         for k in range(K):
-            ref = empirical_sinr_terms(h, h_hat[:, c], cfg.rho_u, k)
-            assert streamed.signal_gain[c, k] == ref.signal_gain, (c, k)
-            assert np.array_equal(streamed.cross_energy[c, k], ref.cross_energy), (c, k)
-            assert streamed.filter_energy[c, k] == ref.filter_energy, (c, k)
-            assert sinr[c, k] == ref.sinr, (c, k)
-            per_user.append(ref.sinr)
+            ref = empirical_sinr_terms(h, h_hat[:, c], k)
+            assert gain[c, k] == ref[0], (c, k)
+            assert np.array_equal(cross[c, k], ref[1]), (c, k)
+            assert energy[c, k] == ref[2], (c, k)
+            ref_sinr = sinr_of(*ref, cfg.rho_u)
+            assert sinr[c, k] == ref_sinr, (c, k)
+            per_user.append(ref_sinr)
         (row,) = report.select(metric="sinr", scheme=scheme, method=method)
         assert row[6] == float(np.mean(per_user))
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mimo_pilot import (SystemConfig, achievable_rate, exp_rcee_bound_mmse,
-                        exp_rcee_closed, exp_rcee_eppa_floor,
-                        exp_rcee_eppa_limit, exp_rcee_limit, sinr_closed,
-                        sinr_limit)
+                        exp_rcee_closed, exp_rcee_eppa_limit, exp_rcee_limit,
+                        sinr_closed, sinr_limit)
 from mimo_pilot.estimators import LS, MMSE
 from oracle import rcee_prefix_samples, rcee_sample, upsilon
 
@@ -130,18 +129,19 @@ class TestExpRceeLimits:
 
     def test_floor_values_and_saturation(self):
         beta = np.array([1.0, 0.1])
-        assert exp_rcee_eppa_floor(LS, beta) == pytest.approx(0.1, rel=1e-14)
-        assert exp_rcee_eppa_floor(MMSE, beta) == pytest.approx(0.1 / 1.1, rel=1e-14)
+        assert exp_rcee_eppa_limit(LS, beta, 10, math.inf) == pytest.approx(0.1, rel=1e-14)
+        assert exp_rcee_eppa_limit(MMSE, beta, 10, math.inf) == pytest.approx(0.1 / 1.1,
+                                                                        rel=1e-14)
         for method in (LS, MMSE):
             assert exp_rcee_eppa_limit(method, beta, 10, 1e30) == pytest.approx(
-                exp_rcee_eppa_floor(method, beta), rel=1e-12)
+                exp_rcee_eppa_limit(method, beta, 10, math.inf), rel=1e-12)
 
     def test_budget_growth_monotone_toward_floor(self):
         beta = np.array([0.8, 0.2, 0.05])
         for method in (LS, MMSE):
             vals = [exp_rcee_eppa_limit(method, beta, 5, P)
                     for P in (1e2, 1e4, 1e6, 1e8)]
-            floor = exp_rcee_eppa_floor(method, beta)
+            floor = exp_rcee_eppa_limit(method, beta, 5, math.inf)
             assert all(a > b for a, b in zip(vals, vals[1:]))
             assert all(v > floor for v in vals)
 

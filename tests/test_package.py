@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimo_pilot
-from mimo_pilot import refsolver, scenario
+from mimo_pilot import harness, ppa, refsolver, scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
@@ -31,7 +32,6 @@ ORACLE_NAMES = ("pilot_book", "PilotObservation", "pilot_phase", "ChannelEstimat
 REASONS = {
     "unconstrained_optimum": "the subject of acceptance 06",
     "exp_rcee_bound_mmse": "the MMSE bound the allocator minimizes, a bound property",
-    "exp_rcee_eppa_limit": "the subject of acceptance 07",
     "save_beta_fixture": "writes the format allocate --beta and fixture-check read (README)",
 }
 
@@ -41,13 +41,24 @@ def test_every_exported_name_resolves():
         assert hasattr(mimo_pilot, name), name
 
 
-def test_signatures_the_benchmark_reads():
+def test_signatures_the_benchmark_reads(monkeypatch):
     # perfbench/spans.py counts solves that hit the iteration cap from
-    # solve's max_iter default, and shadowing draws from the shape of
-    # large_scale's third argument
+    # solve's max_iter default, or from a third positional argument, which
+    # the reference solve must not pass; and shadowing draws from the
+    # shape of large_scale's third argument
     max_iter = inspect.signature(refsolver.solve).parameters["max_iter"]
     assert max_iter.default is not inspect.Parameter.empty
     assert list(inspect.signature(scenario.large_scale).parameters)[2] == "positions"
+    positional = []
+
+    def counted(*args, **kwargs):
+        positional.append(len(args))
+        return refsolver.solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve", counted)
+    cfg = scenario.SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
+    harness.reference_solve("ls", ppa.eppa_profile(np.ones((2, 3)), cfg.P_total, cfg.K), cfg)
+    assert len(positional) == 1 and positional[0] <= 2
 
 
 def _uses(node, owners=frozenset()):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from mimo_pilot import (ALPHA, InterferenceProfile, SystemConfig, eppa_profile,
                         ppa_allocate, unconstrained_optimum)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import default_config, drop_gains, reference_solve
-from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed,
-                                exp_rcee_eppa_floor, exp_rcee_limit)
+from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed, exp_rcee_eppa_limit,
+                                exp_rcee_limit)
 from mimo_pilot.ppa import _check_allocation
 
 
@@ -207,6 +208,20 @@ class TestPpaAllocate:
         assert alloc.at_max == {0, 1}
         assert alloc.at_min == {3, 4, 5, 6}
         assert alloc.free == {2}
+
+    @pytest.mark.parametrize("method", [LS, MMSE])
+    def test_user_water_filled_onto_a_bound_is_pinned(self, method):
+        # the noise-free profile of gains [[1, 1], [0.01, 1]] at P = 1e6:
+        # the level search leaves user 1 free by its knot probe's last bit,
+        # and the water-fill gives it exactly rho_max
+        cfg = SystemConfig(K=2, M=8, P_total=1.0e6, mu=1.5)
+        prof = InterferenceProfile(upsilon=np.array([5.0e3, 5.0e5]),
+                                   beta_target=np.ones(2))
+        alloc = ppa_allocate(method, prof, cfg)
+        assert alloc.rho.tolist() == [cfg.rho_min, cfg.rho_max]
+        assert alloc.at_max == {1}
+        assert alloc.at_min == {0}
+        assert alloc.free == set()
 
     def test_desk_drop_reaches_the_reference_optimum(self):
         # A desk drop at 40 dB on which pinning the worst violator one pass
@@ -439,7 +454,7 @@ class TestAsymptoticGroups:
         beta = np.array([[1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
         for method in (LS, MMSE):
             assert exp_rcee_asymptotic(method, beta, self.cfg()) == pytest.approx(
-                exp_rcee_eppa_floor(method, beta), rel=1e-12)
+                exp_rcee_eppa_limit(method, beta, 3, math.inf), rel=1e-12)
 
     def test_heavy_user_joins_at_max(self):
         # user 2 keeps mu/K of the budget against interference 1/3

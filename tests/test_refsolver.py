@@ -9,8 +9,8 @@ from mimo_pilot import (InterferenceProfile, SystemConfig, default_config,
                         plan_for, ppa_allocate, refsolver, run_experiment)
 from mimo_pilot.estimators import LS, MMSE
 from mimo_pilot.harness import reference_solve
-from mimo_pilot.refsolver import (ConstrainedProblem, SolveResult, _clip_level,
-                                  _np_sum, project_bounded_simplex, solve)
+from mimo_pilot.refsolver import (SolveResult, _clip_level, _np_sum, project_bounded_simplex,
+                                  solve)
 
 
 def breakpoint_projection(v, total, lo, hi):
@@ -333,12 +333,10 @@ def test_known_stall_converges():
     assert _stall_solve().converged
 
 
-def quadratic_problem(center, total, lo, hi, **kwargs):
+def solve_quadratic(center, total, lo, hi, dimension):
     center = np.asarray(center, dtype=float)
-    return ConstrainedProblem(
-        objective=lambda x: 0.5 * float(np.sum((x - center) ** 2)),
-        gradient=lambda x: x - center,
-        total=total, lower=lo, upper=hi, **kwargs)
+    return solve(lambda x: 0.5 * float(np.sum((x - center) ** 2)), lambda x: x - center,
+                 total=total, lower=lo, upper=hi, dimension=dimension)
 
 
 class TestSolve:
@@ -346,8 +344,7 @@ class TestSolve:
         rng = np.random.default_rng(2)
         for _ in range(20):
             center = rng.normal(scale=5.0, size=5)
-            problem = quadratic_problem(center, 6.0, 0.2, 3.0, dimension=5)
-            result = solve(problem)
+            result = solve_quadratic(center, 6.0, 0.2, 3.0, dimension=5)
             want = project_bounded_simplex(center, 6.0, 0.2, 3.0)
             assert result.converged
             np.testing.assert_allclose(result.x, want, atol=1e-7)
@@ -363,9 +360,7 @@ class TestSolve:
         np.testing.assert_allclose(result.x, alloc.rho, rtol=1e-5)
 
     def test_output_feasible(self):
-        problem = quadratic_problem([40.0, -3.0, 1.0, 1.0], 8.0, 0.5, 6.0,
-                                    dimension=4)
-        result = solve(problem)
+        result = solve_quadratic([40.0, -3.0, 1.0, 1.0], 8.0, 0.5, 6.0, dimension=4)
         assert result.x.sum() == pytest.approx(8.0, abs=1e-8)
         assert np.all(result.x >= 0.5 - 1e-10)
         assert np.all(result.x <= 6.0 + 1e-10)
@@ -376,14 +371,13 @@ class TestSolve:
         # satisfy the tolerance
         scale = np.array([5.0, 1.0])
         center = np.array([1.4, 1.0])
-        problem = ConstrainedProblem(
-            objective=lambda x: 0.5 * float(np.sum(scale * (x - center) ** 2)),
-            gradient=lambda x: scale * (x - center),
-            total=2.0, lower=0.0, upper=2.0, dimension=2)
-        capped = solve(problem, max_iter=1)
+        problem = (lambda x: 0.5 * float(np.sum(scale * (x - center) ** 2)),
+                   lambda x: scale * (x - center))
+        box = dict(total=2.0, lower=0.0, upper=2.0, dimension=2)
+        capped = solve(*problem, **box, max_iter=1)
         assert isinstance(capped, SolveResult)
         assert not capped.converged
-        full = solve(problem)
+        full = solve(*problem, **box)
         assert full.converged
         assert full.x == pytest.approx([4.0 / 3.0, 2.0 / 3.0], abs=1e-8)
         assert full.objective <= capped.objective
@@ -403,8 +397,6 @@ class TestSolve:
         assert not result.converged or miss <= 1e-12 * cfg.P_total
 
     def test_uniform_start_on_symmetric_problem_stays_put(self):
-        problem = quadratic_problem([3.0, 3.0, 3.0], 9.0, 1.0, 5.0,
-                                    dimension=3)
-        result = solve(problem)
+        result = solve_quadratic([3.0, 3.0, 3.0], 9.0, 1.0, 5.0, dimension=3)
         assert result.x == pytest.approx([3.0, 3.0, 3.0], abs=1e-10)
         assert result.iterations == 0
