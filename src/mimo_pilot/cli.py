@@ -183,8 +183,8 @@ def _cmd_allocate(args) -> int:
     rel = (objective - reference) / abs(reference)
     # an unconverged reference bounds nothing, so the check fails on it
     ok = ref.converged and rel <= ALLOCATE_CHECK_RTOL
-    solver = ("" if ref.converged else
-              f" converged=False iterations={ref.iterations} pg_norm={ref.pg_norm:.3e}")
+    solver = ("" if ref.converged else f" kkt={ref.kkt:.3e} converged=False "
+              f"iterations={ref.iterations} pg_norm={ref.pg_norm:.3e}")
     print(f"check allocate {args.scheme}/{args.method}: objective={objective!r} "
           f"refsolver={reference!r} rel={rel:.3e}{solver} {'PASS' if ok else 'FAIL'}",
           file=sys.stderr)

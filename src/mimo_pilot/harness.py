@@ -224,8 +224,9 @@ def reference_solve(method: str, profile: ppa.InterferenceProfile,
                    upper=cfg.rho_max, dimension=cfg.K)
     if not result.converged:
         warnings.warn(f"reference solve did not converge: method={method} "
-                      f"P_total={cfg.P_total!r} iterations={result.iterations} "
-                      f"pg_norm={result.pg_norm:.3e}", RuntimeWarning, stacklevel=2)
+                      f"P_total={cfg.P_total!r} kkt={result.kkt:.3e} "
+                      f"iterations={result.iterations} pg_norm={result.pg_norm:.3e}",
+                      RuntimeWarning, stacklevel=2)
     return result
 
 

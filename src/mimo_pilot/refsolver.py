@@ -4,11 +4,18 @@ Used as an independent check of the closed-form allocator: it knows
 nothing about the objective's structure beyond a gradient, and handles
 the feasible set {sum x = total, lo <= x <= hi} by Euclidean projection.
 :func:`solve` takes the objective and its gradient by position and the
-set's fields by keyword.  The projection and the allocator share one
-search, :func:`_clip_level`, for the level at which a sum of clipped
-linear terms meets a budget.  The projection's terms all have unit
-slope, and the least-squares allocator's zero offset, which the search
-then leaves out of its arithmetic.
+set's fields by keyword.  It stops on :func:`kkt_residual`, a KKT
+residual relative to the budget's multiplier, so one bound serves every
+budget from 1e2 to 1e8, although the gradient shrinks with the budget
+(to about 1e-10 at 1e8).  That stop needs no projection, so each
+line-search trial makes one, which first tries the current iterate's
+box sides (:func:`_project_near`): near the end they stop changing.
+
+The projection and the allocator share one search, :func:`_clip_level`,
+for the level at which a sum of clipped linear terms meets a budget.
+The projection's terms all have unit slope, and the least-squares
+allocator's zero offset, which the search then leaves out of its
+arithmetic.
 
 Both work on vectors of one entry per user, K <= 12, where numpy's
 per-call overhead outweighs the arithmetic, so their hot paths run on
@@ -26,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-# Stopping tolerance on the fixed-step projected-gradient norm.
-_TOL = 1e-10
+# The solver stops once its scale-free KKT residual is at most this.
+_KKT_TOL = 1e-6
 
 
 def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
@@ -143,14 +150,69 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
         raise ValueError("box and budget are incompatible")
     v = v.tolist()
     side = _clip_level(None, [-x for x in v], total, lo, hi)
-    n_free = side.count(0)
-    if not n_free:
+    if 0 not in side:
         return np.array([hi if g > 0 else lo for g in side])
+    theta = _theta(v, side, total, lo, hi)
+    return np.array([lo if (y := x - theta) < lo else hi if y > hi else y for x in v])
+
+
+def _theta(v: list, side: list, total: float, lo: float, hi: float) -> float:
+    """The shift theta of the projection whose box sides are ``side``
+    (at least one free), from the budget on the free entries."""
     # both sums in numpy's order, which sets theta's last bits
     pinned = _np_sum([hi if g > 0 else lo if g < 0 else 0.0 for g in side])
     free = _np_sum([x for x, g in zip(v, side) if g == 0])
-    theta = (free - (total - pinned)) / n_free
-    return np.array([lo if (y := x - theta) < lo else hi if y > hi else y for x in v])
+    return (free - (total - pinned)) / side.count(0)
+
+
+def _project_near(v: list, near: list, total: float, lo: float, hi: float) -> np.ndarray:
+    """:func:`project_bounded_simplex` of ``v``, first tried on the sides of ``near``.
+
+    ``near`` is a feasible point, the solver's previous iterate, whose
+    entries at ``lo``, at ``hi`` or between them are a guess of the sides
+    the projection gives ``v``.  Theta comes from the guess with the
+    projection's own sums, and the guess is kept only if every entry
+    agrees with it: free entries strictly inside the box, ``lo`` entries
+    at or below it and ``hi`` entries at or above it.  The projection then
+    finds the same sides, unless an entry lands exactly on a bound, and so
+    the same bits.  A guess with no free entry, or one that any entry
+    contradicts, falls back to the projection.
+    """
+    side = [-1 if y == lo else 1 if y == hi else 0 for y in near]
+    if 0 in side:
+        theta = _theta(v, side, total, lo, hi)
+        y = [x - theta for x in v]
+        if all(lo < yk < hi if g == 0 else yk <= lo if g < 0 else yk >= hi
+               for yk, g in zip(y, side)):
+            return np.array([lo if yk < lo else hi if yk > hi else yk for yk in y])
+    return project_bounded_simplex(v, total, lo, hi)
+
+
+def kkt_residual(gradient, x, lo: float, hi: float) -> float:
+    """Scale-free KKT residual of x for min f over {sum x = total, lo <= x <= hi}.
+
+    ``gradient`` and ``x`` are lists.  At a minimum the free entries
+    share one gradient, the multiplier lambda of the budget, entries at
+    ``lo`` have gradients of at least lambda and entries at ``hi`` at
+    most lambda.  lambda is taken as the free entries' mean gradient and
+    the residual is the largest violation of those conditions over
+    |lambda|.  With no free entry (a vertex of the box), it is the excess
+    of the largest gradient at ``hi`` over the smallest at ``lo``, over
+    the largest |gradient|.  An exact KKT point reads 0 whatever its scale.
+    """
+    at_lo, at_hi, free = [], [], []
+    for gk, xk in zip(gradient, x):
+        (at_lo if xk == lo else at_hi if xk == hi else free).append(gk)
+    if free:
+        lam = sum(free) / len(free)
+        worst = max(max(free + at_hi) - lam, lam - min(free + at_lo))
+        scale = abs(lam)
+    else:
+        worst = max(at_hi, default=-math.inf) - min(at_lo, default=math.inf)
+        scale = max(map(abs, gradient))
+    if worst <= 0.0:
+        return 0.0
+    return worst / scale if scale else math.inf
 
 
 @dataclass(frozen=True)
@@ -160,6 +222,7 @@ class SolveResult:
     iterations: int
     converged: bool
     pg_norm: float
+    kkt: float = math.nan  # unknown in a result built by hand
 
 
 def solve(objective: Callable[[np.ndarray], float],
@@ -172,42 +235,42 @@ def solve(objective: Callable[[np.ndarray], float],
     The descent starts from the uniform feasible point total/dimension.
     Steps x+ = proj(x - t * grad) are accepted under an Armijo decrease
     along the projection arc; the accepted step seeds the next trial step
-    via the Barzilai-Borwein ratio.  Terminates when the fixed-step
-    projected-gradient norm ||x - proj(x - grad)|| drops below ``_TOL``
-    at a point that meets the budget to the projection's slack, or after
-    ``max_iter`` iterations, in which case the best point found is
-    returned with ``converged=False`` rather than raising.
+    via the Barzilai-Borwein ratio (spectral projected gradient).  Each
+    trial makes one projection, which first tries the current iterate's
+    box sides (:func:`_project_near`): near the end they stop changing.
+    Terminates when :func:`kkt_residual` is at most ``_KKT_TOL`` at a
+    point that meets the budget to the projection's slack, or after
+    ``max_iter`` iterations or a step that no longer moves, in which
+    case the last point is returned with ``converged=False`` rather than
+    raising.  The result carries the residual as ``kkt`` and, computed
+    once at return, the fixed-step projected-gradient norm
+    ||x - proj(x - grad)|| as ``pg_norm``.
     """
     slack = 1e-12 * max(1.0, abs(total))
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        return project_bounded_simplex(z, total, lower, upper)
-
-    def converged(x: np.ndarray, pg_norm: float) -> bool:
-        return pg_norm < _TOL and abs(_np_sum(x.tolist()) - total) <= slack
-
-    x = proj(np.full(dimension, total / dimension))
+    x = project_bounded_simplex(np.full(dimension, total / dimension), total, lower, upper)
     f = objective(x)
     g = gradient(x)
     t = 1.0
-    pg = x - proj(x - g)
-    pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic
+    near = x.tolist()
+    kkt = kkt_residual(g.tolist(), near, lower, upper)
+
+    def converged() -> bool:
+        return kkt <= _KKT_TOL and abs(_np_sum(near) - total) <= slack
+
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if converged(x, pg_norm):
-            return SolveResult(x=x, objective=f, iterations=iterations - 1,
-                               converged=True, pg_norm=pg_norm)
-        accepted = False
+    while iterations < max_iter and not converged():
+        iterations += 1
         while t > 1e-300:
-            x_new = proj(x - t * g)
+            x_new = _project_near((x - t * g).tolist(), near, total, lower, upper)
             step = x_new - x
             decrease = float(g.dot(step))
             f_new = objective(x_new)
             if f_new <= f + 1e-4 * decrease:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted or not step.any():
+        else:
+            break  # no step decreases the objective: stalled
+        if not step.any():
             break  # stalled at numerical resolution
         g_new = gradient(x_new)
         # Barzilai-Borwein step for the next iteration, kept positive
@@ -218,7 +281,9 @@ def solve(objective: Callable[[np.ndarray], float],
         else:
             t *= 2.0
         x, f, g = x_new, f_new, g_new
-        pg = x - proj(x - g)
-        pg_norm = math.sqrt(pg.dot(pg))
-    return SolveResult(x=x, objective=f, iterations=iterations,
-                       converged=converged(x, pg_norm), pg_norm=pg_norm)
+        near = x.tolist()
+        kkt = kkt_residual(g.tolist(), near, lower, upper)
+    pg = x - project_bounded_simplex(x - g, total, lower, upper)
+    pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic
+    return SolveResult(x=x, objective=f, iterations=iterations, converged=converged(),
+                       pg_norm=pg_norm, kkt=kkt)

@@ -125,6 +125,16 @@ class TestAllocate:
             assert main(beta + ["--check", "--config", str(tmp_path / "sim.cfg")]) == 0
             assert capsys.readouterr() == (out, err)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_check_passes_at_80_db(self, seed, tmp_path, capsys):
+        # at P = 1e8 the gradient is ~1e-10 against powers of ~1e7; the
+        # reference must still converge onto the allocator's optimum
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("K = 10\nM = 200\nP_total = 1e8\nmu = 3.0\n")
+        assert main(["allocate", "--config", str(cfg), "--seed", str(seed),
+                     "--method", "ls", "--check"]) == 0
+        assert capsys.readouterr().err.endswith(" PASS\n")
+
     def test_config_user_count_must_match_fixture(self, table_fixture_path,
                                                   tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
