@@ -218,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trials", type=int, default=None,
                    help="fading trials (default 4000)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the drops' Monte-Carlo")
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless Monte-Carlo matches the closed forms")
     p.set_defaults(handler=_cmd_validate)
@@ -234,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the number of user drops")
     p.add_argument("--trials", type=int, default=None,
                    help="override the fading trials per drop")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the drops' Monte-Carlo and reference solves")
     p.add_argument("--with-ref", action="store_true",
                    help="also run the iterative reference solver")
     p.set_defaults(handler=_cmd_figure)

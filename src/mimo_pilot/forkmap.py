@@ -2,9 +2,8 @@
 
 :func:`fork_map` returns ``[fn(task) for task in tasks]``.  With one
 worker, or on a platform without ``os.fork`` such as Windows, it runs
-the tasks in-process.  Otherwise the caller loads ``numpy.random``, so
-that no child loads it on its first task, forks ``workers - 1`` children
-and runs a share itself.  On Linux each worker has its own CPU of the
+the tasks in-process.  Otherwise the caller forks ``workers - 1``
+children and runs a share itself.  On Linux each worker has its own CPU of the
 affinity set for the map, if there are enough, and the caller then gets
 its set back: the kernel may leave a child on its parent's CPU while
 another idles.  Every worker takes chunks of tasks from one queue
@@ -38,9 +37,6 @@ def fork_map(fn, tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]`` over ``workers`` processes."""
     if workers == 1 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
-    # numpy.random loads lazily (some 13 ms): here the children inherit
-    # it; at import time every in-process run would pay it instead
-    import numpy.random  # noqa: F401
     mask = getattr(os, "sched_getaffinity", lambda pid: ())(0)
     cpus = [{cpu} for cpu in sorted(mask)] if len(mask) >= workers else [mask] * workers
     queue, size = _task_queue(len(tasks))

@@ -6,18 +6,18 @@ therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
 
-A task is one drop at every reuse factor, :func:`_run_drop`: it draws the
-drop's ``positions`` and ``shadowing`` streams once, on the stack of every
-reuse factor's layout, then at each reuse factor returns the (L, K)
-gains, the target-cell powers of every budget and allocation, and the
-Monte-Carlo of that (gamma, drop)'s fading streams.  After the map, the
-caller evaluates the closed forms one gamma at a time over blocks of
-drops, one call per estimator on a block's stacked gains and powers.
-Each gamma's values reach the report as one dict of named (drop, combo,
-...) arrays (:func:`_map_tasks`).  A table gives each experiment its
-Monte-Carlo, its closed forms and one of three reductions over drops (a
-grid, a distribution, or the validate rows).  The drops are shared out
-over up to ``jobs`` processes by :func:`forkmap.fork_map`.
+A sweep draws each drop's ``positions`` and ``shadowing`` streams once,
+on the stack of every reuse factor's layout, fills the ppa powers of
+every (gamma, drop, budget) by one stacked allocator pass per estimator
+and the eppa powers with the flat P/K.  Left per drop are its reference
+solves and the Monte-Carlo of its fading streams, :func:`_run_drop`,
+shared out over up to ``jobs`` processes by :func:`forkmap.fork_map`; a
+sweep with neither maps nothing.  The closed forms are then evaluated
+one gamma at a time over blocks of drops, one call per estimator on a
+block's stacked gains and powers, and reach the report as one dict of
+named (drop, combo, ...) arrays per gamma (:func:`_map_tasks`).  A table
+gives each experiment its Monte-Carlo, its closed forms and one of three
+reductions over drops (a grid, a distribution, or the validate rows).
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -205,7 +205,12 @@ class MetricReport:
 def drop_gains(cfg: SystemConfig, drop: int) -> np.ndarray:
     """The (L, K) gains of drop ``drop`` at ``cfg``'s reuse factor, as the
     sweeps draw it (``build_layout`` -> ``drop_users`` -> ``large_scale``)."""
-    centers = build_layout(cfg)
+    return _draw_gains(cfg, build_layout(cfg), drop)
+
+
+def _draw_gains(cfg: SystemConfig, centers, drop: int) -> np.ndarray:
+    """Drop ``drop``'s gains on the (..., L, 2) layouts ``centers``, from
+    its ``positions`` and ``shadowing`` streams."""
     positions = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, "positions"))
     return large_scale(cfg, centers, positions, seed_schedule(cfg.seed, drop, "shadowing"))
 
@@ -509,30 +514,26 @@ def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
 
 
 def _run_drop(args):
-    """One drop's draws, allocations and Monte-Carlo at each reuse factor.
+    """One drop's reference solves and Monte-Carlo at each reuse factor.
 
-    ``args`` is (plan, sweep, drop index), the sweep the per-gamma configs,
-    (Gamma, L, 2) stack of centres, budget configs (one per ``p_grid_db``
-    entry in fig4b, else the gamma's config) and their flat P/K.  Returns
-    the (Gamma, L, K) gains, the (Gamma, budgets, C, K) target-cell powers
-    of the sorted (scheme, method) combos and each gamma's Monte-Carlo
+    ``args`` is (plan, sweep, drop, gains, powers): the sweep's per-gamma
+    configs, budget configs and (Gamma, budgets) flat P/K, and the drop's
+    (Gamma, L, K) gains and (Gamma, budgets, C, K) target-cell powers of
+    the sorted (scheme, method) combos, all but the ref rows filled.
+    Returns the powers with those filled too and each gamma's Monte-Carlo
     arrays (none where the sweep has no Monte-Carlo)."""
-    plan, (cfgs, layouts, budget_cfgs, flats), drop = args
-    cfg, combos, drop_mc = cfgs[0], _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
-    positions = drop_users(cfg, layouts, seed_schedule(cfg.seed, drop, "positions"))
-    gains = large_scale(cfg, layouts, positions, seed_schedule(cfg.seed, drop, "shadowing"))
-    powers = np.empty((len(cfgs), len(budget_cfgs[0]), len(combos), cfg.K))
-    mc = []
+    plan, (cfgs, budget_cfgs, flats), drop, gains, powers = args
+    combos, drop_mc = _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
+    refs = [(c, method) for c, (scheme, method) in enumerate(combos) if scheme == "ref"]
+    powers, mc = powers.copy(), []
     for cfg, cfg_ps, flat, beta, rows in zip(cfgs, budget_cfgs, flats, gains, powers):
-        for cfg_p, row in zip(cfg_ps, rows):
+        for cfg_p, row in zip(cfg_ps, rows) if refs else ():
             profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
-            for c, (scheme, method) in enumerate(combos):
-                row[c] = (ppa.ppa_allocate(method, profile, cfg_p).rho if scheme == "ppa"
-                          else reference_solve(method, profile, cfg_p).x if scheme == "ref"
-                          else cfg_p.P_total / cfg.K)
+            for c, method in refs:
+                row[c] = reference_solve(method, profile, cfg_p).x
         mc.append(drop_mc(plan, cfg, drop, beta, rows, flat, plan.m_grid or (cfg.M,))
                   if drop_mc else {})
-    return gains, powers, mc
+    return powers, mc
 
 
 def _combos(plan: ExperimentPlan) -> list:
@@ -551,28 +552,37 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
     the large-antenna (fig4b: infinite-budget) value, and for validate,
     whose x are (error, SINR), ``mc_stderr`` the error's standard error
     over trials.  A sweep has only the arrays its figure reports, and no
-    ``mc`` without trials.  A task is one drop at every gamma; its
-    configs, centres and budget configs are built once here, and after
-    the map its closed forms are evaluated block by block of drops."""
+    ``mc`` without trials.  The work runs in the order the module
+    docstring gives."""
     cfgs = [cfg.replace(Gamma=gamma) for gamma in plan.gammas]
     budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                    if plan.experiment == "fig4b" else [c] for c in cfgs]
-    flats = [np.array([c.P_total / c.K for c in cfg_ps]) for cfg_ps in budget_cfgs]
-    sweep = (cfgs, np.stack([build_layout(c) for c in cfgs]), budget_cfgs, flats)
-    tasks = [(plan, sweep, drop) for drop in range(plan.n_large)]
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    gains, powers, mc = zip(*fork_map(_run_drop, tasks, min(plan.jobs, len(tasks), n_cpus)))
-    combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
-    size = max(1, _CF_BLOCK // (8 * len(budget_cfgs[0]) * len(combos) * cfg.K
-                                * (cfg.L + max(1, len(plan.m_grid)))))
+    layouts = np.stack([build_layout(c) for c in cfgs])
+    gains = np.stack([_draw_gains(cfg, layouts, d) for d in range(plan.n_large)], axis=1)
+    (G, n, L, K), B = gains.shape, len(budget_cfgs[0])
+    # each (gamma, budget)'s budget and box, shaped (Gamma, 1, budgets)
+    P, lo, hi = (np.array([[[getattr(c, name) for c in cfg_ps]] for cfg_ps in budget_cfgs])
+                 for name in ("P_total", "rho_min", "rho_max"))
+    flats = P[:, 0] / K
+    combos, (drop_mc, closed_forms, *_) = _combos(plan), _PER_EXPERIMENT[plan.experiment]
+    # the flat P/K where no allocation goes, ref rows until they are solved
+    powers = np.broadcast_to(flats[:, None, :, None, None], (G, n, B, len(combos), K)).copy()
+    for c, method in [(c, m) for c, (scheme, m) in enumerate(combos) if scheme == "ppa"]:
+        powers[..., c, :] = ppa._allocate_rows(method, gains[:, :, None], P, lo, hi)
+    mc = [[{}] * G] * n
+    if drop_mc or "ref" in plan.schemes:
+        tasks = [(plan, (cfgs, budget_cfgs, flats), d, gains[:, d], powers[:, d])
+                 for d in range(n)]
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+        filled, mc = zip(*fork_map(_run_drop, tasks, min(plan.jobs, n, n_cpus)))
+        powers = np.stack(filled, axis=1)
+    size = max(1, _CF_BLOCK // (8 * B * len(combos) * K * (L + max(1, len(plan.m_grid)))))
     per_gamma = {}
-    for g, (cfg_g, flat) in enumerate(zip(cfgs, flats)):
-        beta = np.stack([x[g] for x in gains])[:, None, None]
-        target = np.stack([x[g] for x in powers])
-        blocks = [closed_forms(plan, cfg_g, combos, beta[i:i + size],
-                               _full_powers(target[i:i + size], flat, cfg.L))
-                  for i in range(0, len(beta), size)]
+    for g, cfg_g in enumerate(cfgs):
+        blocks = [closed_forms(plan, cfg_g, combos, gains[g, i:i + size, None, None],
+                               _full_powers(powers[g, i:i + size], flats[g], L))
+                  for i in range(0, n, size)]
         per_gamma[cfg_g.Gamma] = {**{k: np.stack([x[g][k] for x in mc]) for k in mc[0][g]},
                                   **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
     return per_gamma
@@ -633,8 +643,9 @@ def _mean_stderr(values) -> tuple[float, float | None]:
 
 
 def run_experiment(plan: ExperimentPlan, cfg: SystemConfig) -> MetricReport:
-    """Execute one experiment; with ``jobs`` > 1 its drops run in forked
-    children and in the caller (:func:`forkmap.fork_map`).
+    """Execute one experiment; with ``jobs`` > 1 the drops' reference
+    solves and Monte-Carlo run in forked children and in the caller
+    (:func:`forkmap.fork_map`), and the rest in the caller.
 
     At most ``jobs`` processes run, no more than there are drops or CPUs
     this process may use, and on Linux each on a CPU of its own, so that no

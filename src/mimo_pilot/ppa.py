@@ -23,6 +23,14 @@ square-root weight lists once, for every allocation made from it, and
 one array it returns.  The objective takes the mean of its per-user
 terms as ``sum / size``, the bits of ``ndarray.mean`` without its
 Python-level wrapper.
+
+A sweep allocates all its rows at once instead.  Each row's water level
+is independent of every other row's, so :func:`_allocate_rows` runs one
+numpy pass per estimator over a sweep's stacked (gamma, drop, budget)
+rows, in the list path's arithmetic and summation order, and returns
+:func:`ppa_allocate`'s powers bit for bit.  :func:`ppa_allocate` stays
+the path of a single allocation and the reference the tests hold the
+stacked pass to.
 """
 
 from __future__ import annotations
@@ -86,13 +94,12 @@ class InterferenceProfile:
 
 
 def _flat_interference(beta, share):
-    """sum_{l != 0} share * beta[l, k], the other cells' level at a flat power.
-
-    Kept as the einsum of a full power array: the allocations' last bits
-    depend on its summation order.
-    """
-    others = beta[1:]
-    return np.einsum("lk,lk->k", np.full_like(others, share), others)
+    """sum_{l != 0} share * beta[..., l, k], the other cells' level at a flat
+    power, summed in cell order; ``share`` broadcasts against the (..., L,
+    K) gains."""
+    if beta.ndim < 2:
+        raise ValueError("gains must have a cell axis and a user axis")
+    return (share * beta[..., 1:, :]).sum(axis=-2)
 
 
 def eppa_profile(beta_slice, P: float, K: int) -> InterferenceProfile:
@@ -225,6 +232,105 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     _check_allocation(rho, free, at_min, at_max, P, lo, hi)
     return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
                            frozenset(at_max))
+
+
+# bytes of gains per block of rows in the stacked pass, so that its memory
+# is flat in the rows
+_ROW_BLOCK = 1 << 20
+
+
+def _allocate_rows(method: str, beta, P, lo, hi) -> np.ndarray:
+    """``ppa_allocate(method, eppa_profile(beta[i], P[i], K), cfg_i).rho`` of
+    every row i at once, bit for bit, where cfg_i has the budget ``P[i]`` and
+    the box [``lo[i]``, ``hi[i]``].
+
+    The rows are the leading axes of the (..., L, K) gains ``beta``
+    broadcast against those of ``P``, ``lo`` and ``hi``; returns their
+    (..., K) powers.  Raises what the profile and :func:`ppa_allocate`
+    raise.  Every row's water level is found and filled on its own, in
+    blocks of rows (:func:`_fill_rows`).
+    """
+    check_method(method)
+    *lead, L, K = beta.shape
+    shape = np.broadcast_shapes(tuple(lead), np.shape(P), np.shape(lo), np.shape(hi))
+    beta = np.broadcast_to(beta, (*shape, L, K))
+    P, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (P, lo, hi))
+    if not np.all((lo > 0) & (hi >= lo)):
+        raise ValueError("invalid power box")
+    if np.any((K * lo > P) | (K * hi < P)):
+        raise ValueError("power box cannot meet the budget")
+    size = max(1, _ROW_BLOCK // (8 * L * K))
+    blocks = [np.arange(i, min(i + size, P.size)) for i in range(0, P.size, size)]
+    return np.concatenate([_fill_rows(method, beta[np.unravel_index(b, shape)], P[b], lo[b],
+                                      hi[b]) for b in blocks]).reshape(*shape, K)
+
+
+def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
+    """:func:`_allocate_rows` on one block of (n,) rows, in the list path's
+    arithmetic.
+
+    The level search sums the clipped terms at every knot, not only at a
+    bisection's probes, each in user order as the list search does.  The
+    sum is monotone in the level, so the knots below the first one whose
+    sum meets the budget are those the bisection passes, and equal knots
+    fall on one side.  The pinned bounds leave the budget one at a time.
+    Each free group is summed as :func:`~.refsolver._np_sum` sums it: by
+    numpy, over the free users of the rows that have as many.  Rows the
+    list search would recentre, and MMSE fills whose cancellation breaks
+    the budget, go through :func:`~.refsolver._clip_level` and
+    :func:`_water_fill`.  Of :func:`_check_allocation`'s checks, the
+    partition and the pinned users' bounds hold by construction; the
+    budget and the box are checked on every row.
+    """
+    ups = _flat_interference(beta, (P / beta.shape[-1])[:, None, None]) + 1.0
+    beta0 = beta[:, 0]
+    if not (np.all(np.isfinite(ups)) and np.all(np.isfinite(beta0))):
+        raise ValueError("upsilon and beta_target must be finite")
+    if not (np.all(ups > 0) and np.all(beta0 > 0)):
+        raise ValueError("upsilon and beta_target must be positive")
+    w = ups / beta0
+    s = np.sqrt(w)
+    bounds = np.stack([lo, hi], axis=1)[:, :, None] / s[:, None]
+    knots = bounds if method == LS else s[:, None] + bounds  # (n, bound, user)
+    lo3, hi3 = lo[:, None, None], hi[:, None, None]
+    spent = 0.0
+    for k in range(s.shape[1]):  # each knot's clipped terms, added in user order
+        sk = s[:, k, None, None]
+        x = sk * (knots if method == LS else knots - sk)
+        spent = spent + np.minimum(np.maximum(x, lo3), hi3)
+    level = np.where(spent >= P[:, None, None], knots, np.inf).min(axis=(1, 2))
+    side = (knots < level[:, None, None]).sum(axis=1) - 1
+    if method == MMSE:
+        for i in np.flatnonzero((s * s).max(axis=-1) > 1024.0 * P):
+            side[i] = _clip_level(s[i].tolist(), s[i].tolist(), P[i], lo[i], hi[i])
+    lo, hi = lo[:, None], hi[:, None]
+    rho = np.where(side > 0, hi, lo)
+    pinned = np.where(side == 0, 0.0, rho)
+    budget = np.subtract.accumulate(np.concatenate([P[:, None], pinned], axis=1),
+                                    axis=1)[:, -1]
+    free = side == 0
+    counts = free.sum(axis=-1)
+    first = np.argsort(~free, axis=-1, kind="stable")  # free users first, in order
+    # (np.unique would load numpy.ma, some 25 ms, on its first call)
+    for f in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        rows = np.flatnonzero(counts == f)[:, None]
+        cols = first[rows, np.arange(f)]
+        s_f, b = s[rows, cols], budget[rows]
+        share = s_f / s_f.sum(axis=-1, keepdims=True)
+        if method == LS:
+            rho[rows, cols] = b * share
+            continue
+        w_f = w[rows, cols]
+        fill = b * share + (w_f.sum(axis=-1, keepdims=True) * share - w_f)
+        for i in np.flatnonzero(abs(fill.sum(axis=-1) - b[:, 0]) > 1e-12 * b[:, 0]):
+            fill[i] = _water_fill(MMSE, w_f[i].tolist(), s_f[i].tolist(), b[i, 0])
+        rho[rows, cols] = fill
+    Pc = P[:, None]
+    if np.any(abs(np.cumsum(rho, axis=-1)[:, -1:] - Pc) > 1e-9 * Pc):
+        raise ValueError("allocation does not exhaust the budget")
+    if np.any((rho < lo - 1e-12 * Pc) | (rho > hi + 1e-12 * Pc)):
+        raise ValueError("a free user lies outside the power box")
+    return rho
 
 
 def objective_value(method: str, rho, profile: InterferenceProfile, M: int,

@@ -15,6 +15,10 @@ lists: the search with a keyed ``bisect``, the projection and the
 water-filling in numpy arrays; the allocator's objective as the
 ``.mean()`` of its per-user terms.  The package must return the same bits.
 
+The other cells' flat interference as the einsum of a full power array,
+the form the profile used before one arithmetic served a drop and a
+stack of drops alike.  The package must return the same bits.
+
 The sweeps' closed forms as they were evaluated before the sweeps
 stacked them over drops: one public call per (gamma, drop, estimator) on
 the drop's (L, K) gains.  The stacked pass must return the same bits.
@@ -334,6 +338,13 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     package_ppa._check_allocation(rho, free, at_min, at_max, cfg.P_total, lo, hi)
     return PilotAllocation(np.array(rho), frozenset(free), frozenset(at_min),
                            frozenset(at_max))
+
+
+def flat_interference(beta, share) -> np.ndarray:
+    """sum_{l != 0} share * beta[l, k] of one drop's (L, K) gains, as the
+    einsum of a full power array."""
+    others = beta[1:]
+    return np.einsum("lk,lk->k", np.full_like(others, share), others)
 
 
 def mean_error(method: str, rho, profile: InterferenceProfile, M: int,

@@ -353,12 +353,15 @@ def test_acceptance_09_deterministic_reruns(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-    # worker count must not leak into results either
+    # worker count must not leak into results either: fig5b alone runs in
+    # the caller, with reference solves its drops go to two workers
     cfg = default_config("fig5b", seed=4)
-    serial = run_experiment(plan_for("fig5b", gammas=(1,), n_large=4), cfg)
-    parallel = run_experiment(plan_for("fig5b", gammas=(1,), n_large=4, jobs=2),
-                              cfg)
-    assert serial.rows == parallel.rows
+    for schemes in (None, ("eppa", "ppa", "ref")):
+        serial = run_experiment(plan_for("fig5b", gammas=(1,), n_large=4,
+                                         schemes=schemes), cfg)
+        parallel = run_experiment(plan_for("fig5b", gammas=(1,), n_large=4, jobs=2,
+                                           schemes=schemes), cfg)
+        assert serial.rows == parallel.rows
     _report(9, f"byte-identical CSV ({first.stat().st_size} bytes), "
                "jobs=1 == jobs=2")
 

@@ -346,14 +346,13 @@ def test_one_draw_per_drop_gives_each_gammas_chain_gains(monkeypatch, L, K, sigm
     cfg = SystemConfig(K=K, M=8, P_total=1.0e3, L=L, sigma_sh=sigma_sh, seed=5)
     gammas = (1, 3, 7)
     seen = {}
-    run_drop = harness._run_drop
+    draw_gains = harness._draw_gains
 
-    def record(task):
-        result = run_drop(task)
-        seen[task[2]] = result[0]  # the task's (Gamma, L, K) gains
-        return result
+    def record(cfg, centers, drop):
+        seen[drop] = draw_gains(cfg, centers, drop)  # the drop's (Gamma, L, K) gains
+        return seen[drop]
 
-    monkeypatch.setattr(harness, "_run_drop", record)
+    monkeypatch.setattr(harness, "_draw_gains", record)
     harness._map_tasks(plan_for("fig4a", gammas=gammas, n_large=3), cfg)
     assert sorted(seen) == [0, 1, 2]
     for drop, gains in seen.items():
@@ -554,6 +553,40 @@ def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monke
     serial = run_experiment(plan, tiny_cfg).rows
     monkeypatch.delattr(forkmap.os, "fork")
     assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
+
+
+@pytest.mark.parametrize("experiment", ["fig4a", "fig5a", "fig5b"])
+def test_a_sweep_with_no_drop_work_forks_nothing(tiny_cfg, two_cpus, monkeypatch, reaped,
+                                                 experiment):
+    # the caller draws the gains and allocates every ppa and eppa row, so
+    # without reference solves or Monte-Carlo no drop is left for a worker
+    plan = plan_for(experiment, gammas=(1, 3), n_large=4, jobs=2)
+    serial = run_experiment(dataclasses.replace(plan, jobs=1), tiny_cfg).rows
+
+    def refuse():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.setattr(forkmap.os, "fork", refuse)
+    assert run_experiment(plan, tiny_cfg).rows == serial
+
+
+@pytest.mark.parametrize("experiment, kwargs", [
+    ("fig4a", dict(schemes=("eppa", "ppa", "ref"))),
+    ("fig3", dict(n_small=2)),
+])
+def test_reference_solves_and_monte_carlo_still_fork(tiny_cfg, two_cpus, monkeypatch,
+                                                     reaped, experiment, kwargs):
+    plan = plan_for(experiment, gammas=(1, 3), n_large=3, jobs=2, **kwargs)
+    serial = run_experiment(dataclasses.replace(plan, jobs=1), tiny_cfg).rows
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(forkmap.os, "fork", counted)
+    assert run_experiment(plan, tiny_cfg).rows == serial
+    assert len(forks) == 1
 
 
 @pytest.fixture
@@ -835,7 +868,8 @@ class TestForkMapSize:
         return sizes
 
     def _run(self, tiny_cfg, jobs=8):
-        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=jobs)
+        # reference solves, so that the drops have work for the map
+        plan = plan_for("fig4a", gammas=(1,), n_large=4, jobs=jobs, schemes=("ref",))
         return run_experiment(plan, tiny_cfg).rows
 
     def test_affinity_bounds_the_fork_map(self, tiny_cfg, fork_maps, monkeypatch):

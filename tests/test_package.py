@@ -114,10 +114,11 @@ def _python(code: str) -> list[str]:
 
 
 def test_numpy_random_loads_before_the_fork_map_forks_and_not_at_import():
-    # numpy.random costs some 13 ms to load.  The fork map loads it
-    # before it forks, so its children start with it; importing the
-    # package must not load it, or every in-process run would pay it in
-    # its setup.  A sweep at two workers forks one child.
+    # numpy.random costs some 13 ms to load.  A sweep's gain draws load
+    # it before the fork map forks, so its children start with it;
+    # importing the package must not load it, or every in-process run
+    # would pay it in its setup.  A sweep at two workers with reference
+    # solves to run forks one child.
     code = """
 import os
 import sys
@@ -132,7 +133,7 @@ def fork_after_printing():
 
 os.fork = fork_after_printing
 os.sched_getaffinity = lambda pid: {0, 1}
-plan = harness.plan_for("fig5b", n_large=2, jobs=2)
+plan = harness.plan_for("fig5b", n_large=2, jobs=2, schemes=("ref",))
 harness.run_experiment(plan, harness.default_config("fig5b"))
 """
     assert _python(code) == ["False", "True"]

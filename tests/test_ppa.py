@@ -1,18 +1,20 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import oracle
-from mimo_pilot import (ALPHA, InterferenceProfile, SystemConfig, eppa_profile,
-                        exp_rcee_asymptotic, make_objective, objective_value,
-                        ppa_allocate, unconstrained_optimum)
-from mimo_pilot.estimators import LS, MMSE
+from mimo_pilot import (ALPHA, InterferenceProfile, SystemConfig, db_to_linear,
+                        eppa_profile, exp_rcee_asymptotic, make_objective,
+                        objective_value, ppa, ppa_allocate, unconstrained_optimum)
+from mimo_pilot.estimators import LS, METHODS, MMSE
 from mimo_pilot.harness import default_config, drop_gains, reference_solve
 from mimo_pilot.metrics import (exp_rcee_bound_mmse, exp_rcee_closed, exp_rcee_eppa_limit,
                                 exp_rcee_limit)
-from mimo_pilot.ppa import _check_allocation
+from mimo_pilot.ppa import _allocate_rows, _check_allocation, _flat_interference
+from mimo_pilot.refsolver import _clip_level
 
 
 # A desk drop's (7, 10) gains, kept as literals because the drop draw no
@@ -99,6 +101,21 @@ class TestInterferenceProfile:
         with pytest.raises(ValueError, match="must be finite"):
             InterferenceProfile(upsilon=np.ones(3),
                                 beta_target=np.array([1.0, bad, 1.0]))
+
+
+def test_flat_interference_keeps_the_einsum_bits():
+    # one arithmetic for one drop and for a stack of them, summed in cell
+    # order: the bits of the einsum of a full power array
+    rng = np.random.default_rng(7)
+    shares = 10.0 ** np.linspace(0.0, 8.0, 17)
+    for L in range(1, 8):
+        for K in range(2, 17):
+            beta = 10.0 ** rng.uniform(-14.0, 0.0, (len(shares), L, K))
+            stacked = _flat_interference(beta, shares[:, None, None])
+            for one, share, stacked_one in zip(beta, shares, stacked):
+                want = oracle.flat_interference(one, share).tobytes()
+                assert _flat_interference(one, share).tobytes() == want
+                assert stacked_one.tobytes() == want
 
 
 class TestWaterFill:
@@ -289,6 +306,116 @@ class TestPpaAllocate:
         bad = SimpleNamespace(K=2, M=8, P_total=10.0, rho_min=-1.0, rho_max=7.0)
         with pytest.raises(ValueError, match="box"):
             ppa_allocate(LS, prof, bad)
+
+
+def _stack_grid():
+    """The stacked pass's rows, as (gains (n, L, K), one config per row)
+    blocks: at each K = 2..12 and L = 1..7, every budget of 20-80 dB at mu
+    1.5 and (K+1)/2, with gains down to 1e-12 from one fixed stream; K = 16
+    drops of near-equal weights, every user free; and the 100 desk drops
+    of fig4a at seed 1 and Gamma 1, one of which has a lone free user that
+    least squares water-fills exactly onto rho_max."""
+    rng = np.random.default_rng(31)
+    budgets = [db_to_linear(p_db) for p_db in (20.0, 35.0, 50.0, 65.0, 80.0)]
+    blocks = []
+    for K in range(2, 13):
+        for L in range(1, 8):
+            cfgs = [SystemConfig(K=K, M=8, P_total=P, mu=mu, L=L)
+                    for P in budgets for mu in (1.5, (K + 1) / 2)]
+            blocks.append((10.0 ** rng.uniform(-12.0, 0.0, (len(cfgs), L, K)), cfgs))
+    cfgs = [SystemConfig(K=16, M=8, P_total=P, mu=8.5) for P in budgets]
+    blocks.append((np.concatenate([rng.uniform(0.5, 1.0, (len(cfgs), 1, 16)),
+                                   rng.uniform(1e-4, 2e-4, (len(cfgs), 6, 16))], axis=1),
+                   cfgs))
+    cfg = default_config("fig4a", seed=1)
+    blocks.append((np.stack([drop_gains(cfg, drop) for drop in range(100)]), [cfg] * 100))
+    return blocks
+
+
+def _boxes(cfgs):
+    return [np.array([getattr(c, name) for c in cfgs])
+            for name in ("P_total", "rho_min", "rho_max")]
+
+
+class TestAllocateRows:
+    """The sweeps' stacked allocator, row by row against ppa_allocate."""
+
+    def test_every_row_keeps_the_list_bits(self, monkeypatch):
+        seen = dict.fromkeys(("all pinned", "free user on a bound", "list search",
+                              "matrix fallback", "16 free users"), 0)
+
+        def counted(fn, key):
+            def wrapper(*args):
+                seen[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for beta, cfgs in _stack_grid():
+            K = beta.shape[-1]
+            for method in METHODS:
+                with monkeypatch.context() as m:
+                    # the rows the stacked pass hands to the list functions:
+                    # MMSE searches the list path would recentre (some
+                    # weight above 1024 P) and fills that break the budget
+                    m.setattr(ppa, "_clip_level", counted(_clip_level, "list search"))
+                    m.setattr(ppa, "_water_fill", counted(ppa._water_fill, "matrix fallback"))
+                    rows = _allocate_rows(method, beta, *_boxes(cfgs))
+                assert rows.shape == (len(cfgs), K)
+                for row, gains, cfg in zip(rows, beta, cfgs):
+                    profile = eppa_profile(gains, cfg.P_total, K)
+                    alloc = ppa_allocate(method, profile, cfg)
+                    assert row.tobytes() == alloc.rho.tobytes(), (method, K, cfg)
+                    s = profile._sqrt_weights
+                    side = _clip_level(s, None if method == LS else s, cfg.P_total,
+                                       cfg.rho_min, cfg.rho_max)
+                    seen["all pinned"] += 0 not in side
+                    seen["free user on a bound"] += side.count(0) > len(alloc.free)
+                    seen["16 free users"] += len(alloc.free) >= 16
+        assert all(seen.values()), seen
+
+    def test_leading_axes_broadcast(self):
+        # the sweeps' (gamma, drop, budget) rows: gains broadcast over the
+        # budgets, budgets over the drops
+        cfg = default_config("fig4b", seed=0)
+        cfgs = [cfg.replace(P_total=db_to_linear(p_db)) for p_db in (20.0, 50.0, 80.0)]
+        beta = np.stack([drop_gains(cfg, drop) for drop in range(4)])
+        P, lo, hi = (x[None] for x in _boxes(cfgs))
+        rows = _allocate_rows(MMSE, beta[:, None], P, lo, hi)
+        assert rows.shape == (4, 3, cfg.K)
+        for d, gains in enumerate(beta):
+            for b, cfg_p in enumerate(cfgs):
+                profile = eppa_profile(gains, cfg_p.P_total, cfg.K)
+                assert rows[d, b].tobytes() == ppa_allocate(MMSE, profile, cfg_p).rho.tobytes()
+
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch):
+        # blocks of one row, of two, and the default, which holds them all
+        beta, cfgs = _stack_grid()[-1]
+        want = _allocate_rows(MMSE, beta, *_boxes(cfgs)).tobytes()
+        for rows in (1, 2):
+            monkeypatch.setattr(ppa, "_ROW_BLOCK", rows * 8 * beta[0].size)
+            assert _allocate_rows(MMSE, beta, *_boxes(cfgs)).tobytes() == want
+
+    @pytest.mark.parametrize("lo, hi", [(6.0, 7.0), (-1.0, 7.0)])
+    def test_a_box_that_cannot_meet_its_budget_raises_as_the_list_path(self, lo, hi):
+        from types import SimpleNamespace
+
+        beta = np.ones((3, 2, 2))
+        bad = SimpleNamespace(K=2, M=8, P_total=10.0, rho_min=lo, rho_max=hi)
+        with pytest.raises(ValueError) as listed:
+            ppa_allocate(LS, eppa_profile(beta[1], bad.P_total, 2), bad)
+        # one bad row among good ones
+        with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
+            _allocate_rows(LS, beta, np.full(3, 10.0), np.array([2.5, lo, 2.5]),
+                           np.array([7.5, hi, 7.5]))
+
+    def test_rows_with_every_user_pinned_divide_nothing(self):
+        # two users whose weights differ by 1e8 pin both at any budget
+        beta = np.array([[[1.0, 1e-8]], [[1e-8, 1.0]]])
+        cfg = SystemConfig(K=2, M=8, P_total=1.0e3, mu=1.5, L=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _allocate_rows(LS, beta, *_boxes([cfg, cfg]))
+        assert rows.tolist() == [[cfg.rho_min, cfg.rho_max], [cfg.rho_max, cfg.rho_min]]
 
 
 class TestPilotAllocationValidation:
