@@ -16,21 +16,20 @@ the budget, a free user from the water-filling ratios of the free group.
 
 The allocator runs on Python float lists, by the rule :mod:`.refsolver`
 states: at K <= 12 numpy's per-call overhead outweighs the arithmetic.
-Its sums take numpy's order through ``_np_sum``: the allocations' last
-bits, and so the CSVs, depend on it.  A profile builds its weight and
-square-root weight lists once, for every allocation made from it, and
-:func:`ppa_allocate` checks its result on its lists before making the
-one array it returns.  The objective takes the mean of its per-user
-terms as ``sum / size``, the bits of ``ndarray.mean`` without its
-Python-level wrapper.
+Its sums are ``math.fsum``, correctly rounded, so an allocation's bits
+depend on no library's summation order; only the level search adds its
+terms in user order.  A profile builds its weight and square-root weight
+lists once, for every allocation made from it, and :func:`ppa_allocate`
+checks its result on its lists before making the one array it returns.
+The objective takes the mean of its per-user terms as ``sum / size``,
+the bits of ``ndarray.mean`` without its Python-level wrapper.
 
 A sweep allocates all its rows at once instead.  Each row's water level
 is independent of every other row's, so :func:`_allocate_rows` runs one
 numpy pass per estimator over a sweep's stacked (gamma, drop, budget)
-rows, in the list path's arithmetic and summation order, and returns
-:func:`ppa_allocate`'s powers bit for bit.  :func:`ppa_allocate` stays
-the path of a single allocation and the reference the tests hold the
-stacked pass to.
+rows, in the list path's arithmetic, and returns :func:`ppa_allocate`'s
+powers bit for bit.  :func:`ppa_allocate` stays the path of a single
+allocation and the reference the tests hold the stacked pass to.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .estimators import LS, MMSE, check_method
 from .metrics import _bound_terms, _error_terms
-from .refsolver import _clip_level, _np_sum
+from .refsolver import _clip_level
 
 # Fraction of the average per-user power reserved as the lower bound:
 # rho_min = P/(2K) makes rho_min * K / P one half by construction.
@@ -132,22 +131,21 @@ def _water_fill(method: str, w: list[float] | None, sqrt_w: list[float],
                 P: float) -> list[float]:
     """The budget-only optimum from the weights and their square roots;
     least squares reads only the square roots."""
-    norm = _np_sum(sqrt_w)
+    norm = math.fsum(sqrt_w)
     if method == LS:
         return [P * (x / norm) for x in sqrt_w]
     share = [x / norm for x in sqrt_w]
     # (P + sum w) * share - w, split so the weight part cancels cleanly
     # when the weights are all equal
-    w_sum = _np_sum(w)
+    w_sum = math.fsum(w)
     rho = [P * x + (w_sum * x - wk) for x, wk in zip(share, w)]
-    if abs(_np_sum(rho) - P) > 1e-12 * P:
+    if abs(math.fsum(rho) - P) > 1e-12 * P:
         # Weights far above the budget leave a rounding error of order
         # eps * w in that cancellation, which can break the budget.  Taking
         # the sqrt-weight differences first avoids it:
         #   rho_k = sqrt(w_k) (P + sum_j sqrt(w_j) (sqrt(w_j) - sqrt(w_k))) / sum sqrt(w)
-        # (in numpy: a matrix product has no list form in its order)
-        s = np.array(sqrt_w)
-        rho = (s * (P + (s[None, :] - s[:, None]) @ s) / norm).tolist()
+        rho = [sk * (P + math.fsum([sj * (sj - sk) for sj in sqrt_w])) / norm
+               for sk in sqrt_w]
     return rho
 
 
@@ -175,7 +173,7 @@ def _check_allocation(r: list[float], free, at_min, at_max, P: float,
     collections of indices."""
     if sorted([*free, *at_min, *at_max]) != list(range(len(r))):
         raise ValueError("free/at_min/at_max must partition the user indices")
-    if abs(sum(r) - P) > 1e-9 * P:
+    if abs(math.fsum(r) - P) > 1e-9 * P:
         raise ValueError("allocation does not exhaust the budget")
     for k in at_min:
         if r[k] != lo:
@@ -209,14 +207,12 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
 
     w, s = profile._weights, profile._sqrt_weights
     side = _clip_level(s, None if method == LS else s, P, lo, hi)
-    rho = [hi if g > 0 else lo for g in side]
+    rho = [hi if g > 0 else lo if g else 0.0 for g in side]
     at_min, free, at_max = groups = ([], [], [])
-    budget = P
     for k, g in enumerate(side):
         groups[g + 1].append(k)
-        if g:  # bound by bound, not n * bound: the CSV bits hang on it
-            budget -= hi if g > 0 else lo
     if free:
+        budget = -math.fsum(rho + [-P])  # P less the pinned bounds: free entries are 0.0
         w_free = None if method == LS else [w[k] for k in free]
         filled = _water_fill(method, w_free, [s[k] for k in free], budget)
         for k, x in zip(free, filled):
@@ -273,14 +269,14 @@ def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
     bisection's probes, each in user order as the list search does.  The
     sum is monotone in the level, so the knots below the first one whose
     sum meets the budget are those the bisection passes, and equal knots
-    fall on one side.  The pinned bounds leave the budget one at a time.
-    Each free group is summed as :func:`~.refsolver._np_sum` sums it: by
-    numpy, over the free users of the rows that have as many.  Rows the
-    list search would recentre, and MMSE fills whose cancellation breaks
-    the budget, go through :func:`~.refsolver._clip_level` and
-    :func:`_water_fill`.  Of :func:`_check_allocation`'s checks, the
-    partition and the pinned users' bounds hold by construction; the
-    budget and the box are checked on every row.
+    fall on one side.  The other sums are correctly rounded, as the list
+    path's, over each row with its pinned users' entries zeroed, which
+    adds nothing.  Rows the list search would recentre, and MMSE fills
+    whose cancellation breaks the budget, go through
+    :func:`~.refsolver._clip_level` and :func:`_water_fill`.  Of
+    :func:`_check_allocation`'s checks, the partition and the pinned
+    users' bounds hold by construction; the budget and the box are
+    checked on every row.
     """
     ups = _flat_interference(beta, (P / beta.shape[-1])[:, None, None]) + 1.0
     beta0 = beta[:, 0]
@@ -305,32 +301,32 @@ def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
             side[i] = _clip_level(s[i].tolist(), s[i].tolist(), P[i], lo[i], hi[i])
     lo, hi = lo[:, None], hi[:, None]
     rho = np.where(side > 0, hi, lo)
-    pinned = np.where(side == 0, 0.0, rho)
-    budget = np.subtract.accumulate(np.concatenate([P[:, None], pinned], axis=1),
-                                    axis=1)[:, -1]
     free = side == 0
-    counts = free.sum(axis=-1)
-    first = np.argsort(~free, axis=-1, kind="stable")  # free users first, in order
-    # (np.unique would load numpy.ma, some 25 ms, on its first call)
-    for f in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        rows = np.flatnonzero(counts == f)[:, None]
-        cols = first[rows, np.arange(f)]
-        s_f, b = s[rows, cols], budget[rows]
-        share = s_f / s_f.sum(axis=-1, keepdims=True)
-        if method == LS:
-            rho[rows, cols] = b * share
-            continue
-        w_f = w[rows, cols]
-        fill = b * share + (w_f.sum(axis=-1, keepdims=True) * share - w_f)
-        for i in np.flatnonzero(abs(fill.sum(axis=-1) - b[:, 0]) > 1e-12 * b[:, 0]):
-            fill[i] = _water_fill(MMSE, w_f[i].tolist(), s_f[i].tolist(), b[i, 0])
-        rho[rows, cols] = fill
+    rows = np.flatnonzero(free.any(axis=-1))
+    free, rho_r = free[rows], rho[rows]
+    b = -_row_sums(np.concatenate([-P[rows, None], np.where(free, 0.0, rho_r)], axis=1))
+    s_f = np.where(free, s[rows], 0.0)
+    share = s_f / _row_sums(s_f)
+    if method == LS:
+        fill = b * share
+    else:
+        w_f = np.where(free, w[rows], 0.0)
+        fill = b * share + (_row_sums(w_f) * share - w_f)
+        for i in np.flatnonzero(abs(_row_sums(fill) - b) > 1e-12 * b):
+            f = free[i]
+            fill[i, f] = _water_fill(MMSE, w_f[i, f].tolist(), s_f[i, f].tolist(), b[i, 0])
+    rho[rows] = np.where(free, fill, rho_r)
     Pc = P[:, None]
-    if np.any(abs(np.cumsum(rho, axis=-1)[:, -1:] - Pc) > 1e-9 * Pc):
+    if np.any(abs(_row_sums(rho) - Pc) > 1e-9 * Pc):
         raise ValueError("allocation does not exhaust the budget")
     if np.any((rho < lo - 1e-12 * Pc) | (rho > hi + 1e-12 * Pc)):
         raise ValueError("a free user lies outside the power box")
     return rho
+
+
+def _row_sums(x) -> np.ndarray:
+    """The correctly rounded sum of each row of the 2-D ``x``, as a column."""
+    return np.array([math.fsum(row) for row in x.tolist()])[:, None]
 
 
 def objective_value(method: str, rho, profile: InterferenceProfile, M: int,
@@ -418,20 +414,18 @@ def exp_rcee_asymptotic(method: str, beta_slice, cfg) -> np.ndarray:
     alloc = ppa_allocate(method, profile, cfg.replace(P_total=_LIMIT_BUDGET))
     share = np.full(K, ALPHA / K)
     share[list(alloc.at_max)] = cfg.mu / K
-    # the sums over free users run in list(alloc.free) order, the
-    # frozenset's iteration order; sorting them moves last bits
     ratio = interference / beta0
-    free = list(alloc.free)
+    free = sorted(alloc.free)
     varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
     # evaluated over the free users only: with every user pinned, varphi is
     # 0 and the free-user expressions would divide 0 by 0
     i_free = interference[free]
-    phi = i_free * float(np.sqrt(ratio[free]).sum())
+    phi = i_free * math.fsum(np.sqrt(ratio[free]))
     psi = np.sqrt(beta0[free] * i_free)
     if method == LS:
         out = interference / (share * beta0)
         out[free] = phi / (varphi * psi)
     else:
         out = interference / (interference + share * beta0)
-        out[free] = phi / ((varphi + float(ratio[free].sum())) * psi)
+        out[free] = phi / ((varphi + math.fsum(ratio[free])) * psi)
     return out

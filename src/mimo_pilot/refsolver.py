@@ -20,9 +20,9 @@ arithmetic.
 Both work on vectors of one entry per user, K <= 12, where numpy's
 per-call overhead outweighs the arithmetic, so their hot paths run on
 Python float lists, entry by entry in the operations numpy would do.
-The exception is a sum: numpy adds float64 in an order of its own,
-which sets the last bits of every level and so the CSVs; sums go
-through :func:`_np_sum`, which replicates that order exactly.
+Their sums are ``math.fsum``, correctly rounded, so the bits do not
+depend on a library's summation order; only :func:`_clip_level`'s
+probes add their terms in entry order.
 """
 
 from __future__ import annotations
@@ -107,30 +107,6 @@ def _clip_level(s, c, total: float, lo: float, hi: float) -> list[int]:
         c = [ck - ref for ck in c]
 
 
-def _np_sum(xs) -> float:
-    """``np.sum`` of a list of floats, bit for bit, without making an array.
-
-    NumPy adds float64 pairwise: one running sum below 8 entries, 8
-    interleaved lanes folded as a tree up to 128 entries, and longer runs
-    split in two at a multiple of 8.  Like numpy's, the sum starts from
-    0.0, so it is never -0.0.
-    """
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _np_sum(xs[:half]) + _np_sum(xs[half:])
-    total, tail = 0.0, n - n % 8
-    if tail:
-        r = xs[:8]
-        for i in range(8, tail, 8):
-            r = [a + b for a, b in zip(r, xs[i:i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        xs = xs[tail:]
-    for x in xs:
-        total += x
-    return total
-
-
 def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray:
     """Euclidean projection onto {x : sum x = total, lo <= x_i <= hi}.
 
@@ -159,9 +135,8 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
 def _theta(v: list, side: list, total: float, lo: float, hi: float) -> float:
     """The shift theta of the projection whose box sides are ``side``
     (at least one free), from the budget on the free entries."""
-    # both sums in numpy's order, which sets theta's last bits
-    pinned = _np_sum([hi if g > 0 else lo if g < 0 else 0.0 for g in side])
-    free = _np_sum([x for x, g in zip(v, side) if g == 0])
+    pinned = math.fsum([hi if g > 0 else lo for g in side if g])
+    free = math.fsum([x for x, g in zip(v, side) if g == 0])
     return (free - (total - pinned)) / side.count(0)
 
 
@@ -204,7 +179,7 @@ def kkt_residual(gradient, x, lo: float, hi: float) -> float:
     for gk, xk in zip(gradient, x):
         (at_lo if xk == lo else at_hi if xk == hi else free).append(gk)
     if free:
-        lam = sum(free) / len(free)
+        lam = math.fsum(free) / len(free)
         worst = max(max(free + at_hi) - lam, lam - min(free + at_lo))
         scale = abs(lam)
     else:
@@ -255,7 +230,7 @@ def solve(objective: Callable[[np.ndarray], float],
     kkt = kkt_residual(g.tolist(), near, lower, upper)
 
     def converged() -> bool:
-        return kkt <= _KKT_TOL and abs(_np_sum(near) - total) <= slack
+        return kkt <= _KKT_TOL and abs(math.fsum(near) - total) <= slack
 
     iterations = 0
     while iterations < max_iter and not converged():

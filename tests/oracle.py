@@ -12,7 +12,8 @@ the kernel's blocks must return the same bits.
 The level search, the projection and the allocator as they were
 written before the package moved their arithmetic onto Python float
 lists: the search with a keyed ``bisect``, the projection and the
-water-filling in numpy arrays; the allocator's objective as the
+water-filling in numpy arrays, with every sum that sets their bits
+correctly rounded by ``math.fsum``; the allocator's objective as the
 ``.mean()`` of its per-user terms.  The package must return the same bits.
 
 The other cells' flat interference as the einsum of a full power array,
@@ -278,25 +279,25 @@ def project_bounded_simplex(v, total: float, lo: float, hi: float) -> np.ndarray
     if not np.any(free):
         return np.where(side > 0, hi, lo)
     pinned = np.where(side > 0, hi, 0.0) + np.where(side < 0, lo, 0.0)
-    theta = (v[free].sum() - (total - pinned.sum())) / free.sum()
+    theta = (math.fsum(v[free]) - (total - math.fsum(pinned))) / free.sum()
     return np.clip(v - theta, lo, hi)
 
 
 def _water_fill(method: str, w: np.ndarray, P: float) -> np.ndarray:
     sqrt_w = np.sqrt(w)
-    share = sqrt_w / sqrt_w.sum()
+    share = sqrt_w / math.fsum(sqrt_w)
     if method == LS:
         return P * share
     # (P + sum w) * share - w, split so the weight part cancels cleanly
     # when the weights are all equal
-    rho = P * share + (w.sum() * share - w)
-    if abs(rho.sum() - P) > 1e-12 * P:
+    rho = P * share + (math.fsum(w) * share - w)
+    if abs(math.fsum(rho) - P) > 1e-12 * P:
         # Weights far above the budget leave a rounding error of order
         # eps * w in that cancellation, which can break the budget.  Taking
         # the sqrt-weight differences first avoids it:
         #   rho_k = sqrt(w_k) (P + sum_j sqrt(w_j) (sqrt(w_j) - sqrt(w_k))) / sum sqrt(w)
-        gaps = (sqrt_w[None, :] - sqrt_w[:, None]) @ sqrt_w
-        rho = sqrt_w * (P + gaps) / sqrt_w.sum()
+        gaps = np.array([math.fsum(row) for row in (sqrt_w[None, :] - sqrt_w[:, None]) * sqrt_w])
+        rho = sqrt_w * (P + gaps) / math.fsum(sqrt_w)
     return rho
 
 
@@ -326,9 +327,7 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     at_max = [k for k in range(K) if side[k] > 0]
     rho = [hi if g > 0 else lo for g in side]
     if free:
-        budget = cfg.P_total
-        for g in side:  # bound by bound, not n * bound: the CSV bits hang on it
-            budget -= lo if g < 0 else hi if g > 0 else 0.0
+        budget = math.fsum([cfg.P_total, *(-rho[k] for k in at_min + at_max)])
         for k, x in zip(free, _water_fill(method, w[free], budget).tolist()):
             rho[k] = x
         # a free user the water-fill puts exactly on a bound is pinned there

@@ -83,6 +83,21 @@ class TestAllocate:
                      "--check"]) == 0
         assert "PASS" in capsys.readouterr().err
 
+    def test_check_compares_the_bound_both_solvers_minimize(self, table_fixture_path,
+                                                            table_beta, capsys):
+        # the CSV keeps the exact MMSE error; the check line prices the
+        # allocation by the MMSE bound
+        assert main(["allocate", "--beta", str(table_fixture_path), "--method", "mmse",
+                     "--check"]) == 0
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        rho = np.array([float(row[1]) for row in rows])
+        cfg = mimo_pilot.default_config("fig3")  # its budget and M, as allocate's
+        profile = mimo_pilot.eppa_profile(table_beta, cfg.P_total, len(rho))
+        assert float(rows[0][3]) == mimo_pilot.objective_value("mmse", rho, profile, cfg.M)
+        bound = mimo_pilot.objective_value("mmse", rho, profile, cfg.M, exact=False)
+        assert f"objective={bound!r} " in err
+
     def test_check_flags_flat_split_as_suboptimal(self, table_fixture_path,
                                                   capsys):
         assert main(["allocate", "--beta", str(table_fixture_path),

@@ -87,6 +87,18 @@ def test_every_exported_name_is_used_or_has_a_reason():
     assert sorted(unused) == sorted(REASONS), "export only what the package uses, or say why"
 
 
+def test_no_module_calls_the_builtin_sum():
+    # a float sum in the builtin's order depends on the Python version
+    # (3.12 compensates it); the package's sums are math.fsum or numpy's
+    calls = []
+    for path in sorted((SRC / "mimo_pilot").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_oracle_names_are_not_in_the_package(name):
     assert name not in mimo_pilot.__all__

@@ -550,9 +550,9 @@ def _oracle_asymptote(method, beta, cfg):
                                   beta_target=beta[0].copy())
     alloc = ppa_allocate(method, profile, cfg.replace(P_total=1.0e6))
     ratio = interference / beta[0]
-    free_sqrt_sum = float(np.sqrt(ratio[list(alloc.free)]).sum()) if alloc.free else 0.0
+    free_sqrt_sum = math.fsum(np.sqrt(ratio[list(alloc.free)]))
     varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
-    varpi = float(ratio[list(alloc.free)].sum()) if alloc.free else 0.0
+    varpi = math.fsum(ratio[list(alloc.free)])
     psi = np.sqrt(beta[0] * interference)
     phi = interference * free_sqrt_sum
     values = []

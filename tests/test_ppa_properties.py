@@ -167,9 +167,34 @@ def test_allocation_keeps_the_array_bits(instance, method):
     got = ppa_allocate(method, profile, cfg)
     want = oracle.ppa_allocate(method, profile, cfg)
     assert np.array_equal(got.rho, want.rho)
-    # the frozensets' iteration order reaches the CSVs too
-    groups = [[list(a.free), list(a.at_min), list(a.at_max)] for a in (got, want)]
-    assert groups[0] == groups[1]
+    assert (got.free, got.at_min, got.at_max) == (want.free, want.at_min, want.at_max)
     assert np.array_equal(
         unconstrained_optimum(method, profile, cfg.P_total),
         oracle._water_fill(method, profile.weight, cfg.P_total))
+
+
+def _order_grid():
+    """(P, profile) on a fixed grid: K = 2..12, budgets of 20-80 dB, and
+    interference levels and gains from one fixed stream, the gains down
+    to 1e-12, so that many MMSE fills take the sqrt-weight fallback."""
+    rng = np.random.default_rng(59)
+    for K in range(2, 13):
+        for p_db in (20.0, 35.0, 50.0, 65.0, 80.0):
+            P = 10.0 ** (p_db / 10.0)
+            for _ in range(8):
+                yield P, InterferenceProfile(
+                    upsilon=1.0 + (P / K) * 10.0 ** rng.uniform(-8.0, 2.0, K),
+                    beta_target=10.0 ** rng.uniform(-12.0, 0.0, K))
+
+
+def test_water_fill_does_not_depend_on_user_order():
+    # elementwise operations and correctly rounded sums only: permuting
+    # the users permutes the powers, bit for bit
+    rng = np.random.default_rng(61)
+    for P, profile in _order_grid():
+        perm = rng.permutation(profile.num_users)
+        moved = InterferenceProfile(upsilon=profile.upsilon[perm],
+                                    beta_target=profile.beta_target[perm])
+        for method in METHODS:
+            want = unconstrained_optimum(method, profile, P)[perm]
+            assert unconstrained_optimum(method, moved, P).tobytes() == want.tobytes()
