@@ -15,11 +15,11 @@ from .harness import (CDF_COLUMNS, EXPERIMENTS, GRID_COLUMNS, ExperimentPlan,
                       plan_for, run_experiment, seed_schedule)
 from .metrics import (achievable_rate, exp_rcee_bound_mmse, exp_rcee_closed,
                       exp_rcee_eppa_limit, exp_rcee_limit, sinr_closed, sinr_limit)
-from .ppa import (ALPHA, InterferenceProfile, PilotAllocation, eppa_profile,
+from .ppa import (InterferenceProfile, PilotAllocation, eppa_profile,
                   exp_rcee_asymptotic, make_objective, objective_value,
                   ppa_allocate, unconstrained_optimum)
 from .refsolver import SolveResult, project_bounded_simplex, solve
-from .scenario import (ConfigurationError, FixtureFormatError, SystemConfig,
+from .scenario import (ALPHA, ConfigurationError, FixtureFormatError, SystemConfig,
                        attenuation, build_layout, db_to_linear, drop_users,
                        large_scale, load_beta_fixture, sample_shadowing,
                        save_beta_fixture)

@@ -8,8 +8,7 @@ affinity set for the map, if there are enough, and the caller then gets
 its set back: the kernel may leave a child on its parent's CPU while
 another idles.  Every worker takes chunks of tasks from one queue
 (:func:`_task_queue`) until it is empty, so a worker that draws a slow
-task (a reference solve at a high budget can run to ``max_iter``) leaves
-the rest to the others.  A child pickles its (chunk start, results)
+task leaves the rest to the others.  A child pickles its (chunk start, results)
 pairs, or its exception and traceback text, down a pipe of its own; an
 exception that does not pickle, or does not unpickle in the caller,
 arrives as a :class:`WorkerError` naming its type and message.  The

@@ -425,7 +425,7 @@ def _gram_trials(cfg: SystemConfig, drop: int, n_trials: int, gains, rho_stack,
 
 def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, target, flat,
               m_values) -> dict:
-    """Monte-Carlo mean error of every allocation, ``mc``, or none without trials.
+    """Monte-Carlo mean error of every allocation, ``mc``.
 
     ``target`` holds the (B, C, K) target-cell powers of the sorted
     (scheme, method) combos at each budget, ``flat`` the (B,) flat P/K of
@@ -435,8 +435,6 @@ def _mc_means(plan: ExperimentPlan, cfg: SystemConfig, drop: int, beta, target, 
     Each block's trials are summed in trial order, then the blocks in
     block order, so every mean is the same whatever is stacked beside it.
     """
-    if plan.n_small == 0:
-        return {}
     combos = _combos(plan)
     B, C, K = target.shape
     gains, powers = _collapse_cells(beta, target.reshape(B * C, K), np.repeat(flat, C))
@@ -460,15 +458,6 @@ def _full_powers(target, flat, L: int) -> np.ndarray:
     rho[...] = flat[:, None, None, None]
     rho[..., 0, :] = target
     return rho
-
-
-def _fig4b_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
-    # and the (C,) infinite-budget floor: the flat split's, or the
-    # allocator's high-budget limit, which the ppa and ref rows share
-    asymptote = {m: _mean(ppa.exp_rcee_asymptotic(m, beta, cfg)) for m in METHODS}
-    limit = [_mean(metrics.exp_rcee_eppa_limit(m, beta, cfg.K, math.inf)) if s == "eppa"
-             else asymptote[m] for s, m in _combos(plan)]
-    return {**_mc_means(plan, cfg, drop, beta, target, flat, m_values), "limit": np.array(limit)}
 
 
 def _running(total, rows):
@@ -523,7 +512,7 @@ def _run_drop(args):
     Returns the powers with those filled too and each gamma's Monte-Carlo
     arrays (none where the sweep has no Monte-Carlo)."""
     plan, (cfgs, budget_cfgs, flats), drop, gains, powers = args
-    combos, drop_mc = _combos(plan), _PER_EXPERIMENT[plan.experiment][0]
+    combos, drop_mc = _combos(plan), _drop_mc(plan)
     refs = [(c, method) for c, (scheme, method) in enumerate(combos) if scheme == "ref"]
     powers, mc = powers.copy(), []
     for cfg, cfg_ps, flat, beta, rows in zip(cfgs, budget_cfgs, flats, gains, powers):
@@ -538,6 +527,11 @@ def _run_drop(args):
 
 def _combos(plan: ExperimentPlan) -> list:
     return sorted((s, m) for s in plan.schemes for m in METHODS)
+
+
+def _drop_mc(plan: ExperimentPlan):
+    """The experiment's Monte-Carlo of one drop, or None without trials."""
+    return _PER_EXPERIMENT[plan.experiment][0] if plan.n_small else None
 
 
 # bytes per block of drops in the closed-form pass (its powers and one value per
@@ -564,13 +558,13 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
     P, lo, hi = (np.array([[[getattr(c, name) for c in cfg_ps]] for cfg_ps in budget_cfgs])
                  for name in ("P_total", "rho_min", "rho_max"))
     flats = P[:, 0] / K
-    combos, (drop_mc, closed_forms, *_) = _combos(plan), _PER_EXPERIMENT[plan.experiment]
+    combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
     # the flat P/K where no allocation goes, ref rows until they are solved
     powers = np.broadcast_to(flats[:, None, :, None, None], (G, n, B, len(combos), K)).copy()
     for c, method in [(c, m) for c, (scheme, m) in enumerate(combos) if scheme == "ppa"]:
         powers[..., c, :] = ppa._allocate_rows(method, gains[:, :, None], P, lo, hi)
     mc = [[{}] * G] * n
-    if drop_mc or "ref" in plan.schemes:
+    if _drop_mc(plan) or "ref" in plan.schemes:
         tasks = [(plan, (cfgs, budget_cfgs, flats), d, gains[:, d], powers[:, d])
                  for d in range(n)]
         getaffinity = getattr(os, "sched_getaffinity", None)
@@ -607,8 +601,15 @@ def _fig3_closed(plan, cfg, combos, beta, rho) -> dict:
 
 
 def _fig4b_closed(plan, cfg, combos, beta, rho) -> dict:
+    """The error at every budget and its infinite-budget limit: the flat
+    split's floor, or the allocator's high-budget limit, which the ppa and
+    ref rows share."""
+    gains = beta[:, 0, 0]
+    floor = {m: metrics.exp_rcee_eppa_limit(m, gains, cfg.K, math.inf) for m in METHODS}
+    asymptote = {m: ppa.exp_rcee_asymptotic(m, gains, cfg) for m in METHODS}
+    limit = [(floor if s == "eppa" else asymptote)[m].mean(axis=-1) for s, m in combos]
     return {"closed": _per_method(combos, rho, metrics.exp_rcee_closed, beta, cfg.M)
-            .swapaxes(1, 2)}
+            .swapaxes(1, 2), "limit": np.stack(limit, axis=1)}
 
 
 def _fig4a_closed(plan, cfg, combos, beta, rho) -> dict:
@@ -714,7 +715,7 @@ def _validate_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
 _PER_EXPERIMENT = {
     "fig3": (_mc_means, _fig3_closed, _grid_report, "exp_rcee"),
     "fig4a": (None, _fig4a_closed, _cdf_report, "exp_rcee"),
-    "fig4b": (_fig4b_mc, _fig4b_closed, _grid_report, "exp_rcee"),
+    "fig4b": (_mc_means, _fig4b_closed, _grid_report, "exp_rcee"),
     "fig5a": (None, _fig5a_closed, _grid_report, "rate_min"),
     "fig5b": (None, _fig5b_closed, _cdf_report, "rate_av"),
     "validate": (_validate_mc, _validate_closed, _validate_report, None),

@@ -9,10 +9,12 @@ water-filling over w_k = upsilon_k / beta_k; with the box, the one water
 level that exhausts the budget after clipping puts each user at a bound
 or free, and the free users water-fill the rest of the budget.
 
-As the budget grows with every other cell at the flat P/K, that
-partition settles, and :func:`exp_rcee_asymptotic` gives each user's
-limiting error in closed form: a pinned user from its bound's share of
-the budget, a free user from the water-filling ratios of the free group.
+As the budget grows with every other cell at the flat P/K, the noise
+drops out of the weights, and the problem and its box scale with P: the
+optimum at budget P is P times the optimum at budget 1 (the KKT
+conditions of Boyd and Vandenberghe, *Convex Optimization*, 5.5.3, are
+homogeneous in P).  :func:`exp_rcee_asymptotic` prices each user's
+limiting error from that unit-budget allocation.
 
 The allocator runs on Python float lists, by the rule :mod:`.refsolver`
 states: at K <= 12 numpy's per-call overhead outweighs the arithmetic.
@@ -43,15 +45,6 @@ from .estimators import LS, MMSE, check_method
 from .metrics import _bound_terms, _error_terms
 from .refsolver import _clip_level
 
-# Fraction of the average per-user power reserved as the lower bound:
-# rho_min = P/(2K) makes rho_min * K / P one half by construction.
-ALPHA = 0.5
-
-# Budget of the noise-free allocation that reads off the high-budget user
-# groups; without noise the groups are the same at every budget.
-_LIMIT_BUDGET = 1.0e6
-
-
 @dataclass(frozen=True)
 class InterferenceProfile:
     """Per-user quantities the allocator needs, for one large-scale drop.
@@ -76,8 +69,8 @@ class InterferenceProfile:
             raise ValueError("upsilon and beta_target must be positive")
         object.__setattr__(self, "upsilon", ups)
         object.__setattr__(self, "beta_target", beta)
-        # the bits of self.weight and of np.sqrt over it: both divide and
-        # take square roots correctly rounded
+        # the bits of upsilon / beta_target and of np.sqrt over it: both
+        # divide and take square roots correctly rounded
         w = [x / y for x, y in zip(u, b)]
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_sqrt_weights", [math.sqrt(x) for x in w])
@@ -85,11 +78,6 @@ class InterferenceProfile:
     @property
     def num_users(self) -> int:
         return self.upsilon.shape[0]
-
-    @property
-    def weight(self) -> np.ndarray:
-        """Water-filling weights w_k = upsilon_k / beta_k."""
-        return self.upsilon / self.beta_target
 
 
 def _flat_interference(beta, share):
@@ -389,43 +377,23 @@ def make_objective(method: str, profile: InterferenceProfile, M: int):
     return fun, grad
 
 
-def exp_rcee_asymptotic(method: str, beta_slice, cfg) -> np.ndarray:
+def exp_rcee_asymptotic(method: str, beta, cfg) -> np.ndarray:
     """Per-user limit of the expected relative estimation error as P grows.
 
     Every other cell sends the flat P/K.  The noise term then drops out of
-    the weights, so the partition into pinned and free users stops
-    depending on P; it is read off one noise-free allocation at the budget
-    ``_LIMIT_BUDGET``.  A user pinned at a bound keeps that bound's share
-    of the budget, alpha/K or mu/K.  The free users water-fill what the
-    pinned ones leave, which with I_k = sum_{l != 0} beta_lk / K gives
-
-        LS:   I_k * sum_free sqrt(I / beta_0) / (varphi * sqrt(beta_0k I_k))
-        MMSE: the same with varphi + sum_free I / beta_0 in place of varphi
-
-    where varphi = 1 - (alpha * |at_min| + mu * |at_max|) / K.  Returns
-    shape (K,).
+    the profile, which becomes P times the interference I_k = sum_{l != 0}
+    beta_lk / K, so the allocation scales with the budget and its unit-budget
+    powers x price the limit: I / (x * beta_0) under LS and I / (I + x *
+    beta_0) under MMSE.  Takes (L, K) gains or a stack (..., L, K) and
+    returns (..., K); a single cell has no interference and limit 0.
     """
     check_method(method)
-    beta = np.asarray(beta_slice, dtype=float)
-    K, beta0 = cfg.K, beta[0]
-    interference = _flat_interference(beta, 1.0 / K)
-    profile = InterferenceProfile(upsilon=interference * _LIMIT_BUDGET,
-                                  beta_target=beta0)
-    alloc = ppa_allocate(method, profile, cfg.replace(P_total=_LIMIT_BUDGET))
-    share = np.full(K, ALPHA / K)
-    share[list(alloc.at_max)] = cfg.mu / K
-    ratio = interference / beta0
-    free = sorted(alloc.free)
-    varphi = 1.0 - (ALPHA * len(alloc.at_min) + cfg.mu * len(alloc.at_max)) / K
-    # evaluated over the free users only: with every user pinned, varphi is
-    # 0 and the free-user expressions would divide 0 by 0
-    i_free = interference[free]
-    phi = i_free * math.fsum(np.sqrt(ratio[free]))
-    psi = np.sqrt(beta0[free] * i_free)
-    if method == LS:
-        out = interference / (share * beta0)
-        out[free] = phi / (varphi * psi)
-    else:
-        out = interference / (interference + share * beta0)
-        out[free] = phi / ((varphi + math.fsum(ratio[free])) * psi)
-    return out
+    beta = np.asarray(beta, dtype=float)
+    interference = _flat_interference(beta, 1.0 / cfg.K)
+    if beta.shape[-2] == 1:
+        return interference
+    beta0, unit, K = beta[..., 0, :], cfg.replace(P_total=1.0), beta.shape[-1]
+    rows = zip(interference.reshape(-1, K), beta0.reshape(-1, K))
+    x = np.array([ppa_allocate(method, InterferenceProfile(i, b), unit).rho for i, b in rows])
+    own = x.reshape(beta0.shape) * beta0
+    return interference / own if method == LS else interference / (interference + own)

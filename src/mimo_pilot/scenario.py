@@ -22,6 +22,9 @@ REUSE_FACTORS = (1, 3, 7)
 
 MAX_CELLS = 7
 
+# Fraction of the average per-user power reserved as the lower bound.
+ALPHA = 0.5
+
 
 class ConfigurationError(ValueError):
     """A system configuration violates one of its validity constraints."""
@@ -135,8 +138,8 @@ class SystemConfig:
 
     @property
     def rho_min(self) -> float:
-        """Lower per-user pilot power bound P/(2K)."""
-        return self.P_total / (2 * self.K)
+        """Lower per-user pilot power bound ALPHA*P/K = P/(2K)."""
+        return ALPHA * self.P_total / self.K
 
     @property
     def rho_max(self) -> float:

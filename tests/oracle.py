@@ -319,7 +319,7 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
     if K * lo > cfg.P_total or K * hi < cfg.P_total:
         raise ValueError("power box cannot meet the budget")
 
-    w = profile.weight
+    w = profile.upsilon / profile.beta_target
     s = np.sqrt(w).tolist()
     side = _clip_level(s, [0.0] * K if method == LS else s, cfg.P_total, lo, hi)
     free = [k for k in range(K) if side[k] == 0]

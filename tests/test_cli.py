@@ -246,6 +246,14 @@ class TestFigure:
         single_cell.write_text("K = 10\nM = 200\nP_total = 1e4\nL = 1\n")
         assert main(["figure", "fig5b", "--config", str(single_cell), "--drops", "3"]) == 1
         assert capsys.readouterr().err == "error: samples must be finite\n"
+        # fig4b reports it: with no interfering cell every infinite-budget
+        # error limit is 0
+        out = tmp_path / "fig4b.csv"
+        assert main(["figure", "fig4b", "--config", str(single_cell), "--drops", "2",
+                     "--gamma", "1", "--trials", "2", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 4 * 7
+        assert {row.split(",")[-1] for row in rows[1:]} == {"0.0"}
 
 
 def _run_cli(*args) -> subprocess.CompletedProcess:

@@ -555,12 +555,13 @@ def test_without_fork_a_parallel_sweep_runs_in_process(tiny_cfg, two_cpus, monke
     assert run_experiment(dataclasses.replace(plan, jobs=2), tiny_cfg).rows == serial
 
 
-@pytest.mark.parametrize("experiment", ["fig4a", "fig5a", "fig5b"])
+@pytest.mark.parametrize("experiment", ["fig4a", "fig5a", "fig5b", "fig3", "fig4b"])
 def test_a_sweep_with_no_drop_work_forks_nothing(tiny_cfg, two_cpus, monkeypatch, reaped,
                                                  experiment):
-    # the caller draws the gains and allocates every ppa and eppa row, so
-    # without reference solves or Monte-Carlo no drop is left for a worker
-    plan = plan_for(experiment, gammas=(1, 3), n_large=4, jobs=2)
+    # the caller draws the gains, allocates every ppa and eppa row and
+    # evaluates every closed form, fig4b's limits too, so without reference
+    # solves or Monte-Carlo trials no drop is left for a worker
+    plan = plan_for(experiment, gammas=(1, 3), n_large=4, jobs=2, n_small=0)
     serial = run_experiment(dataclasses.replace(plan, jobs=1), tiny_cfg).rows
 
     def refuse():

@@ -77,9 +77,14 @@ class TestInterferenceProfile:
         assert np.array_equal(direct, prof.upsilon)
 
     def test_weight(self):
-        prof = InterferenceProfile(upsilon=np.array([6.0, 8.0]),
-                                   beta_target=np.array([2.0, 4.0]))
-        assert prof.weight == pytest.approx([3.0, 2.0])
+        # the allocator's weight lists: the bits of the array division and
+        # of np.sqrt over it
+        prof = InterferenceProfile(upsilon=np.array([6.0, 8.0, 0.3]),
+                                   beta_target=np.array([2.0, 4.0, 0.7]))
+        w = prof.upsilon / prof.beta_target
+        assert prof._weights[:2] == [3.0, 2.0]
+        assert np.array(prof._weights).tobytes() == w.tobytes()
+        assert np.array(prof._sqrt_weights).tobytes() == np.sqrt(w).tobytes()
 
     def test_rejects_bad_shapes_and_signs(self):
         with pytest.raises(ValueError):
@@ -125,7 +130,7 @@ class TestWaterFill:
         rho = unconstrained_optimum(LS, prof, 10.0)
         assert rho == pytest.approx([10.0 / 3.0, 20.0 / 3.0], rel=1e-15)
         # stationarity: w_k / rho_k^2 equal across users
-        marg = prof.weight / rho**2
+        marg = prof.upsilon / prof.beta_target / rho**2
         assert marg[0] == pytest.approx(marg[1], rel=1e-12)
 
     def test_mmse_hand_value(self):
@@ -133,7 +138,8 @@ class TestWaterFill:
                                    beta_target=np.ones(2))
         rho = unconstrained_optimum(MMSE, prof, 10.0)
         assert rho == pytest.approx([4.0, 6.0], rel=1e-15)
-        marg = prof.weight / (prof.weight + rho) ** 2
+        w = prof.upsilon / prof.beta_target
+        marg = w / (w + rho) ** 2
         assert marg[0] == pytest.approx(marg[1], rel=1e-12)
 
     def test_budget_exhausted(self):
@@ -272,7 +278,7 @@ class TestPpaAllocate:
             # re-solved free users share one water level
             free = sorted(alloc.free)
             if len(free) > 1:
-                w = prof.weight[free]
+                w = (prof.upsilon / prof.beta_target)[free]
                 rho = alloc.rho[free]
                 marg = w / rho**2 if method == LS else w / (w + rho) ** 2
                 assert np.ptp(marg) <= 1e-9 * marg.mean()
@@ -538,11 +544,26 @@ class TestMakeObjective:
 
 
 def _oracle_asymptote(method, beta, cfg):
-    """The per-user high-budget limit written one user at a time.
+    """The per-user high-budget limit priced one user at a time from the
+    noise-free allocation at unit budget: (K,) limits and their cell
+    average, in the arithmetic of :func:`exp_rcee_asymptotic`."""
+    interference = oracle.flat_interference(beta, 1.0 / cfg.K)
+    profile = InterferenceProfile(upsilon=interference, beta_target=beta[0].copy())
+    x = oracle.ppa_allocate(method, profile, cfg.replace(P_total=1.0)).rho
+    values = []
+    for k in range(cfg.K):
+        own = x[k] * beta[0, k]
+        values.append(interference[k] / own if method == LS
+                      else interference[k] / (interference[k] + own))
+    return np.array(values), float(np.mean(values))
 
-    A copy of the scalar group formulas the vectorised limit replaced:
-    (K,) limits and their cell average, in the original arithmetic order.
-    """
+
+def _group_formulas(method, beta, cfg):
+    """The paper's per-group limits, written one user at a time: a pinned
+    user from its bound's share of the budget, a free user from the
+    water-filling ratios of the free group, with the groups read off a
+    noise-free allocation at a budget of 1e6.  (K,) limits and their cell
+    average."""
     K = cfg.K
     delta = np.full((cfg.L, K), 1.0 / K)
     interference = np.einsum("lk,lk->k", delta[1:], beta[1:])
@@ -597,12 +618,35 @@ class TestAsymptoticGroups:
         interference = table_beta[1:].sum(axis=0) / 3.0
         for method in (LS, MMSE):
             groups = []
-            for P in (1.0e3, 1.0e6):
+            for P in (1.0, 1.0e3, 1.0e6):
                 prof = InterferenceProfile(upsilon=interference * P,
                                            beta_target=table_beta[0])
                 alloc = ppa_allocate(method, prof, self.cfg().replace(P_total=P))
                 groups.append((alloc.free, alloc.at_min, alloc.at_max))
-            assert groups[0] == groups[1]
+            assert groups[0] == groups[1] == groups[2]
+
+    def test_a_stack_equals_its_slices_bitwise(self):
+        # (D, L, K) gains: every slice is the limit of that drop alone
+        cfg = default_config("fig4b", seed=1).replace(Gamma=3)
+        gains = np.stack([drop_gains(cfg, d) for d in range(6)])
+        for method in (LS, MMSE):
+            stacked = exp_rcee_asymptotic(method, gains, cfg)
+            assert stacked.shape == (6, cfg.K)
+            for one, limits in zip(gains, stacked):
+                assert limits.tobytes() == exp_rcee_asymptotic(method, one, cfg).tobytes()
+            assert exp_rcee_asymptotic(method, gains.reshape(2, 3, cfg.L, cfg.K),
+                                       cfg).tobytes() == stacked.tobytes()
+
+    def test_single_cell_has_no_interference(self, table_beta):
+        # with no other cell the error vanishes as the budget grows, as the
+        # equal-power floor does
+        for method in (LS, MMSE):
+            for beta in (table_beta[:1], np.stack([table_beta[:1]] * 2)):
+                limits = exp_rcee_asymptotic(method, beta, self.cfg())
+                assert limits.shape == beta.shape[:-2] + (3,)
+                assert np.all(limits == 0.0)
+                assert np.array_equal(limits,
+                                      exp_rcee_eppa_limit(method, beta, 3, math.inf))
 
     def test_shape_and_user_count_checks(self, table_beta):
         with pytest.raises(ValueError):
@@ -693,6 +737,10 @@ class TestExpRceeAsymptotic:
                         limits = exp_rcee_asymptotic(method, beta, cfg)
                         assert np.array_equal(limits, values)
                         assert float(limits.mean()) == mean
+                        # and the paper's group formulas, to a few ulps
+                        values, mean = _group_formulas(method, beta, cfg)
+                        assert np.all(abs(limits - values) <= 8 * np.spacing(values))
+                        assert abs(float(limits.mean()) - mean) <= 8 * np.spacing(mean)
                         checked += 1
         assert checked == 360
 
@@ -700,3 +748,7 @@ class TestExpRceeAsymptotic:
 def test_alpha_matches_the_configured_lower_bound():
     cfg = SystemConfig(K=5, M=8, P_total=5.0e3, mu=1.5)
     assert cfg.rho_min == ALPHA * cfg.P_total / cfg.K
+    # (0.5 P) / K and P / (2K) round the same real once: the same bits
+    for K in range(2, 13):
+        for P in np.geomspace(1e-3, 1e9, 97):
+            assert SystemConfig(K=K, M=8, P_total=float(P)).rho_min == P / (2 * K)

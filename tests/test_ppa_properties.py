@@ -50,7 +50,7 @@ def instances(draw, max_db=80.0, min_gain_exp=-12.0):
 
 def _water_levels(method, alloc, profile):
     free = sorted(alloc.free)
-    w = profile.weight[free]
+    w = (profile.upsilon / profile.beta_target)[free]
     rho = alloc.rho[free]
     if method == LS:
         return rho / np.sqrt(w)
@@ -63,7 +63,7 @@ def _unclipped(method, profile, j, f, rho_f):
     Written with sqrt-weight differences, so that weights far above the
     budget do not cancel the powers away.
     """
-    s = np.sqrt(profile.weight)
+    s = np.sqrt(profile.upsilon / profile.beta_target)
     if method == LS:
         return s[j] / s[f] * rho_f
     return s[j] * (s[f] - s[j]) + s[j] / s[f] * rho_f
@@ -170,7 +170,7 @@ def test_allocation_keeps_the_array_bits(instance, method):
     assert (got.free, got.at_min, got.at_max) == (want.free, want.at_min, want.at_max)
     assert np.array_equal(
         unconstrained_optimum(method, profile, cfg.P_total),
-        oracle._water_fill(method, profile.weight, cfg.P_total))
+        oracle._water_fill(method, profile.upsilon / profile.beta_target, cfg.P_total))
 
 
 def _order_grid():
