@@ -47,11 +47,16 @@ def _cell(value) -> str:
     return str(value)
 
 
+# the text of a cell of exactly these types, as _cell gives it; any other
+# type (numpy scalars, bool, subclasses) goes through _cell
+_CELL_BY_TYPE = {float: float.__repr__, int: int.__repr__, str: str, type(None): _cell}
+
+
 def emit_csv(columns, rows, out: str | None = None) -> None:
     """Write rows as CSV; ``out=None`` means stdout.  None cells are blank."""
+    fmt = _CELL_BY_TYPE.get
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines += [",".join([fmt(type(v), _cell)(v) for v in row]) for row in rows]
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)

@@ -6,18 +6,20 @@ therefore never share generator state, results do not depend on the
 worker count, and a rerun with the same seed reproduces every byte of
 the output.
 
-A sweep draws each drop's ``positions`` and ``shadowing`` streams once,
-on the stack of every reuse factor's layout, fills the ppa powers of
-every (gamma, drop, budget) by one stacked allocator pass per estimator
-and the eppa powers with the flat P/K.  Left per drop are its reference
-solves and the Monte-Carlo of its fading streams, :func:`_run_drop`,
-shared out over up to ``jobs`` processes by :func:`forkmap.fork_map`; a
-sweep with neither maps nothing.  The closed forms are then evaluated
-one gamma at a time over blocks of drops, one call per estimator on a
-block's stacked gains and powers, and reach the report as one dict of
-named (drop, combo, ...) arrays per gamma (:func:`_map_tasks`).  A table
-gives each experiment its Monte-Carlo, its closed forms and one of three
-reductions over drops (a grid, a distribution, or the validate rows).
+A sweep draws all its drops in one pass: one :func:`drop_users` and one
+:func:`large_scale` call take every drop's ``positions`` and ``shadowing``
+streams, each filling its own drop's draws, on the stack of every reuse
+factor's layout.  It then fills the ppa powers of every (gamma, drop,
+budget) by one stacked allocator pass per estimator and the eppa powers
+with the flat P/K.  Left per drop are its reference solves and the
+Monte-Carlo of its fading streams, :func:`_run_drop`, shared out over up
+to ``jobs`` processes by :func:`forkmap.fork_map`; a sweep with neither
+maps nothing.  The closed forms are then evaluated one gamma at a time
+over blocks of drops, one call per estimator on a block's stacked gains
+and powers, and reach the report as one dict of named (drop, combo, ...)
+arrays per gamma (:func:`_map_tasks`).  A table gives each experiment
+its Monte-Carlo, its closed forms and one of three reductions over drops
+(a grid, a distribution, or the validate rows).
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -205,12 +207,7 @@ class MetricReport:
 def drop_gains(cfg: SystemConfig, drop: int) -> np.ndarray:
     """The (L, K) gains of drop ``drop`` at ``cfg``'s reuse factor, as the
     sweeps draw it (``build_layout`` -> ``drop_users`` -> ``large_scale``)."""
-    return _draw_gains(cfg, build_layout(cfg), drop)
-
-
-def _draw_gains(cfg: SystemConfig, centers, drop: int) -> np.ndarray:
-    """Drop ``drop``'s gains on the (..., L, 2) layouts ``centers``, from
-    its ``positions`` and ``shadowing`` streams."""
+    centers = build_layout(cfg)
     positions = drop_users(cfg, centers, seed_schedule(cfg.seed, drop, "positions"))
     return large_scale(cfg, centers, positions, seed_schedule(cfg.seed, drop, "shadowing"))
 
@@ -552,7 +549,9 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
     budget_cfgs = [[c.replace(P_total=db_to_linear(p_db)) for p_db in plan.p_grid_db]
                    if plan.experiment == "fig4b" else [c] for c in cfgs]
     layouts = np.stack([build_layout(c) for c in cfgs])
-    gains = np.stack([_draw_gains(cfg, layouts, d) for d in range(plan.n_large)], axis=1)
+    positions = drop_users(cfg, layouts, _drop_streams(plan, cfg, "positions"))
+    gains = large_scale(cfg, layouts, positions, _drop_streams(plan, cfg, "shadowing"))
+    gains = np.ascontiguousarray(gains.swapaxes(0, 1))  # (Gamma, drop, L, K)
     (G, n, L, K), B = gains.shape, len(budget_cfgs[0])
     # each (gamma, budget)'s budget and box, shaped (Gamma, 1, budgets)
     P, lo, hi = (np.array([[[getattr(c, name) for c in cfg_ps]] for cfg_ps in budget_cfgs])
@@ -580,6 +579,11 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
         per_gamma[cfg_g.Gamma] = {**{k: np.stack([x[g][k] for x in mc]) for k in mc[0][g]},
                                   **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
     return per_gamma
+
+
+def _drop_streams(plan: ExperimentPlan, cfg: SystemConfig, purpose: str) -> list:
+    """Every drop's ``purpose`` stream, in drop order."""
+    return [seed_schedule(cfg.seed, d, purpose) for d in range(plan.n_large)]
 
 
 def _per_method(combos, rho, fn, beta, *m_values) -> np.ndarray:

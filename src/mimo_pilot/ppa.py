@@ -300,16 +300,35 @@ def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
     else:
         w_f = np.where(free, w[rows], 0.0)
         fill = b * share + (_row_sums(w_f) * share - w_f)
-        for i in np.flatnonzero(abs(_row_sums(fill) - b) > 1e-12 * b):
+        for i in np.flatnonzero(_misses(fill, b, 1e-12)):
             f = free[i]
             fill[i, f] = _water_fill(MMSE, w_f[i, f].tolist(), s_f[i, f].tolist(), b[i, 0])
     rho[rows] = np.where(free, fill, rho_r)
     Pc = P[:, None]
-    if np.any(abs(_row_sums(rho) - Pc) > 1e-9 * Pc):
+    if np.any(_misses(rho, Pc, 1e-9)):
         raise ValueError("allocation does not exhaust the budget")
     if np.any((rho < lo - 1e-12 * Pc) | (rho > hi + 1e-12 * Pc)):
         raise ValueError("a free user lies outside the power box")
     return rho
+
+
+def _misses(x, target, rtol) -> np.ndarray:
+    """Rows i of the 2-D ``x`` whose correctly rounded sum misses ``target[i]``
+    by more than ``rtol * target[i]``, as a boolean column.
+
+    numpy's sum is within (n - 1) u sum|x| of the exact sum (u = 2^-53),
+    the correctly rounded one within u |sum|, and each difference from the
+    target within u of itself, so a row whose numpy deviation is further
+    than 8 n u (sum|x| + |target|) from the bound falls on the same side
+    of it as the correctly rounded one.  Only the other rows, and any that
+    is not finite, are summed with :func:`math.fsum`.
+    """
+    dev, tol = abs(x.sum(axis=1, keepdims=True) - target), rtol * target
+    slack = x.shape[1] * 2.0 ** -50 * (abs(x).sum(axis=1, keepdims=True) + abs(target))
+    miss = dev > tol
+    near = np.flatnonzero(~(abs(dev - tol) > slack))
+    miss[near] = abs(_row_sums(x[near]) - target[near]) > tol[near]
+    return miss
 
 
 def _row_sums(x) -> np.ndarray:

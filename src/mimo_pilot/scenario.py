@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,6 @@ MAX_CELLS = 7
 
 # Fraction of the average per-user power reserved as the lower bound.
 ALPHA = 0.5
-
 
 class ConfigurationError(ValueError):
     """A system configuration violates one of its validity constraints."""
@@ -209,7 +209,21 @@ _HEX_CORNERS = np.array([(1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0),
                          (-0.5, -math.sqrt(3.0) / 2.0), (0.5, -math.sqrt(3.0) / 2.0)])
 
 
-def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draws(rng: np.random.Generator | Sequence[np.random.Generator], draw: str,
+           shape) -> np.ndarray:
+    """``rng.<draw>(shape)`` from one generator; from a sequence of n
+    generators, their n draws stacked (n, *shape), each generator filling
+    its own slice exactly as its own call would."""
+    if isinstance(rng, np.random.Generator):
+        return getattr(rng, draw)(shape)
+    out = np.empty((len(rng), *np.broadcast_shapes(shape)))
+    for row, r in zip(out, rng):
+        getattr(r, draw)(out=row)
+    return out
+
+
+def drop_users(cfg: SystemConfig, centers: np.ndarray,
+               rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """Place K users uniformly in the radius-``cfg.r`` hexagon of each centre: (..., L, K, 2).
 
     The hexagon is six equal triangles around its centre.  Each user
@@ -219,15 +233,20 @@ def drop_users(cfg: SystemConfig, centers: np.ndarray, rng: np.random.Generator)
     uniforms per user from one generator call, and no rejection.  The
     points are drawn once about the origin, then moved to their centres,
     so a stack (..., L, 2) of layouts of the same number of cells gets
-    the same users in each.
+    the same users in each.  ``rng`` is one generator, or a sequence of
+    n, one per drop, which adds a leading drop axis: (n, ..., L, K, 2),
+    whose slice d is bit for bit the call on generator d alone.
     """
     centers = np.asarray(centers, dtype=float)
-    pick, a, b = rng.random((3, centers.shape[-2], cfg.K))
+    u = _draws(rng, "random", (3, centers.shape[-2], cfg.K))
+    pick, a, b = np.moveaxis(u, -3, 0)
     corner = (6.0 * pick).astype(int)
     fold = a + b > 1.0
     a, b = np.where(fold, 1.0 - a, a), np.where(fold, 1.0 - b, b)
     local = (a[..., None] * _HEX_CORNERS[corner]
              + b[..., None] * _HEX_CORNERS[(corner + 1) % 6])
+    # the drop axis, if any, goes before the layouts' stack axes
+    local = local.reshape(*u.shape[:-3], *[1] * (centers.ndim - 2), *local.shape[-3:])
     return centers[..., None, :] + cfg.r * local
 
 
@@ -242,15 +261,19 @@ def attenuation(distance, r_min: float, exponent: float):
     return 1.0 / (1.0 + (d / r_min) ** exponent)
 
 
-def sample_shadowing(sigma_sh: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Log-normal shadowing gains: 10*log10(z) is N(0, sigma_sh^2)."""
+def sample_shadowing(sigma_sh: float, size,
+                     rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+    """Log-normal shadowing gains: 10*log10(z) is N(0, sigma_sh^2).
+
+    A sequence of n generators instead of one gives (n, *size), one
+    generator's draw per slice."""
     if sigma_sh < 0:
         raise ValueError("sigma_sh must be non-negative")
-    return 10.0 ** (sigma_sh * rng.standard_normal(size) / 10.0)
+    return 10.0 ** (sigma_sh * _draws(rng, "standard_normal", size) / 10.0)
 
 
 def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """The (..., L, K) large-scale gains toward the target BS for one user drop.
 
     ``centers`` are the (L, 2) cell centres of :func:`build_layout`, the
@@ -259,16 +282,21 @@ def large_scale(cfg: SystemConfig, centers: np.ndarray, positions: np.ndarray,
     beta[l, k] = z / (1 + (d/r_min)^gamma_pl) with d the distance from
     user (l, k) to the target BS and z an i.i.d. log-normal shadowing
     gain, drawn once for the whole stack.  With sigma_sh = 0 the gains
-    are a function of geometry.
+    are a function of geometry.  A sequence of n generators, one per
+    drop, takes the (n, ..., L, K, 2) positions :func:`drop_users` draws
+    from n generators and returns (n, ..., L, K) gains, whose slice d is
+    bit for bit the call on drop d's positions and generator.
     """
     centers = np.asarray(centers, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    shape = (*centers.shape[:-1], cfg.K, 2)
+    lead = () if isinstance(rng, np.random.Generator) else (len(rng),)
+    shape = (*lead, *centers.shape[:-1], cfg.K, 2)
     if positions.shape != shape:
         raise ValueError(f"positions must have shape {shape}")
     z = sample_shadowing(cfg.sigma_sh, shape[-3:-1], rng)
     diff = positions - centers[..., :1, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
+    z = z.reshape(*lead, *[1] * (centers.ndim - 2), *z.shape[-2:])
     return z * attenuation(dist, cfg.r_min, cfg.gamma_pl)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mimo_pilot
-from mimo_pilot.cli import SEED_ENV, emit_csv, main
+from mimo_pilot.cli import SEED_ENV, _cell, emit_csv, main
 
 TABLE_GOLDEN = """\
 user,rho_pilot,group,objective
@@ -28,6 +28,26 @@ class TestEmitCsv:
         emit_csv(("a",), [(np.float64(0.1),), (np.int64(3),)], str(path))
         raw = path.read_bytes()
         assert raw == b"a\n0.1\n3\n"
+
+    class Rate(float):
+        def __repr__(self):
+            return "not the float's text"
+
+    class Label(str):
+        def __str__(self):
+            return "the label's text"
+
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.1"), (1.0 / 3.0, "0.3333333333333333"), (1e300, "1e+300"), (-0.0, "-0.0"),
+        (np.float64(0.1), "0.1"), (np.float32(0.5), "0.5"), (7, "7"), (-2 ** 70, str(-2 ** 70)),
+        (np.int64(3), "3"), (True, "1"), (False, "0"), (None, ""), ("ppa", "ppa"),
+        (Rate(2.5), "2.5"), (Label("x"), "the label's text"),
+    ])
+    def test_each_cell_type_gives_the_cell_text(self, capsys, value, text):
+        # the writer's by-type formatting must give _cell's text for every type
+        assert _cell(value) == text
+        emit_csv(("a", "b"), [(value, value)])
+        assert capsys.readouterr().out == f"a,b\n{text},{text}\n"
 
 
 class TestUsageErrors:

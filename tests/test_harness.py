@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import os
 import signal
 import sys
@@ -278,6 +279,33 @@ def test_fig5a_rows_hold_the_worst_rate_only(tiny_cfg):
         assert row[8] > 0.0
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_report_cells_are_plain_finite_values(experiment):
+    # emit_csv formats str, int, float and None cells by exact type, and the
+    # benchmark counts a closed-form row holding a NaN or infinite float as
+    # failed: a blank cell is None, never NaN, and every float is finite
+    cfg = default_config(experiment, seed=1)
+    blanks = 0
+    for n_large, n_small in ((1, 2), (2, 2), (2, 0)):
+        if experiment == "validate" and not n_small:
+            continue
+        plan = dataclasses.replace(
+            plan_for(experiment, gammas=(1, 7) if experiment != "validate" else None,
+                     n_large=n_large, n_small=n_small, schemes=("eppa", "ppa", "ref")),
+            m_grid=(8, 32) if experiment in ("fig3", "fig5a") else (),
+            p_grid_db=(20.0, 30.0) if experiment == "fig4b" else ())
+        report = run_experiment(plan, cfg)
+        assert report.rows
+        for row in report.rows:
+            assert len(row) == len(report.columns)
+            for value in row:
+                assert type(value) in (str, int, float, type(None)), (row, type(value))
+                assert type(value) is not float or math.isfinite(value), row
+                blanks += value is None
+    # the grid reports leave the cells they have no value for blank
+    assert (blanks > 0) == (report.columns == GRID_COLUMNS)
+
+
 class TestRunExperimentValidate:
     def test_single_drop_report(self, tiny_cfg):
         plan = plan_for("validate", n_small=300)
@@ -340,31 +368,45 @@ def test_sweep_streams_per_drop_and_per_gamma_and_drop(tiny_cfg, monkeypatch,
 @pytest.mark.parametrize("K", [2, 10])
 @pytest.mark.parametrize("sigma_sh", [0.0, SystemConfig.sigma_sh])
 def test_one_draw_per_drop_gives_each_gammas_chain_gains(monkeypatch, L, K, sigma_sh):
-    # the sweep draws a drop's users and shadowing once for every gamma;
-    # each gamma's gains must be those of build_layout -> drop_users ->
-    # large_scale at that gamma on the same two streams, bit for bit
+    # the sweep draws all its drops' users and shadowing in one call each,
+    # for every gamma; each (gamma, drop)'s gains must be those of
+    # build_layout -> drop_users -> large_scale at that gamma on the drop's
+    # own two streams, bit for bit
     cfg = SystemConfig(K=K, M=8, P_total=1.0e3, L=L, sigma_sh=sigma_sh, seed=5)
     gammas = (1, 3, 7)
-    seen = {}
-    draw_gains = harness._draw_gains
+    calls, seen = {}, []
 
-    def record(cfg, centers, drop):
-        seen[drop] = draw_gains(cfg, centers, drop)  # the drop's (Gamma, L, K) gains
-        return seen[drop]
+    def counted(name):
+        fn = getattr(harness, name)
 
-    monkeypatch.setattr(harness, "_draw_gains", record)
-    harness._map_tasks(plan_for("fig4a", gammas=gammas, n_large=3), cfg)
-    assert sorted(seen) == [0, 1, 2]
-    for drop, gains in seen.items():
-        assert gains.shape == (len(gammas), L, K)
-        for gamma, beta in zip(gammas, gains):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    def allocate_rows(method, beta, *box):  # the gains the sweep goes on with
+        seen.append(beta[:, :, 0])
+        return allocate(method, beta, *box)
+
+    allocate = ppa._allocate_rows
+    for name in ("drop_users", "large_scale"):
+        monkeypatch.setattr(harness, name, counted(name))
+    monkeypatch.setattr(ppa, "_allocate_rows", allocate_rows)
+    for n_large in (1, 3, 61):
+        calls.clear()
+        seen.clear()
+        harness._map_tasks(plan_for("fig4a", gammas=gammas, n_large=n_large), cfg)
+        assert calls == {"drop_users": 1, "large_scale": 1}
+        assert seen[0].shape == (len(gammas), n_large, L, K)
+        for gamma, per_drop in zip(gammas, seen[0]):
             cfg_g = cfg.replace(Gamma=gamma)
             centers = build_layout(cfg_g)
-            pos = drop_users(cfg_g, centers, seed_schedule(cfg.seed, drop, "positions"))
-            chain = large_scale(cfg_g, centers, pos,
-                                seed_schedule(cfg.seed, drop, "shadowing"))
-            assert np.array_equal(beta, chain)
-            assert np.array_equal(drop_gains(cfg_g, drop), chain)
+            for drop, beta in enumerate(per_drop):
+                pos = drop_users(cfg_g, centers, seed_schedule(cfg.seed, drop, "positions"))
+                chain = large_scale(cfg_g, centers, pos,
+                                    seed_schedule(cfg.seed, drop, "shadowing"))
+                assert beta.tobytes() == chain.tobytes()
+                assert drop_gains(cfg_g, drop).tobytes() == chain.tobytes()
 
 
 @pytest.mark.parametrize("experiment", ["fig4a", "fig4b", "validate"])

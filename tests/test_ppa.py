@@ -423,6 +423,30 @@ class TestAllocateRows:
             rows = _allocate_rows(LS, beta, *_boxes([cfg, cfg]))
         assert rows.tolist() == [[cfg.rho_min, cfg.rho_max], [cfg.rho_max, cfg.rho_min]]
 
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-9])
+    def test_budget_checks_decide_as_the_correctly_rounded_sum(self, monkeypatch, rtol):
+        # the pass checks its sums with numpy's and sums correctly rounded
+        # only the rows within rounding error of the bound; every row must
+        # still be decided as the fsum check of the list path decides it
+        rng = np.random.default_rng(4)
+        n, K = 3000, 10
+        x = rng.random((n, K)) * 10.0 ** rng.integers(-3, 9, (n, 1))
+        x[:50, 0] = 1e20  # numpy's sums lose the rest of these rows
+        x[:50, 1] = -1e20
+        exact = np.array([math.fsum(row) for row in x.tolist()])[:, None]
+        offset = rng.choice([0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1e-3, 1e3], (n, 1))
+        target = np.where(exact > 0, exact, 1.0) * (1.0 + rtol * offset)
+        summed = []
+        row_sums = ppa._row_sums
+        monkeypatch.setattr(ppa, "_row_sums", lambda rows: summed.append(len(rows))
+                            or row_sums(rows))
+        misses = ppa._misses(x, target, rtol)
+        assert misses.shape == (n, 1)
+        assert np.array_equal(misses, abs(exact - target) > rtol * target)
+        # the ones numpy decides, not every row, are left out of the fsum pass
+        assert 50 <= summed[0] < n
+
+
 
 class TestPilotAllocationValidation:
     # ppa_allocate's one check of its result, on the powers as a list

@@ -277,6 +277,47 @@ class TestLargeScale:
                 assert np.array_equal(beta, full)
 
 
+def _rngs(seeds):
+    return [np.random.default_rng(s) for s in seeds]
+
+
+class TestSequenceOfGenerators:
+    """One generator per drop: a leading drop axis, each slice that
+    generator's own call, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 61])
+    @pytest.mark.parametrize("L, K", [(1, 2), (7, 10)])
+    @pytest.mark.parametrize("sigma_sh", [0.0, 8.0])
+    def test_equals_the_per_generator_calls_stacked(self, n, L, K, sigma_sh):
+        cfg = SystemConfig(K=K, M=2, P_total=10.0, L=L, sigma_sh=sigma_sh)
+        single = build_layout(cfg)
+        stacked = np.stack([build_layout(cfg.replace(Gamma=g)) for g in (1, 3, 7)])
+        for centers in (single, stacked):
+            pos = drop_users(cfg, centers, _rngs(range(n)))
+            beta = large_scale(cfg, centers, pos, _rngs(range(100, 100 + n)))
+            assert pos.shape == (n, *centers.shape[:-1], K, 2)
+            assert beta.shape == (n, *centers.shape[:-1], K)
+            for d in range(n):
+                pos_d = drop_users(cfg, centers, np.random.default_rng(d))
+                beta_d = large_scale(cfg, centers, pos_d, np.random.default_rng(100 + d))
+                assert pos[d].tobytes() == pos_d.tobytes()
+                assert beta[d].tobytes() == beta_d.tobytes()
+
+    def test_shadowing_stacks_each_generators_draw(self):
+        z = sample_shadowing(8.0, (7, 10), _rngs(range(5)))
+        assert z.shape == (5, 7, 10)
+        for d in range(5):
+            assert z[d].tobytes() == sample_shadowing(
+                8.0, (7, 10), np.random.default_rng(d)).tobytes()
+
+    def test_positions_need_the_drop_axis(self):
+        cfg = SystemConfig(K=2, M=2, P_total=10.0, L=3)
+        centers = build_layout(cfg)
+        pos = drop_users(cfg, centers, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape("shape (2, 3, 2, 2)")):
+            large_scale(cfg, centers, pos, _rngs(range(2)))
+
+
 class TestBetaFixture:
     def test_round_trip_exact(self, table_beta, tmp_path):
         path = tmp_path / "beta.csv"
