@@ -9,17 +9,17 @@ the output.
 A sweep draws all its drops in one pass: one :func:`drop_users` and one
 :func:`large_scale` call take every drop's ``positions`` and ``shadowing``
 streams, each filling its own drop's draws, on the stack of every reuse
-factor's layout.  It then fills the ppa powers of every (gamma, drop,
-budget) by one stacked allocator pass per estimator and the eppa powers
-with the flat P/K.  Left per drop are its reference solves and the
-Monte-Carlo of its fading streams, :func:`_run_drop`, shared out over up
-to ``jobs`` processes by :func:`forkmap.fork_map`; a sweep with neither
-maps nothing.  The closed forms are then evaluated one gamma at a time
-over blocks of drops, one call per estimator on a block's stacked gains
-and powers, and reach the report as one dict of named (drop, combo, ...)
-arrays per gamma (:func:`_map_tasks`).  A table gives each experiment
-its Monte-Carlo, its closed forms and one of three reductions over drops
-(a grid, a distribution, or the validate rows).
+factor's layout.  It builds the flat-P/K profile rows of every (gamma,
+drop, budget) once and fills the ppa powers from them, one stacked
+allocator pass per estimator.  Left per drop are its reference solves on
+those rows and the Monte-Carlo of its fading streams, :func:`_run_drop`,
+shared out over up to ``jobs`` processes by :func:`forkmap.fork_map`; a
+sweep with neither maps nothing.  The closed forms then run per block of
+drops at every gamma at once, one call per estimator, and reach the
+report as one dict of named (drop, combo, ...) arrays per gamma
+(:func:`_map_tasks`).  A table gives each experiment its Monte-Carlo, its
+closed forms and one of three reductions over drops (a grid, a
+distribution, or the validate rows).
 
 Monte-Carlo runs through two kernels.  fig3 and fig4b give every other
 cell the flat P/K, so a user's estimate sees those cells only through the
@@ -450,9 +450,9 @@ def _mean(values: np.ndarray) -> float:
 
 
 def _full_powers(target, flat, L: int) -> np.ndarray:
-    """(..., B, C, L, K) powers: target rows, then budget b's flat P/K."""
+    """(..., B, C, L, K) powers: target rows, then the (..., B) flat P/K."""
     rho = np.empty((*target.shape[:-1], L, target.shape[-1]))
-    rho[...] = flat[:, None, None, None]
+    rho[...] = flat[..., None, None, None]
     rho[..., 0, :] = target
     return rho
 
@@ -502,19 +502,19 @@ def _validate_mc(plan, cfg, drop, beta, target, flat, m_values) -> dict:
 def _run_drop(args):
     """One drop's reference solves and Monte-Carlo at each reuse factor.
 
-    ``args`` is (plan, sweep, drop, gains, powers): the sweep's per-gamma
-    configs, budget configs and (Gamma, budgets) flat P/K, and the drop's
-    (Gamma, L, K) gains and (Gamma, budgets, C, K) target-cell powers of
-    the sorted (scheme, method) combos, all but the ref rows filled.
-    Returns the powers with those filled too and each gamma's Monte-Carlo
-    arrays (none where the sweep has no Monte-Carlo)."""
-    plan, (cfgs, budget_cfgs, flats), drop, gains, powers = args
+    ``args`` is (plan, sweep, drop, gains, ups, powers): the sweep's
+    per-gamma configs, budget configs and (Gamma, budgets) flat P/K, and
+    the drop's (Gamma, L, K) gains, (Gamma, budgets, K) flat-P/K upsilon
+    and (Gamma, budgets, C, K) target-cell powers of the sorted (scheme,
+    method) combos, all but the ref rows filled.  Returns the powers with
+    those filled too and each gamma's Monte-Carlo arrays, if any."""
+    plan, (cfgs, budget_cfgs, flats), drop, gains, ups, powers = args
     combos, drop_mc = _combos(plan), _drop_mc(plan)
     refs = [(c, method) for c, (scheme, method) in enumerate(combos) if scheme == "ref"]
     powers, mc = powers.copy(), []
-    for cfg, cfg_ps, flat, beta, rows in zip(cfgs, budget_cfgs, flats, gains, powers):
-        for cfg_p, row in zip(cfg_ps, rows) if refs else ():
-            profile = ppa.eppa_profile(beta, cfg_p.P_total, cfg.K)
+    for cfg, cfg_ps, flat, beta, u_g, rows in zip(cfgs, budget_cfgs, flats, gains, ups, powers):
+        for cfg_p, u, row in zip(cfg_ps, u_g, rows) if refs else ():
+            profile = ppa.InterferenceProfile(u, beta[0])
             for c, method in refs:
                 row[c] = reference_solve(method, profile, cfg_p).x
         mc.append(drop_mc(plan, cfg, drop, beta, rows, flat, plan.m_grid or (cfg.M,))
@@ -531,8 +531,8 @@ def _drop_mc(plan: ExperimentPlan):
     return _PER_EXPERIMENT[plan.experiment][0] if plan.n_small else None
 
 
-# bytes per block of drops in the closed-form pass (its powers and one value per
-# user, allocation and antenna count), so that its memory is flat in the drops
+# bytes per block of drops and reuse factor in the closed-form pass (powers and
+# one value per user, allocation and antenna count): its memory is flat in the drops
 _CF_BLOCK = 1 << 16
 
 
@@ -558,27 +558,27 @@ def _map_tasks(plan: ExperimentPlan, cfg: SystemConfig) -> dict:
                  for name in ("P_total", "rho_min", "rho_max"))
     flats = P[:, 0] / K
     combos, closed_forms = _combos(plan), _PER_EXPERIMENT[plan.experiment][1]
+    upsilon = ppa._flat_upsilon(gains[:, :, None], P, K)  # (Gamma, drop, budget, K)
     # the flat P/K where no allocation goes, ref rows until they are solved
     powers = np.broadcast_to(flats[:, None, :, None, None], (G, n, B, len(combos), K)).copy()
     for c, method in [(c, m) for c, (scheme, m) in enumerate(combos) if scheme == "ppa"]:
-        powers[..., c, :] = ppa._allocate_rows(method, gains[:, :, None], P, lo, hi)
+        powers[..., c, :] = ppa._allocate_rows(method, upsilon, gains[:, :, None, 0], P, lo, hi)
     mc = [[{}] * G] * n
     if _drop_mc(plan) or "ref" in plan.schemes:
-        tasks = [(plan, (cfgs, budget_cfgs, flats), d, gains[:, d], powers[:, d])
+        tasks = [(plan, (cfgs, budget_cfgs, flats), d, gains[:, d], upsilon[:, d], powers[:, d])
                  for d in range(n)]
         getaffinity = getattr(os, "sched_getaffinity", None)
         n_cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
         filled, mc = zip(*fork_map(_run_drop, tasks, min(plan.jobs, n, n_cpus)))
         powers = np.stack(filled, axis=1)
     size = max(1, _CF_BLOCK // (8 * B * len(combos) * K * (L + max(1, len(plan.m_grid)))))
-    per_gamma = {}
-    for g, cfg_g in enumerate(cfgs):
-        blocks = [closed_forms(plan, cfg_g, combos, gains[g, i:i + size, None, None],
-                               _full_powers(powers[g, i:i + size], flats[g], L))
-                  for i in range(0, n, size)]
-        per_gamma[cfg_g.Gamma] = {**{k: np.stack([x[g][k] for x in mc]) for k in mc[0][g]},
-                                  **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
-    return per_gamma
+    blocks = [closed_forms(plan, cfgs, combos, gains[:, i:i + size, None, None],
+                           _full_powers(powers[:, i:i + size], flats[:, None], L))
+              for i in range(0, n, size)]
+    closed = {k: np.concatenate([b[k] for b in blocks], axis=1) for k in blocks[0]}
+    return {cfg_g.Gamma: {**{k: np.stack([x[g][k] for x in mc]) for k in mc[0][g]},
+                          **{k: v[g] for k, v in closed.items()}}
+            for g, cfg_g in enumerate(cfgs)}
 
 
 def _drop_streams(plan: ExperimentPlan, cfg: SystemConfig, purpose: str) -> list:
@@ -587,57 +587,57 @@ def _drop_streams(plan: ExperimentPlan, cfg: SystemConfig, purpose: str) -> list
 
 
 def _per_method(combos, rho, fn, beta, *m_values) -> np.ndarray:
-    """(n, B, C, ...) user means of ``fn(method, *m_values, powers, beta)``:
-    one call per estimator on its allocations' (n, B, C_m, L, K) powers."""
+    """(Gamma, n, B, C, ...) user means of ``fn(method, *m_values, powers, beta)``:
+    one call per estimator on its allocations' (Gamma, n, B, C_m, L, K) powers."""
     out = {}
     for method in METHODS:
         cols = [j for j, c in enumerate(combos) if c[1] == method]
-        values = fn(method, *m_values, rho[:, :, cols], beta).mean(axis=-1)
-        out.update(zip(cols, np.moveaxis(values, 2, 0)))
-    return np.stack([out[j] for j in range(len(combos))], axis=2)
+        values = fn(method, *m_values, rho[..., cols, :, :], beta).mean(axis=-1)
+        out.update(zip(cols, np.moveaxis(values, 3, 0)))
+    return np.stack([out[j] for j in range(len(combos))], axis=3)
 
 
-def _fig3_closed(plan, cfg, combos, beta, rho) -> dict:
+def _fig3_closed(plan, cfgs, combos, beta, rho) -> dict:
     # validate's errors too, at its configured M
     return {"closed": _per_method(combos, rho, metrics.exp_rcee_closed, beta,
-                                  plan.m_grid or cfg.M)[:, 0],
-            **_fig4a_closed(plan, cfg, combos, beta, rho)}
+                                  plan.m_grid or cfgs[0].M)[:, :, 0],
+            **_fig4a_closed(plan, cfgs, combos, beta, rho)}
 
 
-def _fig4b_closed(plan, cfg, combos, beta, rho) -> dict:
+def _fig4b_closed(plan, cfgs, combos, beta, rho) -> dict:
     """The error at every budget and its infinite-budget limit: the flat
     split's floor, or the allocator's high-budget limit, which the ppa and
     ref rows share."""
-    gains = beta[:, 0, 0]
+    gains, cfg = beta[:, :, 0, 0], cfgs[0]  # neither limit reads the reuse factor
     floor = {m: metrics.exp_rcee_eppa_limit(m, gains, cfg.K, math.inf) for m in METHODS}
     asymptote = {m: ppa.exp_rcee_asymptotic(m, gains, cfg) for m in METHODS}
     limit = [(floor if s == "eppa" else asymptote)[m].mean(axis=-1) for s, m in combos]
     return {"closed": _per_method(combos, rho, metrics.exp_rcee_closed, beta, cfg.M)
-            .swapaxes(1, 2), "limit": np.stack(limit, axis=1)}
+            .swapaxes(2, 3), "limit": np.stack(limit, axis=2)}
 
 
-def _fig4a_closed(plan, cfg, combos, beta, rho) -> dict:
-    return {"limit": _per_method(combos, rho, metrics.exp_rcee_limit, beta)[:, 0]}
+def _fig4a_closed(plan, cfgs, combos, beta, rho) -> dict:
+    return {"limit": _per_method(combos, rho, metrics.exp_rcee_limit, beta)[:, :, 0]}
 
 
-def _fig5a_closed(plan, cfg, combos, beta, rho) -> dict:
-    """The worst user's rate at each antenna count of the grid."""
-    sinr = metrics.sinr_closed(plan.m_grid, rho, beta, cfg.rho_u)
-    return {"closed": metrics.achievable_rate(cfg, sinr).min(axis=-1)[:, 0]}
+def _fig5a_closed(plan, cfgs, combos, beta, rho) -> dict:
+    """The worst user's rate at each antenna count, each gamma's at its prefactor."""
+    sinr = metrics.sinr_closed(plan.m_grid, rho, beta, cfgs[0].rho_u)
+    return {"closed": metrics._rate([c.rate_prefactor for c in cfgs], sinr).min(axis=-1)[:, :, 0]}
 
 
-def _fig5b_closed(plan, cfg, combos, beta, rho) -> dict:
-    """The users' average rate in the large-antenna limit."""
-    rates = metrics.achievable_rate(cfg, metrics.sinr_limit(rho, beta))
-    return {"limit": rates.mean(axis=-1)[:, 0]}
+def _fig5b_closed(plan, cfgs, combos, beta, rho) -> dict:
+    """The users' average rate in the large-antenna limit, as fig5a's."""
+    sinr = metrics.sinr_limit(rho, beta)
+    return {"limit": metrics._rate([c.rate_prefactor for c in cfgs], sinr).mean(axis=-1)[:, :, 0]}
 
 
-def _validate_closed(plan, cfg, combos, beta, rho) -> dict:
+def _validate_closed(plan, cfgs, combos, beta, rho) -> dict:
     """The closed form and the limit of the error and of the SINR, in that
     order on the last axis."""
-    error = _fig3_closed(plan, cfg, combos, beta, rho)
-    sinr = {"closed": metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean(axis=-1)[:, 0],
-            "limit": metrics.sinr_limit(rho, beta).mean(axis=-1)[:, 0]}
+    error, cfg = _fig3_closed(plan, cfgs, combos, beta, rho), cfgs[0]
+    sinr = {"closed": metrics.sinr_closed(cfg.M, rho, beta, cfg.rho_u).mean(axis=-1)[:, :, 0],
+            "limit": metrics.sinr_limit(rho, beta).mean(axis=-1)[:, :, 0]}
     return {k: np.stack([error[k], sinr[k]], axis=-1) for k in error}
 
 
@@ -669,8 +669,7 @@ def _grid_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
     ``mc_stderr`` is the standard error over drops of the per-drop
     Monte-Carlo means.  It includes the drops' own spread of the closed
     form, so it is not an error bar of the Monte-Carlo estimate."""
-    xs = ([float(p) for p in plan.p_grid_db] if plan.experiment == "fig4b"
-          else plan.m_grid)
+    xs = [float(p) for p in plan.p_grid_db] if plan.experiment == "fig4b" else plan.m_grid
     rows = []
     for gamma in plan.gammas:
         v = per_gamma[gamma]
@@ -715,7 +714,7 @@ def _validate_report(plan, cfg, per_gamma, combos, metric) -> MetricReport:
 
 
 # experiment -> (Monte-Carlo of one drop at one gamma, closed forms of a
-# block of drops, reduction over drops, metric label)
+# block of drops at every gamma, reduction over drops, metric label)
 _PER_EXPERIMENT = {
     "fig3": (_mc_means, _fig3_closed, _grid_report, "exp_rcee"),
     "fig4a": (None, _fig4a_closed, _cdf_report, "exp_rcee"),

@@ -218,13 +218,16 @@ def sinr_limit(rho, beta):
 
 
 def achievable_rate(cfg, sinr):
-    """Net uplink rate (B/Gamma) * slot_fraction * (Tu/To) * log2(1+SINR).
+    """Net uplink rate (B/Gamma) * slot_fraction * (Tu/To) * log2(1+SINR),
+    elementwise over an array of SINRs."""
+    return _shaped(_rate(cfg.rate_prefactor, sinr), False)
 
-    Elementwise over an array of SINRs.  ``math.log2`` is applied per
-    value: ``np.log2`` can round differently in the last bit.
-    """
+
+def _rate(prefactor, sinr) -> np.ndarray:
+    """``prefactor`` * log2(1 + SINR), a 1-D prefactor along the first axis;
+    ``math.log2`` per value, as ``np.log2`` can round the last bit otherwise."""
     s = np.asarray(sinr, dtype=float)
     if np.any(s < 0):
         raise ValueError("SINR must be non-negative")
-    logs = np.fromiter(map(math.log2, (1.0 + s).ravel().tolist()), float, s.size)
-    return _shaped(cfg.rate_prefactor * logs.reshape(s.shape), False)
+    logs = np.fromiter(map(math.log2, (1.0 + s).ravel().tolist()), float, s.size).reshape(s.shape)
+    return np.expand_dims(prefactor, tuple(range(np.ndim(prefactor), s.ndim))) * logs

@@ -26,12 +26,12 @@ checks its result on its lists before making the one array it returns.
 The objective takes the mean of its per-user terms as ``sum / size``,
 the bits of ``ndarray.mean`` without its Python-level wrapper.
 
-A sweep allocates all its rows at once instead.  Each row's water level
-is independent of every other row's, so :func:`_allocate_rows` runs one
-numpy pass per estimator over a sweep's stacked (gamma, drop, budget)
-rows, in the list path's arithmetic, and returns :func:`ppa_allocate`'s
-powers bit for bit.  :func:`ppa_allocate` stays the path of a single
-allocation and the reference the tests hold the stacked pass to.
+A batch of allocations, a sweep's (gamma, drop, budget) profile rows or
+the noise-free unit-budget rows of :func:`exp_rcee_asymptotic`, goes
+through :func:`_allocate_rows` instead: each row's water level is its
+own, so one numpy pass per estimator, in the list path's arithmetic,
+returns :func:`ppa_allocate`'s powers bit for bit.  :func:`ppa_allocate`
+serves single allocations and is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -89,13 +89,16 @@ def _flat_interference(beta, share):
     return (share * beta[..., 1:, :]).sum(axis=-2)
 
 
-def eppa_profile(beta_slice, P: float, K: int) -> InterferenceProfile:
-    """Profile with every other cell transmitting the flat power P/K.
+def _flat_upsilon(beta, P, K: int):
+    """upsilon_k = sum_{l != 0} (P/K) * beta[..., l, k] + 1 of (..., L, K)
+    gains, at budgets ``P`` that broadcast against their leading axes."""
+    return _flat_interference(beta, (np.asarray(P, dtype=float) / K)[..., None, None]) + 1.0
 
-    upsilon_k = sum_{l != 0} (P/K) * beta_slice[l, k] + 1.
-    """
+
+def eppa_profile(beta_slice, P: float, K: int) -> InterferenceProfile:
+    """Profile with every other cell transmitting the flat power P/K."""
     beta_slice = np.asarray(beta_slice, dtype=float)
-    return InterferenceProfile(upsilon=_flat_interference(beta_slice, P / K) + 1.0,
+    return InterferenceProfile(upsilon=_flat_upsilon(beta_slice, P, K),
                                beta_target=beta_slice[0].copy())
 
 
@@ -218,39 +221,36 @@ def ppa_allocate(method: str, profile: InterferenceProfile, cfg) -> PilotAllocat
                            frozenset(at_max))
 
 
-# bytes of gains per block of rows in the stacked pass, so that its memory
-# is flat in the rows
-_ROW_BLOCK = 1 << 20
+# bytes of a block's (row, bound, user) knots: the stacked pass's memory is flat
+_ROW_BLOCK = 1 << 18
 
 
-def _allocate_rows(method: str, beta, P, lo, hi) -> np.ndarray:
-    """``ppa_allocate(method, eppa_profile(beta[i], P[i], K), cfg_i).rho`` of
-    every row i at once, bit for bit, where cfg_i has the budget ``P[i]`` and
-    the box [``lo[i]``, ``hi[i]``].
-
-    The rows are the leading axes of the (..., L, K) gains ``beta``
-    broadcast against those of ``P``, ``lo`` and ``hi``; returns their
-    (..., K) powers.  Raises what the profile and :func:`ppa_allocate`
-    raise.  Every row's water level is found and filled on its own, in
-    blocks of rows (:func:`_fill_rows`).
-    """
+def _allocate_rows(method: str, upsilon, beta_target, P, lo, hi) -> np.ndarray:
+    """``ppa_allocate(method, InterferenceProfile(upsilon[i], beta_target[i]),
+    cfg_i).rho`` of every row i at once, bit for bit, cfg_i with the budget
+    ``P[i]`` and the box [``lo[i]``, ``hi[i]``]: the rows are the leading
+    axes of the (..., K) profile rows and of ``P``, ``lo`` and ``hi``,
+    broadcast together.  Returns their (..., K) powers, empty for no rows,
+    and raises what the profile and :func:`ppa_allocate` raise.  Each row
+    is found and filled on its own, in blocks of rows (:func:`_fill_rows`)."""
     check_method(method)
-    *lead, L, K = beta.shape
-    shape = np.broadcast_shapes(tuple(lead), np.shape(P), np.shape(lo), np.shape(hi))
-    beta = np.broadcast_to(beta, (*shape, L, K))
+    K = np.shape(upsilon)[-1]
+    shape = np.broadcast_shapes(np.shape(upsilon)[:-1], np.shape(beta_target)[:-1],
+                                np.shape(P), np.shape(lo), np.shape(hi))
+    ups, beta0 = (np.broadcast_to(x, (*shape, K)).reshape(-1, K) for x in (upsilon, beta_target))
     P, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (P, lo, hi))
     if not np.all((lo > 0) & (hi >= lo)):
         raise ValueError("invalid power box")
     if np.any((K * lo > P) | (K * hi < P)):
         raise ValueError("power box cannot meet the budget")
-    size = max(1, _ROW_BLOCK // (8 * L * K))
-    blocks = [np.arange(i, min(i + size, P.size)) for i in range(0, P.size, size)]
-    return np.concatenate([_fill_rows(method, beta[np.unravel_index(b, shape)], P[b], lo[b],
-                                      hi[b]) for b in blocks]).reshape(*shape, K)
+    rho, size = np.empty((P.size, K)), max(1, _ROW_BLOCK // (16 * K))
+    for b in (slice(i, i + size) for i in range(0, P.size, size)):
+        rho[b] = _fill_rows(method, ups[b], beta0[b], P[b], lo[b], hi[b])
+    return rho.reshape(*shape, K)
 
 
-def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
-    """:func:`_allocate_rows` on one block of (n,) rows, in the list path's
+def _fill_rows(method: str, ups, beta0, P, lo, hi) -> np.ndarray:
+    """:func:`_allocate_rows` on one block of (n, K) rows, in the list path's
     arithmetic.
 
     The level search sums the clipped terms at every knot, not only at a
@@ -266,8 +266,6 @@ def _fill_rows(method: str, beta, P, lo, hi) -> np.ndarray:
     users' bounds hold by construction; the budget and the box are
     checked on every row.
     """
-    ups = _flat_interference(beta, (P / beta.shape[-1])[:, None, None]) + 1.0
-    beta0 = beta[:, 0]
     if not (np.all(np.isfinite(ups)) and np.all(np.isfinite(beta0))):
         raise ValueError("upsilon and beta_target must be finite")
     if not (np.all(ups > 0) and np.all(beta0 > 0)):
@@ -411,8 +409,8 @@ def exp_rcee_asymptotic(method: str, beta, cfg) -> np.ndarray:
     interference = _flat_interference(beta, 1.0 / cfg.K)
     if beta.shape[-2] == 1:
         return interference
-    beta0, unit, K = beta[..., 0, :], cfg.replace(P_total=1.0), beta.shape[-1]
-    rows = zip(interference.reshape(-1, K), beta0.reshape(-1, K))
-    x = np.array([ppa_allocate(method, InterferenceProfile(i, b), unit).rho for i, b in rows])
-    own = x.reshape(beta0.shape) * beta0
+    if cfg.K != beta.shape[-1]:
+        raise ValueError(f"configuration is for K={cfg.K} users, profile has {beta.shape[-1]}")
+    beta0, unit = beta[..., 0, :], cfg.replace(P_total=1.0)
+    own = _allocate_rows(method, interference, beta0, 1.0, unit.rho_min, unit.rho_max) * beta0
     return interference / own if method == LS else interference / (interference + own)

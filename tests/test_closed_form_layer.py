@@ -270,24 +270,28 @@ class TestShapes:
         assert np.array_equal(grid[1], exp_rcee_closed(MMSE, 512, rho, table_beta))
 
     def test_rate_summary_of_a_stack(self, table_beta):
-        # the sweep's rate figures of a (drop, budget, allocation) stack:
-        # fig5a's worst user at each antenna count, fig5b's average user
-        # in the limit, one row per allocation
+        # the sweep's rate figures of a (gamma, drop, budget, allocation)
+        # stack: fig5a's worst user at each antenna count, fig5b's average
+        # user in the limit, one row per allocation, each reuse factor's
+        # rates at its own config's prefactor
         cfg = SystemConfig(K=3, M=8, P_total=3.0e3, mu=1.5)
+        cfgs = [cfg, cfg.replace(Gamma=3)]
         plan = plan_for("fig5a", n_large=1)
         rho = np.full((2, 7, 3), 1000.0)
         rho[1, 0] = [500.0, 1500.0, 1000.0]
-        beta, stack = table_beta[None, None, None], rho[None, None]
-        worst = _fig5a_closed(plan, cfg, None, beta, stack)["closed"]
-        average = _fig5b_closed(plan, cfg, None, beta, stack)["limit"]
-        assert worst.shape == (1, 2, len(plan.m_grid))
-        assert average.shape == (1, 2)
-        for c in range(2):
-            rates = achievable_rate(cfg, sinr_closed(plan.m_grid, rho[c], table_beta,
-                                                     cfg.rho_u))
-            assert worst[0, c].tolist() == [min(row) for row in rates.tolist()]
-            limit = achievable_rate(cfg, sinr_limit(rho[c], table_beta))
-            assert average[0, c] == limit.mean()
+        beta = np.broadcast_to(table_beta, (2, 1, 1, 1, 7, 3))
+        stack = np.broadcast_to(rho, (2, 1, 1, 2, 7, 3))
+        worst = _fig5a_closed(plan, cfgs, None, beta, stack)["closed"]
+        average = _fig5b_closed(plan, cfgs, None, beta, stack)["limit"]
+        assert worst.shape == (2, 1, 2, len(plan.m_grid))
+        assert average.shape == (2, 1, 2)
+        for g, cfg_g in enumerate(cfgs):
+            for c in range(2):
+                rates = achievable_rate(cfg_g, sinr_closed(plan.m_grid, rho[c], table_beta,
+                                                           cfg.rho_u))
+                assert worst[g, 0, c].tolist() == [min(row) for row in rates.tolist()]
+                limit = achievable_rate(cfg_g, sinr_limit(rho[c], table_beta))
+                assert average[g, 0, c] == limit.mean()
 
 
 class TestValidation:

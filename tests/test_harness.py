@@ -384,14 +384,14 @@ def test_one_draw_per_drop_gives_each_gammas_chain_gains(monkeypatch, L, K, sigm
             return fn(*args)
         return wrapper
 
-    def allocate_rows(method, beta, *box):  # the gains the sweep goes on with
+    def flat_upsilon(beta, *budgets):  # the gains the sweep goes on with
         seen.append(beta[:, :, 0])
-        return allocate(method, beta, *box)
+        return upsilon(beta, *budgets)
 
-    allocate = ppa._allocate_rows
+    upsilon = ppa._flat_upsilon
     for name in ("drop_users", "large_scale"):
         monkeypatch.setattr(harness, name, counted(name))
-    monkeypatch.setattr(ppa, "_allocate_rows", allocate_rows)
+    monkeypatch.setattr(ppa, "_flat_upsilon", flat_upsilon)
     for n_large in (1, 3, 61):
         calls.clear()
         seen.clear()
@@ -526,9 +526,9 @@ def test_rows_do_not_depend_on_the_closed_form_block(tiny_cfg, monkeypatch, two_
     mc, closed_forms, *rest = harness._PER_EXPERIMENT[experiment]
     blocks = []
 
-    def spy(plan, cfg, combos, beta, rho):
-        blocks.append(len(beta))
-        return closed_forms(plan, cfg, combos, beta, rho)
+    def spy(plan, cfgs, combos, beta, rho):  # one call per block, at every gamma
+        blocks.append(beta.shape[1])
+        return closed_forms(plan, cfgs, combos, beta, rho)
 
     monkeypatch.setitem(harness._PER_EXPERIMENT, experiment, (mc, spy, *rest))
     n_budgets = len(plan.p_grid_db) if experiment == "fig4b" else 1
@@ -536,13 +536,28 @@ def test_rows_do_not_depend_on_the_closed_form_block(tiny_cfg, monkeypatch, two_
     # budget, and one value per user, allocation and antenna count
     two_drops = 2 * 8 * n_budgets * 4 * cfg.K * (cfg.L + max(1, len(plan.m_grid)))
     reference = run_experiment(plan, cfg).rows
-    assert blocks == [5] * 3
+    assert blocks == [5]
     for budget, sizes in ((1, [1] * 5), (2, [1] * 5), (two_drops, [2, 2, 1])):
         monkeypatch.setattr(harness, "_CF_BLOCK", budget)
         for jobs in (1, 2):
             blocks.clear()
             assert run_experiment(dataclasses.replace(plan, jobs=jobs), cfg).rows == reference
-            assert blocks == sizes * 3, (budget, jobs)
+            assert blocks == sizes, (budget, jobs)
+
+
+@pytest.mark.parametrize("schemes", [("eppa", "ppa"), ("eppa", "ppa", "ref")])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_no_sweep_allocates_row_by_row(tiny_cfg, monkeypatch, experiment, schemes):
+    # every batch of allocations, the high-budget limit's too, goes through
+    # the stacked pass; the list allocator serves single allocations only
+    def row_by_row(*args):
+        raise AssertionError("a sweep called ppa_allocate")
+
+    monkeypatch.setattr(ppa, "ppa_allocate", row_by_row)
+    plan = dataclasses.replace(_stacking_plan(experiment), schemes=schemes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an unconverged reference solve
+        assert run_experiment(plan, tiny_cfg).rows
 
 
 # taken at import, as tests replace os.sched_getaffinity

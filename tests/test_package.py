@@ -33,6 +33,7 @@ REASONS = {
     "unconstrained_optimum": "the subject of acceptance 06",
     "exp_rcee_bound_mmse": "the MMSE bound the allocator minimizes, a bound property",
     "save_beta_fixture": "writes the format allocate --beta and fixture-check read (README)",
+    "achievable_rate": "one config's rates; the sweeps take its bits at every reuse factor",
 }
 
 

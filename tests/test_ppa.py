@@ -343,12 +343,26 @@ def _boxes(cfgs):
             for name in ("P_total", "rho_min", "rho_max")]
 
 
+def _profile_rows(profiles):
+    """The (n, K) upsilon and beta_target rows of ``profiles``."""
+    return [np.stack([getattr(p, name) for p in profiles]) for name in ("upsilon", "beta_target")]
+
+
+def _flat_rows(beta, cfgs):
+    """Each drop's flat-P/K profile under its config, as (upsilon, beta_target) rows."""
+    return _profile_rows([eppa_profile(g, c.P_total, c.K) for g, c in zip(beta, cfgs)])
+
+
 class TestAllocateRows:
     """The sweeps' stacked allocator, row by row against ppa_allocate."""
 
     def test_every_row_keeps_the_list_bits(self, monkeypatch):
+        # each drop's flat-P/K rows, and with other cells the high-budget
+        # limit's noise-free rows: upsilon = sum_{l != 0} beta_l / K, budget
+        # 1, box [1/(2K), mu/K]; among them the vertex profile, where least
+        # squares water-fills a lone free user exactly onto rho_max
         seen = dict.fromkeys(("all pinned", "free user on a bound", "list search",
-                              "matrix fallback", "16 free users"), 0)
+                              "matrix fallback", "16 free users", "noise-free on a bound"), 0)
 
         def counted(fn, key):
             def wrapper(*args):
@@ -356,8 +370,15 @@ class TestAllocateRows:
                 return fn(*args)
             return wrapper
 
-        for beta, cfgs in _stack_grid():
+        vertex = (np.array([[[1.0, 1.0], [0.01, 1.0]]]), [SystemConfig(K=2, M=8, P_total=1.0,
+                                                                       mu=1.5, L=2)])
+        for beta, cfgs in [*_stack_grid(), vertex]:
             K = beta.shape[-1]
+            profiles = [eppa_profile(g, c.P_total, K) for g, c in zip(beta, cfgs)]
+            if beta.shape[1] > 1:  # rows i >= len(beta) are noise-free
+                profiles += [InterferenceProfile(_flat_interference(g, 1.0 / K), g[0].copy())
+                             for g in beta]
+                cfgs = [*cfgs, *(c.replace(P_total=1.0) for c in cfgs)]
             for method in METHODS:
                 with monkeypatch.context() as m:
                     # the rows the stacked pass hands to the list functions:
@@ -365,17 +386,18 @@ class TestAllocateRows:
                     # weight above 1024 P) and fills that break the budget
                     m.setattr(ppa, "_clip_level", counted(_clip_level, "list search"))
                     m.setattr(ppa, "_water_fill", counted(ppa._water_fill, "matrix fallback"))
-                    rows = _allocate_rows(method, beta, *_boxes(cfgs))
+                    rows = _allocate_rows(method, *_profile_rows(profiles), *_boxes(cfgs))
                 assert rows.shape == (len(cfgs), K)
-                for row, gains, cfg in zip(rows, beta, cfgs):
-                    profile = eppa_profile(gains, cfg.P_total, K)
+                for i, (row, profile, cfg) in enumerate(zip(rows, profiles, cfgs)):
                     alloc = ppa_allocate(method, profile, cfg)
                     assert row.tobytes() == alloc.rho.tobytes(), (method, K, cfg)
                     s = profile._sqrt_weights
                     side = _clip_level(s, None if method == LS else s, cfg.P_total,
                                        cfg.rho_min, cfg.rho_max)
+                    on_bound = side.count(0) > len(alloc.free)
                     seen["all pinned"] += 0 not in side
-                    seen["free user on a bound"] += side.count(0) > len(alloc.free)
+                    seen["free user on a bound"] += on_bound
+                    seen["noise-free on a bound"] += on_bound and i >= len(beta)
                     seen["16 free users"] += len(alloc.free) >= 16
         assert all(seen.values()), seen
 
@@ -386,7 +408,8 @@ class TestAllocateRows:
         cfgs = [cfg.replace(P_total=db_to_linear(p_db)) for p_db in (20.0, 50.0, 80.0)]
         beta = np.stack([drop_gains(cfg, drop) for drop in range(4)])
         P, lo, hi = (x[None] for x in _boxes(cfgs))
-        rows = _allocate_rows(MMSE, beta[:, None], P, lo, hi)
+        ups = np.stack([_flat_rows([g] * 3, cfgs)[0] for g in beta])
+        rows = _allocate_rows(MMSE, ups, beta[:, None, 0], P, lo, hi)
         assert rows.shape == (4, 3, cfg.K)
         for d, gains in enumerate(beta):
             for b, cfg_p in enumerate(cfgs):
@@ -396,10 +419,20 @@ class TestAllocateRows:
     def test_rows_do_not_depend_on_the_block(self, monkeypatch):
         # blocks of one row, of two, and the default, which holds them all
         beta, cfgs = _stack_grid()[-1]
-        want = _allocate_rows(MMSE, beta, *_boxes(cfgs)).tobytes()
+        want = _allocate_rows(MMSE, *_flat_rows(beta, cfgs), *_boxes(cfgs)).tobytes()
         for rows in (1, 2):
-            monkeypatch.setattr(ppa, "_ROW_BLOCK", rows * 8 * beta[0].size)
-            assert _allocate_rows(MMSE, beta, *_boxes(cfgs)).tobytes() == want
+            monkeypatch.setattr(ppa, "_ROW_BLOCK", rows * 16 * beta.shape[-1])
+            assert _allocate_rows(MMSE, *_flat_rows(beta, cfgs), *_boxes(cfgs)).tobytes() == want
+
+    def test_no_rows_give_no_powers(self):
+        # an empty stack allocates nothing and keeps its shape, here and in
+        # the high-budget limit, which prices its rows through the pass
+        cfg = default_config("fig4b")
+        for method in METHODS:
+            rows = _allocate_rows(method, np.empty((0, 3, cfg.K)), np.empty((0, 1, cfg.K)),
+                                  cfg.P_total, cfg.rho_min, cfg.rho_max)
+            assert rows.shape == (0, 3, cfg.K)
+            assert exp_rcee_asymptotic(method, np.empty((0, 7, cfg.K)), cfg).shape == (0, cfg.K)
 
     @pytest.mark.parametrize("lo, hi", [(6.0, 7.0), (-1.0, 7.0)])
     def test_a_box_that_cannot_meet_its_budget_raises_as_the_list_path(self, lo, hi):
@@ -411,8 +444,8 @@ class TestAllocateRows:
             ppa_allocate(LS, eppa_profile(beta[1], bad.P_total, 2), bad)
         # one bad row among good ones
         with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
-            _allocate_rows(LS, beta, np.full(3, 10.0), np.array([2.5, lo, 2.5]),
-                           np.array([7.5, hi, 7.5]))
+            _allocate_rows(LS, *_flat_rows(beta, [bad] * 3), np.full(3, 10.0),
+                           np.array([2.5, lo, 2.5]), np.array([7.5, hi, 7.5]))
 
     def test_rows_with_every_user_pinned_divide_nothing(self):
         # two users whose weights differ by 1e8 pin both at any budget
@@ -420,7 +453,7 @@ class TestAllocateRows:
         cfg = SystemConfig(K=2, M=8, P_total=1.0e3, mu=1.5, L=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _allocate_rows(LS, beta, *_boxes([cfg, cfg]))
+            rows = _allocate_rows(LS, *_flat_rows(beta, [cfg, cfg]), *_boxes([cfg, cfg]))
         assert rows.tolist() == [[cfg.rho_min, cfg.rho_max], [cfg.rho_max, cfg.rho_min]]
 
     @pytest.mark.parametrize("rtol", [1e-12, 1e-9])
